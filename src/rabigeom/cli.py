@@ -13,9 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 convergence-gate failure,
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -59,25 +57,6 @@ def write_dataset(path: str, header: list[str], rows: list[list],
     with open(path + ".meta.json", "w") as fh:
         json.dump(metadata, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _max_workers() -> int:
-    env = os.environ.get("RABI_GEOM_THREADS", "")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"RABI_GEOM_THREADS={env!r} is not an integer") from exc
-        if cap < 1:
-            raise ConfigError("RABI_GEOM_THREADS must be positive")
-        return cap
-    return min(4, os.cpu_count() or 1)
-
-
-def _parallel_map(fn, values):
-    """Evaluate sweep points in parallel, results in sweep order."""
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        return list(pool.map(fn, values))
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +150,10 @@ def _sweep_overrides(var: str, value: float) -> dict:
     return {var: value}
 
 
+def _sweep_params(cfg: dict, var: str, values) -> list[RabiParams]:
+    return [params_from_config(cfg, **_sweep_overrides(var, v)) for v in values]
+
+
 # ---------------------------------------------------------------------------
 # Convergence gate
 # ---------------------------------------------------------------------------
@@ -178,14 +161,12 @@ def _sweep_overrides(var: str, value: float) -> dict:
 def convergence_gate(phase_fn, m_base: int, probes) -> dict:
     """Drift of representative beyond-RWA phases when M grows by 10.
 
-    ``phase_fn(params, M)`` must return a list of phases; the gate passes when
-    the largest drift over the probe points stays below 1e-6.
+    ``phase_fn(params_list, M)`` must return one row of phases per point; the
+    gate passes when the largest drift over the probe points stays below 1e-6.
     """
-    drift = 0.0
-    for pars in probes:
-        base = np.asarray(phase_fn(pars, m_base))
-        check = np.asarray(phase_fn(pars, m_base + 10))
-        drift = max(drift, float(np.max(np.abs(base - check))))
+    base = np.asarray(phase_fn(probes, m_base))
+    check = np.asarray(phase_fn(probes, m_base + 10))
+    drift = float(np.max(np.abs(base - check)))
     return {"m": m_base, "m_check": m_base + 10, "max_drift": drift,
             "tolerance": GATE_TOL, "passed": bool(drift < GATE_TOL)}
 
@@ -196,23 +177,27 @@ def _probe_points(params_list, limit: int = 3):
     return [params_list[0], params_list[len(params_list) // 2], params_list[-1]]
 
 
-def _beyond_rwa_eigenphases(pars: RabiParams, M: int) -> list[float]:
-    basis = DisplacedBasis.for_params(pars, M=M)
-    nop = model.sector_number_operator(basis)
-    out = []
-    for kappa in (1, -1):
-        pairs = model.truncated_parity_solve(pars, basis, kappa,
-                                             check_truncation=False)
-        skip = set(model.singlet_indices(pars, pairs))
-        kept = [p for j, p in enumerate(pairs) if j not in skip][:3]
-        out.extend(2.0 * math.pi * float(p.coefficients @ nop @ p.coefficients)
-                   for p in kept)
-    return out
+def _solve_sectors(params_list, M: int) -> dict[int, model.SectorSolution]:
+    return {kappa: model.solve_sectors(params_list, M, kappa)
+            for kappa in (1, -1)}
 
 
-def _noneigen_phase(pars: RabiParams, M: int) -> list[float]:
-    basis = DisplacedBasis.for_params(pars, M=M)
-    return [geometry.noneigen_phase_beyond_rwa(pars, basis).gamma]
+def _diagnostics(sols) -> dict:
+    """Worst truncation tail over every written sweep point and sector."""
+    return {"max_tail_population": max(float(np.max(sol.tail_population))
+                                       for sol in sols)}
+
+
+def _beyond_rwa_eigenphases(params_list, M: int) -> list[list[float]]:
+    sols = _solve_sectors(params_list, M).values()
+    return [[2.0 * math.pi * float(sol.photon_numbers[i, j])
+             for sol in sols for j in sol.kept(i)[:3]]
+            for i in range(len(params_list))]
+
+
+def _noneigen_phase(params_list, M: int) -> list[list[float]]:
+    odd = model.solve_sectors(params_list, M, -1)
+    return [[r.gamma] for r in geometry.noneigen_phases_beyond_rwa(odd)]
 
 
 # ---------------------------------------------------------------------------
@@ -225,35 +210,25 @@ def cmd_spectrum(cfg: dict) -> int:
     n_levels = int(cfg.get("levels") or 8)
     modes = {"rwa": ("rwa",), "full": ("full",), "both": ("rwa", "full")}[cfg["mode"]]
     drop = bool(cfg["drop_singlets"])
-
-    def eval_point(value: float) -> list[list]:
-        pars = params_from_config(cfg, **_sweep_overrides(var, value))
-        rows = []
+    params_list = _sweep_params(cfg, var, values)
+    sols = _solve_sectors(params_list, M) if "full" in modes else {}
+    rows = []
+    for i, (value, pars) in enumerate(zip(values, params_list)):
         if "rwa" in modes:
             for parity in (1, -1):
                 levels = model.rwa_parity_levels(pars, parity, n_levels, drop)
-                rows += [[value, "rwa", _parity_name(parity), i, float(e)]
-                         for i, e in enumerate(levels)]
-        if "full" in modes:
-            basis = DisplacedBasis.for_params(pars, M=M)
-            for parity in (1, -1):
-                pairs = model.truncated_parity_solve(pars, basis, parity,
-                                                     check_truncation=False)
-                if drop:
-                    skip = set(model.singlet_indices(pars, pairs))
-                    pairs = [p for j, p in enumerate(pairs) if j not in skip]
-                rows += [[value, "full", _parity_name(parity), i, p.energy]
-                         for i, p in enumerate(pairs[:n_levels])]
-        return rows
-
-    groups = _parallel_map(eval_point, values)
-    rows = [row for group in groups for row in group]
+                rows += [[value, "rwa", _parity_name(parity), j, float(e)]
+                         for j, e in enumerate(levels)]
+        for parity, sol in sols.items():
+            levels = sol.energies[i, sol.kept(i, drop)[:n_levels]]
+            rows += [[value, "full", _parity_name(parity), j, float(e)]
+                     for j, e in enumerate(levels)]
     meta = {"config": _json_safe(cfg), "command": "spectrum"}
     if "full" in modes:
-        probes = _probe_points([params_from_config(cfg, **_sweep_overrides(var, v))
-                                for v in values])
+        probes = _probe_points(params_list)
         meta["convergence_gate"] = convergence_gate(
-            lambda pars, m: _sector_energy_probe(pars, m, n_levels, drop), M, probes)
+            lambda ps, m: _sector_energy_probe(ps, m, n_levels, drop), M, probes)
+        meta["diagnostics"] = _diagnostics(sols.values())
         if cfg.get("trunc_photons"):
             meta["dual_basis_audit"] = _dual_basis_audit(
                 probes[0], M, int(cfg["trunc_photons"]), n_levels, drop)
@@ -283,18 +258,12 @@ def _dual_basis_audit(pars: RabiParams, M: int, n_photons: int,
     return {"n_photons": n_photons, "max_energy_deviation": worst}
 
 
-def _sector_energy_probe(pars: RabiParams, M: int, n_levels: int,
-                         drop: bool) -> list[float]:
-    basis = DisplacedBasis.for_params(pars, M=M)
-    out = []
-    for kappa in (1, -1):
-        pairs = model.truncated_parity_solve(pars, basis, kappa,
-                                             check_truncation=False)
-        if drop:
-            skip = set(model.singlet_indices(pars, pairs))
-            pairs = [p for j, p in enumerate(pairs) if j not in skip]
-        out.extend(p.energy for p in pairs[:n_levels])
-    return out
+def _sector_energy_probe(params_list, M: int, n_levels: int,
+                         drop: bool) -> list[np.ndarray]:
+    sols = _solve_sectors(params_list, M).values()
+    return [np.concatenate([sol.energies[i, sol.kept(i, drop)[:n_levels]]
+                            for sol in sols])
+            for i in range(len(params_list))]
 
 
 def _parity_name(parity: int) -> str:
@@ -305,60 +274,52 @@ def cmd_berry(cfg: dict) -> int:
     var, values = sweep_values(cfg)
     M = int(cfg["trunc_m"])
     include_full = cfg["mode"] in ("full", "both")
-
-    def eval_point(value: float) -> list[list]:
-        pars = params_from_config(cfg, **_sweep_overrides(var, value))
+    params_list = _sweep_params(cfg, var, values)
+    if include_full:
+        sols = _solve_sectors(params_list, M)
+        gamma_full = _counterpart_phases(sols)
+    rows = []
+    for i, (value, pars) in enumerate(zip(values, params_list)):
         gamma_rwa = {
             "psi0": 0.0,
             "psi1_2": geometry.berry_phase_equal_frequency(pars, 2).gamma,
             "psi1_3": geometry.berry_phase_equal_frequency(pars, 3).gamma,
         }
-        if include_full:
-            gamma_full = _counterpart_phases(pars, M)
-            return [[value, name, gamma_rwa[name], gamma_full[name]]
-                    for name in ("psi0", "psi1_2", "psi1_3")]
-        return [[value, name, gamma_rwa[name]]
-                for name in ("psi0", "psi1_2", "psi1_3")]
-
-    groups = _parallel_map(eval_point, values)
-    rows = [row for group in groups for row in group]
+        for name in ("psi0", "psi1_2", "psi1_3"):
+            row = [value, name, gamma_rwa[name]]
+            if include_full:
+                row.append(gamma_full[i][name])
+            rows.append(row)
     header = ["sweep_value", "state", "gamma_rwa"]
     meta = {"config": _json_safe(cfg), "command": "berry"}
     if include_full:
         header.append("gamma_full")
-        probes = _probe_points([params_from_config(cfg, **_sweep_overrides(var, v))
-                                for v in values])
-        meta["convergence_gate"] = convergence_gate(_beyond_rwa_eigenphases, M,
-                                                    probes)
+        meta["convergence_gate"] = convergence_gate(
+            _beyond_rwa_eigenphases, M, _probe_points(params_list))
+        meta["diagnostics"] = _diagnostics(sols.values())
     else:
         meta["convergence_gate"] = {"applicable": False}
     write_dataset(cfg["out"], header, rows, meta)
     return _gate_exit(meta)
 
 
-def _counterpart_phases(pars: RabiParams, M: int) -> dict[str, float]:
+def _counterpart_phases(sols: dict[int, model.SectorSolution],
+                        ) -> list[dict[str, float]]:
     """Beyond-RWA Berry phases of the states continuing Psi0, Psi1^2, Psi1^3.
 
     Psi0 continues into the lowest even level; the bright doublet continues
     into the two lowest non-singlet odd levels, lower rank matching Psi1^3.
+    One dict per point of the solved sectors ``sols``.
     """
-    basis = DisplacedBasis.for_params(pars, M=M)
-    nop = model.sector_number_operator(basis)
-
-    def kept(kappa):
-        pairs = model.truncated_parity_solve(pars, basis, kappa,
-                                             check_truncation=False)
-        skip = set(model.singlet_indices(pars, pairs))
-        return [p for j, p in enumerate(pairs) if j not in skip]
-
-    def gamma(pair):
-        c = pair.coefficients
-        return 2.0 * math.pi * float(c @ nop @ c)
-
-    even = kept(1)
-    odd = kept(-1)
-    return {"psi0": gamma(even[0]), "psi1_3": gamma(odd[0]),
-            "psi1_2": gamma(odd[1])}
+    even, odd = sols[1], sols[-1]
+    out = []
+    for i in range(len(even.energies)):
+        e, o = even.kept(i), odd.kept(i)
+        nbar = {"psi0": even.photon_numbers[i, e[0]],
+                "psi1_3": odd.photon_numbers[i, o[0]],
+                "psi1_2": odd.photon_numbers[i, o[1]]}
+        out.append({name: 2.0 * math.pi * float(n) for name, n in nbar.items()})
+    return out
 
 
 def cmd_curvature_field(cfg: dict) -> int:
@@ -381,29 +342,22 @@ def cmd_noneigen(cfg: dict) -> int:
     M = int(cfg["trunc_m"])
     include_full = cfg["mode"] in ("full", "both")
     jump_threshold = 0.3
-
-    def eval_point(value: float):
-        pars = params_from_config(cfg, **_sweep_overrides(var, value))
-        row = [value, pars.g1, pars.g2, pars.delta,
-               geometry.noneigen_curvature_two_qubit(pars),
-               geometry.vacuum_phase_two_qubit(pars).gamma]
-        if include_full:
-            basis = DisplacedBasis.for_params(pars, M=M)
-            row.append(geometry.noneigen_phase_beyond_rwa(pars, basis).gamma)
-        return row
-
-    rows = _parallel_map(eval_point, values)
+    params_list = _sweep_params(cfg, var, values)
+    rows = [[value, pars.g1, pars.g2, pars.delta,
+             geometry.noneigen_curvature_two_qubit(pars),
+             geometry.vacuum_phase_two_qubit(pars).gamma]
+            for value, pars in zip(values, params_list)]
     header = ["sweep_value", "g1", "g2", "delta", "F_theta_phi", "gamma_rwa"]
-    if include_full:
-        header += ["gamma_full", "anticross_flag"]
-        gammas = [r[-1] for r in rows]
-        flags = _jump_flags(gammas, jump_threshold)
-        rows = [r + [f] for r, f in zip(rows, flags)]
     meta = {"config": _json_safe(cfg), "command": "noneigen"}
     if include_full:
-        probes = _probe_points([params_from_config(cfg, **_sweep_overrides(var, v))
-                                for v in values])
-        meta["convergence_gate"] = convergence_gate(_noneigen_phase, M, probes)
+        odd = model.solve_sectors(params_list, M, -1)
+        gammas = [r.gamma for r in geometry.noneigen_phases_beyond_rwa(odd)]
+        flags = _jump_flags(gammas, jump_threshold)
+        rows = [r + [gamma, f] for r, gamma, f in zip(rows, gammas, flags)]
+        header += ["gamma_full", "anticross_flag"]
+        meta["convergence_gate"] = convergence_gate(
+            _noneigen_phase, M, _probe_points(params_list))
+        meta["diagnostics"] = _diagnostics([odd])
         meta["anticross_flag"] = ("1 when |gamma_full| changes by more than "
                                   f"{jump_threshold} between neighbours")
     else:

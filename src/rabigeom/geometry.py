@@ -17,7 +17,7 @@ from scipy.optimize import minimize_scalar
 
 from . import model, numerics
 from .model import (BlockEigenpair, DisplacedBasis, RabiParams,
-                    TruncatedEigenpair)
+                    SectorSolution, TruncatedEigenpair)
 
 TWO_PI = 2.0 * math.pi
 
@@ -472,35 +472,55 @@ def vacuum_amplitudes(params: RabiParams, basis: DisplacedBasis, kappa: int,
     return np.array([float(p.d1 @ col1 - p.d2 @ col2) for p in pairs])
 
 
+def _check_weight_total(total: float) -> None:
+    if abs(total - 1.0) > 1e-8:
+        raise WeightError(f"vacuum-state weights sum to {total!r}; "
+                          "truncation too small")
+
+
 def noneigen_phase_beyond_rwa(params: RabiParams,
                               basis: DisplacedBasis | None = None,
                               weight_floor: float = 1e-12) -> PhaseResult:
     """Weighted Berry-phase sum for the initial state |10,0> beyond the RWA.
 
-    Expands |10,0> over the truncated eigenstates of both parity sectors and
-    sums their Berry phases with the squared overlaps as weights; components
-    below ``weight_floor`` are noise and dropped.
+    Expands |10,0> over the truncated eigenstates of the odd parity sector
+    (its even-sector overlaps vanish, see vacuum_amplitudes) and sums their
+    Berry phases with the squared overlaps as weights, state by state;
+    components below ``weight_floor`` are noise and dropped.  Sweeps use
+    noneigen_phases_beyond_rwa, which agrees with this to rounding.
     """
     if basis is None:
         basis = DisplacedBasis.for_params(params)
     nop = model.sector_number_operator(basis)
+    pairs = model.truncated_parity_solve(params, basis, -1,
+                                         check_truncation=False)
+    amps = vacuum_amplitudes(params, basis, -1, pairs)
     gamma = 0.0
     total = 0.0
-    for kappa in (+1, -1):
-        pairs = model.truncated_parity_solve(params, basis, kappa,
-                                             check_truncation=False)
-        amps = vacuum_amplitudes(params, basis, kappa, pairs)
-        weights = amps * amps
-        for p, w in zip(pairs, weights):
-            if w < weight_floor:
-                continue
-            c = p.coefficients
-            gamma += w * TWO_PI * float(c @ nop @ c)
-            total += w
-    if abs(total - 1.0) > 1e-8:
-        raise WeightError(f"vacuum-state weights sum to {total!r}; "
-                          "truncation too small")
+    for p, w in zip(pairs, amps * amps):
+        if w < weight_floor:
+            continue
+        c = p.coefficients
+        gamma += w * TWO_PI * float(c @ nop @ c)
+        total += w
+    _check_weight_total(float(total))
     return PhaseResult(gamma, "weighted_sum", weight_total=total)
+
+
+def noneigen_phases_beyond_rwa(odd: SectorSolution,
+                               weight_floor: float = 1e-12,
+                               ) -> list[PhaseResult]:
+    """noneigen_phase_beyond_rwa at every point of a solved odd sector."""
+    if odd.kappa != -1:
+        raise ValueError("|10,0> has odd parity; pass the kappa = -1 sector")
+    weights = np.where(odd.vacuum_weights >= weight_floor,
+                       odd.vacuum_weights, 0.0)
+    totals = np.sum(weights, axis=1)
+    gammas = np.sum(weights * TWO_PI * odd.photon_numbers, axis=1)
+    for total in totals:
+        _check_weight_total(float(total))
+    return [PhaseResult(float(g), "weighted_sum", weight_total=float(t))
+            for g, t in zip(gammas, totals)]
 
 
 # ---------------------------------------------------------------------------
@@ -514,16 +534,6 @@ class AnticrossingResult:
     level_pair: tuple[int, int]
     adiabaticity_ratio: float
     adiabaticity_exceeded: bool
-
-
-def _sector_levels(params: RabiParams, basis: DisplacedBasis, kappa: int,
-                   n_levels: int, drop_singlets: bool) -> np.ndarray:
-    pairs = model.truncated_parity_solve(params, basis, kappa,
-                                         check_truncation=False)
-    if drop_singlets:
-        skip = set(model.singlet_indices(params, pairs))
-        pairs = [p for j, p in enumerate(pairs) if j not in skip]
-    return np.array([p.energy for p in pairs[:n_levels]])
 
 
 def detect_anticrossing(params_of_g, kappa: int, g_min: float, g_max: float,
@@ -546,15 +556,17 @@ def detect_anticrossing(params_of_g, kappa: int, g_min: float, g_max: float,
         raise ValueError("n_scan must be at least 200")
     gs = np.linspace(g_min, g_max, n_scan)
 
-    def levels(g: float) -> np.ndarray:
-        pars = params_of_g(float(g))
+    def levels(g_values) -> np.ndarray:
+        params_list = [params_of_g(float(g)) for g in g_values]
         if rwa:
-            return model.rwa_parity_levels(pars, kappa, n_levels,
-                                           drop_singlets)
-        return _sector_levels(pars, DisplacedBasis.for_params(pars, M=M),
-                              kappa, n_levels, drop_singlets)
+            return np.array([model.rwa_parity_levels(pars, kappa, n_levels,
+                                                     drop_singlets)
+                             for pars in params_list])
+        sol = model.solve_sectors(params_list, M, kappa)
+        return np.array([sol.energies[i, sol.kept(i, drop_singlets)[:n_levels]]
+                         for i in range(len(params_list))])
 
-    table = np.array([levels(g) for g in gs])
+    table = levels(gs)
     gaps = np.diff(table, axis=1)
     if level_pair is None:
         flat = np.argmin(gaps)
@@ -571,7 +583,7 @@ def detect_anticrossing(params_of_g, kappa: int, g_min: float, g_max: float,
             f"gap of levels {pair} is monotone over [{g_min}, {g_max}]")
 
     def gap_at(g: float) -> float:
-        e = levels(g)
+        e = levels([g])[0]
         return float(e[pair[1]] - e[pair[0]])
 
     res = minimize_scalar(gap_at, bracket=(gs[i_coarse - 1], gs[i_coarse],
@@ -618,10 +630,13 @@ def locate_phase_jump(params_of_g, g_min: float, g_max: float,
         return noneigen_phase_beyond_rwa(pars, basis).gamma
 
     gs = np.linspace(g_min, g_max, n_scan)
-    vals = np.array([gamma_at(g) for g in gs])
+    odd = model.solve_sectors([params_of_g(float(g)) for g in gs], basis_M, -1)
+    vals = [r.gamma for r in noneigen_phases_beyond_rwa(odd)]
     i = int(np.argmax(np.abs(np.diff(vals))))
     lo, hi = float(gs[i]), float(gs[i + 1])
-    vlo, vhi = float(vals[i]), float(vals[i + 1])
+    # The bisection compares changes of gamma down to rounding level, so all
+    # values it compares, bracket ends included, come from one evaluation.
+    vlo, vhi = gamma_at(lo), gamma_at(hi)
     for _ in range(n_refine):
         mid = 0.5 * (lo + hi)
         vm = gamma_at(mid)

@@ -13,6 +13,7 @@ Delta = omega1 - omega_c throughout.  Qubit basis states |1> (upper) and |0>
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +71,11 @@ class RabiParams:
 
     def is_jc(self) -> bool:
         return self.omega2 == 0.0 and self.g2 == 0.0
+
+    def identical_qubits(self) -> bool:
+        """Equal qubit frequencies and couplings, the condition for spin singlets."""
+        return (abs(self.omega1 - self.omega2) <= EQ_TOL
+                and abs(self.g1 - self.g2) <= EQ_TOL)
 
 
 @dataclass(frozen=True)
@@ -406,25 +412,32 @@ def displaced_overlap(m: int, n: int, delta: float) -> float:
     return math.exp(-x / 2.0) * pref * lk
 
 
-def displacement_matrix(size: int, delta: float) -> np.ndarray:
-    """Dense matrix of <m| D(delta) |n> for m, n < size (vectorized evaluation)."""
+def displacement_matrix(size: int, delta) -> np.ndarray:
+    """Dense matrix of <m| D(delta) |n> for m, n < size (vectorized evaluation).
+
+    ``delta`` is one displacement, giving a (size, size) matrix, or a 1-D
+    array of them, giving a (len(delta), size, size) stack.  A zero
+    displacement gives the identity exactly.
+    """
     if size < 1:
         raise ValueError("size must be positive")
-    if delta == 0.0:
-        return np.eye(size)
-    m = np.arange(size)[:, None]
-    n = np.arange(size)[None, :]
-    lower = m >= n
-    mm = np.where(lower, m, 0)
-    nn = np.where(lower, n, 0)
-    x = delta * delta
-    logpref = 0.5 * (gammaln(nn + 1) - gammaln(mm + 1)) \
-        + (mm - nn) * math.log(abs(delta)) - x / 2.0
-    sign = np.sign(delta) ** (mm - nn)
-    vals = sign * np.exp(logpref) * eval_genlaguerre(nn, mm - nn, x)
-    D = np.where(lower, vals, 0.0)
-    upper = (-1.0) ** (n - m) * D.T
-    return np.where(lower, D, upper)
+    deltas = np.asarray(delta, dtype=float)
+    flat = deltas.reshape(-1)
+    D = np.repeat(np.eye(size)[None], flat.size, axis=0)
+    moved = flat != 0.0
+    if np.any(moved):
+        d = flat[moved][:, None]
+        m, n = np.tril_indices(size)
+        x = d * d
+        logpref = 0.5 * (gammaln(n + 1) - gammaln(m + 1)) \
+            + (m - n) * np.log(np.abs(d)) - x / 2.0
+        sign = np.sign(d) ** (m - n)
+        lower = sign * np.exp(logpref) * eval_genlaguerre(n, m - n, x)
+        block = np.empty((d.shape[0], size, size))
+        block[:, m, n] = lower
+        block[:, n, m] = (-1.0) ** (m - n) * lower
+        D[moved] = block
+    return D.reshape(deltas.shape + (size, size))
 
 
 @dataclass(frozen=True)
@@ -471,23 +484,6 @@ class AdiabaticSolution:
     xi: float
     mu: float
     omega_n_kappa: float
-
-
-def _sector_qubit_coupling(params: RabiParams, basis: DisplacedBasis,
-                           kappa: int) -> np.ndarray:
-    """Coupling block between the |11>/|00>-type and |10>/|01>-type sector states.
-
-    B[m, n] = omega1/2 * kappa (-1)^n <m|D(beta1+beta2)|n>
-            + omega2/2 * <m|D(beta1-beta2)|n>,
-    i.e. the flip of qubit j is dressed by the displaced-Fock overlap at
-    displacement 2 g_j / omega_c.
-    """
-    mp1 = basis.M + 1
-    signs = (-1.0) ** np.arange(mp1)
-    d_g1 = displacement_matrix(mp1, basis.beta1 + basis.beta2)
-    d_g2 = displacement_matrix(mp1, basis.beta1 - basis.beta2)
-    return (0.5 * params.omega1 * kappa) * d_g1 * signs[None, :] \
-        + 0.5 * params.omega2 * d_g2
 
 
 def adiabatic_eigensystem(params: RabiParams, n: int, kappa: int,
@@ -545,20 +541,42 @@ class TruncatedEigenpair:
         return math.sqrt(2.0) * np.concatenate([self.d1, self.d2])
 
 
-def sector_hamiltonian(params: RabiParams, basis: DisplacedBasis,
+def sector_hamiltonian(params_list: Sequence[RabiParams],
+                       bases: Sequence[DisplacedBasis],
                        kappa: int) -> np.ndarray:
-    """Beyond-RWA Hamiltonian in the parity-kappa displaced-Fock sector basis."""
+    """Beyond-RWA Hamiltonians in the parity-kappa displaced-Fock sector basis.
+
+    Entry p of the returned (P, 2(M+1), 2(M+1)) stack is the sector matrix of
+    ``params_list[p]`` on ``bases[p]``; all bases share one truncation M.  The
+    |11>/|00>-type and |10>/|01>-type blocks couple through
+    B[m, n] = omega1/2 * kappa (-1)^n <m|D(beta1+beta2)|n>
+            + omega2/2 * <m|D(beta1-beta2)|n>,
+    i.e. the flip of qubit j is dressed by the displaced-Fock overlap at
+    displacement 2 g_j / omega_c.
+    """
     if kappa not in (1, -1):
         raise ValueError("kappa must be +1 or -1")
-    mp1 = basis.M + 1
-    wc = params.omega_c
+    if len(params_list) != len(bases) or not bases:
+        raise ValueError("need one basis per parameter point, at least one")
+    if any(b.M != bases[0].M for b in bases):
+        raise ValueError("bases must share one truncation M")
+    mp1 = bases[0].M + 1
+    P = len(bases)
+    w1 = np.array([p.omega1 for p in params_list])[:, None, None]
+    w2 = np.array([p.omega2 for p in params_list])[:, None, None]
+    wc = np.array([p.omega_c for p in params_list])[:, None]
+    b1 = np.array([b.beta1 for b in bases])
+    b2 = np.array([b.beta2 for b in bases])
+    D = displacement_matrix(mp1, np.concatenate([b1 + b2, b1 - b2]))
     ns = np.arange(mp1)
-    S = np.zeros((2 * mp1, 2 * mp1))
-    S[:mp1, :mp1] = np.diag(ns * wc - basis.beta1**2 * wc)
-    S[mp1:, mp1:] = np.diag(ns * wc - basis.beta2**2 * wc)
-    B = _sector_qubit_coupling(params, basis, kappa)
-    S[:mp1, mp1:] = B
-    S[mp1:, :mp1] = B.T
+    signs = (-1.0) ** ns
+    B = (0.5 * w1 * kappa) * D[:P] * signs[None, :] + 0.5 * w2 * D[P:]
+    S = np.zeros((P, 2 * mp1, 2 * mp1))
+    diag = np.arange(2 * mp1)
+    S[:, diag, diag] = np.concatenate([ns * wc - b1[:, None]**2 * wc,
+                                       ns * wc - b2[:, None]**2 * wc], axis=1)
+    S[:, :mp1, mp1:] = B
+    S[:, mp1:, :mp1] = np.swapaxes(B, 1, 2)
     return S
 
 
@@ -584,6 +602,13 @@ def sector_number_operator(basis: DisplacedBasis) -> np.ndarray:
     return N
 
 
+def _tail_population(vectors: np.ndarray) -> np.ndarray:
+    """Largest last-displaced-level population over the lower half of a sector."""
+    mp1 = vectors.shape[-2] // 2
+    return np.max(vectors[..., mp1 - 1, :mp1] ** 2 + vectors[..., -1, :mp1] ** 2,
+                  axis=-1)
+
+
 def truncated_parity_solve(params: RabiParams, basis: DisplacedBasis,
                            kappa: int, check_truncation: bool = True,
                            ) -> list[TruncatedEigenpair]:
@@ -591,21 +616,127 @@ def truncated_parity_solve(params: RabiParams, basis: DisplacedBasis,
     if basis.M < 10:
         raise ValueError("basis truncation M must be at least 10")
     mp1 = basis.M + 1
-    values, vectors = numerics.eigh(sector_hamiltonian(params, basis, kappa))
+    values, vectors = numerics.eigh(sector_hamiltonian([params], [basis], kappa))
+    values, vectors = values[0], vectors[0]
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     pairs = [TruncatedEigenpair(kappa, float(values[j]),
                                 inv_sqrt2 * vectors[:mp1, j],
                                 inv_sqrt2 * vectors[mp1:, j])
              for j in range(values.size)]
     if check_truncation:
-        worst = max(float(vectors[mp1 - 1, j] ** 2 + vectors[-1, j] ** 2)
-                    for j in range(mp1))  # lowest half of the spectrum
+        worst = float(_tail_population(vectors))
         if worst > 1e-8:
             warnings.warn(
                 f"low-lying sector state has population {worst:.2e} on the "
                 f"last displaced level; increase M", TruncationWarning,
                 stacklevel=2)
     return pairs
+
+
+#: sweep points diagonalized together by solve_sectors; sets how many
+#: eigenvector sets are alive at once
+SECTOR_BATCH = 4
+
+
+@dataclass(frozen=True)
+class SectorSolution:
+    """One parity sector solved at every point of a sweep.
+
+    Row p of each (P, 2(M+1)) array belongs to the p-th parameter point, its
+    states in ascending energy.  Eigenvectors are not kept.
+    """
+
+    kappa: int
+    energies: np.ndarray = field(repr=False)
+    photon_numbers: np.ndarray = field(repr=False)   # <a^dag a> per state
+    singlet: np.ndarray = field(repr=False)          # as singlet_indices
+    vacuum_weights: np.ndarray = field(repr=False)   # |<state|10,0>|^2
+    tail_population: np.ndarray = field(repr=False)  # (P,), lower half
+
+    def kept(self, point: int, drop_singlets: bool = True) -> np.ndarray:
+        """State indices of one point, ascending in energy, singlets skipped."""
+        if drop_singlets:
+            return np.flatnonzero(~self.singlet[point])
+        return np.arange(self.energies.shape[1])
+
+
+def _photon_numbers(vectors: np.ndarray,
+                    bases: Sequence[DisplacedBasis]) -> np.ndarray:
+    """<a^dag a> of every column state, at O(M) per state.
+
+    Evaluates the tridiagonal blocks of sector_number_operator without
+    forming them: sum_n (n + beta^2) c_n^2 - 2 beta sqrt(n+1) c_n c_{n+1}.
+    """
+    mp1 = bases[0].M + 1
+    ns = np.arange(mp1, dtype=float)
+    off = np.sqrt(ns[1:])
+    total = 0.0
+    for half, beta in ((vectors[:, :mp1], [b.beta1 for b in bases]),
+                       (vectors[:, mp1:], [b.beta2 for b in bases])):
+        beta = np.array(beta)[:, None]
+        sq = half * half
+        total = total + (ns @ sq + beta**2 * sq.sum(axis=1)
+                         - 2.0 * beta * (off @ (half[:, :-1] * half[:, 1:])))
+    return total
+
+
+def _singlet_mask(params_list: Sequence[RabiParams], values: np.ndarray,
+                  vectors: np.ndarray, kappa: int,
+                  tol: float = 1e-9) -> np.ndarray:
+    """Vectorized singlet_indices: pure |10>-type states at energy n omega_c."""
+    mp1 = vectors.shape[-2] // 2
+    identical = np.array([p.identical_qubits() for p in params_list])[:, None]
+    wc = np.array([p.omega_c for p in params_list])[:, None]
+    n = np.rint(values / wc)
+    level = np.clip(n, 0, mp1 - 1).astype(int)
+    d2 = np.take_along_axis(vectors[:, mp1:], level[:, None, :], axis=1)[:, 0]
+    parity = 1 - 2 * (level % 2)
+    return (identical & (n >= 0) & (n < mp1) & (np.abs(values - n * wc) <= tol)
+            & (kappa * parity == -1) & (d2 * d2 > 1.0 - 1e-6))
+
+
+def _vacuum_weights(vectors: np.ndarray, bases: Sequence[DisplacedBasis],
+                    kappa: int) -> np.ndarray:
+    """Squared overlaps <state|10,0>; even-parity overlaps vanish identically.
+
+    The plain vacuum expands over each displaced ladder through
+    <n|D(beta)|0>, and |10,0> selects the (1 - kappa)/2 combination.
+    """
+    if kappa == 1:
+        return np.zeros((len(bases), vectors.shape[-1]))
+    mp1 = bases[0].M + 1
+    P = len(bases)
+    betas = [b.beta1 for b in bases] + [b.beta2 for b in bases]
+    cols = displacement_matrix(mp1, np.array(betas))[:, :, 0]
+    amps = (np.einsum("pnj,pn->pj", vectors[:, :mp1], cols[:P])
+            - np.einsum("pnj,pn->pj", vectors[:, mp1:], cols[P:]))
+    amps *= 1.0 / math.sqrt(2.0)
+    return amps * amps
+
+
+def solve_sectors(params_list: Sequence[RabiParams], M: int,
+                  kappa: int) -> SectorSolution:
+    """Solve the parity-kappa sector at every point on DisplacedBasis.for_params.
+
+    Points are diagonalized SECTOR_BATCH at a time with the builder and
+    eigensolver of truncated_parity_solve, so energies agree with it bit for
+    bit; eigenvectors live only inside one batch.  No truncation warning is
+    raised: ``tail_population`` records what truncated_parity_solve checks.
+    """
+    if M < 10:
+        raise ValueError("basis truncation M must be at least 10")
+    if not params_list:
+        raise ValueError("need at least one parameter point")
+    parts = []
+    for start in range(0, len(params_list), SECTOR_BATCH):
+        batch = params_list[start:start + SECTOR_BATCH]
+        bases = [DisplacedBasis.for_params(p, M) for p in batch]
+        values, vectors = numerics.eigh(sector_hamiltonian(batch, bases, kappa))
+        parts.append((values, _photon_numbers(vectors, bases),
+                      _singlet_mask(batch, values, vectors, kappa),
+                      _vacuum_weights(vectors, bases, kappa),
+                      _tail_population(vectors)))
+    return SectorSolution(kappa, *(np.concatenate(a) for a in zip(*parts)))
 
 
 def singlet_indices(params: RabiParams, pairs: list[TruncatedEigenpair],
@@ -616,7 +747,7 @@ def singlet_indices(params: RabiParams, pairs: list[TruncatedEigenpair],
     representation they are pure |10>-type vectors at levels with
     kappa (-1)^n = -1 and energy exactly n omega_c.
     """
-    if abs(params.omega1 - params.omega2) > EQ_TOL or abs(params.g1 - params.g2) > EQ_TOL:
+    if not params.identical_qubits():
         return []
     out = []
     for j, p in enumerate(pairs):
@@ -640,9 +771,7 @@ def is_rwa_singlet(pair: BlockEigenpair, params: RabiParams) -> bool:
 def rwa_parity_levels(params: RabiParams, parity: int, n_levels: int,
                       drop_singlets: bool = False) -> np.ndarray:
     """RWA sector spectrum: union of excitation blocks with (-1)^k = parity."""
-    singlet_like = drop_singlets \
-        and abs(params.omega1 - params.omega2) <= EQ_TOL \
-        and abs(params.g1 - params.g2) <= EQ_TOL
+    singlet_like = drop_singlets and params.identical_qubits()
     energies = []
     k = 0 if parity == 1 else 1
     while k <= 2 * n_levels + 2:

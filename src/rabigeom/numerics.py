@@ -32,30 +32,35 @@ class EigenDecomposition(NamedTuple):
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector signs so the first component above SIGN_EPS is positive."""
-    out = np.array(vectors, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > SIGN_EPS)
-        if nz.size and col[nz[0]] < 0.0:
-            out[:, j] = -col
-    return out
+    """Flip eigenvector signs so the first component above SIGN_EPS is positive.
+
+    Works on one matrix of column eigenvectors or on a stack of them.  A
+    column with no component above SIGN_EPS keeps its sign: its "leading"
+    entry is then at most SIGN_EPS in magnitude, so it never tests below
+    -SIGN_EPS.
+    """
+    first = np.argmax(np.abs(vectors) > SIGN_EPS, axis=-2)
+    lead = np.take_along_axis(vectors, first[..., None, :], axis=-2)
+    return vectors * np.where(lead < -SIGN_EPS, -1.0, 1.0)
 
 
 def eigh(matrix) -> EigenDecomposition:
     """Full spectrum of a real symmetric matrix, ascending, deterministic signs.
 
-    Ties between degenerate eigenvalues keep the (deterministic) order produced
-    by the underlying LAPACK driver; every eigenvector is normalized so that its
-    first nonzero component is positive, which makes repeated runs and CSV
-    goldens reproducible.
+    Accepts one (n, n) matrix or a (P, n, n) stack, which is solved matrix by
+    matrix exactly as P separate calls would be; the results then carry the
+    leading stack axis.  Ties between degenerate eigenvalues keep the
+    (deterministic) order produced by the underlying LAPACK driver; every
+    eigenvector is normalized so that its first nonzero component is
+    positive, which makes repeated runs and CSV goldens reproducible.
     """
     H = np.asarray(matrix, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] < 1:
-        raise InvalidMatrix(f"expected a square matrix, got shape {H.shape}")
+    if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2] or H.shape[-1] < 1:
+        raise InvalidMatrix(f"expected a square matrix or a stack of them, "
+                            f"got shape {H.shape}")
     if not np.all(np.isfinite(H)):
         raise InvalidMatrix("matrix has non-finite entries")
-    if not np.array_equal(H, H.T):
+    if not np.array_equal(H, np.swapaxes(H, -1, -2)):
         raise InvalidMatrix("matrix is not exactly symmetric")
     values, vectors = np.linalg.eigh(H)
     return EigenDecomposition(values, _fix_signs(vectors))

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from rabigeom import cli
+from rabigeom import cli, model
+from rabigeom.model import DisplacedBasis, RabiParams
 
 
 def run(args):
@@ -117,15 +118,42 @@ def test_config_file_merging(tmp_path):
     assert all(float(r[3]) == pytest.approx(0.2) for r in rows)
 
 
-def test_byte_identical_reruns(tmp_path, monkeypatch):
+def test_byte_identical_reruns(tmp_path):
     args = ["noneigen", "--delta", "0.1", "--sweep", "g:0.01:0.09:5",
             "--trunc-m", "25"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setenv("RABI_GEOM_THREADS", "3")
     assert run(args + ["--out", str(out1)]) == 0
-    monkeypatch.setenv("RABI_GEOM_THREADS", "1")
     assert run(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _tail(params, M, kappa):
+    pairs = model.truncated_parity_solve(
+        params, DisplacedBasis.for_params(params, M=M), kappa,
+        check_truncation=False)
+    return max(2.0 * (p.d1[-1] ** 2 + p.d2[-1] ** 2) for p in pairs[:M + 1])
+
+
+@pytest.mark.parametrize("command,kappas", [("spectrum", (1, -1)),
+                                            ("berry", (1, -1)),
+                                            ("noneigen", (-1,))])
+def test_meta_records_worst_tail_population(tmp_path, command, kappas):
+    out = tmp_path / "d.csv"
+    # M = 20 is short at g = 0.6, so the gate may fail (exit 3); the
+    # sidecar is written either way
+    assert run([command, "--delta", "0.5", "--sweep", "g:0.1:0.6:3",
+                "--trunc-m", "20", "--out", str(out)]) in (0, 3)
+    meta = json.loads((tmp_path / "d.csv.meta.json").read_text())
+    want = max(_tail(RabiParams.equal_frequency(0.5, g, g), 20, kappa)
+               for g in (0.1, 0.35, 0.6) for kappa in kappas)
+    assert want > 1e-8
+    assert meta["diagnostics"]["max_tail_population"] == \
+        pytest.approx(want, rel=1e-10)
+    rwa_out = tmp_path / "r.csv"
+    assert run([command, "--delta", "0.5", "--sweep", "g:0.1:0.6:3", "--rwa",
+                "--out", str(rwa_out)]) == 0
+    assert "diagnostics" not in json.loads(
+        (tmp_path / "r.csv.meta.json").read_text())
 
 
 def test_float_formatting_precision(tmp_path):

@@ -294,6 +294,31 @@ def test_beyond_rwa_phase_reduces_to_rwa():
     assert got.weight_total == pytest.approx(1.0, abs=1e-10)
 
 
+def test_beyond_rwa_weight_error_when_truncation_too_small():
+    # M = 10 keeps only 0.99858 of |10,0>'s weight at g = 1
+    bad = RabiParams.equal_frequency(0.5, 1.0, 1.0)
+    with pytest.raises(geometry.WeightError):
+        noneigen_phase_beyond_rwa(bad, DisplacedBasis.for_params(bad, M=10))
+    good = RabiParams.equal_frequency(0.5, 0.1, 0.1)
+    odd = model.solve_sectors([good, bad], 10, -1)
+    with pytest.raises(geometry.WeightError):
+        geometry.noneigen_phases_beyond_rwa(odd)
+
+
+def test_beyond_rwa_batched_matches_per_point():
+    params_list = [RabiParams.equal_frequency(delta, g, g)
+                   for delta in (0.5, -0.2) for g in np.linspace(0.005, 0.35, 9)]
+    odd = model.solve_sectors(params_list, 50, -1)
+    batched = geometry.noneigen_phases_beyond_rwa(odd)
+    for params, got in zip(params_list, batched):
+        want = noneigen_phase_beyond_rwa(params)
+        assert abs(got.gamma - want.gamma) <= 1e-12
+        assert abs(got.weight_total - want.weight_total) <= 1e-12
+    with pytest.raises(ValueError):
+        geometry.noneigen_phases_beyond_rwa(
+            model.solve_sectors(params_list[:1], 50, 1))
+
+
 def test_beyond_rwa_weak_coupling_agreement():
     for delta in (0.1, -0.1):
         params = RabiParams.equal_frequency(delta, 0.02, 0.02)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -277,6 +278,24 @@ def test_displacement_matrix_consistency():
     assert np.max(np.abs(D - oracle)) <= 1e-10
 
 
+def test_displacement_matrix_stack_zero_edge():
+    # beta2 = 0 when g1 = g2, and beta1 - beta2 = 0 in the JC case (g2 = 0)
+    equal = DisplacedBasis.for_params(RabiParams.equal_frequency(0.5, 0.3, 0.3))
+    jc = DisplacedBasis.for_params(RabiParams.jc(0.1, 0.25))
+    deltas = np.array([equal.beta1 + equal.beta2, equal.beta2,
+                       jc.beta1 - jc.beta2, jc.beta1, -0.8])
+    assert deltas[1] == 0.0 and deltas[2] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = displacement_matrix(51, deltas)
+    assert stack.shape == (5, 51, 51)
+    for D, d in zip(stack, deltas):
+        if d == 0.0:
+            assert np.array_equal(D, np.eye(51))
+        else:
+            assert np.max(np.abs(D - displacement_matrix(51, d))) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # adiabatic approximation and truncated sectors
 # ---------------------------------------------------------------------------
@@ -353,6 +372,53 @@ def test_truncated_solve_warns_when_too_small():
     basis = DisplacedBasis.for_params(params, M=10)
     with pytest.warns(model.TruncationWarning):
         truncated_parity_solve(params, basis, 1)
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+def test_solve_sectors_matches_per_point_solve(kappa):
+    """Batched kernel against truncated_parity_solve on fig4's grid."""
+    from rabigeom.geometry import vacuum_amplitudes
+    params_list = [RabiParams.equal_frequency(0.5, g, g)
+                   for g in np.linspace(0.005, 0.35, 70)]
+    sol = model.solve_sectors(params_list, 50, kappa)
+    assert sol.kappa == kappa and sol.energies.shape == (70, 102)
+    for i, params in enumerate(params_list):
+        basis = DisplacedBasis.for_params(params, M=50)
+        pairs = truncated_parity_solve(params, basis, kappa,
+                                       check_truncation=False)
+        assert np.array_equal(sol.energies[i], [p.energy for p in pairs])
+        nop = model.sector_number_operator(basis)
+        dense = [p.coefficients @ nop @ p.coefficients for p in pairs]
+        assert np.max(np.abs(sol.photon_numbers[i] - dense)) <= 1e-12
+        assert list(np.flatnonzero(sol.singlet[i])) == \
+            model.singlet_indices(params, pairs)
+        assert list(sol.kept(i)) == [j for j in range(102)
+                                     if not sol.singlet[i, j]]
+        weights = vacuum_amplitudes(params, basis, kappa, pairs) ** 2
+        if kappa == 1:
+            assert np.array_equal(sol.vacuum_weights[i], np.zeros(102))
+        else:
+            np.testing.assert_allclose(sol.vacuum_weights[i], weights,
+                                       rtol=0.0, atol=1e-15)
+        tail = max(2.0 * (p.d1[-1] ** 2 + p.d2[-1] ** 2) for p in pairs[:51])
+        assert sol.tail_population[i] == pytest.approx(tail, rel=1e-12)
+    assert np.any(sol.singlet)
+
+
+def test_solve_sectors_mixed_points_and_validation():
+    params_list = [RabiParams(omega1=1.1, omega2=0.8, g1=0.2, g2=0.3),
+                   RabiParams.jc(0.1, 0.2),
+                   RabiParams.equal_frequency(-0.2, 0.15, 0.15)]
+    sol = model.solve_sectors(params_list, 20, -1)
+    for i, params in enumerate(params_list):
+        pairs = truncated_parity_solve(params, DisplacedBasis.for_params(
+            params, M=20), -1, check_truncation=False)
+        assert np.array_equal(sol.energies[i], [p.energy for p in pairs])
+    assert not np.any(sol.singlet[:2])
+    with pytest.raises(ValueError):
+        model.solve_sectors(params_list, 9, 1)
+    with pytest.raises(ValueError):
+        model.solve_sectors([], 20, 1)
 
 
 def test_displaced_basis_invariants():

@@ -62,6 +62,63 @@ def test_eigh_sign_convention_deterministic():
         assert col[nz[0]] > 0
 
 
+def _fix_signs_loop(vectors):
+    """Column-by-column sign convention, the reference for the vectorized fix."""
+    out = np.array(vectors, copy=True)
+    for j in range(out.shape[1]):
+        nz = np.flatnonzero(np.abs(out[:, j]) > numerics.SIGN_EPS)
+        if nz.size and out[nz[0], j] < 0.0:
+            out[:, j] = -out[:, j]
+    return out
+
+
+def test_eigh_stack_matches_single_calls():
+    rng = np.random.default_rng(11)
+    stack = np.array([random_symmetric(rng, 9) for _ in range(5)])
+    stack[2] = np.diag([3.0, -1.0, 2.0, 2.0, 0.5, -4.0, 1.0, 0.0, 7.0])
+    got = numerics.eigh(stack)
+    assert got.eigenvalues.shape == (5, 9)
+    assert got.eigenvectors.shape == (5, 9, 9)
+    for H, vals, vecs in zip(stack, *got):
+        single = numerics.eigh(H)
+        assert np.array_equal(vals, single.eigenvalues)
+        assert np.array_equal(vecs, single.eigenvectors)
+        assert np.array_equal(vecs, _fix_signs_loop(np.linalg.eigh(H)[1]))
+
+
+def test_fix_signs_small_leading_entries():
+    eps = numerics.SIGN_EPS
+    vectors = np.array([
+        [-0.5 * eps, 0.2 * eps, 0.6],
+        [-0.6, -0.9 * eps, -0.8],
+        [0.8, 0.4 * eps, 0.0],
+    ])
+    want = _fix_signs_loop(vectors)
+    # the leading entry below SIGN_EPS is skipped: -0.6 decides the flip
+    assert np.array_equal(want[:, 0], -vectors[:, 0])
+    # no entry above SIGN_EPS: the column keeps its sign
+    assert np.array_equal(want[:, 1], vectors[:, 1])
+    assert np.array_equal(want[:, 2], vectors[:, 2])
+    assert np.array_equal(numerics._fix_signs(vectors), want)
+    stack = np.array([vectors, -vectors])
+    fixed = numerics._fix_signs(stack)
+    assert np.array_equal(fixed[0], want)
+    assert np.array_equal(fixed[1], _fix_signs_loop(-vectors))
+
+
+def test_eigh_stack_rejects_any_bad_matrix():
+    good = np.eye(3)
+    asymmetric = np.eye(3)
+    asymmetric[0, 2] = 1e-15
+    non_finite = np.eye(3)
+    non_finite[1, 1] = np.inf
+    for bad in (asymmetric, non_finite):
+        with pytest.raises(numerics.InvalidMatrix):
+            numerics.eigh(np.array([good, good, bad, good]))
+    with pytest.raises(numerics.InvalidMatrix):
+        numerics.eigh(np.zeros((2, 3, 4)))
+
+
 def test_propagate_stationary_state():
     H = np.array([[1.0, 0.3], [0.3, -0.5]])
     decomp = numerics.eigh(H)
