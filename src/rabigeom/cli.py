@@ -17,8 +17,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, dynamics, geometry, model, numerics
-from .model import DisplacedBasis, RabiParams
+from . import __version__, dynamics, geometry, model
+from .model import RabiParams
 
 DEFAULT_M = 50
 SWEEP_VARS = ("g", "g1", "g2", "delta", "omega1", "omega2")
@@ -155,49 +155,56 @@ def _sweep_params(cfg: dict, var: str, values) -> list[RabiParams]:
 
 
 # ---------------------------------------------------------------------------
-# Convergence gate
+# Beyond-RWA sweeps and their convergence gate
 # ---------------------------------------------------------------------------
 
-def convergence_gate(phase_fn, m_base: int, probes) -> dict:
-    """Drift of representative beyond-RWA phases when M grows by 10.
+def _beyond_rwa(params_list, M: int, kappas, columns, meta: dict) -> np.ndarray:
+    """Tabulate beyond-RWA results over a sweep and gate them on truncation.
 
-    ``phase_fn(params_list, M)`` must return one row of phases per point; the
-    gate passes when the largest drift over the probe points stays below 1e-6.
+    Solves the parity sectors ``kappas`` once at every point and returns
+    ``columns(sols)``, one row of numbers per point, where ``sols`` maps each
+    kappa to its SectorSolution.  The convergence gate re-solves only the
+    probe points (first, middle, last, and the one with the largest
+    truncation tail) at M + 10 and compares their rows with the sweep's own;
+    it passes when no entry moves by 1e-6 or more.  The gate and the worst
+    tail population are written into ``meta``.
     """
-    base = np.asarray(phase_fn(probes, m_base))
-    check = np.asarray(phase_fn(probes, m_base + 10))
-    drift = float(np.max(np.abs(base - check)))
-    return {"m": m_base, "m_check": m_base + 10, "max_drift": drift,
-            "tolerance": GATE_TOL, "passed": bool(drift < GATE_TOL)}
+    sols = {kappa: model.solve_sectors(params_list, M, kappa)
+            for kappa in kappas}
+    table = np.asarray(columns(sols))
+    tails = np.max([sol.tail_population for sol in sols.values()], axis=0)
+    n = len(params_list)
+    points = sorted({0, n // 2, n - 1, int(np.argmax(tails))})
+    probes = [params_list[i] for i in points]
+    check = np.asarray(columns({kappa: model.solve_sectors(probes, M + 10, kappa)
+                                for kappa in kappas}))
+    drift = float(np.max(np.abs(table[points] - check)))
+    meta["convergence_gate"] = {"m": M, "m_check": M + 10, "max_drift": drift,
+                                "tolerance": GATE_TOL, "points": points,
+                                "passed": bool(drift < GATE_TOL)}
+    meta["diagnostics"] = {"max_tail_population": float(np.max(tails))}
+    return table
 
 
-def _probe_points(params_list, limit: int = 3):
-    if len(params_list) <= limit:
-        return list(params_list)
-    return [params_list[0], params_list[len(params_list) // 2], params_list[-1]]
+#: CSV state name -> column of _eigenphases holding its beyond-RWA continuation
+_COUNTERPARTS = {"psi0": 0, "psi1_2": 4, "psi1_3": 3}
 
 
-def _solve_sectors(params_list, M: int) -> dict[int, model.SectorSolution]:
-    return {kappa: model.solve_sectors(params_list, M, kappa)
-            for kappa in (1, -1)}
+def _eigenphases(sols) -> list[list[float]]:
+    """2 pi <a^dag a> of the three lowest non-singlet states of each sector.
 
-
-def _diagnostics(sols) -> dict:
-    """Worst truncation tail over every written sweep point and sector."""
-    return {"max_tail_population": max(float(np.max(sol.tail_population))
-                                       for sol in sols)}
-
-
-def _beyond_rwa_eigenphases(params_list, M: int) -> list[list[float]]:
-    sols = _solve_sectors(params_list, M).values()
+    Columns 0-2 are even, 3-5 odd.  Psi0 continues into the lowest even
+    level; the bright doublet continues into the two lowest non-singlet odd
+    levels, lower rank matching Psi1^3 (see _COUNTERPARTS).
+    """
     return [[2.0 * math.pi * float(sol.photon_numbers[i, j])
-             for sol in sols for j in sol.kept(i)[:3]]
-            for i in range(len(params_list))]
+             for sol in sols.values() for j in sol.kept(i)[:3]]
+            for i in range(len(sols[1].energies))]
 
 
-def _noneigen_phase(params_list, M: int) -> list[list[float]]:
-    odd = model.solve_sectors(params_list, M, -1)
-    return [[r.gamma] for r in geometry.noneigen_phases_beyond_rwa(odd)]
+def _vacuum_phases(sols) -> list[list[float]]:
+    """Weighted beyond-RWA geometric phase of |10,0>, from the odd sector."""
+    return [[r.gamma] for r in geometry.noneigen_phases_beyond_rwa(sols[-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +218,19 @@ def cmd_spectrum(cfg: dict) -> int:
     modes = {"rwa": ("rwa",), "full": ("full",), "both": ("rwa", "full")}[cfg["mode"]]
     drop = bool(cfg["drop_singlets"])
     params_list = _sweep_params(cfg, var, values)
-    sols = _solve_sectors(params_list, M) if "full" in modes else {}
+    meta = {"config": _json_safe(cfg), "command": "spectrum",
+            "convergence_gate": {"applicable": False}}
+    if "full" in modes:
+        def kept_energies(sols):
+            # per point: the kept energies of the even, then the odd sector
+            return [[sol.energies[i, sol.kept(i, drop)[:n_levels]]
+                     for sol in sols.values()]
+                    for i in range(len(sols[1].energies))]
+
+        full = _beyond_rwa(params_list, M, (1, -1), kept_energies, meta)
+        if cfg.get("trunc_photons"):
+            meta["dual_basis_audit"] = _dual_basis_audit(
+                params_list[0], M, int(cfg["trunc_photons"]), n_levels)
     rows = []
     for i, (value, pars) in enumerate(zip(values, params_list)):
         if "rwa" in modes:
@@ -219,51 +238,30 @@ def cmd_spectrum(cfg: dict) -> int:
                 levels = model.rwa_parity_levels(pars, parity, n_levels, drop)
                 rows += [[value, "rwa", _parity_name(parity), j, float(e)]
                          for j, e in enumerate(levels)]
-        for parity, sol in sols.items():
-            levels = sol.energies[i, sol.kept(i, drop)[:n_levels]]
-            rows += [[value, "full", _parity_name(parity), j, float(e)]
-                     for j, e in enumerate(levels)]
-    meta = {"config": _json_safe(cfg), "command": "spectrum"}
-    if "full" in modes:
-        probes = _probe_points(params_list)
-        meta["convergence_gate"] = convergence_gate(
-            lambda ps, m: _sector_energy_probe(ps, m, n_levels, drop), M, probes)
-        meta["diagnostics"] = _diagnostics(sols.values())
-        if cfg.get("trunc_photons"):
-            meta["dual_basis_audit"] = _dual_basis_audit(
-                probes[0], M, int(cfg["trunc_photons"]), n_levels, drop)
-    else:
-        meta["convergence_gate"] = {"applicable": False}
+        if "full" in modes:
+            for parity, levels in zip((1, -1), full[i]):
+                rows += [[value, "full", _parity_name(parity), j, float(e)]
+                         for j, e in enumerate(levels)]
     write_dataset(cfg["out"], ["sweep_value", "model", "parity", "level", "energy"],
                   rows, meta)
     return _gate_exit(meta)
 
 
 def _dual_basis_audit(pars: RabiParams, M: int, n_photons: int,
-                      n_levels: int, drop: bool) -> dict:
+                      n_levels: int) -> dict:
     """Cross-check displaced-sector energies against a plain-Fock build.
 
     Spectra are compared unfiltered: singlet levels sit at exactly n omega_c
     in both constructions, so they cancel out of the deviation.
     """
     fm = model.build_full_rabi(pars, n_photons=n_photons)
-    basis = DisplacedBasis.for_params(pars, M=M)
     worst = 0.0
     for kappa in (1, -1):
         plain, _, _ = model.solve_parity_sector(fm, kappa,
                                                 check_truncation=False)
-        disp = np.array([p.energy for p in model.truncated_parity_solve(
-            pars, basis, kappa, check_truncation=False)[:n_levels]])
+        disp = model.solve_sectors([pars], M, kappa).energies[0, :n_levels]
         worst = max(worst, float(np.max(np.abs(disp - plain[:n_levels]))))
     return {"n_photons": n_photons, "max_energy_deviation": worst}
-
-
-def _sector_energy_probe(params_list, M: int, n_levels: int,
-                         drop: bool) -> list[np.ndarray]:
-    sols = _solve_sectors(params_list, M).values()
-    return [np.concatenate([sol.energies[i, sol.kept(i, drop)[:n_levels]]
-                            for sol in sols])
-            for i in range(len(params_list))]
 
 
 def _parity_name(parity: int) -> str:
@@ -275,9 +273,12 @@ def cmd_berry(cfg: dict) -> int:
     M = int(cfg["trunc_m"])
     include_full = cfg["mode"] in ("full", "both")
     params_list = _sweep_params(cfg, var, values)
+    header = ["sweep_value", "state", "gamma_rwa"]
+    meta = {"config": _json_safe(cfg), "command": "berry",
+            "convergence_gate": {"applicable": False}}
     if include_full:
-        sols = _solve_sectors(params_list, M)
-        gamma_full = _counterpart_phases(sols)
+        header.append("gamma_full")
+        gamma_full = _beyond_rwa(params_list, M, (1, -1), _eigenphases, meta)
     rows = []
     for i, (value, pars) in enumerate(zip(values, params_list)):
         gamma_rwa = {
@@ -285,41 +286,13 @@ def cmd_berry(cfg: dict) -> int:
             "psi1_2": geometry.berry_phase_equal_frequency(pars, 2).gamma,
             "psi1_3": geometry.berry_phase_equal_frequency(pars, 3).gamma,
         }
-        for name in ("psi0", "psi1_2", "psi1_3"):
+        for name, column in _COUNTERPARTS.items():
             row = [value, name, gamma_rwa[name]]
             if include_full:
-                row.append(gamma_full[i][name])
+                row.append(float(gamma_full[i, column]))
             rows.append(row)
-    header = ["sweep_value", "state", "gamma_rwa"]
-    meta = {"config": _json_safe(cfg), "command": "berry"}
-    if include_full:
-        header.append("gamma_full")
-        meta["convergence_gate"] = convergence_gate(
-            _beyond_rwa_eigenphases, M, _probe_points(params_list))
-        meta["diagnostics"] = _diagnostics(sols.values())
-    else:
-        meta["convergence_gate"] = {"applicable": False}
     write_dataset(cfg["out"], header, rows, meta)
     return _gate_exit(meta)
-
-
-def _counterpart_phases(sols: dict[int, model.SectorSolution],
-                        ) -> list[dict[str, float]]:
-    """Beyond-RWA Berry phases of the states continuing Psi0, Psi1^2, Psi1^3.
-
-    Psi0 continues into the lowest even level; the bright doublet continues
-    into the two lowest non-singlet odd levels, lower rank matching Psi1^3.
-    One dict per point of the solved sectors ``sols``.
-    """
-    even, odd = sols[1], sols[-1]
-    out = []
-    for i in range(len(even.energies)):
-        e, o = even.kept(i), odd.kept(i)
-        nbar = {"psi0": even.photon_numbers[i, e[0]],
-                "psi1_3": odd.photon_numbers[i, o[0]],
-                "psi1_2": odd.photon_numbers[i, o[1]]}
-        out.append({name: 2.0 * math.pi * float(n) for name, n in nbar.items()})
-    return out
 
 
 def cmd_curvature_field(cfg: dict) -> int:
@@ -348,20 +321,16 @@ def cmd_noneigen(cfg: dict) -> int:
              geometry.vacuum_phase_two_qubit(pars).gamma]
             for value, pars in zip(values, params_list)]
     header = ["sweep_value", "g1", "g2", "delta", "F_theta_phi", "gamma_rwa"]
-    meta = {"config": _json_safe(cfg), "command": "noneigen"}
+    meta = {"config": _json_safe(cfg), "command": "noneigen",
+            "convergence_gate": {"applicable": False}}
     if include_full:
-        odd = model.solve_sectors(params_list, M, -1)
-        gammas = [r.gamma for r in geometry.noneigen_phases_beyond_rwa(odd)]
+        gammas = _beyond_rwa(params_list, M, (-1,), _vacuum_phases,
+                             meta)[:, 0].tolist()
         flags = _jump_flags(gammas, jump_threshold)
         rows = [r + [gamma, f] for r, gamma, f in zip(rows, gammas, flags)]
         header += ["gamma_full", "anticross_flag"]
-        meta["convergence_gate"] = convergence_gate(
-            _noneigen_phase, M, _probe_points(params_list))
-        meta["diagnostics"] = _diagnostics([odd])
         meta["anticross_flag"] = ("1 when |gamma_full| changes by more than "
                                   f"{jump_threshold} between neighbours")
-    else:
-        meta["convergence_gate"] = {"applicable": False}
     write_dataset(cfg["out"], header, rows, meta)
     return _gate_exit(meta)
 
@@ -387,20 +356,15 @@ def cmd_evolve(cfg: dict) -> int:
     except dynamics.NoRational as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    H, photon_numbers, initial = dynamics.k1_block(pars)
     duration = res.cycles * res.period
-    avg = dynamics.average_photon_number(pars, duration,
-                                         n_time_steps=max(steps, 1000))
-    decomp = numerics.eigh(H)
-    ts = np.linspace(0.0, duration, steps)
-    rows = []
-    for t in ts:
-        psi = numerics.propagate(decomp, initial, t)
-        nbar = float(photon_numbers @ (np.abs(psi) ** 2))
-        fid = float(abs(np.vdot(initial, psi)))
-        rows.append([t, nbar, fid, duration, p_int, q_int, res.total_phase,
-                     res.dynamical_phase, res.aa_phase, avg.P,
-                     avg.gamma_over_2pi])
+    try:
+        avg = dynamics.average_photon_number(pars, duration, n_time_steps=steps)
+    except ValueError as exc:   # fewer time steps than the average needs
+        raise ConfigError(f"--levels {steps}: {exc}") from exc
+    rows = [[t, nbar, fid, duration, p_int, q_int, res.total_phase,
+             res.dynamical_phase, res.aa_phase, avg.P, avg.gamma_over_2pi]
+            for t, nbar, fid in zip(avg.times, avg.photon_expectation,
+                                    avg.fidelity)]
     header = ["t", "photon_expectation", "fidelity", "T", "p", "q",
               "total_phase", "dynamical_phase", "aa_phase", "P_avg",
               "gamma_over_2pi"]

@@ -8,7 +8,7 @@ phi(t) = 2 pi t / T over the full cyclic duration.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -51,10 +51,17 @@ class CyclicResult:
 
 @dataclass(frozen=True)
 class PhotonAverage:
-    """Average photon number over one period and its geometric counterpart."""
+    """Average photon number over one period and its geometric counterpart.
+
+    ``times``, ``photon_expectation`` and ``fidelity`` (|<initial|psi(t)>|)
+    are the samples the time average integrates.
+    """
 
     P: float
     gamma_over_2pi: float
+    times: np.ndarray = field(repr=False)
+    photon_expectation: np.ndarray = field(repr=False)
+    fidelity: np.ndarray = field(repr=False)
 
 
 def rationalize(ratio: float, tolerance: float = 1e-9,
@@ -73,19 +80,15 @@ def rationalize(ratio: float, tolerance: float = 1e-9,
     return frac.numerator, frac.denominator
 
 
-def _jc_block_k1(params: RabiParams) -> np.ndarray:
-    w1, wc, g1 = params.omega1, params.omega_c, params.g1
-    return np.array([[w1 / 2.0, g1], [g1, wc - w1 / 2.0]])
-
-
 def k1_block(params: RabiParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single-excitation block, its photon numbers, and the vacuum-start state.
 
     JC: basis {|1,0>, |0,1>}; two qubits: basis {|10,0>, |01,0>, |00,1>}.
     """
     if params.is_jc():
-        return (_jc_block_k1(params), np.array([0.0, 1.0]),
-                np.array([1.0, 0.0]))
+        w1, wc, g1 = params.omega1, params.omega_c, params.g1
+        return (np.array([[w1 / 2.0, g1], [g1, wc - w1 / 2.0]]),
+                np.array([0.0, 1.0]), np.array([1.0, 0.0]))
     return (model.build_block(params, 1), np.array([0.0, 0.0, 1.0]),
             np.array([1.0, 0.0, 0.0]))
 
@@ -117,9 +120,8 @@ def cyclic_evolution_jc(params: RabiParams, q: int = 1) -> CyclicResult:
     total = -eig.e_minus * duration
     dynamical = -duration * mean_energy - gamma
     beta = total - dynamical
-    decomp = numerics.eigh(_jc_block_k1(params))
-    initial = np.array([1.0, 0.0])
-    final = numerics.propagate(decomp, initial, duration)
+    H, _, initial = k1_block(params)
+    final = numerics.propagate(numerics.eigh(H), initial, duration)
     fidelity = abs(np.vdot(initial, final))
     return CyclicResult(T, q, (q, 0), total, dynamical, beta, gamma,
                         float(fidelity), "lower doublet component")
@@ -190,8 +192,10 @@ def average_photon_number(params: RabiParams, T: float,
         gamma = TWO_PI * float((np.abs(amps) ** 2) @ nbars)
     ts = np.linspace(0.0, T, n_time_steps)
     nbar_t = np.empty_like(ts)
+    fidelity = np.empty_like(ts)
     for i, t in enumerate(ts):
         psi = numerics.propagate(decomp, psi0, t)
         nbar_t[i] = float(photon_numbers @ (np.abs(psi) ** 2))
+        fidelity[i] = float(abs(np.vdot(psi0, psi)))
     P = numerics.trapezoid_integral(ts, nbar_t) / T
-    return PhotonAverage(P, gamma / TWO_PI)
+    return PhotonAverage(P, gamma / TWO_PI, ts, nbar_t, fidelity)

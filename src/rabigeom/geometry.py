@@ -52,20 +52,6 @@ class PhaseResult:
 
 
 @dataclass(frozen=True)
-class LoopSpec:
-    """Discretization of the photon-phase loop phi in [0, 2 pi]."""
-
-    n_steps: int = 256
-
-    def __post_init__(self):
-        if self.n_steps < 64:
-            raise ValueError("n_steps must be at least 64")
-
-    def grid(self) -> np.ndarray:
-        return np.linspace(0.0, TWO_PI, self.n_steps + 1)
-
-
-@dataclass(frozen=True)
 class ConnectionSample:
     theta: float
     phi: float
@@ -146,19 +132,6 @@ def berry_phase_eigenstate(state, *args) -> PhaseResult:
     if isinstance(state, TruncatedEigenpair):
         return berry_phase_truncated_state(state, *args)
     return berry_phase_fock_state(state, *args)
-
-
-def berry_phase_loop_integral(photon_expectation: float,
-                              loop: LoopSpec = LoopSpec()) -> PhaseResult:
-    """Direct discretization of the loop integral defining the Berry phase.
-
-    The integrand i <Psi| R^dag dR/dphi |Psi> = <a^dag a> is independent of phi
-    for this driving, so the quadrature is exact; kept as a check of the loop
-    definition rather than as the production path.
-    """
-    phis = loop.grid()
-    gamma = numerics.trapezoid_integral(phis, np.full_like(phis, photon_expectation))
-    return PhaseResult(gamma, "curvature_integral")
 
 
 # ---------------------------------------------------------------------------

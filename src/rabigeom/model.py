@@ -373,7 +373,7 @@ def solve_parity_sector(model: FullModel, parity: int,
     the sector ground state has population above 1e-8 on the top Fock level.
     """
     ix = model.parity_indices(parity)
-    decomp = numerics.eigh(model.matrix[np.ix_(ix, ix)])
+    decomp = numerics.eigh(model.sector_matrix(parity))
     if check_truncation:
         top = np.flatnonzero(model.photon_numbers()[ix] == model.n_photons - 1)
         pop = float(np.sum(decomp.eigenvectors[top, 0] ** 2))
@@ -387,30 +387,6 @@ def solve_parity_sector(model: FullModel, parity: int,
 # ---------------------------------------------------------------------------
 # Displaced Fock states
 # ---------------------------------------------------------------------------
-
-def displaced_overlap(m: int, n: int, delta: float) -> float:
-    """Matrix element <m| D(delta) |n> of the real displacement operator.
-
-    Uses the associated-Laguerre closed form, with the polynomial evaluated by
-    its three-term recurrence.  Satisfies <m|D|n> = (-1)^(m-n) <n|D|m>.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be non-negative")
-    if m < n:
-        return (-1.0) ** (n - m) * displaced_overlap(n, m, delta)
-    x = delta * delta
-    pref = 1.0
-    for j in range(n + 1, m + 1):
-        pref *= delta / math.sqrt(j)
-    alpha = m - n
-    # L_k^{(alpha)}(x) for k = 0..n by recurrence
-    lk = 1.0
-    if n > 0:
-        lkm1, lk = 1.0, 1.0 + alpha - x
-        for k in range(1, n):
-            lkm1, lk = lk, ((2 * k + 1 + alpha - x) * lk - (k + alpha) * lkm1) / (k + 1)
-    return math.exp(-x / 2.0) * pref * lk
-
 
 def displacement_matrix(size: int, delta) -> np.ndarray:
     """Dense matrix of <m| D(delta) |n> for m, n < size (vectorized evaluation).
@@ -501,9 +477,9 @@ def adiabatic_eigensystem(params: RabiParams, n: int, kappa: int,
     basis = DisplacedBasis.for_params(params, M=max(1, n))
     b1, b2 = basis.beta1, basis.beta2
     wc = params.omega_c
-    omega = (0.5 * params.omega1 * kappa * (-1.0) ** n
-             * displaced_overlap(n, n, b1 + b2)
-             + 0.5 * params.omega2 * displaced_overlap(n, n, b1 - b2))
+    d_sum, d_diff = displacement_matrix(n + 1, [b1 + b2, b1 - b2])[:, n, n]
+    omega = float(0.5 * params.omega1 * kappa * (-1.0) ** n * d_sum
+                  + 0.5 * params.omega2 * d_diff)
     mu = math.sqrt(omega**2 + wc**2 * (b1**2 - b2**2) ** 2 / 4.0)
     center = n * wc - (b1**2 + b2**2) * wc / 2.0
     out = []

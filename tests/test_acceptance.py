@@ -306,13 +306,19 @@ def test_fig2_shape_saturation():
 
 def test_fig4_shape_phases_grow_beyond_rwa():
     """Strong coupling: beyond-RWA phases exceed RWA, some exceed 2 pi."""
-    from rabigeom.cli import _counterpart_phases, _solve_sectors
+    from rabigeom.cli import _COUNTERPARTS, _eigenphases
+
+    def counterpart_phases(params):
+        row = _eigenphases({kappa: model.solve_sectors([params], 50, kappa)
+                            for kappa in (1, -1)})[0]
+        return {name: row[col] for name, col in _COUNTERPARTS.items()}
+
     params = RabiParams.equal_frequency(0.5, 0.45, 0.45)
-    full = _counterpart_phases(_solve_sectors([params], 50))[0]
+    full = counterpart_phases(params)
     assert full["psi0"] > 0.5
     assert max(full.values()) > TWO_PI
     weak = RabiParams.equal_frequency(0.5, 0.02, 0.02)
-    weak_full = _counterpart_phases(_solve_sectors([weak], 50))[0]
+    weak_full = counterpart_phases(weak)
     assert abs(weak_full["psi1_2"]
                - geometry.berry_phase_equal_frequency(weak, 2).gamma) < 5e-2
 

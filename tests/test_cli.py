@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from rabigeom import cli, model
+from rabigeom import cli, model, numerics
 from rabigeom.model import DisplacedBasis, RabiParams
 
 
@@ -92,6 +93,11 @@ def test_evolve_jc(tmp_path):
     assert float(rows[-1][2]) == pytest.approx(1.0, abs=1e-9)
     meta = json.loads((tmp_path / "ev.csv.meta.json").read_text())
     assert meta["summary"]["P"] == pytest.approx(0.5, abs=1e-6)
+    # the rows are the samples P_avg integrates
+    cols = {name: np.array([float(r[j]) for r in rows])
+            for j, name in enumerate(header)}
+    P = numerics.trapezoid_integral(cols["t"], cols["photon_expectation"])
+    assert np.all(np.abs(cols["P_avg"] - P / cols["T"][0]) <= 1e-15)
 
 
 def test_evolve_norational_exit_code(tmp_path):
@@ -105,6 +111,9 @@ def test_config_error_exit_code(tmp_path):
     assert run(["spectrum", "--sweep", "nope", "--out", "x.csv"]) == 2
     assert run(["spectrum", "--sweep", "g:0.2:0.1:5", "--out", "x.csv"]) == 2
     assert run(["berry", "--sweep", "g:0.0:0.1:5"]) == 2  # no --out
+    # the period average needs at least 1000 time samples
+    assert run(["evolve", "--model", "jc", "--g1", "0.05", "--levels", "999",
+                "--out", str(tmp_path / "ev.csv")]) == 2
 
 
 def test_config_file_merging(tmp_path):
@@ -139,11 +148,12 @@ def _tail(params, M, kappa):
                                             ("noneigen", (-1,))])
 def test_meta_records_worst_tail_population(tmp_path, command, kappas):
     out = tmp_path / "d.csv"
-    # M = 20 is short at g = 0.6, so the gate may fail (exit 3); the
-    # sidecar is written either way
+    # M = 20 is short at g = 0.6, so the gate fails (exit 3); the sidecar is
+    # written either way
     assert run([command, "--delta", "0.5", "--sweep", "g:0.1:0.6:3",
-                "--trunc-m", "20", "--out", str(out)]) in (0, 3)
+                "--trunc-m", "20", "--out", str(out)]) == 3
     meta = json.loads((tmp_path / "d.csv.meta.json").read_text())
+    assert meta["convergence_gate"]["passed"] is False
     want = max(_tail(RabiParams.equal_frequency(0.5, g, g), 20, kappa)
                for g in (0.1, 0.35, 0.6) for kappa in kappas)
     assert want > 1e-8
@@ -154,6 +164,16 @@ def test_meta_records_worst_tail_population(tmp_path, command, kappas):
                 "--out", str(rwa_out)]) == 0
     assert "diagnostics" not in json.loads(
         (tmp_path / "r.csv.meta.json").read_text())
+
+
+def test_gate_probes_worst_tail_point(tmp_path):
+    out = tmp_path / "s.csv"
+    # the truncation tail peaks at g2 = 0.75, index 3 of 5, not an end point;
+    # M = 20 is short there, so the gate fails
+    assert run(["spectrum", "--delta", "0.5", "--g1", "0.5", "--sweep",
+                "g2:0.0:1.0:5", "--trunc-m", "20", "--out", str(out)]) == 3
+    meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
+    assert 3 in meta["convergence_gate"]["points"]
 
 
 def test_float_formatting_precision(tmp_path):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from rabigeom import geometry, model
-from rabigeom.geometry import (ConnectionSample, LoopSpec, berry_phase_closed_form,
-                               berry_phase_eigenstate, berry_phase_loop_integral,
-                               connection_field, curvature_from_connection,
-                               detect_anticrossing, noneigen_geometric_phase,
+from rabigeom.geometry import (ConnectionSample, berry_phase_closed_form,
+                               berry_phase_eigenstate, connection_field,
+                               curvature_from_connection, detect_anticrossing, noneigen_geometric_phase,
                                noneigen_phase_beyond_rwa, phase_by_surface_integral,
                                radial_field, vacuum_phase_jc,
                                vacuum_phase_two_qubit)
@@ -87,22 +86,6 @@ def test_label_errors():
 def test_unnormalized_state_rejected():
     with pytest.raises(geometry.NotNormalized):
         geometry.berry_phase_fock_state([0.5, 0.5], [0, 1])
-
-
-def test_loop_integral_matches_expectation():
-    # the integrand is phi-independent, so any admissible grid is exact
-    for nbar in (0.0, 0.37, 2.0):
-        for steps in (64, 301):
-            got = berry_phase_loop_integral(nbar, LoopSpec(steps)).gamma
-            assert abs(got - TWO_PI * nbar) <= 1e-10
-
-
-def test_loop_spec_validation_and_closure():
-    with pytest.raises(ValueError):
-        LoopSpec(32)
-    ns = np.arange(204)
-    closure = np.exp(-1j * TWO_PI * ns)
-    assert np.max(np.abs(closure - 1.0)) <= 1e-10
 
 
 def test_gauge_invariance_under_sign_flips():

@@ -7,8 +7,7 @@ from scipy.linalg import expm
 
 from rabigeom import model, numerics
 from rabigeom.model import (DisplacedBasis, RabiParams, adiabatic_eigensystem,
-                            build_block, build_full_rabi, displaced_overlap,
-                            displacement_matrix, equal_frequency_k1,
+                            build_block, build_full_rabi, displacement_matrix, equal_frequency_k1,
                             exceptional_states, jc_eigensystem, solve_block,
                             solve_parity_sector, truncated_parity_solve)
 
@@ -225,15 +224,15 @@ def test_rwa_flag_conserves_excitation():
 # ---------------------------------------------------------------------------
 
 def test_displaced_overlap_identity():
+    D = displacement_matrix(5, 0.0)
     for m in range(5):
         for n in range(5):
-            assert displaced_overlap(m, n, 0.0) == pytest.approx(
-                1.0 if m == n else 0.0, abs=1e-15)
+            assert D[m, n] == pytest.approx(1.0 if m == n else 0.0, abs=1e-15)
 
 
 def test_displaced_overlap_vacuum():
     for d in (0.1, 0.7, 1.9):
-        assert displaced_overlap(0, 0, d) == pytest.approx(
+        assert displacement_matrix(1, d)[0, 0] == pytest.approx(
             math.exp(-d * d / 2), abs=1e-15)
 
 
@@ -244,35 +243,28 @@ def _displacement_expm(size, delta):
 
 def test_displaced_overlap_against_expm():
     oracle = _displacement_expm(60, 0.04)
-    assert displaced_overlap(1, 1, 0.04) == pytest.approx(oracle[1, 1],
-                                                          abs=1e-10)
+    assert displacement_matrix(2, 0.04)[1, 1] == pytest.approx(oracle[1, 1],
+                                                               abs=1e-10)
     for m, n, d in ((3, 5, 0.6), (8, 2, 1.2), (10, 10, 0.3)):
         oracle = _displacement_expm(80, d)
-        assert displaced_overlap(m, n, d) == pytest.approx(oracle[m, n],
-                                                           abs=1e-10)
+        D = displacement_matrix(max(m, n) + 1, d)
+        assert D[m, n] == pytest.approx(oracle[m, n], abs=1e-10)
 
 
 def test_displaced_overlap_symmetry():
     for m, n, d in ((2, 5, 0.8), (7, 3, 1.5), (4, 4, 0.2)):
-        assert displaced_overlap(m, n, d) == pytest.approx(
-            (-1.0) ** (m - n) * displaced_overlap(n, m, d), abs=1e-14)
+        D = displacement_matrix(max(m, n) + 1, d)
+        assert D[m, n] == pytest.approx((-1.0) ** (m - n) * D[n, m], abs=1e-14)
 
 
 def test_displaced_overlap_unitarity():
     for n in range(0, 11, 2):
         for d in (0.5, 1.0, 2.0):
-            total = sum(displaced_overlap(m, n, d) ** 2
-                        for m in range(n + 41))
+            total = np.sum(displacement_matrix(n + 41, d)[:, n] ** 2)
             assert total == pytest.approx(1.0, abs=1e-8)
 
 
 def test_displacement_matrix_consistency():
-    for d in (0.0, 0.35, -0.8):
-        D = displacement_matrix(25, d)
-        for m in range(0, 25, 5):
-            for n in range(0, 25, 7):
-                assert D[m, n] == pytest.approx(displaced_overlap(m, n, d),
-                                                abs=1e-12)
     D = displacement_matrix(40, 0.6)
     oracle = _displacement_expm(120, 0.6)[:40, :40]
     assert np.max(np.abs(D - oracle)) <= 1e-10
@@ -316,7 +308,7 @@ def test_adiabatic_homogeneous_coupling_overlaps():
     # g1 = g2 makes both dressing displacements equal to 2 g1 / omega_c
     params = RabiParams(omega1=0.5, omega2=0.5, g1=0.02, g2=0.02)
     plus, _ = adiabatic_eigensystem(params, 0, 1)
-    d = displaced_overlap(0, 0, 0.04)
+    d = math.exp(-0.04**2 / 2.0)   # <0|D(0.04)|0>
     assert plus.omega_n_kappa == pytest.approx((0.5 / 2) * d + (0.5 / 2) * d,
                                                abs=1e-14)
     b1 = 0.04
