@@ -223,9 +223,14 @@ def cmd_spectrum(cfg: dict) -> int:
     if "full" in modes:
         def kept_energies(sols):
             # per point: the kept energies of the even, then the odd sector
-            return [[sol.energies[i, sol.kept(i, drop)[:n_levels]]
+            rows = [[sol.energies[i, sol.kept(i, drop)[:n_levels]]
                      for sol in sols.values()]
                     for i in range(len(sols[1].energies))]
+            fewest = min(len(e) for row in rows for e in row)
+            if fewest < n_levels:
+                raise ConfigError(f"--levels {n_levels}: a parity sector "
+                                  f"keeps only {fewest} states at M = {M}")
+            return rows
 
         full = _beyond_rwa(params_list, M, (1, -1), kept_energies, meta)
         if cfg.get("trunc_photons"):
@@ -346,16 +351,12 @@ def _jump_flags(gammas: list[float], threshold: float) -> list[int]:
 def cmd_evolve(cfg: dict) -> int:
     pars = params_from_config(cfg)
     steps = int(cfg.get("levels") or 2001)
-    try:
-        if cfg["model"] == "jc":
-            res = dynamics.cyclic_evolution_jc(pars)
-            p_int, q_int = res.windings[0], 0
-        else:
-            res = dynamics.cyclic_evolution_two_qubit(pars)
-            p_int, q_int = res.windings[1], res.windings[2]
-    except dynamics.NoRational as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    if cfg["model"] == "jc":
+        res = dynamics.cyclic_evolution_jc(pars)
+        p_int, q_int = res.windings[0], 0
+    else:
+        res = dynamics.cyclic_evolution_two_qubit(pars)
+        p_int, q_int = res.windings[1], res.windings[2]
     duration = res.cycles * res.period
     try:
         avg = dynamics.average_photon_number(pars, duration, n_time_steps=steps)
@@ -389,12 +390,8 @@ def cmd_scan_anticrossing(cfg: dict) -> int:
     for delta in deltas:
         def params_of_g(g: float, d=delta) -> RabiParams:
             return RabiParams.equal_frequency(d, g, g)
-        try:
-            ac = geometry.detect_anticrossing(params_of_g, kappa=1,
-                                              g_min=g_min, g_max=g_max, M=M)
-        except geometry.NoAnticrossing as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
+        ac = geometry.detect_anticrossing(params_of_g, kappa=1,
+                                          g_min=g_min, g_max=g_max, M=M)
         jump = geometry.locate_phase_jump(params_of_g, g_min, g_max, basis_M=M)
         rows.append([delta, ac.g_star, ac.min_gap, jump.g_jump,
                      jump.jump_size])
@@ -543,13 +540,10 @@ def main(argv=None) -> int:
         if not cfg.get("out"):
             raise ConfigError("--out PATH is required")
         return DISPATCH[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, model.NotEqualFrequency) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except dynamics.NoRational as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except geometry.NoAnticrossing as exc:
+    except (dynamics.NoRational, geometry.NoAnticrossing) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import model, numerics
 from .model import (BlockEigenpair, DisplacedBasis, RabiParams,
@@ -520,10 +519,11 @@ def detect_anticrossing(params_of_g, kappa: int, g_min: float, g_max: float,
     at least 200 points brackets the interior minimum of the adjacent-level gap
     (of ``level_pair`` if given, otherwise of whichever adjacent pair attains
     the smallest gap), which golden-section search then refines.  Raises
-    NoAnticrossing when the bracketed minimum sits on the range boundary, and
-    also when the refined gap closes completely: under the RWA levels of
-    different excitation number cross exactly and the driving cannot connect
-    them, so there is no anti-crossing to report.
+    NoAnticrossing when the bracketed minimum sits on the range boundary or
+    ties with a neighbour on the coarse grid, and also when the refined gap
+    closes completely: under the RWA levels of different excitation number
+    cross exactly and the driving cannot connect them, so there is no
+    anti-crossing to report.
     """
     if n_scan < 200:
         raise ValueError("n_scan must be at least 200")
@@ -554,15 +554,18 @@ def detect_anticrossing(params_of_g, kappa: int, g_min: float, g_max: float,
     if i_coarse == 0 or i_coarse == n_scan - 1:
         raise NoAnticrossing(
             f"gap of levels {pair} is monotone over [{g_min}, {g_max}]")
+    fa, fb, fc = gap_curve[i_coarse - 1:i_coarse + 2]
+    if not (fb < fa and fb < fc):
+        raise NoAnticrossing(
+            f"gap of levels {pair} is flat at its minimum near "
+            f"g = {gs[i_coarse]:.6f}; no strict bracket to refine")
 
     def gap_at(g: float) -> float:
         e = levels([g])[0]
         return float(e[pair[1]] - e[pair[0]])
 
-    res = minimize_scalar(gap_at, bracket=(gs[i_coarse - 1], gs[i_coarse],
-                                           gs[i_coarse + 1]),
-                          method="golden", options={"xtol": 1e-7})
-    g_star, min_gap = float(res.x), float(res.fun)
+    g_star, min_gap = map(float, _golden(gap_at,
+                                         *gs[i_coarse - 1:i_coarse + 2]))
     if min_gap < 1e-8:
         raise NoAnticrossing(
             f"levels {pair} cross exactly at g = {g_star:.6f}; crossings "
@@ -576,6 +579,37 @@ def detect_anticrossing(params_of_g, kappa: int, g_min: float, g_max: float,
     ratio = _adiabaticity_ratio(params_of_g(g_star), kappa, pair, M,
                                 drop_singlets)
     return AnticrossingResult(g_star, min_gap, pair, ratio, ratio > 1.0)
+
+
+def _golden(f, xa: float, xb: float, xc: float, xtol: float = 1e-7,
+            maxiter: int = 5000) -> tuple[float, float]:
+    """Golden-section minimum (x, f(x)) of f inside the bracket xa < xb < xc.
+
+    Repeats SciPy's golden-section method (``method="golden"``) step for
+    step: its rounded ratio 0.61803399, first interior point on the wider
+    side of xb, relative stop test, 5000-step cap and final pick, so the
+    result is bit-identical to it.  The caller checks f(xb) < f(xa), f(xc).
+    """
+    gR = 0.61803399
+    gC = 1.0 - gR
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + gC * (xc - xb)
+    else:
+        x1, x2 = xb - gC * (xb - xa), xb
+    f1, f2 = f(x1), f(x2)
+    for _ in range(maxiter):
+        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, f1 = x1, x2, f2
+            x2 = gR * x1 + gC * x3
+            f2 = f(x2)
+        else:
+            x3, x2, f2 = x2, x1, f1
+            x1 = gR * x2 + gC * x0
+            f1 = f(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)
 
 
 @dataclass(frozen=True)

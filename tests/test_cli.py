@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -114,6 +117,34 @@ def test_config_error_exit_code(tmp_path):
     # the period average needs at least 1000 time samples
     assert run(["evolve", "--model", "jc", "--g1", "0.05", "--levels", "999",
                 "--out", str(tmp_path / "ev.csv")]) == 2
+    # a sector keeps only 2(M + 1) = 22 states at M = 10
+    assert run(["spectrum", "--delta", "0.3", "--sweep", "g:0.01:0.2:4",
+                "--trunc-m", "10", "--levels", "30", "--full",
+                "--out", str(tmp_path / "s.csv")]) == 2
+    # the equal-frequency closed forms need omega1 == omega2
+    unequal = ["--omega1", "1.0", "--omega2", "0.9"]
+    assert run(["evolve", *unequal, "--g1", "0.1", "--g2", "0.1",
+                "--out", str(tmp_path / "ev.csv")]) == 2
+    for command in (["berry", "--rwa"], ["noneigen"]):
+        assert run([*command, *unequal, "--sweep", "g:0.01:0.1:3",
+                    "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_scan_anticrossing_monotone_gap_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"g_min": 0.01, "g_max": 0.05, "trunc_m": 20}))
+    assert run(["scan-anticrossing", "--delta", "0.5", "--config", str(cfg),
+                "--out", str(tmp_path / "scan.csv")]) == 4
+    assert capsys.readouterr().err.startswith("error: gap of levels")
+
+
+def test_import_leaves_scipy_optimize_out():
+    code = "import sys, rabigeom.cli; print('scipy.optimize' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_config_file_merging(tmp_path):

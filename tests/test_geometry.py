@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from rabigeom import geometry, model
 from rabigeom.geometry import (ConnectionSample, berry_phase_closed_form,
@@ -365,3 +366,37 @@ def test_detect_anticrossing_rwa_blocks_cross_exactly():
     with pytest.raises(geometry.NoAnticrossing):
         detect_anticrossing(params_of_g, kappa=1, g_min=0.2, g_max=0.45,
                             rwa=True)
+
+
+_GRID = np.linspace(0.2, 0.32, 201)
+
+
+@pytest.mark.parametrize("f,bracket,wider_right", [
+    (lambda x: (x - 0.3) ** 2, (0.0, 0.2, 1.0), True),
+    (lambda x: math.cosh(x - 1.7), (1.0, 1.9, 2.0), False),
+    (lambda x: 0.1 * x - math.exp(-(x + 2.0) ** 2), (-3.0, -2.1, -1.8), False),
+    # a flat bottom ties f1 and f2 at the final pick
+    (lambda x: max(abs(x - 0.5), 0.1), (0.0, 0.5, 1.5), True),
+    # coarse-grid brackets: the two spacings differ only by rounding
+    (lambda x: math.hypot(x - 0.2613, 0.01), tuple(_GRID[101:104]), True),
+    (lambda x: math.hypot(x - 0.2617, 0.01), tuple(_GRID[102:105]), False),
+])
+def test_golden_matches_scipy_bit_for_bit(f, bracket, wider_right):
+    xa, xb, xc = bracket
+    # the first new point goes into the wider side of xb
+    assert (abs(xc - xb) > abs(xb - xa)) == wider_right
+    ref = minimize_scalar(f, bracket=bracket, method="golden",
+                          options={"xtol": 1e-7})
+    x, fx = geometry._golden(f, *bracket)
+    assert ref.success
+    assert x == ref.x and fx == ref.fun
+
+
+def test_detect_anticrossing_tied_bracket_raises():
+    # couplings quantized to 0.005 make neighbouring grid points share one gap,
+    # so the coarse minimum ties with its right neighbour
+    def params_of_g(g):
+        q = round(g / 0.005) * 0.005
+        return RabiParams.equal_frequency(0.5, q, q)
+    with pytest.raises(geometry.NoAnticrossing, match="flat at its minimum"):
+        detect_anticrossing(params_of_g, kappa=1, g_min=0.2, g_max=0.32, M=30)
