@@ -6,14 +6,17 @@ truncation convergence gate, so a dataset can be reproduced bit-exactly from
 its metadata.  Floats are written with 17 significant digits and LF line
 endings; identical configuration and build give byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 convergence-gate failure,
-4 a required rational period or anti-crossing does not exist.
+Exit codes: 0 success, 2 configuration error, 3 convergence-gate failure or
+vacuum weights short of 1 at the truncation M, 4 a required rational period,
+non-degenerate doublet or anti-crossing does not exist.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -29,31 +32,59 @@ class ConfigError(ValueError):
     pass
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ConfigError("non-finite value in dataset")
-        return format(value, ".17g")
-    return str(value)
+def _row_format(row: Sequence) -> tuple[str, list[int]]:
+    """printf format of one CSV line for rows typed like ``row``, and the
+    positions of its float cells.
+
+    Bools and integers are written as integers, floats with 17 significant
+    digits (they round-trip exactly), anything else through str().
+    """
+    specs, floats = [], []
+    for i, value in enumerate(row):
+        if isinstance(value, (bool, np.bool_, int, np.integer)):
+            specs.append("%d")
+        elif isinstance(value, float):
+            specs.append("%.17g")
+            floats.append(i)
+        else:
+            specs.append("%s")
+    return ",".join(specs) + "\n", floats
 
 
-def write_dataset(path: str, header: list[str], rows: list[list],
+def write_dataset(path: str, header: list[str], rows: Iterable[Sequence],
                   metadata: dict) -> None:
-    for row in rows:
-        if len(row) != len(header):
-            raise ConfigError("inconsistent column count")
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    """Write ``rows`` under ``header`` to the CSV ``path`` and its sidecar.
+
+    ``rows`` is any iterable of row sequences, consumed once: each row is
+    formatted and written as it arrives, so a generator never holds the table
+    in memory.  Rows are formatted with one printf format per distinct tuple
+    of cell types (see _row_format).  A row whose length differs from the
+    header's or a non-finite float raises ConfigError and removes the partial
+    CSV; the sidecar, written last, records the row count.
+    """
+    formats: dict[tuple, tuple[str, list[int]]] = {}
+    count = 0
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
+            fh.write(",".join(header) + "\n")
+            for count, row in enumerate(rows, 1):
+                types = tuple(map(type, row))
+                if types not in formats:
+                    if len(row) != len(header):
+                        raise ConfigError("inconsistent column count")
+                    formats[types] = _row_format(row)
+                fmt, floats = formats[types]
+                if not all([math.isfinite(row[i]) for i in floats]):
+                    raise ConfigError("non-finite value in dataset")
+                fh.write(fmt % tuple(row))
+    except BaseException:
+        os.remove(path)
+        raise
     metadata = dict(metadata)
     metadata["version"] = __version__
     metadata["columns"] = header
-    metadata["rows"] = len(rows)
+    metadata["rows"] = count
     with open(path + ".meta.json", "w") as fh:
         json.dump(metadata, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -136,6 +167,21 @@ def params_from_config(cfg: dict, **overrides) -> RabiParams:
         raise ConfigError(str(exc)) from exc
 
 
+def _get(cfg: dict, key: str, default):
+    """cfg[key], or ``default`` when the key is unset (absent or null)."""
+    value = cfg.get(key)
+    return default if value is None else value
+
+
+def _levels(cfg: dict, default: int, minimum: int = 0) -> int:
+    """The --levels count, or ``default`` when unset; below ``minimum`` is a
+    configuration error."""
+    n = int(_get(cfg, "levels", default))
+    if n < minimum:
+        raise ConfigError(f"--levels {n}: need at least {minimum}")
+    return n
+
+
 def sweep_values(cfg: dict) -> tuple[str, np.ndarray]:
     sweep = cfg.get("sweep")
     if not sweep:
@@ -214,7 +260,7 @@ def _vacuum_phases(sols) -> list[list[float]]:
 def cmd_spectrum(cfg: dict) -> int:
     var, values = sweep_values(cfg)
     M = int(cfg["trunc_m"])
-    n_levels = int(cfg.get("levels") or 8)
+    n_levels = _levels(cfg, 8, minimum=1)
     modes = {"rwa": ("rwa",), "full": ("full",), "both": ("rwa", "full")}[cfg["mode"]]
     drop = bool(cfg["drop_singlets"])
     params_list = _sweep_params(cfg, var, values)
@@ -301,7 +347,7 @@ def cmd_berry(cfg: dict) -> int:
 
 
 def cmd_curvature_field(cfg: dict) -> int:
-    thetas = np.linspace(0.0, math.pi, int(cfg.get("levels") or 181))
+    thetas = np.linspace(0.0, math.pi, _levels(cfg, 181, minimum=1))
     rows = []
     for label in ("eigen_jc", "eigen_two_qubit", "noneigen_jc",
                   "noneigen_two_qubit"):
@@ -350,7 +396,7 @@ def _jump_flags(gammas: list[float], threshold: float) -> list[int]:
 
 def cmd_evolve(cfg: dict) -> int:
     pars = params_from_config(cfg)
-    steps = int(cfg.get("levels") or 2001)
+    steps = _levels(cfg, 2001)
     if cfg["model"] == "jc":
         res = dynamics.cyclic_evolution_jc(pars)
         p_int, q_int = res.windings[0], 0
@@ -362,10 +408,11 @@ def cmd_evolve(cfg: dict) -> int:
         avg = dynamics.average_photon_number(pars, duration, n_time_steps=steps)
     except ValueError as exc:   # fewer time steps than the average needs
         raise ConfigError(f"--levels {steps}: {exc}") from exc
-    rows = [[t, nbar, fid, duration, p_int, q_int, res.total_phase,
-             res.dynamical_phase, res.aa_phase, avg.P, avg.gamma_over_2pi]
+    summary = (duration, p_int, q_int, res.total_phase, res.dynamical_phase,
+               res.aa_phase, avg.P, avg.gamma_over_2pi)
+    rows = ((t, nbar, fid) + summary
             for t, nbar, fid in zip(avg.times, avg.photon_expectation,
-                                    avg.fidelity)]
+                                    avg.fidelity))
     header = ["t", "photon_expectation", "fidelity", "T", "p", "q",
               "total_phase", "dynamical_phase", "aa_phase", "P_avg",
               "gamma_over_2pi"]
@@ -383,9 +430,9 @@ def cmd_evolve(cfg: dict) -> int:
 
 def cmd_scan_anticrossing(cfg: dict) -> int:
     M = int(cfg["trunc_m"])
-    deltas = cfg.get("deltas") or [cfg.get("delta") or 0.5]
-    g_min = float(cfg.get("g_min") or 0.2)
-    g_max = float(cfg.get("g_max") or 0.32)
+    deltas = _get(cfg, "deltas", [_get(cfg, "delta", 0.5)])
+    g_min = float(_get(cfg, "g_min", 0.2))
+    g_max = float(_get(cfg, "g_max", 0.32))
     rows = []
     for delta in deltas:
         def params_of_g(g: float, d=delta) -> RabiParams:
@@ -411,7 +458,7 @@ def cmd_scan_anticrossing(cfg: dict) -> int:
 
 def _preset_fig1(cfg: dict) -> int:
     cfg.setdefault("out", "fig1_curvature_field.csv")
-    cfg["levels"] = cfg.get("levels") or 361
+    cfg["levels"] = _levels(cfg, 361)
     return cmd_curvature_field(cfg)
 
 
@@ -543,7 +590,11 @@ def main(argv=None) -> int:
     except (ConfigError, model.NotEqualFrequency) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (dynamics.NoRational, geometry.NoAnticrossing) as exc:
+    except geometry.WeightError as exc:   # vacuum weights short of 1 at M
+        print(f"error: {exc} at M = {cfg['trunc_m']}", file=sys.stderr)
+        return 3
+    except (dynamics.NoRational, dynamics.DegenerateDoublet,
+            geometry.NoAnticrossing) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -23,6 +23,10 @@ class NoRational(ValueError):
     """No rational approximation within tolerance and denominator bound."""
 
 
+class DegenerateDoublet(ValueError):
+    """A doublet level coincides with another, so no finite period recurs."""
+
+
 @dataclass(frozen=True)
 class CyclicResult:
     """Bookkeeping of one cyclic (recurrent) evolution.
@@ -108,7 +112,7 @@ def cyclic_evolution_jc(params: RabiParams, q: int = 1) -> CyclicResult:
         raise ValueError("q must be a positive integer")
     eig = model.jc_eigensystem(params, 1)
     if eig.omega_k == 0.0:
-        raise ValueError("degenerate doublet: Omega_1 = 0")
+        raise DegenerateDoublet("degenerate doublet: Omega_1 = 0")
     T = TWO_PI / eig.omega_k
     duration = q * T
     half = eig.theta_k / 2.0
@@ -142,7 +146,7 @@ def cyclic_evolution_two_qubit(params: RabiParams,
     ef = model.equal_frequency_k1(params)
     e1, e2, e3 = ef.energies
     if e2 == 0.0 or e3 == 0.0:
-        raise ValueError("bright doublet degenerate with the dark state")
+        raise DegenerateDoublet("bright doublet degenerate with the dark state")
     p, qd = rationalize(e2 / e3, tolerance, max_denominator)
     T = TWO_PI * p / e2
     if T < 0.0:
@@ -191,11 +195,11 @@ def average_photon_number(params: RabiParams, T: float,
         nbars = photon_numbers @ (decomp.eigenvectors ** 2)
         gamma = TWO_PI * float((np.abs(amps) ** 2) @ nbars)
     ts = np.linspace(0.0, T, n_time_steps)
-    nbar_t = np.empty_like(ts)
-    fidelity = np.empty_like(ts)
-    for i, t in enumerate(ts):
-        psi = numerics.propagate(decomp, psi0, t)
-        nbar_t[i] = float(photon_numbers @ (np.abs(psi) ** 2))
-        fidelity[i] = float(abs(np.vdot(psi0, psi)))
+    psi = numerics.propagate(decomp, psi0, ts)
+    nbar_t = (np.abs(psi) ** 2) @ photon_numbers
+    # |<psi0|psi>| as hypot of the parts: np.abs of a complex array rounds
+    # differently from abs() of a complex scalar
+    overlap = np.einsum("j,kj->k", np.conj(psi0), psi)
+    fidelity = np.hypot(overlap.real, overlap.imag)
     P = numerics.trapezoid_integral(ts, nbar_t) / T
     return PhotonAverage(P, gamma / TWO_PI, ts, nbar_t, fidelity)

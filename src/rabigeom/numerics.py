@@ -66,19 +66,29 @@ def eigh(matrix) -> EigenDecomposition:
     return EigenDecomposition(values, _fix_signs(vectors))
 
 
-def propagate(decomp: EigenDecomposition, state, t: float) -> np.ndarray:
+def propagate(decomp: EigenDecomposition, state, t) -> np.ndarray:
     """Evolve ``state`` for time ``t`` under the diagonalized Hamiltonian.
 
-    Returns sum_j exp(-i E_j t) v_j (v_j . state).  Exact up to roundoff, so no
-    integrator tolerance enters downstream phase bookkeeping.
+    Returns sum_j exp(-i E_j t) v_j (v_j . state).  ``t`` is a scalar, giving
+    the (n,) state at that time, or a 1-D array of K times, giving the (K, n)
+    states row by row; each row equals the scalar call at its time bit for
+    bit.  Exact up to roundoff, so no integrator tolerance enters downstream
+    phase bookkeeping.
     """
     values, vectors = decomp
     psi = np.asarray(state, dtype=complex)
     if psi.shape != (vectors.shape[0],):
         raise DimensionError(
             f"state has shape {psi.shape}, expected ({vectors.shape[0]},)")
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise DimensionError(f"times have shape {times.shape}, expected a "
+                             "scalar or a 1-D array")
     amps = vectors.T @ psi
-    return vectors @ (np.exp(-1j * values * t) * amps)
+    phases = np.exp(-1j * (values * times[..., None])) * amps
+    # einsum sums each row in the same order for one time or many; a
+    # (K, n) @ (n, n) product would not
+    return np.einsum("ij,...j->...i", vectors, phases)
 
 
 def trapezoid_integral(x, y) -> float:

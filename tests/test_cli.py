@@ -1,14 +1,21 @@
+import hashlib
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rabigeom import cli, model, numerics
 from rabigeom.model import DisplacedBasis, RabiParams
+
+
+BENCH_REFERENCE = (Path(__file__).resolve().parents[1] / "bench" / "reference"
+                   / "reference.json")
 
 
 def run(args):
@@ -103,11 +110,29 @@ def test_evolve_jc(tmp_path):
     assert np.all(np.abs(cols["P_avg"] - P / cols["T"][0]) <= 1e-15)
 
 
-def test_evolve_norational_exit_code(tmp_path):
+def test_evolve_norational_exit_code(tmp_path, capsys):
     out = tmp_path / "ev.csv"
     code = run(["evolve", "--delta", "0.3", "--g1", "0.1", "--g2", "0.07",
                 "--out", str(out)])
     assert code == 4
+    # a doublet level degenerate with another has no finite period
+    assert run(["evolve", "--delta", "0", "--g1", "0", "--g2", "0",
+                "--out", str(out)]) == 4
+    assert "bright doublet degenerate" in capsys.readouterr().err
+    assert run(["evolve", "--model", "jc", "--delta", "0", "--g1", "0",
+                "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("error: degenerate doublet")
+
+
+def test_evolve_bench_workload_matches_reference(tmp_path):
+    # the benchmark's own evolve command and reference, read-only
+    want = json.loads(BENCH_REFERENCE.read_text())["evolve"]
+    out = tmp_path / "evolve.csv"
+    assert run(["evolve", "--delta", "0.01", "--g1", "0.01", "--g2", "0.01",
+                "--levels", "100001", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want["sha256"]
+    meta = json.loads((tmp_path / "evolve.csv.meta.json").read_text())
+    assert meta["rows"] == want["rows"] - 1   # the reference counts the header
 
 
 def test_config_error_exit_code(tmp_path):
@@ -117,6 +142,11 @@ def test_config_error_exit_code(tmp_path):
     # the period average needs at least 1000 time samples
     assert run(["evolve", "--model", "jc", "--g1", "0.05", "--levels", "999",
                 "--out", str(tmp_path / "ev.csv")]) == 2
+    # an explicit 0 is not read as unset
+    assert run(["evolve", "--model", "jc", "--g1", "0.05", "--levels", "0",
+                "--out", str(tmp_path / "ev.csv")]) == 2
+    assert run(["spectrum", "--delta", "0.3", "--sweep", "g:0.01:0.2:4",
+                "--rwa", "--levels", "0", "--out", str(tmp_path / "s.csv")]) == 2
     # a sector keeps only 2(M + 1) = 22 states at M = 10
     assert run(["spectrum", "--delta", "0.3", "--sweep", "g:0.01:0.2:4",
                 "--trunc-m", "10", "--levels", "30", "--full",
@@ -209,9 +239,69 @@ def test_gate_probes_worst_tail_point(tmp_path):
 
 def test_float_formatting_precision(tmp_path):
     # 17 significant digits round-trip doubles exactly
-    assert float(cli._fmt(math.pi)) == math.pi
-    assert cli._fmt(1.0) == "1"
-    assert cli._fmt(True) == "1"
+    out = tmp_path / "f.csv"
+    cli.write_dataset(str(out), ["x"], [[math.pi], [1.0], [True]], {})
+    _, rows = read_csv(out)
+    assert float(rows[0][0]) == math.pi
+    assert rows[1][0] == "1"
+    assert rows[2][0] == "1"
+
+
+def _cell(value) -> str:
+    """Reference: the per-cell rule of the CSV format."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def test_write_dataset_matches_per_cell_rule(tmp_path):
+    rows = [(-0.0, True, np.bool_(False), np.int64(-7), np.float64(1 / 3),
+             "even", 3),
+            (math.pi, False, np.bool_(True), np.int64(2 ** 40),
+             np.float64(-1e-300), "rwa", 2.5),
+            (5e-324, 1, np.float32(0.1), 0, np.float64(-0.0), "a b", -1.0e308),
+            (0.1, np.int32(4), None, 10 ** 20, 1e16, "psi1_2", np.uint8(255))]
+    header = ["a", "b", "c", "d", "e", "f", "g"]
+    out = tmp_path / "t.csv"
+    cli.write_dataset(str(out), header, iter(rows), {"command": "test"})
+    want = "".join(",".join(map(_cell, row)) + "\n"
+                   for row in [header, *rows])
+    assert out.read_bytes() == want.encode()
+    meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
+    assert meta["rows"] == len(rows) and meta["columns"] == header
+
+
+@pytest.mark.parametrize("bad", [[math.nan, 1], [math.inf, 1],
+                                 [np.float64(-np.inf), 1], [0.5], [0.5, 1, 2]])
+def test_write_dataset_bad_row_leaves_no_csv(tmp_path, bad):
+    out = tmp_path / "bad.csv"
+    good = ([0.1 * i, i] for i in range(1000))
+    with pytest.raises(cli.ConfigError):
+        cli.write_dataset(str(out), ["x", "n"], itertools.chain(good, [bad]),
+                          {})
+    assert not out.exists()
+    assert not (tmp_path / "bad.csv.meta.json").exists()
+
+
+def test_noneigen_short_truncation_exit_code(tmp_path, capsys):
+    # at M = 10 the vacuum weights of |10,0> sum to 0.99999, not 1
+    out = tmp_path / "ne.csv"
+    assert run(["noneigen", "--delta", "0.5", "--sweep", "g:0.5:1.0:3",
+                "--trunc-m", "10", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.rstrip().endswith("at M = 10")
+    assert not out.exists()
+
+
+def test_scan_anticrossing_honours_explicit_zero_delta(tmp_path):
+    out = tmp_path / "scan.csv"
+    assert run(["scan-anticrossing", "--delta", "0.0", "--trunc-m", "20",
+                "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [float(r[0]) for r in rows] == [0.0]
 
 
 def test_scan_anticrossing(tmp_path):

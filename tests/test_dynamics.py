@@ -205,3 +205,20 @@ def test_norm_and_excitation_conserved():
         # the whole block carries excitation number one
         k_expect = float(np.sum(np.abs(psi) ** 2))
         assert k_expect == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("params", [RabiParams.jc(0.1, 0.08),
+                                    RabiParams.equal_frequency(0.01, 0.01, 0.01),
+                                    RabiParams.equal_frequency(0.3, 0.1, 0.05)])
+def test_photon_average_matches_per_sample_loop_bit_for_bit(params):
+    avg = average_photon_number(params, 123.4, n_time_steps=5001)
+    H, photon_numbers, initial = k1_block(params)
+    decomp = numerics.eigh(H)
+    nbar, fidelity = [], []
+    for t in avg.times:
+        psi = numerics.propagate(decomp, initial, t)
+        nbar.append(float(photon_numbers @ (np.abs(psi) ** 2)))
+        fidelity.append(float(abs(np.vdot(initial, psi))))
+    assert np.array_equal(avg.times, np.linspace(0.0, 123.4, 5001))
+    assert np.array_equal(avg.photon_expectation, nbar)
+    assert np.array_equal(avg.fidelity, fidelity)

@@ -164,6 +164,36 @@ def test_propagate_dimension_mismatch():
     decomp = numerics.eigh(np.eye(3))
     with pytest.raises(numerics.DimensionError):
         numerics.propagate(decomp, np.array([1.0, 0.0]), 1.0)
+    with pytest.raises(numerics.DimensionError):
+        numerics.propagate(decomp, np.array([1.0, 0.0, 0.0]), np.ones((2, 2)))
+
+
+def _propagate_one(decomp, state, t):
+    """Reference: the one-time product sum_j exp(-i E_j t) v_j (v_j . state)."""
+    values, vectors = decomp
+    amps = vectors.T @ np.asarray(state, dtype=complex)
+    return vectors @ (np.exp(-1j * values * t) * amps)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_propagate_times_array_matches_one_time_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    decomp = numerics.eigh(random_symmetric(rng, dim))
+    state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    ts = np.linspace(0.0, 700.0, 4001)
+    batch = numerics.propagate(decomp, state, ts)
+    assert batch.shape == (ts.size, dim)
+    for t, row in zip(ts, batch):
+        one = numerics.propagate(decomp, state, t)
+        assert one.shape == (dim,)
+        assert np.array_equal(row, one)
+        if dim <= 3:
+            # the sizes of the k = 1 blocks: their rounding is pinned by the
+            # evolve dataset; a larger product may sum in another order
+            assert np.array_equal(one, _propagate_one(decomp, state, t))
+        else:
+            assert np.allclose(one, _propagate_one(decomp, state, t),
+                               rtol=0.0, atol=1e-13)
 
 
 def test_trapezoid_constant():
