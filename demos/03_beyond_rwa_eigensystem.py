@@ -10,25 +10,22 @@ is then checked in its stated weak-coupling regime.
 import numpy as np
 
 from rabigeom import model
-from rabigeom.model import DisplacedBasis, RabiParams
+from rabigeom.model import RabiParams
 
 params = RabiParams(omega1=1.5, omega2=1.5, g1=0.25, g2=0.25)
 M = 50
-basis = DisplacedBasis.for_params(params, M=M)
 fm = model.build_full_rabi(params, n_photons=4 * (M + 1))
 
 print(f"omega1 = omega2 = {params.omega1}, g = {params.g1}; "
       f"M = {M}, plain-Fock cutoff = {4 * (M + 1)} levels")
 for kappa, name in ((1, "even"), (-1, "odd")):
     plain, _, _ = model.solve_parity_sector(fm, kappa, check_truncation=False)
-    pairs = model.truncated_parity_solve(params, basis, kappa,
-                                         check_truncation=False)
-    disp = np.array([p.energy for p in pairs[:8]])
-    singlets = model.singlet_indices(params, pairs)
+    sol = model.solve_sectors([params], M, kappa)
+    disp, singlets = sol.energies[0, :8], sol.singlet[0]
     print(f"  {name} sector, lowest 8 levels "
           f"(max |dE| = {np.max(np.abs(disp - plain[:8])):.2e}):")
     for j, e in enumerate(disp):
-        tag = "  <- spin singlet, E = n omega_c exactly" if j in singlets else ""
+        tag = "  <- spin singlet, E = n omega_c exactly" if singlets[j] else ""
         print(f"    {e:12.8f}{tag}")
 
 print()

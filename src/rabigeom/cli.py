@@ -144,6 +144,9 @@ def load_config(args: argparse.Namespace) -> dict:
     cfg.setdefault("drop_singlets", False)
     if cfg["model"] not in ("jc", "two-qubit"):
         raise ConfigError(f"unknown model {cfg['model']!r}")
+    for key in ("trunc_m", "trunc_photons"):
+        if cfg.get(key) is not None and int(cfg[key]) < 10:
+            raise ConfigError(f"{key} {cfg[key]}: need at least 10")
     return cfg
 
 
@@ -305,6 +308,10 @@ def _dual_basis_audit(pars: RabiParams, M: int, n_photons: int,
     Spectra are compared unfiltered: singlet levels sit at exactly n omega_c
     in both constructions, so they cancel out of the deviation.
     """
+    if n_levels > 2 * n_photons:
+        raise ConfigError(f"--levels {n_levels}: a plain-Fock parity sector "
+                          f"keeps only {2 * n_photons} states at "
+                          f"--trunc-photons {n_photons}")
     fm = model.build_full_rabi(pars, n_photons=n_photons)
     worst = 0.0
     for kappa in (1, -1):
@@ -433,7 +440,7 @@ def cmd_scan_anticrossing(cfg: dict) -> int:
     deltas = _get(cfg, "deltas", [_get(cfg, "delta", 0.5)])
     g_min = float(_get(cfg, "g_min", 0.2))
     g_max = float(_get(cfg, "g_max", 0.32))
-    rows = []
+    rows, on_edge = [], []
     for delta in deltas:
         def params_of_g(g: float, d=delta) -> RabiParams:
             return RabiParams.equal_frequency(d, g, g)
@@ -442,11 +449,13 @@ def cmd_scan_anticrossing(cfg: dict) -> int:
         jump = geometry.locate_phase_jump(params_of_g, g_min, g_max, basis_M=M)
         rows.append([delta, ac.g_star, ac.min_gap, jump.g_jump,
                      jump.jump_size])
+        on_edge.append(jump.on_edge)
     meta = {"config": _json_safe(cfg), "command": "scan-anticrossing",
             "convergence_gate": {"applicable": False},
             "note": ("jump location tracks the steepest change of the exact "
                      "weighted phase; the initial state is odd under parity, "
-                     "so it follows the odd-sector anti-crossing")}
+                     "so it follows the odd-sector anti-crossing"),
+            "diagnostics": {"jump_on_window_edge": on_edge}}
     write_dataset(cfg["out"], ["delta", "g_star", "min_gap", "jump_g",
                                "jump_size"], rows, meta)
     return 0

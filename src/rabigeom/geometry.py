@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, numerics
-from .model import (BlockEigenpair, DisplacedBasis, RabiParams,
-                    SectorSolution, TruncatedEigenpair)
+from .model import BlockEigenpair, DisplacedBasis, RabiParams, SectorSolution
 
 TWO_PI = 2.0 * math.pi
 
@@ -98,38 +97,15 @@ def berry_phase_block_state(pair: BlockEigenpair) -> PhaseResult:
     return PhaseResult(TWO_PI * nbar, "photon_expectation")
 
 
-def truncated_photon_expectation(pair: TruncatedEigenpair,
-                                 basis: DisplacedBasis) -> float:
-    """<a^dag a> of a displaced-sector eigenstate.
-
-    Expanding a = A - beta in each displaced ladder gives the quadratic form
-    sum_n (n + beta^2) c_n^2 - 2 beta sqrt(n+1) c_{n+1} c_n per block, which is
-    evaluated through the sector number operator.
-    """
-    c = pair.coefficients
-    norm = float(c @ c)
-    if abs(norm - 1.0) > 1e-8:
-        raise NotNormalized(f"sector state norm^2 = {norm!r}")
-    return float(c @ model.sector_number_operator(basis) @ c)
-
-
-def berry_phase_truncated_state(pair: TruncatedEigenpair,
-                                basis: DisplacedBasis) -> PhaseResult:
-    return PhaseResult(TWO_PI * truncated_photon_expectation(pair, basis),
-                       "photon_expectation")
-
-
 def berry_phase_eigenstate(state, *args) -> PhaseResult:
     """Berry phase of any eigenstate as 2 pi <a^dag a>.
 
-    Accepts a BlockEigenpair, a TruncatedEigenpair together with its
-    DisplacedBasis, or a plain coefficient vector together with the photon
-    number of each basis slot.
+    Accepts a BlockEigenpair, or a plain coefficient vector together with the
+    photon number of each basis slot.  Displaced-sector phases come from
+    model.solve_sectors as 2 pi photon_numbers.
     """
     if isinstance(state, BlockEigenpair):
         return berry_phase_block_state(state)
-    if isinstance(state, TruncatedEigenpair):
-        return berry_phase_truncated_state(state, *args)
     return berry_phase_fock_state(state, *args)
 
 
@@ -428,22 +404,6 @@ def noneigen_curvature_two_qubit(params: RabiParams) -> float:
     return 0.5 * math.sin(2.0 * ef.theta_1_2) * math.cos(ef.alpha) ** 2
 
 
-def vacuum_amplitudes(params: RabiParams, basis: DisplacedBasis, kappa: int,
-                      pairs: list[TruncatedEigenpair]) -> np.ndarray:
-    """Overlaps <eigenstate | 10,0> with the qubit-1-excited vacuum state.
-
-    In the sector representation the plain vacuum expands over each displaced
-    ladder through <n|D(beta)|0>, and the qubit content of |10,0> selects the
-    (1 - kappa)/2 combination, so even-parity overlaps vanish identically.
-    """
-    if kappa == 1:
-        return np.zeros(len(pairs))
-    mp1 = basis.M + 1
-    col1 = model.displacement_matrix(mp1, basis.beta1)[:, 0]
-    col2 = model.displacement_matrix(mp1, basis.beta2)[:, 0]
-    return np.array([float(p.d1 @ col1 - p.d2 @ col2) for p in pairs])
-
-
 def _check_weight_total(total: float) -> None:
     if abs(total - 1.0) > 1e-8:
         raise WeightError(f"vacuum-state weights sum to {total!r}; "
@@ -456,23 +416,31 @@ def noneigen_phase_beyond_rwa(params: RabiParams,
     """Weighted Berry-phase sum for the initial state |10,0> beyond the RWA.
 
     Expands |10,0> over the truncated eigenstates of the odd parity sector
-    (its even-sector overlaps vanish, see vacuum_amplitudes) and sums their
-    Berry phases with the squared overlaps as weights, state by state;
-    components below ``weight_floor`` are noise and dropped.  Sweeps use
-    noneigen_phases_beyond_rwa, which agrees with this to rounding.
+    (its even-sector overlaps vanish) and sums their Berry phases with the
+    squared overlaps as weights, state by state; components below
+    ``weight_floor`` are noise and dropped.  Sweeps use
+    noneigen_phases_beyond_rwa, which agrees with this to rounding; the
+    bisection of locate_phase_jump compares this one's last bits.
     """
     if basis is None:
         basis = DisplacedBasis.for_params(params)
+    if basis.M < 10:
+        raise ValueError("basis truncation M must be at least 10")
+    mp1 = basis.M + 1
     nop = model.sector_number_operator(basis)
-    pairs = model.truncated_parity_solve(params, basis, -1,
-                                         check_truncation=False)
-    amps = vacuum_amplitudes(params, basis, -1, pairs)
+    _, vectors = numerics.eigh(model.sector_hamiltonian([params], [basis], -1))
+    # the plain vacuum expands over each displaced ladder through <n|D(beta)|0>
+    col1, col2 = model.displacement_matrix(mp1, [basis.beta1, basis.beta2])[:, :, 0]
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     gamma = 0.0
     total = 0.0
-    for p, w in zip(pairs, amps * amps):
+    for v in vectors[0].T:
+        d1, d2 = inv_sqrt2 * v[:mp1], inv_sqrt2 * v[mp1:]
+        amp = float(d1 @ col1 - d2 @ col2)
+        w = amp * amp
         if w < weight_floor:
             continue
-        c = p.coefficients
+        c = math.sqrt(2.0) * np.concatenate([d1, d2])
         gamma += w * TWO_PI * float(c @ nop @ c)
         total += w
     _check_weight_total(float(total))
@@ -619,6 +587,7 @@ class PhaseJump:
     g_jump: float
     jump_size: float      # |gamma change| across the final bracket
     max_slope: float      # |d gamma / d g| estimate at the located point
+    on_edge: bool         # coarse steepest step is the first or last interval
 
 
 def locate_phase_jump(params_of_g, g_min: float, g_max: float,
@@ -629,7 +598,8 @@ def locate_phase_jump(params_of_g, g_min: float, g_max: float,
     Scans gamma(g) on a coarse grid, then bisects the interval of largest
     change.  A true discontinuity keeps a finite ``jump_size`` as the bracket
     shrinks; a steep but smooth crossover refines to jump_size near zero while
-    ``g_jump`` converges to the point of maximal slope.
+    ``g_jump`` converges to the point of maximal slope.  ``on_edge`` flags a
+    steepest coarse step at the window's edge, where the change may go on.
     """
     def gamma_at(g: float) -> float:
         pars = params_of_g(float(g))
@@ -640,6 +610,7 @@ def locate_phase_jump(params_of_g, g_min: float, g_max: float,
     odd = model.solve_sectors([params_of_g(float(g)) for g in gs], basis_M, -1)
     vals = [r.gamma for r in noneigen_phases_beyond_rwa(odd)]
     i = int(np.argmax(np.abs(np.diff(vals))))
+    on_edge = i in (0, n_scan - 2)
     lo, hi = float(gs[i]), float(gs[i + 1])
     # The bisection compares changes of gamma down to rounding level, so all
     # values it compares, bracket ends included, come from one evaluation.
@@ -653,7 +624,7 @@ def locate_phase_jump(params_of_g, g_min: float, g_max: float,
             lo, vlo = mid, vm
     width = hi - lo
     slope = abs(vhi - vlo) / width if width > 0.0 else math.inf
-    return PhaseJump(0.5 * (lo + hi), abs(vhi - vlo), slope)
+    return PhaseJump(0.5 * (lo + hi), abs(vhi - vlo), slope, on_edge)
 
 
 def _adiabaticity_ratio(params: RabiParams, kappa: int, pair: tuple[int, int],
@@ -664,14 +635,13 @@ def _adiabaticity_ratio(params: RabiParams, kappa: int, pair: tuple[int, int],
     so the ratio reduces to |<n|a^dag a|m> / (E_n - E_m)|.
     """
     basis = DisplacedBasis.for_params(params, M=M)
-    pairs = model.truncated_parity_solve(params, basis, kappa,
-                                         check_truncation=False)
-    if drop_singlets:
-        skip = set(model.singlet_indices(params, pairs))
-        pairs = [p for j, p in enumerate(pairs) if j not in skip]
-    a, b = pairs[pair[0]], pairs[pair[1]]
-    gap = b.energy - a.energy
+    values, vectors = numerics.eigh(
+        model.sector_hamiltonian([params], [basis], kappa))
+    singlet = model._singlet_mask([params], values, vectors, kappa)[0]
+    kept = np.flatnonzero(~(singlet & drop_singlets))
+    a, b = kept[pair[0]], kept[pair[1]]
+    gap = float(values[0, b] - values[0, a])
     if gap == 0.0:
         return math.inf
     nop = model.sector_number_operator(basis)
-    return abs(float(a.coefficients @ nop @ b.coefficients) / gap)
+    return abs(float(vectors[0, :, a] @ nop @ vectors[0, :, b]) / gap)

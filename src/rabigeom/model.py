@@ -497,26 +497,6 @@ def adiabatic_eigensystem(params: RabiParams, n: int, kappa: int,
     return out[0], out[1]
 
 
-@dataclass(frozen=True)
-class TruncatedEigenpair:
-    """Numerically exact beyond-RWA eigenstate in one parity sector.
-
-    d1[n] multiplies the |11>-type symmetrized basis vector at displaced level
-    n, d2[n] the |10>-type one; the state normalization is
-    2 sum_n (d1[n]^2 + d2[n]^2) = 1.
-    """
-
-    kappa: int
-    energy: float
-    d1: np.ndarray = field(repr=False)
-    d2: np.ndarray = field(repr=False)
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """Unit-norm coefficient vector (sqrt(2) * (d1, d2)) on the sector basis."""
-        return math.sqrt(2.0) * np.concatenate([self.d1, self.d2])
-
-
 def sector_hamiltonian(params_list: Sequence[RabiParams],
                        bases: Sequence[DisplacedBasis],
                        kappa: int) -> np.ndarray:
@@ -585,30 +565,6 @@ def _tail_population(vectors: np.ndarray) -> np.ndarray:
                   axis=-1)
 
 
-def truncated_parity_solve(params: RabiParams, basis: DisplacedBasis,
-                           kappa: int, check_truncation: bool = True,
-                           ) -> list[TruncatedEigenpair]:
-    """All eigenpairs of one displaced-Fock parity sector, ascending in energy."""
-    if basis.M < 10:
-        raise ValueError("basis truncation M must be at least 10")
-    mp1 = basis.M + 1
-    values, vectors = numerics.eigh(sector_hamiltonian([params], [basis], kappa))
-    values, vectors = values[0], vectors[0]
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    pairs = [TruncatedEigenpair(kappa, float(values[j]),
-                                inv_sqrt2 * vectors[:mp1, j],
-                                inv_sqrt2 * vectors[mp1:, j])
-             for j in range(values.size)]
-    if check_truncation:
-        worst = float(_tail_population(vectors))
-        if worst > 1e-8:
-            warnings.warn(
-                f"low-lying sector state has population {worst:.2e} on the "
-                f"last displaced level; increase M", TruncationWarning,
-                stacklevel=2)
-    return pairs
-
-
 #: sweep points diagonalized together by solve_sectors; sets how many
 #: eigenvector sets are alive at once
 SECTOR_BATCH = 4
@@ -625,7 +581,7 @@ class SectorSolution:
     kappa: int
     energies: np.ndarray = field(repr=False)
     photon_numbers: np.ndarray = field(repr=False)   # <a^dag a> per state
-    singlet: np.ndarray = field(repr=False)          # as singlet_indices
+    singlet: np.ndarray = field(repr=False)          # see _singlet_mask
     vacuum_weights: np.ndarray = field(repr=False)   # |<state|10,0>|^2
     tail_population: np.ndarray = field(repr=False)  # (P,), lower half
 
@@ -659,7 +615,8 @@ def _photon_numbers(vectors: np.ndarray,
 def _singlet_mask(params_list: Sequence[RabiParams], values: np.ndarray,
                   vectors: np.ndarray, kappa: int,
                   tol: float = 1e-9) -> np.ndarray:
-    """Vectorized singlet_indices: pure |10>-type states at energy n omega_c."""
+    """Mask of the spin singlets (|10> - |01>) |n> (identical qubits only):
+    pure |10>-type sector vectors at kappa (-1)^n = -1 and energy n omega_c."""
     mp1 = vectors.shape[-2] // 2
     identical = np.array([p.identical_qubits() for p in params_list])[:, None]
     wc = np.array([p.omega_c for p in params_list])[:, None]
@@ -694,10 +651,11 @@ def solve_sectors(params_list: Sequence[RabiParams], M: int,
                   kappa: int) -> SectorSolution:
     """Solve the parity-kappa sector at every point on DisplacedBasis.for_params.
 
-    Points are diagonalized SECTOR_BATCH at a time with the builder and
-    eigensolver of truncated_parity_solve, so energies agree with it bit for
-    bit; eigenvectors live only inside one batch.  No truncation warning is
-    raised: ``tail_population`` records what truncated_parity_solve checks.
+    This is the package's one displaced-Fock sector solver.  Points are
+    diagonalized SECTOR_BATCH at a time with sector_hamiltonian and
+    numerics.eigh; eigenvectors live only inside one batch.  No truncation
+    warning is raised: ``tail_population`` records the largest
+    last-displaced-level population of the lower half of each sector.
     """
     if M < 10:
         raise ValueError("basis truncation M must be at least 10")
@@ -713,28 +671,6 @@ def solve_sectors(params_list: Sequence[RabiParams], M: int,
                       _vacuum_weights(vectors, bases, kappa),
                       _tail_population(vectors)))
     return SectorSolution(kappa, *(np.concatenate(a) for a in zip(*parts)))
-
-
-def singlet_indices(params: RabiParams, pairs: list[TruncatedEigenpair],
-                    tol: float = 1e-9) -> list[int]:
-    """Positions of spin-singlet eigenstates within a solved parity sector.
-
-    Singlets (|10> - |01>) |n> exist only for identical qubits; in the sector
-    representation they are pure |10>-type vectors at levels with
-    kappa (-1)^n = -1 and energy exactly n omega_c.
-    """
-    if not params.identical_qubits():
-        return []
-    out = []
-    for j, p in enumerate(pairs):
-        n = round(p.energy / params.omega_c)
-        if n < 0 or abs(p.energy - n * params.omega_c) > tol:
-            continue
-        if p.kappa * (-1) ** n != -1:
-            continue
-        if n < p.d1.size and 2.0 * p.d2[n] ** 2 > 1.0 - 1e-6:
-            out.append(j)
-    return out
 
 
 def is_rwa_singlet(pair: BlockEigenpair, params: RabiParams) -> bool:

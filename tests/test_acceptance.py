@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from rabigeom import dynamics, geometry, model
-from rabigeom.model import DisplacedBasis, RabiParams
+from rabigeom.model import RabiParams
 
 TWO_PI = 2 * math.pi
 
@@ -233,17 +233,12 @@ def test_criterion_8_anticrossing_sudden_change():
 
 def _reported_phases(params: RabiParams, M: int) -> list[float]:
     """All beyond-RWA phases a figure dataset reports at one sweep point."""
-    basis = DisplacedBasis.for_params(params, M=M)
-    nop = model.sector_number_operator(basis)
     out = []
     for kappa in (1, -1):
-        pairs = model.truncated_parity_solve(params, basis, kappa,
-                                             check_truncation=False)
-        skip = set(model.singlet_indices(params, pairs))
-        kept = [p for j, p in enumerate(pairs) if j not in skip][:3]
-        out.extend(TWO_PI * float(p.coefficients @ nop @ p.coefficients)
-                   for p in kept)
-    out.append(geometry.noneigen_phase_beyond_rwa(params, basis).gamma)
+        sol = model.solve_sectors([params], M, kappa)
+        out.extend(TWO_PI * sol.photon_numbers[0, sol.kept(0)[:3]])
+    # sol is now the odd sector, the only one that |10,0> has weight in
+    out.append(geometry.noneigen_phases_beyond_rwa(sol)[0].gamma)
     return out
 
 
@@ -274,13 +269,11 @@ def test_criterion_10_dual_basis_equivalence():
                             omega2=float(rng.uniform(0.1, 1.5)),
                             g1=float(rng.uniform(0.01, 0.35)),
                             g2=float(rng.uniform(0.01, 0.35)))
-        basis = DisplacedBasis.for_params(params, M=M)
         fm = model.build_full_rabi(params, n_photons=4 * (M + 1))
         for kappa in (1, -1):
             plain, _, _ = model.solve_parity_sector(fm, kappa,
                                                     check_truncation=False)
-            disp = np.array([p.energy for p in model.truncated_parity_solve(
-                params, basis, kappa, check_truncation=False)[:20]])
+            disp = model.solve_sectors([params], M, kappa).energies[0, :20]
             worst = max(worst, float(np.max(np.abs(disp - plain[:20]))))
     elapsed = time.time() - t0
     report("criterion 10: dual-basis equivalence (<= 1e-8, lowest 20, < 5 min)",

@@ -124,14 +124,23 @@ def test_evolve_norational_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: degenerate doublet")
 
 
-def test_evolve_bench_workload_matches_reference(tmp_path):
-    # the benchmark's own evolve command and reference, read-only
-    want = json.loads(BENCH_REFERENCE.read_text())["evolve"]
-    out = tmp_path / "evolve.csv"
-    assert run(["evolve", "--delta", "0.01", "--g1", "0.01", "--g2", "0.01",
-                "--levels", "100001", "--out", str(out)]) == 0
+#: the benchmark's own commands; scan_anticrossing pins the rounding of
+#: locate_phase_jump's bisection
+BENCH_COMMANDS = {
+    "evolve": ["evolve", "--delta", "0.01", "--g1", "0.01", "--g2", "0.01",
+               "--levels", "100001"],
+    "scan_anticrossing": ["scan-anticrossing", "--delta", "0.5"],
+}
+
+
+@pytest.mark.parametrize("name", BENCH_COMMANDS)
+def test_evolve_bench_workload_matches_reference(tmp_path, name):
+    # the benchmark's own references, read-only
+    want = json.loads(BENCH_REFERENCE.read_text())[name]
+    out = tmp_path / f"{name}.csv"
+    assert run(BENCH_COMMANDS[name] + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want["sha256"]
-    meta = json.loads((tmp_path / "evolve.csv.meta.json").read_text())
+    meta = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
     assert meta["rows"] == want["rows"] - 1   # the reference counts the header
 
 
@@ -158,6 +167,15 @@ def test_config_error_exit_code(tmp_path):
     for command in (["berry", "--rwa"], ["noneigen"]):
         assert run([*command, *unequal, "--sweep", "g:0.01:0.1:3",
                     "--out", str(tmp_path / "x.csv")]) == 2
+    # truncations below 10 levels
+    short = ["--delta", "0.5", "--out", str(tmp_path / "x.csv")]
+    sweep = ["--sweep", "g:0.1:0.2:3"]
+    assert run(["noneigen", *short, *sweep, "--trunc-m", "5"]) == 2
+    assert run(["scan-anticrossing", *short, "--trunc-m", "5"]) == 2
+    assert run(["spectrum", *short, *sweep, "--trunc-photons", "5"]) == 2
+    # a plain-Fock sector keeps only 2 N = 20 states at N = 10 photons
+    assert run(["spectrum", *short, *sweep, "--full", "--levels", "30",
+                "--trunc-photons", "10"]) == 2
 
 
 def test_scan_anticrossing_monotone_gap_exit_code(tmp_path, capsys):
@@ -198,10 +216,10 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def _tail(params, M, kappa):
-    pairs = model.truncated_parity_solve(
-        params, DisplacedBasis.for_params(params, M=M), kappa,
-        check_truncation=False)
-    return max(2.0 * (p.d1[-1] ** 2 + p.d2[-1] ** 2) for p in pairs[:M + 1])
+    basis = DisplacedBasis.for_params(params, M=M)
+    _, vecs = numerics.eigh(model.sector_hamiltonian([params], [basis], kappa))
+    # last displaced level of both ladders, lower half of the sector
+    return max(vecs[0, M, j] ** 2 + vecs[0, -1, j] ** 2 for j in range(M + 1))
 
 
 @pytest.mark.parametrize("command,kappas", [("spectrum", (1, -1)),
@@ -302,6 +320,9 @@ def test_scan_anticrossing_honours_explicit_zero_delta(tmp_path):
                 "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert [float(r[0]) for r in rows] == [0.0]
+    # the steepest coarse step at delta = 0 is the window's last interval
+    meta = json.loads((tmp_path / "scan.csv.meta.json").read_text())
+    assert meta["diagnostics"]["jump_on_window_edge"] == [True]
 
 
 def test_scan_anticrossing(tmp_path):
@@ -313,3 +334,5 @@ def test_scan_anticrossing(tmp_path):
     assert header == ["delta", "g_star", "min_gap", "jump_g", "jump_size"]
     g_star = float(rows[0][1])
     assert 0.24 <= g_star <= 0.28
+    meta = json.loads((tmp_path / "scan.csv.meta.json").read_text())
+    assert meta["diagnostics"]["jump_on_window_edge"] == [False]

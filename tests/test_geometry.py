@@ -325,19 +325,36 @@ def test_beyond_rwa_symmetry_breaking():
 def test_beyond_rwa_matches_plain_fock_oracle():
     """Eigenstate phases from the displaced sectors match 2 pi <n> in plain Fock."""
     params = RabiParams(omega1=1.5, omega2=1.5, g1=0.15, g2=0.15)
-    basis = DisplacedBasis.for_params(params, M=50)
     fm = model.build_full_rabi(params, n_photons=4 * 51)
     ns = fm.photon_numbers()
     for kappa in (1, -1):
-        pairs = model.truncated_parity_solve(params, basis, kappa,
-                                             check_truncation=False)
+        disp = TWO_PI * model.solve_sectors([params], 50, kappa).photon_numbers[0]
         vals, vecs, ix = model.solve_parity_sector(fm, kappa,
                                                    check_truncation=False)
         local_ns = ns[ix]
         for rank in range(12):
-            disp = geometry.berry_phase_truncated_state(pairs[rank], basis)
             plain = TWO_PI * float(local_ns @ (vecs[:, rank] ** 2))
-            assert abs(disp.gamma - plain) <= 1e-6
+            assert abs(disp[rank] - plain) <= 1e-6
+
+
+def test_beyond_rwa_weighted_phase_matches_plain_fock():
+    """The |10,0> phase, batched and per point, against a plain-Fock sum.
+
+    In the plain-Fock basis each weight is one squared component and <a^dag a>
+    is diagonal; weights below the same 1e-12 floor are dropped.
+    """
+    params_list = [RabiParams.equal_frequency(delta, g, g) for delta in (0.5, -0.5)
+                   for g in np.linspace(0.005, 0.35, 70)[::9]]
+    batched = geometry.noneigen_phases_beyond_rwa(
+        model.solve_sectors(params_list, 50, -1))
+    for params, got in zip(params_list, batched):
+        fm = model.build_full_rabi(params, n_photons=80)
+        _, vecs, ix = model.solve_parity_sector(fm, -1, check_truncation=False)
+        weights = vecs[list(ix).index(fm.basis_index("10", 0))] ** 2
+        weights = np.where(weights >= 1e-12, weights, 0.0)
+        plain = TWO_PI * float(weights @ (fm.photon_numbers()[ix] @ vecs**2))
+        assert abs(got.gamma - plain) <= 1e-13
+        assert abs(noneigen_phase_beyond_rwa(params).gamma - plain) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from rabigeom import model, numerics
 from rabigeom.model import (DisplacedBasis, RabiParams, adiabatic_eigensystem,
                             build_block, build_full_rabi, displacement_matrix, equal_frequency_k1,
                             exceptional_states, jc_eigensystem, solve_block,
-                            solve_parity_sector, truncated_parity_solve)
+                            solve_parity_sector)
 
 
 # ---------------------------------------------------------------------------
@@ -329,72 +329,71 @@ def test_adiabatic_matches_exact_weak_coupling():
 
 def test_truncated_solve_zero_coupling():
     params = RabiParams(omega1=0.9, omega2=0.3, g1=1e-12, g2=1e-12)
-    basis = DisplacedBasis.for_params(params, M=20)
     got = []
     for kappa in (1, -1):
-        got += [p.energy for p in truncated_parity_solve(
-            params, basis, kappa, check_truncation=False)[:6]]
+        got += list(model.solve_sectors([params], 20, kappa).energies[0, :6])
     expect = sorted(n + s1 * 0.45 + s2 * 0.15 for n in range(21)
                     for (s1, s2) in model._QUBIT_CONFIGS)[:6]
     assert np.allclose(sorted(got)[:6], expect, atol=1e-8)
 
 
-def test_truncated_solve_normalization():
-    params = RabiParams(omega1=1.1, omega2=0.8, g1=0.2, g2=0.3)
-    basis = DisplacedBasis.for_params(params, M=30)
-    pairs = truncated_parity_solve(params, basis, -1, check_truncation=False)
-    for p in pairs[:10]:
-        total = 2.0 * float(np.sum(p.d1**2) + np.sum(p.d2**2))
-        assert total == pytest.approx(1.0, abs=1e-10)
-
-
 def test_truncated_matches_plain_fock():
     params = RabiParams(omega1=1.5, omega2=1.5, g1=0.25, g2=0.25)
-    basis = DisplacedBasis.for_params(params, M=50)
     fm = build_full_rabi(params, n_photons=4 * 51)
     for kappa in (1, -1):
         plain, _, _ = solve_parity_sector(fm, kappa, check_truncation=False)
-        disp = [p.energy for p in truncated_parity_solve(
-            params, basis, kappa, check_truncation=False)[:15]]
-        assert np.max(np.abs(np.array(disp) - plain[:15])) <= 1e-8
+        disp = model.solve_sectors([params], 50, kappa).energies[0, :15]
+        assert np.max(np.abs(disp - plain[:15])) <= 1e-8
 
 
-def test_truncated_solve_warns_when_too_small():
+def test_solve_sectors_tail_population_flags_short_truncation():
     params = RabiParams(omega1=1.0, omega2=1.0, g1=1.4, g2=1.4)
-    basis = DisplacedBasis.for_params(params, M=10)
-    with pytest.warns(model.TruncationWarning):
-        truncated_parity_solve(params, basis, 1)
+    assert model.solve_sectors([params], 10, 1).tail_population[0] > 1e-8
+
+
+#: eight points of fig4's grid (Delta = 0.5)
+_FIG4_POINTS = np.linspace(0.005, 0.35, 70)[::9]
 
 
 @pytest.mark.parametrize("kappa", [1, -1])
 def test_solve_sectors_matches_per_point_solve(kappa):
-    """Batched kernel against truncated_parity_solve on fig4's grid."""
-    from rabigeom.geometry import vacuum_amplitudes
-    params_list = [RabiParams.equal_frequency(0.5, g, g)
-                   for g in np.linspace(0.005, 0.35, 70)]
+    """Batched displaced-Fock kernel against the plain-Fock parity sector.
+
+    In the plain-Fock basis <a^dag a> is diagonal and the |10,0> weight is one
+    squared component, so the reference shares no displaced-basis code.
+    """
+    params_list = [RabiParams.equal_frequency(0.5, g, g) for g in _FIG4_POINTS]
+    # unequal couplings displace both ladders, which fixes the relative sign
+    # of their |10,0> overlaps
+    params_list += [RabiParams.equal_frequency(0.5, 0.1, 0.25),
+                    RabiParams(omega1=1.1, omega2=0.8, g1=0.2, g2=0.3)]
     sol = model.solve_sectors(params_list, 50, kappa)
-    assert sol.kappa == kappa and sol.energies.shape == (70, 102)
+    assert sol.kappa == kappa and sol.energies.shape == (10, 102)
+    low = slice(0, 20)
     for i, params in enumerate(params_list):
-        basis = DisplacedBasis.for_params(params, M=50)
-        pairs = truncated_parity_solve(params, basis, kappa,
-                                       check_truncation=False)
-        assert np.array_equal(sol.energies[i], [p.energy for p in pairs])
-        nop = model.sector_number_operator(basis)
-        dense = [p.coefficients @ nop @ p.coefficients for p in pairs]
-        assert np.max(np.abs(sol.photon_numbers[i] - dense)) <= 1e-12
-        assert list(np.flatnonzero(sol.singlet[i])) == \
-            model.singlet_indices(params, pairs)
-        assert list(sol.kept(i)) == [j for j in range(102)
-                                     if not sol.singlet[i, j]]
-        weights = vacuum_amplitudes(params, basis, kappa, pairs) ** 2
+        fm = build_full_rabi(params, n_photons=80)
+        vals, vecs, ix = solve_parity_sector(fm, kappa, check_truncation=False)
+        vecs = vecs[:, low]
+        assert np.max(np.abs(sol.energies[i, low] - vals[low])) <= 1e-12
+        nbar = fm.photon_numbers()[ix] @ vecs**2
+        assert np.max(np.abs(sol.photon_numbers[i, low] - nbar)) <= 1e-12
+        pos = {b: k for k, b in enumerate(ix)}
+        vacuum = pos.get(fm.basis_index("10", 0))
         if kappa == 1:
+            assert vacuum is None
             assert np.array_equal(sol.vacuum_weights[i], np.zeros(102))
         else:
-            np.testing.assert_allclose(sol.vacuum_weights[i], weights,
-                                       rtol=0.0, atol=1e-15)
-        tail = max(2.0 * (p.d1[-1] ** 2 + p.d2[-1] ** 2) for p in pairs[:51])
-        assert sol.tail_population[i] == pytest.approx(tail, rel=1e-12)
-    assert np.any(sol.singlet)
+            weights = vecs[vacuum] ** 2
+            assert np.max(np.abs(sol.vacuum_weights[i, low] - weights)) <= 1e-13
+        # singlets: weight above 1 - 1e-6 on one (|10,n> - |01,n>)/sqrt(2)
+        pairs = [(pos[fm.basis_index("10", n)], pos[fm.basis_index("01", n)])
+                 for n in range(80) if fm.basis_index("10", n) in pos]
+        singlet_weight = np.max([(vecs[a] - vecs[b]) ** 2 / 2.0
+                                 for a, b in pairs], axis=0)
+        assert np.array_equal(sol.singlet[i, low], singlet_weight > 1.0 - 1e-6)
+        assert list(sol.kept(i)) == [j for j in range(102)
+                                     if not sol.singlet[i, j]]
+    assert np.any(sol.singlet[:, low])
 
 
 def test_solve_sectors_mixed_points_and_validation():
@@ -402,10 +401,12 @@ def test_solve_sectors_mixed_points_and_validation():
                    RabiParams.jc(0.1, 0.2),
                    RabiParams.equal_frequency(-0.2, 0.15, 0.15)]
     sol = model.solve_sectors(params_list, 20, -1)
+    fields = ("energies", "photon_numbers", "singlet", "vacuum_weights",
+              "tail_population")
     for i, params in enumerate(params_list):
-        pairs = truncated_parity_solve(params, DisplacedBasis.for_params(
-            params, M=20), -1, check_truncation=False)
-        assert np.array_equal(sol.energies[i], [p.energy for p in pairs])
+        one = model.solve_sectors([params], 20, -1)
+        for name in fields:
+            assert np.array_equal(getattr(sol, name)[i], getattr(one, name)[0])
     assert not np.any(sol.singlet[:2])
     with pytest.raises(ValueError):
         model.solve_sectors(params_list, 9, 1)
