@@ -32,12 +32,14 @@ class ConfigError(ValueError):
     pass
 
 
-def _row_format(row: Sequence) -> tuple[str, list[int]]:
+def _row_format(row: Sequence, suffix: tuple[str, ...] = ()
+                ) -> tuple[str, list[int]]:
     """printf format of one CSV line for rows typed like ``row``, and the
     positions of its float cells.
 
     Bools and integers are written as integers, floats with 17 significant
-    digits (they round-trip exactly), anything else through str().
+    digits (they round-trip exactly), anything else through str().  The
+    cells of ``suffix``, printf formats themselves, end the line.
     """
     specs, floats = [], []
     for i, value in enumerate(row):
@@ -48,32 +50,44 @@ def _row_format(row: Sequence) -> tuple[str, list[int]]:
             floats.append(i)
         else:
             specs.append("%s")
+    specs.extend(suffix)
     return ",".join(specs) + "\n", floats
 
 
 def write_dataset(path: str, header: list[str], rows: Iterable[Sequence],
-                  metadata: dict) -> None:
+                  metadata: dict, fixed: Sequence = ()) -> None:
     """Write ``rows`` under ``header`` to the CSV ``path`` and its sidecar.
 
     ``rows`` is any iterable of row sequences, consumed once: each row is
     formatted and written as it arrives, so a generator never holds the table
-    in memory.  Rows are formatted with one printf format per distinct tuple
-    of cell types (see _row_format).  A row whose length differs from the
-    header's or a non-finite float raises ConfigError and removes the partial
-    CSV; the sidecar, written last, records the row count.
+    in memory.  ``fixed`` holds the values of the last ``len(fixed)`` columns
+    when they are the same on every row; the rows then supply only the
+    leading columns, and the fixed cells are checked and formatted once.
+    Rows are formatted with one printf format per distinct tuple of cell
+    types (see _row_format).  A row whose length, with ``fixed``, differs
+    from the header's or a non-finite float raises ConfigError and removes
+    the partial CSV; the sidecar, written last, records the row count.
     """
+    fixed = tuple(fixed)
     formats: dict[tuple, tuple[str, list[int]]] = {}
     count = 0
     fh = open(path, "w", newline="")
     try:
         with fh:
+            suffix = ()
+            if fixed:
+                fmt, floats = _row_format(fixed)
+                if not all([math.isfinite(fixed[i]) for i in floats]):
+                    raise ConfigError("non-finite value in dataset")
+                # the formatted cells, escaped to stand in a printf format
+                suffix = ((fmt % fixed)[:-1].replace("%", "%%"),)
             fh.write(",".join(header) + "\n")
             for count, row in enumerate(rows, 1):
                 types = tuple(map(type, row))
                 if types not in formats:
-                    if len(row) != len(header):
+                    if len(row) + len(fixed) != len(header):
                         raise ConfigError("inconsistent column count")
-                    formats[types] = _row_format(row)
+                    formats[types] = _row_format(row, suffix)
                 fmt, floats = formats[types]
                 if not all([math.isfinite(row[i]) for i in floats]):
                     raise ConfigError("non-finite value in dataset")
@@ -112,6 +126,14 @@ def _parse_sweep(text: str) -> dict:
     return {"var": var, "start": start, "stop": stop, "points": points}
 
 
+def _number(kind: type, key: str, value):
+    """``kind(value)``; a value that is not a number is a configuration error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} {value!r}: not a number") from exc
+
+
 def load_config(args: argparse.Namespace) -> dict:
     """Merge config file values with command-line flags (flags win)."""
     cfg: dict = {}
@@ -145,7 +167,7 @@ def load_config(args: argparse.Namespace) -> dict:
     if cfg["model"] not in ("jc", "two-qubit"):
         raise ConfigError(f"unknown model {cfg['model']!r}")
     for key in ("trunc_m", "trunc_photons"):
-        if cfg.get(key) is not None and int(cfg[key]) < 10:
+        if cfg.get(key) is not None and _number(int, key, cfg[key]) < 10:
             raise ConfigError(f"{key} {cfg[key]}: need at least 10")
     return cfg
 
@@ -153,19 +175,21 @@ def load_config(args: argparse.Namespace) -> dict:
 def params_from_config(cfg: dict, **overrides) -> RabiParams:
     vals = {k: cfg.get(k) for k in ("omega1", "omega2", "g1", "g2", "delta")}
     vals.update(overrides)
-    delta = vals.get("delta")
-    g1 = float(vals.get("g1") or 0.0)
-    g2 = float(vals.get("g2") or 0.0)
+    vals = {k: None if v is None else _number(float, k, v)
+            for k, v in vals.items()}
+    w1, w2 = vals["omega1"], vals["omega2"]
+    g1 = vals["g1"] or 0.0
+    g2 = vals["g2"] or 0.0
+    delta = vals["delta"] or 0.0
     try:
         if cfg["model"] == "jc":
-            if vals.get("omega1") is not None:
-                return RabiParams(omega1=float(vals["omega1"]), g1=g1)
-            return RabiParams.jc(float(delta or 0.0), g1)
-        if vals.get("omega1") is not None:
-            w1 = float(vals["omega1"])
-            w2 = float(vals["omega2"]) if vals.get("omega2") is not None else w1
-            return RabiParams(omega1=w1, omega2=w2, g1=g1, g2=g2)
-        return RabiParams.equal_frequency(float(delta or 0.0), g1, g2)
+            if w1 is not None:
+                return RabiParams(omega1=w1, g1=g1)
+            return RabiParams.jc(delta, g1)
+        if w1 is not None:
+            return RabiParams(omega1=w1, omega2=w1 if w2 is None else w2,
+                              g1=g1, g2=g2)
+        return RabiParams.equal_frequency(delta, g1, g2)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -179,7 +203,7 @@ def _get(cfg: dict, key: str, default):
 def _levels(cfg: dict, default: int, minimum: int = 0) -> int:
     """The --levels count, or ``default`` when unset; below ``minimum`` is a
     configuration error."""
-    n = int(_get(cfg, "levels", default))
+    n = _number(int, "levels", _get(cfg, "levels", default))
     if n < minimum:
         raise ConfigError(f"--levels {n}: need at least {minimum}")
     return n
@@ -417,9 +441,7 @@ def cmd_evolve(cfg: dict) -> int:
         raise ConfigError(f"--levels {steps}: {exc}") from exc
     summary = (duration, p_int, q_int, res.total_phase, res.dynamical_phase,
                res.aa_phase, avg.P, avg.gamma_over_2pi)
-    rows = ((t, nbar, fid) + summary
-            for t, nbar, fid in zip(avg.times, avg.photon_expectation,
-                                    avg.fidelity))
+    rows = zip(avg.times, avg.photon_expectation, avg.fidelity)
     header = ["t", "photon_expectation", "fidelity", "T", "p", "q",
               "total_phase", "dynamical_phase", "aa_phase", "P_avg",
               "gamma_over_2pi"]
@@ -431,15 +453,18 @@ def cmd_evolve(cfg: dict) -> int:
                         "aa_phase": res.aa_phase,
                         "recurrence_fidelity": res.recurrence_fidelity,
                         "P": avg.P, "gamma_over_2pi": avg.gamma_over_2pi}}
-    write_dataset(cfg["out"], header, rows, meta)
+    write_dataset(cfg["out"], header, rows, meta, fixed=summary)
     return 0
 
 
 def cmd_scan_anticrossing(cfg: dict) -> int:
     M = int(cfg["trunc_m"])
     deltas = _get(cfg, "deltas", [_get(cfg, "delta", 0.5)])
-    g_min = float(_get(cfg, "g_min", 0.2))
-    g_max = float(_get(cfg, "g_max", 0.32))
+    if not isinstance(deltas, list):
+        raise ConfigError(f"deltas {deltas!r}: need a list of numbers")
+    deltas = [_number(float, "delta", d) for d in deltas]
+    g_min = _number(float, "g_min", _get(cfg, "g_min", 0.2))
+    g_max = _number(float, "g_max", _get(cfg, "g_max", 0.32))
     rows, on_edge = [], []
     for delta in deltas:
         def params_of_g(g: float, d=delta) -> RabiParams:

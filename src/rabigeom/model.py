@@ -388,12 +388,28 @@ def solve_parity_sector(model: FullModel, parity: int,
 # Displaced Fock states
 # ---------------------------------------------------------------------------
 
+def _overlap_entries(d: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """<m| D(d) |n> for m >= n: nonzero displacements ``d`` broadcast against
+    the index arrays ``m`` and ``n``.
+
+    This is the package's one displaced-Fock overlap formula:
+    sqrt(n!/m!) d^(m-n) e^(-d^2/2) L_n^(m-n)(d^2), its prefactor taken in log
+    space.
+    """
+    x = d * d
+    logpref = 0.5 * (gammaln(n + 1) - gammaln(m + 1)) \
+        + (m - n) * np.log(np.abs(d)) - x / 2.0
+    sign = np.sign(d) ** (m - n)
+    return sign * np.exp(logpref) * eval_genlaguerre(n, m - n, x)
+
+
 def displacement_matrix(size: int, delta) -> np.ndarray:
     """Dense matrix of <m| D(delta) |n> for m, n < size (vectorized evaluation).
 
     ``delta`` is one displacement, giving a (size, size) matrix, or a 1-D
     array of them, giving a (len(delta), size, size) stack.  A zero
-    displacement gives the identity exactly.
+    displacement gives the identity exactly; a displacement repeated in the
+    stack is evaluated once.
     """
     if size < 1:
         raise ValueError("size must be positive")
@@ -402,18 +418,30 @@ def displacement_matrix(size: int, delta) -> np.ndarray:
     D = np.repeat(np.eye(size)[None], flat.size, axis=0)
     moved = flat != 0.0
     if np.any(moved):
-        d = flat[moved][:, None]
+        d, inverse = np.unique(flat[moved], return_inverse=True)
         m, n = np.tril_indices(size)
-        x = d * d
-        logpref = 0.5 * (gammaln(n + 1) - gammaln(m + 1)) \
-            + (m - n) * np.log(np.abs(d)) - x / 2.0
-        sign = np.sign(d) ** (m - n)
-        lower = sign * np.exp(logpref) * eval_genlaguerre(n, m - n, x)
-        block = np.empty((d.shape[0], size, size))
+        lower = _overlap_entries(d[:, None], m, n)
+        block = np.empty((d.size, size, size))
         block[:, m, n] = lower
         block[:, n, m] = (-1.0) ** (m - n) * lower
-        D[moved] = block
+        D[moved] = block[inverse]
     return D.reshape(deltas.shape + (size, size))
+
+
+def _vacuum_overlaps(size: int, deltas) -> np.ndarray:
+    """<m| D(delta) |0> for m < size, one row per displacement.
+
+    Equal, bit for bit, to displacement_matrix(size, deltas)[:, :, 0], without
+    forming the matrices.
+    """
+    d = np.asarray(deltas, dtype=float)
+    cols = np.zeros((d.size, size))
+    cols[:, 0] = 1.0
+    moved = d != 0.0
+    if np.any(moved):
+        m = np.arange(size)
+        cols[moved] = _overlap_entries(d[moved][:, None], m, np.zeros_like(m))
+    return cols
 
 
 @dataclass(frozen=True)
@@ -640,7 +668,7 @@ def _vacuum_weights(vectors: np.ndarray, bases: Sequence[DisplacedBasis],
     mp1 = bases[0].M + 1
     P = len(bases)
     betas = [b.beta1 for b in bases] + [b.beta2 for b in bases]
-    cols = displacement_matrix(mp1, np.array(betas))[:, :, 0]
+    cols = _vacuum_overlaps(mp1, betas)
     amps = (np.einsum("pnj,pn->pj", vectors[:, :mp1], cols[:P])
             - np.einsum("pnj,pn->pj", vectors[:, mp1:], cols[P:]))
     amps *= 1.0 / math.sqrt(2.0)
@@ -673,26 +701,37 @@ def solve_sectors(params_list: Sequence[RabiParams], M: int,
     return SectorSolution(kappa, *(np.concatenate(a) for a in zip(*parts)))
 
 
-def is_rwa_singlet(pair: BlockEigenpair, params: RabiParams) -> bool:
-    """Dark (|10> - |01>) |k-1> level of an identical-qubit RWA block."""
-    return (abs(pair.energy - (pair.k - 1) * params.omega_c) < 1e-9
-            and abs(pair.a) < 1e-9 and abs(pair.d) < 1e-9
-            and abs(pair.b + pair.c) < 1e-9)
+def _rwa_singlet_mask(k: np.ndarray, values: np.ndarray, coeffs: np.ndarray,
+                      omega_c: float) -> np.ndarray:
+    """Mask of the dark (|10> - |01>) |k-1> levels of identical-qubit RWA
+    blocks: level j belongs to block k[j], has energy values[j] and the
+    coefficients coeffs[:, j] on (a, b, c, d) as in BlockEigenpair."""
+    a, b, c, d = coeffs
+    return ((np.abs(values - (k - 1) * omega_c) < 1e-9)
+            & (np.abs(a) < 1e-9) & (np.abs(d) < 1e-9) & (np.abs(b + c) < 1e-9))
 
 
 def rwa_parity_levels(params: RabiParams, parity: int, n_levels: int,
                       drop_singlets: bool = False) -> np.ndarray:
-    """RWA sector spectrum: union of excitation blocks with (-1)^k = parity."""
-    singlet_like = drop_singlets and params.identical_qubits()
-    energies = []
-    k = 0 if parity == 1 else 1
-    while k <= 2 * n_levels + 2:
-        for pair in solve_block(params, k):
-            if singlet_like and k >= 1 and is_rwa_singlet(pair, params):
-                continue
-            energies.append(pair.energy)
-        k += 2
-    return np.sort(energies)[:n_levels]
+    """RWA sector spectrum: union of excitation blocks with (-1)^k = parity.
+
+    The lowest block (k = 0 or 1) takes one eigh call and the 4x4 blocks
+    k >= 2 one stacked call.
+    """
+    k0 = 0 if parity == 1 else 1
+    ks = range(k0 + 2, 2 * max(n_levels, 1) + 3, 2)
+    low = numerics.eigh(build_block(params, k0))
+    high = numerics.eigh(np.stack([build_block(params, k) for k in ks]))
+    values = np.concatenate([low.eigenvalues, high.eigenvalues.ravel()])
+    if drop_singlets and params.identical_qubits():
+        # the k = 0 and k = 1 bases lack the leading rows of (a, b, c, d);
+        # the k = 0 level has d = 1, so it is never a singlet
+        n0 = low.eigenvalues.size
+        coeffs = np.hstack([np.pad(low.eigenvectors, ((4 - n0, 0), (0, 0))),
+                            *high.eigenvectors])
+        k = np.repeat([k0, *ks], [n0] + [4] * len(ks))
+        values = values[~_rwa_singlet_mask(k, values, coeffs, params.omega_c)]
+    return np.sort(values)[:n_levels]
 
 
 # ---------------------------------------------------------------------------

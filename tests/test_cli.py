@@ -176,6 +176,15 @@ def test_config_error_exit_code(tmp_path):
     # a plain-Fock sector keeps only 2 N = 20 states at N = 10 photons
     assert run(["spectrum", *short, *sweep, "--full", "--levels", "30",
                 "--trunc-photons", "10"]) == 2
+    # config values that are not numbers
+    for command, bad in ((["noneigen", *sweep], {"trunc_m": "abc"}),
+                         (["spectrum", *sweep], {"levels": "abc"}),
+                         (["evolve"], {"g1": "abc"}),
+                         (["scan-anticrossing"], {"g_min": "abc"}),
+                         (["scan-anticrossing"], {"deltas": 0.5})):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(bad))
+        assert run([*command, *short, "--config", str(config)]) == 2
 
 
 def test_scan_anticrossing_monotone_gap_exit_code(tmp_path, capsys):
@@ -276,14 +285,18 @@ def _cell(value) -> str:
     return str(value)
 
 
+#: rows of mixed cell types, one row-type signature each
+_MIXED_ROWS = [
+    (-0.0, True, np.bool_(False), np.int64(-7), np.float64(1 / 3), "even", 3),
+    (math.pi, False, np.bool_(True), np.int64(2 ** 40), np.float64(-1e-300),
+     "rwa", 2.5),
+    (5e-324, 1, np.float32(0.1), 0, np.float64(-0.0), "a b", -1.0e308),
+    (0.1, np.int32(4), None, 10 ** 20, 1e16, "psi1_2", np.uint8(255))]
+_MIXED_HEADER = ["a", "b", "c", "d", "e", "f", "g"]
+
+
 def test_write_dataset_matches_per_cell_rule(tmp_path):
-    rows = [(-0.0, True, np.bool_(False), np.int64(-7), np.float64(1 / 3),
-             "even", 3),
-            (math.pi, False, np.bool_(True), np.int64(2 ** 40),
-             np.float64(-1e-300), "rwa", 2.5),
-            (5e-324, 1, np.float32(0.1), 0, np.float64(-0.0), "a b", -1.0e308),
-            (0.1, np.int32(4), None, 10 ** 20, 1e16, "psi1_2", np.uint8(255))]
-    header = ["a", "b", "c", "d", "e", "f", "g"]
+    rows, header = _MIXED_ROWS, _MIXED_HEADER
     out = tmp_path / "t.csv"
     cli.write_dataset(str(out), header, iter(rows), {"command": "test"})
     want = "".join(",".join(map(_cell, row)) + "\n"
@@ -291,6 +304,40 @@ def test_write_dataset_matches_per_cell_rule(tmp_path):
     assert out.read_bytes() == want.encode()
     meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
     assert meta["rows"] == len(rows) and meta["columns"] == header
+
+
+@pytest.mark.parametrize("split", [2, 5])
+@pytest.mark.parametrize("tail_row", [0, 3])
+def test_write_dataset_fixed_columns_match_full_rows(tmp_path, split,
+                                                     tail_row):
+    fixed = _MIXED_ROWS[tail_row][split:]
+    full, lead = tmp_path / "full.csv", tmp_path / "lead.csv"
+    cli.write_dataset(str(full), _MIXED_HEADER,
+                      [row[:split] + fixed for row in _MIXED_ROWS], {})
+    cli.write_dataset(str(lead), _MIXED_HEADER,
+                      (row[:split] for row in _MIXED_ROWS), {}, fixed=fixed)
+    assert lead.read_bytes() == full.read_bytes()
+    assert (tmp_path / "lead.csv.meta.json").read_text() == \
+        (tmp_path / "full.csv.meta.json").read_text()
+
+
+def test_write_dataset_fixed_percent_is_literal(tmp_path):
+    out = tmp_path / "p.csv"
+    cli.write_dataset(str(out), ["x", "label", "n"], [[0.5], [np.int64(2)]],
+                      {}, fixed=("100%d %s%%", 7))
+    assert out.read_text() == "x,label,n\n0.5,100%d %s%%,7\n2,100%d %s%%,7\n"
+
+
+@pytest.mark.parametrize("fixed, row", [((math.nan, 1), [0.5]),
+                                        ((1.0, np.float64(np.inf)), [0.5]),
+                                        ((1.0, 2), [0.5, 1.0]),
+                                        ((1.0, 2), [])])
+def test_write_dataset_bad_fixed_leaves_no_csv(tmp_path, fixed, row):
+    out = tmp_path / "bad.csv"
+    with pytest.raises(cli.ConfigError):
+        cli.write_dataset(str(out), ["x", "y", "z"], [row], {}, fixed=fixed)
+    assert not out.exists()
+    assert not (tmp_path / "bad.csv.meta.json").exists()
 
 
 @pytest.mark.parametrize("bad", [[math.nan, 1], [math.inf, 1],

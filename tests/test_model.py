@@ -288,6 +288,56 @@ def test_displacement_matrix_stack_zero_edge():
             assert np.max(np.abs(D - displacement_matrix(51, d))) <= 1e-14
 
 
+def test_displacement_matrix_evaluates_repeats_once():
+    # g1 = g2 makes beta1 + beta2 and beta1 - beta2 repeat across a sweep
+    deltas = np.array([0.3, -0.3, 0.3, 0.0, 1.2, 0.3, 1.2, -0.0, 2e-3])
+    stack = displacement_matrix(51, deltas)
+    assert np.array_equal(stack, np.stack([displacement_matrix(51, d)
+                                           for d in deltas]))
+
+
+@pytest.mark.parametrize("size", [11, 51, 61])
+def test_vacuum_overlaps_equal_displacement_column(size):
+    betas = np.array([0.0, 1e-6, -1e-6, 0.01, -0.01, 0.3, -0.3, 1.0, -1.0,
+                      3.0, -3.0])
+    cols = model._vacuum_overlaps(size, betas)
+    assert np.array_equal(cols, displacement_matrix(size, betas)[:, :, 0])
+
+
+def _rwa_levels_per_block(params, parity, n_levels, drop_singlets):
+    """Reference: one eigh per excitation block and a scalar singlet test."""
+    singlet_like = drop_singlets and params.identical_qubits()
+    energies = []
+    for k in range(0 if parity == 1 else 1, 2 * n_levels + 3, 2):
+        for pair in solve_block(params, k):
+            if (singlet_like and k >= 1
+                    and abs(pair.energy - (k - 1) * params.omega_c) < 1e-9
+                    and abs(pair.a) < 1e-9 and abs(pair.d) < 1e-9
+                    and abs(pair.b + pair.c) < 1e-9):
+                continue
+            energies.append(pair.energy)
+    return np.sort(energies)[:n_levels]
+
+
+@pytest.mark.parametrize("params", [
+    RabiParams.equal_frequency(0.5, 0.2, 0.2),
+    RabiParams.equal_frequency(0.0, 0.0, 0.0),
+    RabiParams.equal_frequency(0.3, 0.1, 0.25),
+    RabiParams(omega1=1.2, omega2=0.7, g1=0.1, g2=0.15),
+])
+def test_rwa_parity_levels_match_per_block_solves(params):
+    for parity in (1, -1):
+        for n_levels in (1, 8):
+            for drop in (False, True):
+                got = model.rwa_parity_levels(params, parity, n_levels, drop)
+                want = _rwa_levels_per_block(params, parity, n_levels, drop)
+                assert np.array_equal(got, want)
+    # coupled identical qubits: dropping singlets removes levels
+    if params.identical_qubits() and params.g1 > 0.0:
+        assert not np.array_equal(model.rwa_parity_levels(params, -1, 8, True),
+                                  model.rwa_parity_levels(params, -1, 8))
+
+
 # ---------------------------------------------------------------------------
 # adiabatic approximation and truncated sectors
 # ---------------------------------------------------------------------------
