@@ -2,7 +2,9 @@
 
 Walks through the k = 1 doublet at a few detunings and shows that the
 closed-form phase, the photon-number expectation 2 pi <a^dag a>, and the
-Stokes integral of the finite-difference Berry curvature all agree.
+Stokes integral of the finite-difference Berry curvature all agree.  The
+connection A_phi, the curvature and the radial field are numpy arrays over
+the theta grid.
 The monopole picture: the curvature of the upper eigenstate on the unit
 parameter sphere is the field of a charge -1/2 at the origin.
 """
@@ -25,9 +27,9 @@ for delta in (-0.3, -0.1, 0.0, 0.1, 0.3):
     oracle = geometry.berry_phase_fock_state(eig.state_plus, [0, 1]).gamma
 
     thetas = np.linspace(0.0, eig.theta_k, max(3, round(eig.theta_k / 1e-3) + 1))
-    samples = geometry.connection_field(params, "jc_plus", thetas, verify=False)
-    curv = geometry.curvature_from_connection(samples)
-    stokes = geometry.phase_by_surface_integral(curv).gamma
+    a_phi = geometry.connection_field(params, "jc_plus", thetas, verify=False)
+    curv = geometry.curvature_from_connection(thetas, a_phi)
+    stokes = geometry.phase_by_surface_integral(thetas, curv).gamma
 
     minus = geometry.berry_phase_jc(params, 1, "-").gamma
     print(f"{delta:8.2f} {eig.theta_k:9.4f} {closed:10.6f} {oracle:10.6f} "
@@ -36,7 +38,8 @@ for delta in (-0.3, -0.1, 0.0, 0.1, 0.3):
 print()
 print("Radial curvature field on the unit sphere (eigenstate: isotropic,")
 print("vacuum-start noneigenstate: cos(theta), opposite charges at the poles)")
-for theta in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi):
-    eig_f = geometry.radial_field("eigen_jc", [theta])[0].F_radial
-    non_f = geometry.radial_field("noneigen_jc", [theta])[0].F_radial
-    print(f"  theta = {theta:6.3f}:  eigen {eig_f:+.3f}   noneigen {non_f:+.3f}")
+thetas = np.linspace(0.0, math.pi, 5)
+eig_f = geometry.radial_field("eigen_jc", thetas)
+non_f = geometry.radial_field("noneigen_jc", thetas)
+for theta, e, n in zip(thetas, eig_f, non_f):
+    print(f"  theta = {theta:6.3f}:  eigen {e:+.3f}   noneigen {n:+.3f}")

@@ -4,10 +4,12 @@ Library layout:
 
 * :mod:`rabigeom.numerics` - symmetric eigensolves, propagation, quadrature
 * :mod:`rabigeom.model` - Hamiltonians: JC closed forms, RWA excitation
-  blocks, plain-Fock and displaced-Fock beyond-RWA constructions,
-  exceptional exact eigenstates
-* :mod:`rabigeom.geometry` - Berry connections, curvatures, Berry phases of
-  eigenstates and vacuum-induced geometric phases of noneigenstates
+  blocks (``solve_block`` returns energies and a (4, n) coefficient array),
+  plain-Fock and displaced-Fock beyond-RWA constructions, exceptional exact
+  eigenstates
+* :mod:`rabigeom.geometry` - Berry connections and curvatures as arrays over
+  a theta grid, Berry phases of eigenstates and vacuum-induced geometric
+  phases of noneigenstates (``PhaseResult``)
 * :mod:`rabigeom.dynamics` - cyclic vacuum-to-vacuum evolutions,
   Aharonov-Anandan phases, photon-number averages
 * :mod:`rabigeom.cli` - scenario presets writing reproducible CSV datasets

@@ -330,20 +330,24 @@ def _dual_basis_audit(pars: RabiParams, M: int, n_photons: int,
     """Cross-check displaced-sector energies against a plain-Fock build.
 
     Spectra are compared unfiltered: singlet levels sit at exactly n omega_c
-    in both constructions, so they cancel out of the deviation.
+    in both constructions, so they cancel out of the deviation.  The
+    population of each plain-Fock sector ground state on the top Fock level
+    is recorded, so a short --trunc-photons shows in the sidecar.
     """
     if n_levels > 2 * n_photons:
         raise ConfigError(f"--levels {n_levels}: a plain-Fock parity sector "
                           f"keeps only {2 * n_photons} states at "
                           f"--trunc-photons {n_photons}")
     fm = model.build_full_rabi(pars, n_photons=n_photons)
-    worst = 0.0
+    worst, top = 0.0, {}
     for kappa in (1, -1):
-        plain, _, _ = model.solve_parity_sector(fm, kappa,
-                                                check_truncation=False)
+        plain, vectors, ix = model.solve_parity_sector(fm, kappa,
+                                                       check_truncation=False)
+        top[_parity_name(kappa)] = model._top_population(fm, ix, vectors)
         disp = model.solve_sectors([pars], M, kappa).energies[0, :n_levels]
         worst = max(worst, float(np.max(np.abs(disp - plain[:n_levels]))))
-    return {"n_photons": n_photons, "max_energy_deviation": worst}
+    return {"n_photons": n_photons, "max_energy_deviation": worst,
+            "top_level_population": top}
 
 
 def _parity_name(parity: int) -> str:
@@ -382,8 +386,10 @@ def cmd_curvature_field(cfg: dict) -> int:
     rows = []
     for label in ("eigen_jc", "eigen_two_qubit", "noneigen_jc",
                   "noneigen_two_qubit"):
-        for s in geometry.radial_field(label, thetas, phis=(0.0,)):
-            rows.append([label, s.theta, s.phi, s.F_radial])
+        field = geometry.radial_field(label, thetas)
+        # the field does not depend on phi; the dataset samples phi = 0
+        rows += [[label, th, 0.0, f]
+                 for th, f in zip(thetas.tolist(), field.tolist())]
     meta = {"config": _json_safe(cfg), "command": "curvature-field",
             "convergence_gate": {"applicable": False},
             "normalization": "max |F| on the unit sphere = 1"}
@@ -465,6 +471,9 @@ def cmd_scan_anticrossing(cfg: dict) -> int:
     deltas = [_number(float, "delta", d) for d in deltas]
     g_min = _number(float, "g_min", _get(cfg, "g_min", 0.2))
     g_max = _number(float, "g_max", _get(cfg, "g_max", 0.32))
+    if not 0.0 <= g_min < g_max:
+        raise ConfigError(f"g window [{g_min}, {g_max}]: need "
+                          "0 <= g_min < g_max")
     rows, on_edge = [], []
     for delta in deltas:
         def params_of_g(g: float, d=delta) -> RabiParams:

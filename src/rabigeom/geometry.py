@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, numerics
-from .model import BlockEigenpair, DisplacedBasis, RabiParams, SectorSolution
+from .model import DisplacedBasis, RabiParams, SectorSolution
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,25 +45,7 @@ class PhaseResult:
     """A geometric phase in radians, not reduced mod 2 pi."""
 
     gamma: float
-    method: str
     weight_total: float | None = None
-
-
-@dataclass(frozen=True)
-class ConnectionSample:
-    theta: float
-    phi: float
-    A_theta: float
-    A_phi: float
-    gauge: str = "paper gauge"
-
-
-@dataclass(frozen=True)
-class CurvatureSample:
-    theta: float
-    phi: float
-    F_theta_phi: float = math.nan
-    F_radial: float = math.nan
 
 
 def reduce_phase(gamma: float) -> float:
@@ -75,38 +57,21 @@ def reduce_phase(gamma: float) -> float:
 # Berry phase of eigenstates: the photon-number route
 # ---------------------------------------------------------------------------
 
-def photon_expectation_fock(coefficients, photon_numbers) -> float:
-    """<a^dag a> of a real state expanded over basis states of definite n."""
+def berry_phase_fock_state(coefficients, photon_numbers) -> PhaseResult:
+    """Berry phase 2 pi <a^dag a> of a real state expanded over basis states
+    of definite photon number.
+
+    This is the oracle every closed form is tested against.  A block state
+    of solve_block has the slot photon numbers (k-2, k-1, k-1, k);
+    displaced-sector phases come from model.solve_sectors as
+    2 pi photon_numbers.
+    """
     c = np.asarray(coefficients, dtype=float)
     ns = np.asarray(photon_numbers, dtype=float)
     norm = float(np.sum(c * c))
     if abs(norm - 1.0) > 1e-10:
         raise NotNormalized(f"state norm^2 = {norm!r}")
-    return float(np.sum(ns * c * c))
-
-
-def berry_phase_fock_state(coefficients, photon_numbers) -> PhaseResult:
-    gamma = TWO_PI * photon_expectation_fock(coefficients, photon_numbers)
-    return PhaseResult(gamma, "photon_expectation")
-
-
-def berry_phase_block_state(pair: BlockEigenpair) -> PhaseResult:
-    nbar = pair.photon_expectation
-    if abs(float(np.sum(pair.coeffs**2)) - 1.0) > 1e-10:
-        raise NotNormalized("block eigenpair coefficients not normalized")
-    return PhaseResult(TWO_PI * nbar, "photon_expectation")
-
-
-def berry_phase_eigenstate(state, *args) -> PhaseResult:
-    """Berry phase of any eigenstate as 2 pi <a^dag a>.
-
-    Accepts a BlockEigenpair, or a plain coefficient vector together with the
-    photon number of each basis slot.  Displaced-sector phases come from
-    model.solve_sectors as 2 pi photon_numbers.
-    """
-    if isinstance(state, BlockEigenpair):
-        return berry_phase_block_state(state)
-    return berry_phase_fock_state(state, *args)
+    return PhaseResult(TWO_PI * float(np.sum(ns * c * c)))
 
 
 # ---------------------------------------------------------------------------
@@ -119,40 +84,37 @@ def berry_phase_jc(params: RabiParams, k: int, branch: str) -> PhaseResult:
     if branch not in ("+", "-"):
         raise LabelError(f"unknown JC branch {branch!r}")
     if k == 0:
-        return PhaseResult(0.0, "closed_form")
+        return PhaseResult(0.0)
     theta = model.spectral_angles(params, k).theta_k
     swing = math.pi * (1.0 - math.cos(theta))
     if branch == "+":
         gamma = swing + TWO_PI * (k - 1)
     else:
         gamma = -swing + TWO_PI * k
-    return PhaseResult(gamma, "closed_form")
+    return PhaseResult(gamma)
 
 
-def berry_phase_block_closed_form(pair: BlockEigenpair) -> PhaseResult:
-    """Closed-form phase of a solved two-qubit block eigenstate.
+def berry_phase_block_closed_form(k: int, coeffs) -> np.ndarray:
+    """Closed-form phases of the levels of two-qubit block k, one per column
+    of the (4, n) ``coeffs`` on (a, b, c, d) returned by model.solve_block.
 
-    For k = 1 the angle satisfies cos theta = 1 - 2 d^2; for k >= 2,
-    cos theta = 1 - 2 |s_k| with s_k = d^2 - a^2 and the phase carries the
-    winding 2 pi (k - 1) plus sgn(s_k) pi (1 - cos theta).
+    With s_k = d^2 - a^2 and cos theta = 1 - 2 |s_k|, the phase is
+    sgn(s_k) pi (1 - cos theta) plus the winding 2 pi (k - 1).  For k = 1
+    (a = 0) this is pi (1 - cos theta) with cos theta = 1 - 2 d^2, and the
+    k = 0 ground state (d = 1) gets 0.
     """
-    if pair.k == 0:
-        return PhaseResult(0.0, "closed_form")
-    if pair.k == 1:
-        cos_theta = 1.0 - 2.0 * pair.d**2
-        return PhaseResult(math.pi * (1.0 - cos_theta), "closed_form")
-    s = pair.s_k
-    cos_theta = 1.0 - 2.0 * abs(s)
-    gamma = np.sign(s) * math.pi * (1.0 - cos_theta) + TWO_PI * (pair.k - 1)
-    return PhaseResult(float(gamma), "closed_form")
+    a, _, _, d = np.asarray(coeffs, dtype=float)
+    s = d * d - a * a
+    cos_theta = 1.0 - 2.0 * np.abs(s)
+    return np.sign(s) * math.pi * (1.0 - cos_theta) + TWO_PI * (k - 1)
 
 
 def berry_phase_two_qubit(params: RabiParams, k: int, l: int) -> PhaseResult:
     """Closed-form two-qubit Berry phase of level l (ascending) in block k."""
-    pairs = model.solve_block(params, k)
-    if not 1 <= l <= len(pairs):
+    _, coeffs = model.solve_block(params, k)
+    if not 1 <= l <= coeffs.shape[1]:
         raise LabelError(f"block k={k} has no level l={l}")
-    return berry_phase_block_closed_form(pairs[l - 1])
+    return PhaseResult(float(berry_phase_block_closed_form(k, coeffs)[l - 1]))
 
 
 def berry_phase_equal_frequency(params: RabiParams, l: int) -> PhaseResult:
@@ -167,7 +129,7 @@ def berry_phase_equal_frequency(params: RabiParams, l: int) -> PhaseResult:
         gamma = math.pi * (1.0 + cos_theta)
     else:
         raise LabelError(f"equal-frequency k=1 has levels l=1..3, got {l}")
-    return PhaseResult(gamma, "closed_form")
+    return PhaseResult(gamma)
 
 
 def berry_phase_adiabatic(params: RabiParams, n: int, kappa: int,
@@ -179,35 +141,14 @@ def berry_phase_adiabatic(params: RabiParams, n: int, kappa: int,
     basis = DisplacedBasis.for_params(params, M=max(1, n))
     arg = basis.beta1**2 * sol.d1n**2 + basis.beta2**2 * sol.d2n**2
     theta = 2.0 * math.asin(min(1.0, math.sqrt(arg)))
-    gamma = math.pi * (1.0 - math.cos(theta)) + TWO_PI * n
-    return PhaseResult(gamma, "closed_form")
+    return PhaseResult(math.pi * (1.0 - math.cos(theta)) + TWO_PI * n)
 
 
 def berry_phase_exceptional(q: float) -> PhaseResult:
     """Exact phase of the one-photon exceptional states,
     cos theta = (1 - 2 q^2) / (1 + 2 q^2)."""
     cos_theta = (1.0 - 2.0 * q * q) / (1.0 + 2.0 * q * q)
-    return PhaseResult(math.pi * (1.0 - cos_theta), "closed_form")
-
-
-def berry_phase_closed_form(params: RabiParams | None, label) -> PhaseResult:
-    """Dispatch on a state label tuple.
-
-    Labels: ('jc', k, '+'|'-'), ('two_qubit', k, l), ('equal_frequency', l),
-    ('adiabatic', n, kappa, branch), ('exceptional', q).
-    """
-    kind = label[0]
-    if kind == "jc":
-        return berry_phase_jc(params, label[1], label[2])
-    if kind == "two_qubit":
-        return berry_phase_two_qubit(params, label[1], label[2])
-    if kind == "equal_frequency":
-        return berry_phase_equal_frequency(params, label[1])
-    if kind == "adiabatic":
-        return berry_phase_adiabatic(params, label[1], label[2], label[3])
-    if kind == "exceptional":
-        return berry_phase_exceptional(label[1])
-    raise LabelError(f"unknown closed-form label {label!r}")
+    return PhaseResult(math.pi * (1.0 - cos_theta))
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +219,14 @@ def _state_photon_expectation(label: str, theta: float, params: RabiParams) -> f
 
 
 def connection_field(params: RabiParams, state_label: str, thetas,
-                     phi: float = 0.0, verify: bool = True,
-                     ) -> list[ConnectionSample]:
-    """Berry connection samples (A_theta = 0, A_phi analytic) along a theta grid.
+                     verify: bool = True) -> np.ndarray:
+    """Berry connection A_phi(theta) along a theta grid, in the paper gauge.
 
-    With verify=True each analytic A_phi is checked against <a^dag a> of the
-    eigenstates reconstructed at parameters realizing that polar angle; a
-    mismatch beyond 1e-10 raises, since it would invalidate every phase
-    downstream.
+    A_theta vanishes identically in this gauge, and A_phi does not depend on
+    phi.  With verify=True each analytic A_phi is checked against <a^dag a>
+    of the eigenstates reconstructed at parameters realizing that polar
+    angle; a mismatch beyond 1e-10 raises, since it would invalidate every
+    phase downstream.
     """
     if state_label not in _CONNECTION_LABELS:
         raise LabelError(f"unknown connection label {state_label!r}")
@@ -301,19 +242,16 @@ def connection_field(params: RabiParams, state_label: str, thetas,
             if abs(nbar - ap) > 1e-10:
                 raise AssertionError(
                     f"connection check failed at theta={th}: {nbar} vs {ap}")
-    return [ConnectionSample(float(th), phi, 0.0, float(ap))
-            for th, ap in zip(thetas, a_phi)]
+    return a_phi
 
 
-def curvature_from_connection(samples: list[ConnectionSample],
-                              ) -> list[CurvatureSample]:
+def curvature_from_connection(thetas, a_phi) -> np.ndarray:
     """F_theta_phi = dA_phi/dtheta by central differences on a uniform grid.
 
     In the gauge used here A_phi does not depend on phi, so the second term of
     the curl vanishes identically.
     """
-    thetas = np.array([s.theta for s in samples])
-    a_phi = np.array([s.A_phi for s in samples])
+    thetas = np.asarray(thetas, dtype=float)
     if thetas.size < 3:
         raise ValueError("need at least three samples")
     spacing = np.diff(thetas)
@@ -322,13 +260,10 @@ def curvature_from_connection(samples: list[ConnectionSample],
     if spacing[0] > 1e-2:
         warnings.warn(f"theta spacing {spacing[0]:.3e} exceeds 1e-2; curvature "
                       "accuracy degraded", AccuracyWarning, stacklevel=2)
-    F = np.gradient(a_phi, thetas, edge_order=2)
-    phi = samples[0].phi
-    return [CurvatureSample(float(th), phi, F_theta_phi=float(f))
-            for th, f in zip(thetas, F)]
+    return np.gradient(np.asarray(a_phi, dtype=float), thetas, edge_order=2)
 
 
-def phase_by_surface_integral(samples: list[CurvatureSample]) -> PhaseResult:
+def phase_by_surface_integral(thetas, F) -> PhaseResult:
     """Stokes integral 2 pi int_0^theta F dtheta' of a phi-independent curvature.
 
     Yields the winding-free part of the Berry phase for the cap bounded by the
@@ -336,36 +271,27 @@ def phase_by_surface_integral(samples: list[CurvatureSample]) -> PhaseResult:
     the south pole pick up an extra 2 pi per enclosed monopole, accounted for
     by the caller.
     """
-    thetas = np.array([s.theta for s in samples])
-    F = np.array([s.F_theta_phi for s in samples])
-    gamma = TWO_PI * numerics.trapezoid_integral(thetas, F)
-    return PhaseResult(gamma, "curvature_integral")
+    return PhaseResult(TWO_PI * numerics.trapezoid_integral(thetas, F))
 
 
 _RADIAL_LABELS = ("eigen_jc", "eigen_two_qubit", "noneigen_jc",
                   "noneigen_two_qubit")
 
 
-def radial_field(state_label: str, thetas, phis=(0.0,)) -> list[CurvatureSample]:
+def radial_field(state_label: str, thetas) -> np.ndarray:
     """Radial curvature field on the unit parameter sphere, peak-normalized.
 
-    Eigenstate fields are monopole-like and constant over the sphere; the
-    vacuum-start noneigenstate fields carry the extra factor cos(theta), which
-    vanishes on the equator and points inward on the southern hemisphere.
+    The field does not depend on phi.  Eigenstate fields are monopole-like
+    and constant over the sphere; the vacuum-start noneigenstate fields carry
+    the extra factor cos(theta), which vanishes on the equator and points
+    inward on the southern hemisphere.
     """
     if state_label not in _RADIAL_LABELS:
         raise LabelError(f"unknown radial field label {state_label!r}")
     thetas = np.asarray(thetas, dtype=float)
-    phis = np.asarray(phis, dtype=float)
-    out = []
-    for phi in phis:
-        if state_label.startswith("eigen"):
-            vals = np.ones_like(thetas)
-        else:
-            vals = np.cos(thetas)
-        out.extend(CurvatureSample(float(th), float(phi), F_radial=float(v))
-                   for th, v in zip(thetas, vals))
-    return out
+    if state_label.startswith("eigen"):
+        return np.ones_like(thetas)
+    return np.cos(thetas)
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +305,13 @@ def noneigen_geometric_phase(weights, gammas) -> PhaseResult:
     total = float(np.sum(w))
     if abs(total - 1.0) > 1e-10:
         raise WeightError(f"weights sum to {total!r}, expected 1")
-    return PhaseResult(float(np.sum(w * g)), "weighted_sum", weight_total=total)
+    return PhaseResult(float(np.sum(w * g)), weight_total=total)
 
 
 def vacuum_phase_jc(params: RabiParams) -> PhaseResult:
     """Vacuum-induced geometric phase of |1,0>: pi (1 - cos 2 theta_1) / 2."""
     theta = model.spectral_angles(params, 1).theta_k
-    return PhaseResult(0.5 * math.pi * (1.0 - math.cos(2.0 * theta)),
-                       "closed_form")
+    return PhaseResult(0.5 * math.pi * (1.0 - math.cos(2.0 * theta)))
 
 
 def vacuum_phase_two_qubit(params: RabiParams) -> PhaseResult:
@@ -395,7 +320,7 @@ def vacuum_phase_two_qubit(params: RabiParams) -> PhaseResult:
     ef = model.equal_frequency_k1(params)
     gamma = 0.5 * math.pi * math.cos(ef.alpha) ** 2 \
         * (1.0 - math.cos(2.0 * ef.theta_1_2))
-    return PhaseResult(gamma, "closed_form")
+    return PhaseResult(gamma)
 
 
 def noneigen_curvature_two_qubit(params: RabiParams) -> float:
@@ -447,7 +372,7 @@ def noneigen_phase_beyond_rwa(params: RabiParams,
         gamma += w * TWO_PI * float(c @ nop @ c)
         total += w
     _check_weight_total(float(total))
-    return PhaseResult(gamma, "weighted_sum", weight_total=total)
+    return PhaseResult(gamma, weight_total=total)
 
 
 def noneigen_phases_beyond_rwa(odd: SectorSolution,
@@ -466,7 +391,7 @@ def noneigen_phases_beyond_rwa(odd: SectorSolution,
     gammas = np.sum(weights * TWO_PI * odd.photon_numbers, axis=1)
     for total in totals:
         _check_weight_total(float(total))
-    return [PhaseResult(float(g), "weighted_sum", weight_total=float(t))
+    return [PhaseResult(float(g), weight_total=float(t))
             for g, t in zip(gammas, totals)]
 
 

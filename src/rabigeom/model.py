@@ -179,49 +179,21 @@ def build_block(params: RabiParams, k: int) -> np.ndarray:
     return H
 
 
-@dataclass(frozen=True)
-class BlockEigenpair:
-    """One eigenstate of an excitation block.
+def solve_block(params: RabiParams, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Energies (ascending) and coefficients of one excitation block.
 
-    Coefficients (a, b, c, d) multiply |11,k-2>, |10,k-1>, |01,k-1>, |00,k>;
-    slots that do not exist for k <= 1 are stored as zero, which keeps the
-    photon-number identity <a^dag a> = (k - 1) + d^2 - a^2 uniform in k.
+    Column j of the (4, n) ``coeffs`` holds the coefficients (a, b, c, d) of
+    level j on |11,k-2>, |10,k-1>, |01,k-1>, |00,k>.  Slots that do not exist
+    for k <= 1 are zero, which keeps <a^dag a> = (k - 1) + d^2 - a^2 uniform
+    in k.
     """
-
-    k: int
-    l: int           # 1-based rank in ascending energy order
-    energy: float
-    coeffs: np.ndarray = field(repr=False)
-    a: float
-    b: float
-    c: float
-    d: float
-
-    @property
-    def s_k(self) -> float:
-        return self.d**2 - self.a**2
-
-    @property
-    def photon_expectation(self) -> float:
-        return (self.k - 1.0) + self.s_k
+    values, vectors = numerics.eigh(build_block(params, k))
+    return values, _abcd(vectors)
 
 
-def solve_block(params: RabiParams, k: int) -> list[BlockEigenpair]:
-    """Eigenpairs of one excitation block, sorted ascending in energy."""
-    H = build_block(params, k)
-    values, vectors = numerics.eigh(H)
-    pairs = []
-    for idx in range(values.size):
-        v = vectors[:, idx]
-        if k == 0:
-            a, b, c, d = 0.0, 0.0, 0.0, v[0]
-        elif k == 1:
-            a, (b, c, d) = 0.0, v
-        else:
-            a, b, c, d = v
-        pairs.append(BlockEigenpair(k, idx + 1, float(values[idx]), v,
-                                    float(a), float(b), float(c), float(d)))
-    return pairs
+def _abcd(vectors: np.ndarray) -> np.ndarray:
+    """Block eigenvectors on the slots (a, b, c, d): absent leading slots zero."""
+    return np.pad(vectors, ((4 - vectors.shape[0], 0), (0, 0)))
 
 
 @dataclass(frozen=True)
@@ -375,13 +347,20 @@ def solve_parity_sector(model: FullModel, parity: int,
     ix = model.parity_indices(parity)
     decomp = numerics.eigh(model.sector_matrix(parity))
     if check_truncation:
-        top = np.flatnonzero(model.photon_numbers()[ix] == model.n_photons - 1)
-        pop = float(np.sum(decomp.eigenvectors[top, 0] ** 2))
+        pop = _top_population(model, ix, decomp.eigenvectors)
         if pop > 1e-8:
             warnings.warn(
                 f"ground-state population {pop:.2e} on the last Fock level; "
                 f"increase n_photons", TruncationWarning, stacklevel=2)
     return decomp.eigenvalues, decomp.eigenvectors, ix
+
+
+def _top_population(model: FullModel, ix: np.ndarray,
+                    vectors: np.ndarray) -> float:
+    """Population of the sector ground state on the top Fock level; ``ix`` and
+    ``vectors`` as returned by solve_parity_sector."""
+    top = np.flatnonzero(model.photon_numbers()[ix] == model.n_photons - 1)
+    return float(np.sum(vectors[top, 0] ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -705,31 +684,58 @@ def _rwa_singlet_mask(k: np.ndarray, values: np.ndarray, coeffs: np.ndarray,
                       omega_c: float) -> np.ndarray:
     """Mask of the dark (|10> - |01>) |k-1> levels of identical-qubit RWA
     blocks: level j belongs to block k[j], has energy values[j] and the
-    coefficients coeffs[:, j] on (a, b, c, d) as in BlockEigenpair."""
+    coefficients coeffs[:, j] on (a, b, c, d) as returned by solve_block."""
     a, b, c, d = coeffs
     return ((np.abs(values - (k - 1) * omega_c) < 1e-9)
             & (np.abs(a) < 1e-9) & (np.abs(d) < 1e-9) & (np.abs(b + c) < 1e-9))
 
 
+def _rwa_last_block(params: RabiParams, k0: int, n_levels: int,
+                    drop_singlets: bool) -> int:
+    """Largest block k that can hold one of the n_levels lowest levels of the
+    blocks k0, k0 + 2, k0 + 4, ...
+
+    By Gershgorin's theorem every level of block k lies within h + s sqrt(k)
+    of (k - 1) omega_c, where s = g1 + g2 and h is the largest |diagonal
+    offset|.  The blocks k0 .. kn hold at least n_levels levels (counting one
+    fewer per block k >= 1 when singlets are dropped), all at or below
+    E = (kn - 1) omega_c + h + s sqrt(kn); a block whose lowest possible
+    level lies above E holds none of the lowest n_levels.
+    """
+    wc, s = params.omega_c, params.g1 + params.g2
+    h = max(abs(wc - (params.omega1 + params.omega2) / 2.0),
+            abs(params.omega1 - params.omega2) / 2.0)
+    drop = int(drop_singlets)
+    first = 1 if k0 == 0 else 3 - drop
+    kn = k0 + 2 * max(0, math.ceil((n_levels - first) / (4 - drop)))
+    e_max = (kn - 1) * wc + h + s * math.sqrt(kn)
+    # (k - 1) wc - h - s sqrt(k) <= e_max  <=>  sqrt(k) <= x
+    x = (s + math.sqrt(s * s + 4.0 * wc * (e_max + wc + h))) / (2.0 * wc)
+    return math.ceil(x * x)
+
+
 def rwa_parity_levels(params: RabiParams, parity: int, n_levels: int,
                       drop_singlets: bool = False) -> np.ndarray:
-    """RWA sector spectrum: union of excitation blocks with (-1)^k = parity.
+    """The n_levels lowest levels of the RWA excitation blocks with
+    (-1)^k = parity, ascending.
 
-    The lowest block (k = 0 or 1) takes one eigh call and the 4x4 blocks
-    k >= 2 one stacked call.
+    The blocks solved are those an energy bound admits (_rwa_last_block), so
+    strong couplings, which pull high blocks down, are covered.  The lowest
+    block (k = 0 or 1) takes one eigh call and the 4x4 blocks k >= 2 one
+    stacked call.
     """
     k0 = 0 if parity == 1 else 1
-    ks = range(k0 + 2, 2 * max(n_levels, 1) + 3, 2)
+    drop = drop_singlets and params.identical_qubits()
+    ks = range(k0, _rwa_last_block(params, k0, n_levels, drop) + 1, 2)
     low = numerics.eigh(build_block(params, k0))
-    high = numerics.eigh(np.stack([build_block(params, k) for k in ks]))
+    # the reshape keeps an empty list of 4x4 blocks a valid (0, 4, 4) stack
+    high = numerics.eigh(np.reshape([build_block(params, k) for k in ks[1:]],
+                                    (-1, 4, 4)))
     values = np.concatenate([low.eigenvalues, high.eigenvalues.ravel()])
-    if drop_singlets and params.identical_qubits():
-        # the k = 0 and k = 1 bases lack the leading rows of (a, b, c, d);
-        # the k = 0 level has d = 1, so it is never a singlet
+    if drop:
         n0 = low.eigenvalues.size
-        coeffs = np.hstack([np.pad(low.eigenvectors, ((4 - n0, 0), (0, 0))),
-                            *high.eigenvectors])
-        k = np.repeat([k0, *ks], [n0] + [4] * len(ks))
+        coeffs = np.hstack([_abcd(low.eigenvectors), *high.eigenvectors])
+        k = np.repeat(ks, [n0] + [4] * (len(ks) - 1))
         values = values[~_rwa_singlet_mask(k, values, coeffs, params.omega_c)]
     return np.sort(values)[:n_levels]
 

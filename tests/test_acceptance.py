@@ -36,10 +36,12 @@ def test_criterion_1_oracle_identity_suite():
         for g in gs:
             tq = RabiParams.equal_frequency(float(delta), float(g), float(g))
             for k in range(7):
-                for pair in model.solve_block(tq, k):
-                    closed = geometry.berry_phase_block_closed_form(pair).gamma
-                    oracle = TWO_PI * pair.photon_expectation
-                    worst = max(worst, abs(closed - oracle))
+                _, coeffs = model.solve_block(tq, k)
+                closed = geometry.berry_phase_block_closed_form(k, coeffs)
+                for c, gamma in zip(coeffs.T, closed):
+                    oracle = geometry.berry_phase_fock_state(
+                        c, [k - 2, k - 1, k - 1, k]).gamma
+                    worst = max(worst, abs(gamma - oracle))
             ef = model.equal_frequency_k1(tq)
             for l in (1, 2, 3):
                 closed = geometry.berry_phase_equal_frequency(tq, l).gamma
@@ -96,9 +98,9 @@ def test_criterion_2_stokes_suite():
             label, winding = "noneigen_two_qubit", 0.0
             closed = geometry.vacuum_phase_two_qubit(params).gamma
         thetas = np.linspace(0.0, theta_star, max(3, round(theta_star / h) + 1))
-        samples = geometry.connection_field(params, label, thetas, verify=False)
-        curv = geometry.curvature_from_connection(samples)
-        got = geometry.phase_by_surface_integral(curv).gamma + winding
+        a_phi = geometry.connection_field(params, label, thetas, verify=False)
+        curv = geometry.curvature_from_connection(thetas, a_phi)
+        got = geometry.phase_by_surface_integral(thetas, curv).gamma + winding
         worst = max(worst, abs(got - closed))
     elapsed = time.time() - t0
     report("criterion 2: Stokes suite (<= 1e-5 at 100 points, < 30 s)",

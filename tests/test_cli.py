@@ -1,3 +1,4 @@
+import gzip
 import hashlib
 import itertools
 import json
@@ -125,11 +126,24 @@ def test_evolve_norational_exit_code(tmp_path, capsys):
 
 
 #: the benchmark's own commands; scan_anticrossing pins the rounding of
-#: locate_phase_jump's bisection
+#: locate_phase_jump's bisection, fig1-fig4 the RWA blocks and the fields
 BENCH_COMMANDS = {
     "evolve": ["evolve", "--delta", "0.01", "--g1", "0.01", "--g2", "0.01",
                "--levels", "100001"],
     "scan_anticrossing": ["scan-anticrossing", "--delta", "0.5"],
+    "fig1": ["fig1"],
+    "fig2": ["fig2"],
+    "fig3": ["fig3"],
+    "fig4": ["fig4"],
+}
+
+
+#: datasets that moved by rounding after the references were generated:
+#: fig4 differs from its reference by at most 2.2e-15 (159 cells) since the
+#: batched sector kernel.  Their present bytes are pinned here, and the
+#: reference is still matched cell by cell to 1e-12.
+MOVED_SHA256 = {
+    "fig4": "0cf7e111abc2e033e707eb2d195108e3e3c565917d835f2113b6ea14c6388a3b",
 }
 
 
@@ -139,7 +153,16 @@ def test_evolve_bench_workload_matches_reference(tmp_path, name):
     want = json.loads(BENCH_REFERENCE.read_text())[name]
     out = tmp_path / f"{name}.csv"
     assert run(BENCH_COMMANDS[name] + ["--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == want["sha256"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        MOVED_SHA256.get(name, want["sha256"])
+    if name in MOVED_SHA256:
+        with gzip.open(BENCH_REFERENCE.parent / want["file"], "rt") as fh:
+            ref = fh.read().split("\n")
+        got = out.read_text().split("\n")
+        assert got[0] == ref[0] and len(got) == len(ref)
+        for ref_row, row in zip(ref[1:], got[1:]):
+            for e, a in zip(ref_row.split(","), row.split(",")):
+                assert e == a or abs(float(e) - float(a)) <= 1e-12
     meta = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
     assert meta["rows"] == want["rows"] - 1   # the reference counts the header
 
@@ -181,10 +204,33 @@ def test_config_error_exit_code(tmp_path):
                          (["spectrum", *sweep], {"levels": "abc"}),
                          (["evolve"], {"g1": "abc"}),
                          (["scan-anticrossing"], {"g_min": "abc"}),
-                         (["scan-anticrossing"], {"deltas": 0.5})):
+                         (["scan-anticrossing"], {"deltas": 0.5}),
+                         # the g window must satisfy 0 <= g_min < g_max
+                         (["scan-anticrossing"], {"g_min": -0.1}),
+                         (["scan-anticrossing"], {"g_min": 0.3,
+                                                  "g_max": 0.3})):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(bad))
         assert run([*command, *short, "--config", str(config)]) == 2
+
+
+def test_dual_basis_audit_records_top_population(tmp_path):
+    out = tmp_path / "s.csv"
+    args = ["spectrum", "--delta", "0.5", "--sweep", "g:0.5:0.6:3", "--full",
+            "--levels", "4", "--trunc-m", "40", "--out", str(out)]
+    assert run(args + ["--trunc-photons", "60"]) == 0
+    audit = json.loads((tmp_path / "s.csv.meta.json").read_text())[
+        "dual_basis_audit"]
+    assert audit["n_photons"] == 60 and audit["max_energy_deviation"] < 1e-8
+    top = audit["top_level_population"]
+    assert set(top) == {"even", "odd"}
+    assert all(0.0 <= p < 1e-8 for p in top.values())
+    # a short plain-Fock truncation shows in the audit (3.2e-7 in the odd
+    # sector at g = 0.5)
+    assert run(args + ["--trunc-photons", "10"]) == 0
+    top = json.loads((tmp_path / "s.csv.meta.json").read_text())[
+        "dual_basis_audit"]["top_level_population"]
+    assert max(top.values()) > 1e-8
 
 
 def test_scan_anticrossing_monotone_gap_exit_code(tmp_path, capsys):

@@ -55,8 +55,8 @@ def test_jc_aa_phase_closed_form_random():
         res = cyclic_evolution_jc(params, q=q)
         eig = model.jc_eigensystem(params, 1)
         half = eig.theta_k / 2
-        gp = geometry.berry_phase_closed_form(params, ("jc", 1, "+")).gamma
-        gm = geometry.berry_phase_closed_form(params, ("jc", 1, "-")).gamma
+        gp = geometry.berry_phase_jc(params, 1, "+").gamma
+        gm = geometry.berry_phase_jc(params, 1, "-").gamma
         want = math.cos(half) ** 2 * (gp + 2 * q * math.pi) \
             + math.sin(half) ** 2 * gm
         assert res.aa_phase == pytest.approx(want, abs=1e-9)

@@ -5,9 +5,10 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from rabigeom import geometry, model
-from rabigeom.geometry import (ConnectionSample, berry_phase_closed_form,
-                               berry_phase_eigenstate, connection_field,
-                               curvature_from_connection, detect_anticrossing, noneigen_geometric_phase,
+from rabigeom.geometry import (berry_phase_block_closed_form,
+                               berry_phase_fock_state, berry_phase_jc,
+                               connection_field, curvature_from_connection,
+                               detect_anticrossing, noneigen_geometric_phase,
                                noneigen_phase_beyond_rwa, phase_by_surface_integral,
                                radial_field, vacuum_phase_jc,
                                vacuum_phase_two_qubit)
@@ -16,19 +17,25 @@ from rabigeom.model import DisplacedBasis, RabiParams
 TWO_PI = 2 * math.pi
 
 
+def _slot_photons(k):
+    """Photon numbers of the block slots (a, b, c, d) of block k."""
+    return [k - 2, k - 1, k - 1, k]
+
+
 # ---------------------------------------------------------------------------
 # oracle identity gamma = 2 pi <a^dag a>
 # ---------------------------------------------------------------------------
 
 def test_ground_state_phase_is_zero():
-    pairs = model.solve_block(RabiParams(omega1=1.2, omega2=0.7,
-                                         g1=0.2, g2=0.1), 0)
-    assert berry_phase_eigenstate(pairs[0]).gamma == 0.0
+    _, coeffs = model.solve_block(RabiParams(omega1=1.2, omega2=0.7,
+                                             g1=0.2, g2=0.1), 0)
+    assert berry_phase_fock_state(coeffs[:, 0], _slot_photons(0)).gamma == 0.0
+    assert berry_phase_block_closed_form(0, coeffs)[0] == 0.0
 
 
 def test_jc_resonant_plus_phase_is_pi():
     params = RabiParams.jc(0.0, 0.08)
-    assert berry_phase_closed_form(params, ("jc", 1, "+")).gamma == \
+    assert berry_phase_jc(params, 1, "+").gamma == \
         pytest.approx(math.pi, abs=1e-12)
     eig = model.jc_eigensystem(params, 1)
     got = geometry.berry_phase_fock_state(eig.state_plus, [0, 1])
@@ -42,34 +49,35 @@ def test_two_qubit_k2_identity_random():
                             omega2=rng.uniform(0.5, 1.5),
                             g1=rng.uniform(0.01, 0.3),
                             g2=rng.uniform(0.01, 0.3))
-        for pair in model.solve_block(params, 2):
-            closed = berry_phase_closed_form(params, ("two_qubit", 2, pair.l))
-            oracle = berry_phase_eigenstate(pair)
+        _, coeffs = model.solve_block(params, 2)
+        for l in (1, 2, 3, 4):
+            closed = geometry.berry_phase_two_qubit(params, 2, l)
+            oracle = berry_phase_fock_state(coeffs[:, l - 1], _slot_photons(2))
             assert abs(closed.gamma - oracle.gamma) <= 1e-9
 
 
 def test_jc_minus_zero_coupling_winding():
     params = RabiParams.jc(0.3, 0.0)
     for k in (1, 2, 5):
-        got = berry_phase_closed_form(params, ("jc", k, "-")).gamma
+        got = berry_phase_jc(params, k, "-").gamma
         assert got == pytest.approx(TWO_PI * k, abs=1e-12)
 
 
 def test_equal_frequency_l3_resonance():
     params = RabiParams.equal_frequency(0.0, 0.05, 0.05)
-    got = berry_phase_closed_form(params, ("equal_frequency", 3)).gamma
+    got = geometry.berry_phase_equal_frequency(params, 3).gamma
     assert got == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_exceptional_phase_value():
-    got = berry_phase_closed_form(None, ("exceptional", 0.2)).gamma
+    got = geometry.berry_phase_exceptional(0.2).gamma
     cos_theta = (1 - 0.08) / (1 + 0.08)
     assert got == pytest.approx(math.pi * (1 - cos_theta), abs=1e-12)
     assert got == pytest.approx(0.46542, abs=1e-5)
     # oracle identity on the displayed state
     params = RabiParams(omega1=1.5, omega2=0.5, g1=0.1, g2=0.1)
     state = model.exceptional_states(params, n_photons=16)[0]
-    fock = geometry.berry_phase_fock_state(
+    fock = berry_phase_fock_state(
         state.state, np.tile(np.arange(16), 4))
     assert fock.gamma == pytest.approx(got, abs=1e-12)
 
@@ -77,26 +85,27 @@ def test_exceptional_phase_value():
 def test_label_errors():
     params = RabiParams.jc(0.1, 0.1)
     with pytest.raises(geometry.LabelError):
-        berry_phase_closed_form(params, ("jc", 1, "x"))
+        berry_phase_jc(params, 1, "x")
     with pytest.raises(geometry.LabelError):
-        berry_phase_closed_form(params, ("two_qubit", 1, 9))
+        geometry.berry_phase_two_qubit(params, 1, 9)
     with pytest.raises(geometry.LabelError):
-        berry_phase_closed_form(params, ("nope",))
+        geometry.berry_phase_equal_frequency(
+            RabiParams.equal_frequency(0.1, 0.1, 0.1), 4)
 
 
 def test_unnormalized_state_rejected():
     with pytest.raises(geometry.NotNormalized):
-        geometry.berry_phase_fock_state([0.5, 0.5], [0, 1])
+        berry_phase_fock_state([0.5, 0.5], [0, 1])
 
 
 def test_gauge_invariance_under_sign_flips():
     params = RabiParams(omega1=1.1, omega2=0.9, g1=0.12, g2=0.21)
-    for pair in model.solve_block(params, 3):
-        flipped = model.BlockEigenpair(pair.k, pair.l, pair.energy,
-                                       -pair.coeffs, -pair.a, -pair.b,
-                                       -pair.c, -pair.d)
-        assert berry_phase_eigenstate(flipped).gamma == \
-            berry_phase_eigenstate(pair).gamma
+    _, coeffs = model.solve_block(params, 3)
+    for c in coeffs.T:
+        assert berry_phase_fock_state(-c, _slot_photons(3)).gamma == \
+            berry_phase_fock_state(c, _slot_photons(3)).gamma
+    assert np.array_equal(berry_phase_block_closed_form(3, -coeffs),
+                          berry_phase_block_closed_form(3, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +115,11 @@ def test_gauge_invariance_under_sign_flips():
 def test_connection_values():
     params = RabiParams.jc(0.1, 0.05)
     plus = connection_field(params, "jc_plus", [0.0, math.pi / 3])
-    assert plus[0].A_phi == pytest.approx(0.0, abs=1e-15)
-    assert all(s.A_theta == 0.0 for s in plus)
+    assert plus[0] == pytest.approx(0.0, abs=1e-15)
     minus = connection_field(params, "jc_minus", [math.pi / 2])
-    assert minus[0].A_phi == pytest.approx(0.5, abs=1e-12)
+    assert minus[0] == pytest.approx(0.5, abs=1e-12)
     non = connection_field(params, "noneigen_jc", [0.3, 1.1])
-    assert non[0].A_phi == pytest.approx(0.5 * math.sin(0.3) ** 2, abs=1e-12)
+    assert non[0] == pytest.approx(0.5 * math.sin(0.3) ** 2, abs=1e-12)
 
 
 def test_connection_two_qubit_consistency():
@@ -126,65 +134,54 @@ def test_curvature_matches_analytic_forms():
     h = 1e-3
     thetas = np.arange(-h, math.pi + 1.5 * h, h)
     params = RabiParams.jc(0.1, 0.05)
-    samples = connection_field(params, "jc_plus", thetas, verify=False)
-    curv = curvature_from_connection(samples)
-    got = np.array([c.F_theta_phi for c in curv])
+    a_phi = connection_field(params, "jc_plus", thetas, verify=False)
+    got = curvature_from_connection(thetas, a_phi)
     assert np.max(np.abs(got - 0.5 * np.sin(thetas))) <= 1e-6
 
-    flat = [ConnectionSample(t, 0.0, 0.0, 0.7) for t in thetas]
-    curv = curvature_from_connection(flat)
-    assert max(abs(c.F_theta_phi) for c in curv) <= 1e-12
+    curv = curvature_from_connection(thetas, np.full_like(thetas, 0.7))
+    assert np.max(np.abs(curv)) <= 1e-12
 
     alpha = math.pi / 4
-    weighted = [ConnectionSample(t, 0.0, 0.0,
-                                 0.5 * math.sin(t) ** 2 * math.cos(alpha) ** 2)
-                for t in thetas]
-    curv = curvature_from_connection(weighted)
-    got = np.array([c.F_theta_phi for c in curv])
+    weighted = 0.5 * np.sin(thetas) ** 2 * math.cos(alpha) ** 2
+    got = curvature_from_connection(thetas, weighted)
     assert np.max(np.abs(got - 0.25 * np.sin(2 * thetas))) <= 1e-6
 
 
 def test_curvature_warns_on_coarse_grid():
     thetas = np.linspace(0.0, math.pi, 20)
-    samples = [ConnectionSample(t, 0.0, 0.0, math.sin(t / 2) ** 2)
-               for t in thetas]
     with pytest.warns(geometry.AccuracyWarning):
-        curvature_from_connection(samples)
+        curvature_from_connection(thetas, np.sin(thetas / 2) ** 2)
 
 
 def _theta_grid(theta_max, h=1e-3):
     return np.linspace(0.0, theta_max, max(3, round(theta_max / h) + 1))
 
 
-def _curvature_samples(fn, theta_max, h=1e-3):
-    return [geometry.CurvatureSample(t, 0.0, F_theta_phi=fn(t))
-            for t in _theta_grid(theta_max, h)]
+def _surface_integral(fn, theta_max, h=1e-3):
+    thetas = _theta_grid(theta_max, h)
+    return phase_by_surface_integral(thetas, [fn(t) for t in thetas]).gamma
 
 
 def test_surface_integral_full_sphere_monopole():
-    samples = _curvature_samples(lambda t: 0.5 * math.sin(t), math.pi)
-    assert phase_by_surface_integral(samples).gamma == pytest.approx(
-        TWO_PI, abs=1e-6)
+    assert _surface_integral(lambda t: 0.5 * math.sin(t), math.pi) == \
+        pytest.approx(TWO_PI, abs=1e-6)
 
 
 def test_surface_integral_vacuum_phase():
     params = RabiParams.jc(0.12, 0.07)
     theta1 = model.spectral_angles(params, 1).theta_k
-    samples = _curvature_samples(lambda t: 0.5 * math.sin(2 * t), theta1)
     want = vacuum_phase_jc(params).gamma
-    assert phase_by_surface_integral(samples).gamma == pytest.approx(
-        want, abs=1e-6)
+    assert _surface_integral(lambda t: 0.5 * math.sin(2 * t), theta1) == \
+        pytest.approx(want, abs=1e-6)
 
 
 def test_surface_integral_two_qubit_vacuum_phase():
     params = RabiParams.equal_frequency(-0.08, 0.03, 0.06)
     ef = model.equal_frequency_k1(params)
     ca2 = math.cos(ef.alpha) ** 2
-    samples = _curvature_samples(
-        lambda t: 0.5 * math.sin(2 * t) * ca2, ef.theta_1_2)
     want = vacuum_phase_two_qubit(params).gamma
-    assert phase_by_surface_integral(samples).gamma == pytest.approx(
-        want, abs=1e-6)
+    assert _surface_integral(lambda t: 0.5 * math.sin(2 * t) * ca2,
+                             ef.theta_1_2) == pytest.approx(want, abs=1e-6)
 
 
 def test_stokes_reproduces_eigenstate_phases():
@@ -198,22 +195,22 @@ def test_stokes_reproduces_eigenstate_phases():
         params = RabiParams.jc(rng.uniform(-0.4, 0.4), rng.uniform(0.02, 0.3))
         theta1 = model.spectral_angles(params, 1).theta_k
         thetas = _theta_grid(theta1)
-        for label, lab_tuple, winding in (("jc_plus", ("jc", 1, "+"), 0.0),
-                                          ("jc_minus", ("jc", 1, "-"), TWO_PI)):
-            samples = connection_field(params, label, thetas, verify=False)
-            curv = curvature_from_connection(samples)
-            got = phase_by_surface_integral(curv).gamma + winding
-            want = berry_phase_closed_form(params, lab_tuple).gamma
+        for label, branch, winding in (("jc_plus", "+", 0.0),
+                                       ("jc_minus", "-", TWO_PI)):
+            a_phi = connection_field(params, label, thetas, verify=False)
+            curv = curvature_from_connection(thetas, a_phi)
+            got = phase_by_surface_integral(thetas, curv).gamma + winding
+            want = berry_phase_jc(params, 1, branch).gamma
             assert abs(got - want) <= 1e-5
 
 
 def test_radial_field_values():
     thetas = [0.0, math.pi / 2, 3 * math.pi / 4]
     eig = radial_field("eigen_jc", thetas)
-    assert all(s.F_radial == pytest.approx(1.0) for s in eig)
+    assert all(f == pytest.approx(1.0) for f in eig)
     non = radial_field("noneigen_jc", thetas)
-    assert non[1].F_radial == pytest.approx(0.0, abs=1e-15)
-    assert non[2].F_radial < 0.0
+    assert non[1] == pytest.approx(0.0, abs=1e-15)
+    assert non[2] < 0.0
     with pytest.raises(geometry.LabelError):
         radial_field("bogus", thetas)
 
@@ -227,8 +224,8 @@ def test_noneigen_weighted_sum_jc_resonance():
     eig = model.jc_eigensystem(params, 1)
     half = eig.theta_k / 2
     weights = [math.cos(half) ** 2, math.sin(half) ** 2]
-    gammas = [berry_phase_closed_form(params, ("jc", 1, "+")).gamma,
-              berry_phase_closed_form(params, ("jc", 1, "-")).gamma]
+    gammas = [berry_phase_jc(params, 1, "+").gamma,
+              berry_phase_jc(params, 1, "-").gamma]
     got = noneigen_geometric_phase(weights, gammas)
     assert got.gamma == pytest.approx(math.pi, abs=1e-12)
     assert got.gamma / TWO_PI <= 0.5 + 1e-12
