@@ -23,15 +23,15 @@ for delta in (-0.3, -0.1, 0.0, 0.1, 0.3):
     params = RabiParams.jc(delta, 0.1)
     eig = model.jc_eigensystem(params, 1)
 
-    closed = geometry.berry_phase_jc(params, 1, "+").gamma
-    oracle = geometry.berry_phase_fock_state(eig.state_plus, [0, 1]).gamma
+    closed = geometry.berry_phase_jc(params, 1, "+")
+    oracle = geometry.berry_phase_fock_state(eig.state_plus, [0, 1])
 
     thetas = np.linspace(0.0, eig.theta_k, max(3, round(eig.theta_k / 1e-3) + 1))
     a_phi = geometry.connection_field(params, "jc_plus", thetas, verify=False)
     curv = geometry.curvature_from_connection(thetas, a_phi)
-    stokes = geometry.phase_by_surface_integral(thetas, curv).gamma
+    stokes = geometry.phase_by_surface_integral(thetas, curv)
 
-    minus = geometry.berry_phase_jc(params, 1, "-").gamma
+    minus = geometry.berry_phase_jc(params, 1, "-")
     print(f"{delta:8.2f} {eig.theta_k:9.4f} {closed:10.6f} {oracle:10.6f} "
           f"{stokes:10.6f} {minus:10.6f}")
 

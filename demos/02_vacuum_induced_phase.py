@@ -32,12 +32,12 @@ print()
 print("Saturation of the vacuum-induced phase with coupling (Delta = 0.01):")
 for g in (0.005, 0.01, 0.02, 0.05, 0.1):
     gamma = geometry.vacuum_phase_two_qubit(
-        RabiParams.equal_frequency(0.01, g, g)).gamma
+        RabiParams.equal_frequency(0.01, g, g))
     print(f"  g = {g:5.3f}:  gamma = {gamma:.4f}   (pi/2 = {math.pi / 2:.4f})")
 
 print()
 print("Inhomogeneous coupling suppresses the phase (g1 = 0.02 fixed):")
 for g2 in (0.02, 0.05, 0.1, 0.2, 0.4):
     gamma = geometry.vacuum_phase_two_qubit(
-        RabiParams.equal_frequency(0.0, 0.02, g2)).gamma
+        RabiParams.equal_frequency(0.0, 0.02, g2))
     print(f"  g2 = {g2:5.2f}:  gamma = {gamma:.4f}")

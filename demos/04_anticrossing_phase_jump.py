@@ -28,7 +28,7 @@ for kappa, name in ((1, "even"), (-1, "odd")):
 print()
 print("Weighted geometric phase of |10,0> through the region:")
 for g in np.linspace(0.20, 0.30, 11):
-    gamma = geometry.noneigen_phase_beyond_rwa(params_of_g(float(g))).gamma
+    gamma, _ = geometry.noneigen_phase_beyond_rwa(params_of_g(float(g)))
     print(f"  g = {g:5.3f}:  gamma = {gamma:.5f}")
 
 jump = geometry.locate_phase_jump(params_of_g, 0.2, 0.32)

@@ -231,16 +231,17 @@ def _sweep_params(cfg: dict, var: str, values) -> list[RabiParams]:
 # Beyond-RWA sweeps and their convergence gate
 # ---------------------------------------------------------------------------
 
-def _beyond_rwa(params_list, M: int, kappas, columns, meta: dict) -> np.ndarray:
+def _beyond_rwa(params_list, M: int, kappas, columns, meta: dict):
     """Tabulate beyond-RWA results over a sweep and gate them on truncation.
 
     Solves the parity sectors ``kappas`` once at every point and returns
-    ``columns(sols)``, one row of numbers per point, where ``sols`` maps each
-    kappa to its SectorSolution.  The convergence gate re-solves only the
-    probe points (first, middle, last, and the one with the largest
+    ``(columns(sols), sols)``: one row of numbers per point, and the map of
+    each kappa to its SectorSolution.  The convergence gate re-solves only
+    the probe points (first, middle, last, and the one with the largest
     truncation tail) at M + 10 and compares their rows with the sweep's own;
-    it passes when no entry moves by 1e-6 or more.  The gate and the worst
-    tail population are written into ``meta``.
+    it passes when no entry moves by 1e-6 or more.  The gate and the
+    per-point tail populations (worst over ``kappas``) are written into
+    ``meta``.
     """
     sols = {kappa: model.solve_sectors(params_list, M, kappa)
             for kappa in kappas}
@@ -255,8 +256,9 @@ def _beyond_rwa(params_list, M: int, kappas, columns, meta: dict) -> np.ndarray:
     meta["convergence_gate"] = {"m": M, "m_check": M + 10, "max_drift": drift,
                                 "tolerance": GATE_TOL, "points": points,
                                 "passed": bool(drift < GATE_TOL)}
-    meta["diagnostics"] = {"max_tail_population": float(np.max(tails))}
-    return table
+    meta["diagnostics"] = {"max_tail_population": float(np.max(tails)),
+                           "tail_population": tails.tolist()}
+    return table, sols
 
 
 #: CSV state name -> column of _eigenphases holding its beyond-RWA continuation
@@ -275,9 +277,9 @@ def _eigenphases(sols) -> list[list[float]]:
             for i in range(len(sols[1].energies))]
 
 
-def _vacuum_phases(sols) -> list[list[float]]:
+def _vacuum_phases(sols) -> np.ndarray:
     """Weighted beyond-RWA geometric phase of |10,0>, from the odd sector."""
-    return [[r.gamma] for r in geometry.noneigen_phases_beyond_rwa(sols[-1])]
+    return geometry.noneigen_phases_beyond_rwa(sols[-1])[0][:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +307,7 @@ def cmd_spectrum(cfg: dict) -> int:
                                   f"keeps only {fewest} states at M = {M}")
             return rows
 
-        full = _beyond_rwa(params_list, M, (1, -1), kept_energies, meta)
+        full, _ = _beyond_rwa(params_list, M, (1, -1), kept_energies, meta)
         if cfg.get("trunc_photons"):
             meta["dual_basis_audit"] = _dual_basis_audit(
                 params_list[0], M, int(cfg["trunc_photons"]), n_levels)
@@ -364,13 +366,14 @@ def cmd_berry(cfg: dict) -> int:
             "convergence_gate": {"applicable": False}}
     if include_full:
         header.append("gamma_full")
-        gamma_full = _beyond_rwa(params_list, M, (1, -1), _eigenphases, meta)
+        gamma_full, _ = _beyond_rwa(params_list, M, (1, -1), _eigenphases,
+                                    meta)
     rows = []
     for i, (value, pars) in enumerate(zip(values, params_list)):
         gamma_rwa = {
             "psi0": 0.0,
-            "psi1_2": geometry.berry_phase_equal_frequency(pars, 2).gamma,
-            "psi1_3": geometry.berry_phase_equal_frequency(pars, 3).gamma,
+            "psi1_2": geometry.berry_phase_equal_frequency(pars, 2),
+            "psi1_3": geometry.berry_phase_equal_frequency(pars, 3),
         }
         for name, column in _COUNTERPARTS.items():
             row = [value, name, gamma_rwa[name]]
@@ -406,14 +409,16 @@ def cmd_noneigen(cfg: dict) -> int:
     params_list = _sweep_params(cfg, var, values)
     rows = [[value, pars.g1, pars.g2, pars.delta,
              geometry.noneigen_curvature_two_qubit(pars),
-             geometry.vacuum_phase_two_qubit(pars).gamma]
+             geometry.vacuum_phase_two_qubit(pars)]
             for value, pars in zip(values, params_list)]
     header = ["sweep_value", "g1", "g2", "delta", "F_theta_phi", "gamma_rwa"]
     meta = {"config": _json_safe(cfg), "command": "noneigen",
             "convergence_gate": {"applicable": False}}
     if include_full:
-        gammas = _beyond_rwa(params_list, M, (-1,), _vacuum_phases,
-                             meta)[:, 0].tolist()
+        table, sols = _beyond_rwa(params_list, M, (-1,), _vacuum_phases, meta)
+        gammas = table[:, 0].tolist()
+        meta["diagnostics"]["vacuum_weight_total"] = \
+            geometry.noneigen_phases_beyond_rwa(sols[-1])[1].tolist()
         flags = _jump_flags(gammas, jump_threshold)
         rows = [r + [gamma, f] for r, gamma, f in zip(rows, gammas, flags)]
         header += ["gamma_full", "anticross_flag"]
@@ -480,7 +485,7 @@ def cmd_scan_anticrossing(cfg: dict) -> int:
             return RabiParams.equal_frequency(d, g, g)
         ac = geometry.detect_anticrossing(params_of_g, kappa=1,
                                           g_min=g_min, g_max=g_max, M=M)
-        jump = geometry.locate_phase_jump(params_of_g, g_min, g_max, basis_M=M)
+        jump = geometry.locate_phase_jump(params_of_g, g_min, g_max, M=M)
         rows.append([delta, ac.g_star, ac.min_gap, jump.g_jump,
                      jump.jump_size])
         on_edge.append(jump.on_edge)
@@ -515,7 +520,7 @@ def _preset_fig2(cfg: dict) -> int:
                 pars = RabiParams.equal_frequency(delta, g1, float(g2))
                 rows.append([panel, delta, g1, float(g2),
                              geometry.noneigen_curvature_two_qubit(pars),
-                             geometry.vacuum_phase_two_qubit(pars).gamma])
+                             geometry.vacuum_phase_two_qubit(pars)])
     meta = {"config": _json_safe(cfg), "command": "fig2",
             "convergence_gate": {"applicable": False},
             "detunings": "representative choice {0, +-0.05, +-0.2}"}

@@ -48,10 +48,6 @@ class CyclicResult:
     recurrence_fidelity: float
     reference: str
 
-    @property
-    def aa_phase_mod_2pi(self) -> float:
-        return self.aa_phase % TWO_PI
-
 
 @dataclass(frozen=True)
 class PhotonAverage:
@@ -117,8 +113,8 @@ def cyclic_evolution_jc(params: RabiParams, q: int = 1) -> CyclicResult:
     duration = q * T
     half = eig.theta_k / 2.0
     w_plus, w_minus = math.cos(half) ** 2, math.sin(half) ** 2
-    gamma_plus = geometry.berry_phase_jc(params, 1, "+").gamma
-    gamma_minus = geometry.berry_phase_jc(params, 1, "-").gamma
+    gamma_plus = geometry.berry_phase_jc(params, 1, "+")
+    gamma_minus = geometry.berry_phase_jc(params, 1, "-")
     gamma = w_plus * gamma_plus + w_minus * gamma_minus
     mean_energy = w_plus * eig.e_plus + w_minus * eig.e_minus
     total = -eig.e_minus * duration
@@ -156,8 +152,8 @@ def cyclic_evolution_two_qubit(params: RabiParams,
     w = (math.sin(ef.alpha) ** 2, ca2 * math.cos(half) ** 2,
          ca2 * math.sin(half) ** 2)
     gammas = (0.0,
-              geometry.berry_phase_equal_frequency(params, 2).gamma,
-              geometry.berry_phase_equal_frequency(params, 3).gamma)
+              geometry.berry_phase_equal_frequency(params, 2),
+              geometry.berry_phase_equal_frequency(params, 3))
     gamma = w[1] * gammas[1] + w[2] * gammas[2]
     mean_energy = w[1] * e2 + w[2] * e3
     total = -e1 * T   # zero by construction, kept explicit
@@ -184,9 +180,9 @@ def average_photon_number(params: RabiParams, T: float,
         raise ValueError("n_time_steps must be at least 1000")
     H, photon_numbers, default_initial = k1_block(params)
     if params.is_jc():
-        gamma = geometry.vacuum_phase_jc(params).gamma
+        gamma = geometry.vacuum_phase_jc(params)
     else:
-        gamma = geometry.vacuum_phase_two_qubit(params).gamma
+        gamma = geometry.vacuum_phase_two_qubit(params)
     psi0 = default_initial if initial is None else np.asarray(initial, complex)
     decomp = numerics.eigh(H)
     if initial is not None:

@@ -15,9 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, numerics
-from .model import DisplacedBasis, RabiParams, SectorSolution
+from .model import RabiParams, SectorSolution
 
 TWO_PI = 2.0 * math.pi
+
+#: vacuum weights below this are dropped from the beyond-RWA phase sums.  They
+#: are not all rounding noise: on the fig5 grids the floor moves gamma by up to
+#: 7.4e-11 against no floor (Delta = 0.2, g = 0.23), far below the 1e-6
+#: convergence gate.  The bench references pin the biased values, so this is
+#: the one line to change when they are regenerated.
+WEIGHT_FLOOR = 1e-12
 
 
 class NotNormalized(ValueError):
@@ -40,14 +47,6 @@ class NoAnticrossing(RuntimeError):
     """Level gap is monotone over the scanned range."""
 
 
-@dataclass(frozen=True)
-class PhaseResult:
-    """A geometric phase in radians, not reduced mod 2 pi."""
-
-    gamma: float
-    weight_total: float | None = None
-
-
 def reduce_phase(gamma: float) -> float:
     """Map an unreduced phase to [0, 2 pi) for display."""
     return gamma % TWO_PI
@@ -57,7 +56,7 @@ def reduce_phase(gamma: float) -> float:
 # Berry phase of eigenstates: the photon-number route
 # ---------------------------------------------------------------------------
 
-def berry_phase_fock_state(coefficients, photon_numbers) -> PhaseResult:
+def berry_phase_fock_state(coefficients, photon_numbers) -> float:
     """Berry phase 2 pi <a^dag a> of a real state expanded over basis states
     of definite photon number.
 
@@ -71,27 +70,25 @@ def berry_phase_fock_state(coefficients, photon_numbers) -> PhaseResult:
     norm = float(np.sum(c * c))
     if abs(norm - 1.0) > 1e-10:
         raise NotNormalized(f"state norm^2 = {norm!r}")
-    return PhaseResult(TWO_PI * float(np.sum(ns * c * c)))
+    return TWO_PI * float(np.sum(ns * c * c))
 
 
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
 
-def berry_phase_jc(params: RabiParams, k: int, branch: str) -> PhaseResult:
+def berry_phase_jc(params: RabiParams, k: int, branch: str) -> float:
     """Closed-form JC Berry phase: plus branch pi(1-cos theta_k) + 2 pi (k-1),
     minus branch -pi(1-cos theta_k) + 2 pi k."""
     if branch not in ("+", "-"):
         raise LabelError(f"unknown JC branch {branch!r}")
     if k == 0:
-        return PhaseResult(0.0)
+        return 0.0
     theta = model.spectral_angles(params, k).theta_k
     swing = math.pi * (1.0 - math.cos(theta))
     if branch == "+":
-        gamma = swing + TWO_PI * (k - 1)
-    else:
-        gamma = -swing + TWO_PI * k
-    return PhaseResult(gamma)
+        return swing + TWO_PI * (k - 1)
+    return -swing + TWO_PI * k
 
 
 def berry_phase_block_closed_form(k: int, coeffs) -> np.ndarray:
@@ -109,46 +106,44 @@ def berry_phase_block_closed_form(k: int, coeffs) -> np.ndarray:
     return np.sign(s) * math.pi * (1.0 - cos_theta) + TWO_PI * (k - 1)
 
 
-def berry_phase_two_qubit(params: RabiParams, k: int, l: int) -> PhaseResult:
+def berry_phase_two_qubit(params: RabiParams, k: int, l: int) -> float:
     """Closed-form two-qubit Berry phase of level l (ascending) in block k."""
     _, coeffs = model.solve_block(params, k)
     if not 1 <= l <= coeffs.shape[1]:
         raise LabelError(f"block k={k} has no level l={l}")
-    return PhaseResult(float(berry_phase_block_closed_form(k, coeffs)[l - 1]))
+    return float(berry_phase_block_closed_form(k, coeffs)[l - 1])
 
 
-def berry_phase_equal_frequency(params: RabiParams, l: int) -> PhaseResult:
+def berry_phase_equal_frequency(params: RabiParams, l: int) -> float:
     """k = 1 phases for identical qubit frequencies: 0, pi(1 -/+ ... )."""
     ef = model.equal_frequency_k1(params)
     cos_theta = math.cos(ef.theta_1_2)
     if l == 1:
-        gamma = 0.0
-    elif l == 2:
-        gamma = math.pi * (1.0 - cos_theta)
-    elif l == 3:
-        gamma = math.pi * (1.0 + cos_theta)
-    else:
-        raise LabelError(f"equal-frequency k=1 has levels l=1..3, got {l}")
-    return PhaseResult(gamma)
+        return 0.0
+    if l == 2:
+        return math.pi * (1.0 - cos_theta)
+    if l == 3:
+        return math.pi * (1.0 + cos_theta)
+    raise LabelError(f"equal-frequency k=1 has levels l=1..3, got {l}")
 
 
 def berry_phase_adiabatic(params: RabiParams, n: int, kappa: int,
-                          branch: int) -> PhaseResult:
+                          branch: int) -> float:
     """Adiabatic-approximation phase pi(1 - cos theta) + 2 n pi with
     theta = 2 arcsin sqrt(beta1^2 d1^2 + beta2^2 d2^2)."""
     sols = model.adiabatic_eigensystem(params, n, kappa)
     sol = sols[0] if branch == +1 else sols[1]
-    basis = DisplacedBasis.for_params(params, M=max(1, n))
-    arg = basis.beta1**2 * sol.d1n**2 + basis.beta2**2 * sol.d2n**2
+    beta1, beta2 = (float(b[0]) for b in model.displacements([params]))
+    arg = beta1**2 * sol.d1n**2 + beta2**2 * sol.d2n**2
     theta = 2.0 * math.asin(min(1.0, math.sqrt(arg)))
-    return PhaseResult(math.pi * (1.0 - math.cos(theta)) + TWO_PI * n)
+    return math.pi * (1.0 - math.cos(theta)) + TWO_PI * n
 
 
-def berry_phase_exceptional(q: float) -> PhaseResult:
+def berry_phase_exceptional(q: float) -> float:
     """Exact phase of the one-photon exceptional states,
     cos theta = (1 - 2 q^2) / (1 + 2 q^2)."""
     cos_theta = (1.0 - 2.0 * q * q) / (1.0 + 2.0 * q * q)
-    return PhaseResult(math.pi * (1.0 - cos_theta))
+    return math.pi * (1.0 - cos_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +258,7 @@ def curvature_from_connection(thetas, a_phi) -> np.ndarray:
     return np.gradient(np.asarray(a_phi, dtype=float), thetas, edge_order=2)
 
 
-def phase_by_surface_integral(thetas, F) -> PhaseResult:
+def phase_by_surface_integral(thetas, F) -> float:
     """Stokes integral 2 pi int_0^theta F dtheta' of a phi-independent curvature.
 
     Yields the winding-free part of the Berry phase for the cap bounded by the
@@ -271,7 +266,7 @@ def phase_by_surface_integral(thetas, F) -> PhaseResult:
     the south pole pick up an extra 2 pi per enclosed monopole, accounted for
     by the caller.
     """
-    return PhaseResult(TWO_PI * numerics.trapezoid_integral(thetas, F))
+    return TWO_PI * numerics.trapezoid_integral(thetas, F)
 
 
 _RADIAL_LABELS = ("eigen_jc", "eigen_two_qubit", "noneigen_jc",
@@ -298,29 +293,28 @@ def radial_field(state_label: str, thetas) -> np.ndarray:
 # Noneigenstate geometric phases
 # ---------------------------------------------------------------------------
 
-def noneigen_geometric_phase(weights, gammas) -> PhaseResult:
+def noneigen_geometric_phase(weights, gammas) -> float:
     """Statistical average of eigenstate Berry phases, weighted by populations."""
     w = np.asarray(weights, dtype=float)
     g = np.asarray(gammas, dtype=float)
     total = float(np.sum(w))
     if abs(total - 1.0) > 1e-10:
         raise WeightError(f"weights sum to {total!r}, expected 1")
-    return PhaseResult(float(np.sum(w * g)), weight_total=total)
+    return float(np.sum(w * g))
 
 
-def vacuum_phase_jc(params: RabiParams) -> PhaseResult:
+def vacuum_phase_jc(params: RabiParams) -> float:
     """Vacuum-induced geometric phase of |1,0>: pi (1 - cos 2 theta_1) / 2."""
     theta = model.spectral_angles(params, 1).theta_k
-    return PhaseResult(0.5 * math.pi * (1.0 - math.cos(2.0 * theta)))
+    return 0.5 * math.pi * (1.0 - math.cos(2.0 * theta))
 
 
-def vacuum_phase_two_qubit(params: RabiParams) -> PhaseResult:
+def vacuum_phase_two_qubit(params: RabiParams) -> float:
     """Vacuum-induced geometric phase of |10,0> under the RWA
     (identical qubit frequencies): pi cos^2(alpha) (1 - cos 2 theta) / 2."""
     ef = model.equal_frequency_k1(params)
-    gamma = 0.5 * math.pi * math.cos(ef.alpha) ** 2 \
+    return 0.5 * math.pi * math.cos(ef.alpha) ** 2 \
         * (1.0 - math.cos(2.0 * ef.theta_1_2))
-    return PhaseResult(gamma)
 
 
 def noneigen_curvature_two_qubit(params: RabiParams) -> float:
@@ -336,29 +330,25 @@ def _check_weight_total(total: float) -> None:
 
 
 def noneigen_phase_beyond_rwa(params: RabiParams,
-                              basis: DisplacedBasis | None = None,
-                              weight_floor: float = 1e-12) -> PhaseResult:
-    """Weighted Berry-phase sum for the initial state |10,0> beyond the RWA.
+                              M: int = 50) -> tuple[float, float]:
+    """Weighted Berry-phase sum for the initial state |10,0> beyond the RWA,
+    returned with the sum of the weights.
 
-    Expands |10,0> over the truncated eigenstates of the odd parity sector
-    (its even-sector overlaps vanish) and sums their Berry phases with the
-    squared overlaps as weights, state by state; weights below
-    ``weight_floor`` are dropped.  They are not all rounding noise: on the
-    fig5 grids the default floor moves gamma by up to 7.4e-11 against
-    ``weight_floor=0`` (Delta = 0.2, g = 0.23), a bias far below the 1e-6
-    convergence gate.  Sweeps use noneigen_phases_beyond_rwa, which agrees
-    with this to rounding; the bisection of locate_phase_jump compares this
-    one's last bits.
+    Expands |10,0> over the eigenstates of the odd parity sector truncated at
+    M (its even-sector overlaps vanish) and sums their Berry phases with the
+    squared overlaps as weights, state by state; weights below WEIGHT_FLOOR
+    are dropped.  Sweeps use noneigen_phases_beyond_rwa, which agrees with
+    this to rounding; the bisection of locate_phase_jump compares this one's
+    last bits.
     """
-    if basis is None:
-        basis = DisplacedBasis.for_params(params)
-    if basis.M < 10:
+    if M < 10:
         raise ValueError("basis truncation M must be at least 10")
-    mp1 = basis.M + 1
-    nop = model.sector_number_operator(basis)
-    _, vectors = numerics.eigh(model.sector_hamiltonian([params], [basis], -1))
+    mp1 = M + 1
+    nop = model.sector_number_operator(params, M)
+    _, vectors = numerics.eigh(model.sector_hamiltonian([params], M, -1))
     # the plain vacuum expands over each displaced ladder through <n|D(beta)|0>
-    col1, col2 = model.displacement_matrix(mp1, [basis.beta1, basis.beta2])[:, :, 0]
+    col1, col2 = model.displacement_matrix(
+        mp1, np.concatenate(model.displacements([params])))[:, :, 0]
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     gamma = 0.0
     total = 0.0
@@ -366,33 +356,28 @@ def noneigen_phase_beyond_rwa(params: RabiParams,
         d1, d2 = inv_sqrt2 * v[:mp1], inv_sqrt2 * v[mp1:]
         amp = float(d1 @ col1 - d2 @ col2)
         w = amp * amp
-        if w < weight_floor:
+        if w < WEIGHT_FLOOR:
             continue
         c = math.sqrt(2.0) * np.concatenate([d1, d2])
         gamma += w * TWO_PI * float(c @ nop @ c)
         total += w
-    _check_weight_total(float(total))
-    return PhaseResult(gamma, weight_total=total)
+    _check_weight_total(total)
+    return gamma, total
 
 
 def noneigen_phases_beyond_rwa(odd: SectorSolution,
-                               weight_floor: float = 1e-12,
-                               ) -> list[PhaseResult]:
-    """noneigen_phase_beyond_rwa at every point of a solved odd sector.
-
-    Weights below ``weight_floor`` are dropped, which biases gamma by up to
-    7.4e-11 on the fig5 grids (see noneigen_phase_beyond_rwa).
-    """
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """noneigen_phase_beyond_rwa at every point of a solved odd sector: the
+    arrays (gammas, weight_totals), one entry per point."""
     if odd.kappa != -1:
         raise ValueError("|10,0> has odd parity; pass the kappa = -1 sector")
-    weights = np.where(odd.vacuum_weights >= weight_floor,
+    weights = np.where(odd.vacuum_weights >= WEIGHT_FLOOR,
                        odd.vacuum_weights, 0.0)
     totals = np.sum(weights, axis=1)
     gammas = np.sum(weights * TWO_PI * odd.photon_numbers, axis=1)
     for total in totals:
         _check_weight_total(float(total))
-    return [PhaseResult(float(g), weight_total=float(t))
-            for g, t in zip(gammas, totals)]
+    return gammas, totals
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +509,7 @@ class PhaseJump:
 
 def locate_phase_jump(params_of_g, g_min: float, g_max: float,
                       n_scan: int = 61, n_refine: int = 24,
-                      basis_M: int = 50) -> PhaseJump:
+                      M: int = 50) -> PhaseJump:
     """Locate the sharpest change of the beyond-RWA noneigenstate phase.
 
     Scans gamma(g) on a coarse grid, then bisects the interval of largest
@@ -534,13 +519,11 @@ def locate_phase_jump(params_of_g, g_min: float, g_max: float,
     steepest coarse step at the window's edge, where the change may go on.
     """
     def gamma_at(g: float) -> float:
-        pars = params_of_g(float(g))
-        basis = DisplacedBasis.for_params(pars, M=basis_M)
-        return noneigen_phase_beyond_rwa(pars, basis).gamma
+        return noneigen_phase_beyond_rwa(params_of_g(float(g)), M)[0]
 
     gs = np.linspace(g_min, g_max, n_scan)
-    odd = model.solve_sectors([params_of_g(float(g)) for g in gs], basis_M, -1)
-    vals = [r.gamma for r in noneigen_phases_beyond_rwa(odd)]
+    odd = model.solve_sectors([params_of_g(float(g)) for g in gs], M, -1)
+    vals = noneigen_phases_beyond_rwa(odd)[0]
     i = int(np.argmax(np.abs(np.diff(vals))))
     on_edge = i in (0, n_scan - 2)
     lo, hi = float(gs[i]), float(gs[i + 1])
@@ -566,14 +549,13 @@ def _adiabaticity_ratio(params: RabiParams, kappa: int, pair: tuple[int, int],
     For the phase-shift driving the numerator is |(E_m - E_n) <n|a^dag a|m>|,
     so the ratio reduces to |<n|a^dag a|m> / (E_n - E_m)|.
     """
-    basis = DisplacedBasis.for_params(params, M=M)
     values, vectors = numerics.eigh(
-        model.sector_hamiltonian([params], [basis], kappa))
+        model.sector_hamiltonian([params], M, kappa))
     singlet = model._singlet_mask([params], values, vectors, kappa)[0]
     kept = np.flatnonzero(~(singlet & drop_singlets))
     a, b = kept[pair[0]], kept[pair[1]]
     gap = float(values[0, b] - values[0, a])
     if gap == 0.0:
         return math.inf
-    nop = model.sector_number_operator(basis)
+    nop = model.sector_number_operator(params, M)
     return abs(float(vectors[0, :, a] @ nop @ vectors[0, :, b]) / gap)

@@ -82,7 +82,6 @@ class RabiParams:
 class SpectralAngles:
     """Rabi frequencies and mixing angles of the k-th excitation block."""
 
-    k: int
     omega_k: float    # sqrt(Delta^2 + 4 g1^2 k), single-qubit ladder
     theta_k: float    # arccos(Delta / Omega_k)
     big_theta_1: float  # sqrt(Delta^2 + 4 (g1^2 + g2^2))
@@ -101,7 +100,7 @@ def spectral_angles(params: RabiParams, k: int) -> SpectralAngles:
     gsq = params.g1**2 + params.g2**2
     big_theta_1 = math.sqrt(delta**2 + 4.0 * gsq)
     alpha = math.atan2(params.g2, params.g1) if gsq > 0.0 else 0.0
-    return SpectralAngles(k, omega_k, theta_k, big_theta_1, alpha)
+    return SpectralAngles(omega_k, theta_k, big_theta_1, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +212,6 @@ class EqualFrequencyK1:
     energies: tuple[float, float, float]   # (E1, E2, E3) = (0, (-D+T)/2, (-D-T)/2)
     states_uncoupled: np.ndarray
     states_block: np.ndarray
-
-    @property
-    def thetas(self) -> tuple[float, float, float]:
-        return (0.0, self.theta_1_2, self.theta_1_2 + math.pi)
 
 
 def equal_frequency_k1(params: RabiParams) -> EqualFrequencyK1:
@@ -423,35 +418,20 @@ def _vacuum_overlaps(size: int, deltas) -> np.ndarray:
     return cols
 
 
-@dataclass(frozen=True)
-class DisplacedBasis:
-    """Truncated displaced-Fock basis for the beyond-RWA parity sectors.
+def displacements(params_list: Sequence[RabiParams],
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Displacements (beta1, beta2) of the displaced-Fock ladders, one entry
+    per parameter point.
 
-    The four displacements pair with the qubit configurations of the frame in
-    which the couplings are diagonal: beta1 = -beta4 = (g1+g2)/omega_c for
-    |11>/|00> and beta2 = -beta3 = (g1-g2)/omega_c for |10>/|01>.
+    The ladders pair with the qubit configurations of the frame in which the
+    couplings are diagonal: beta1 = (g1+g2)/omega_c for |11>/|00> (the |00>
+    ladder at -beta1) and beta2 = (g1-g2)/omega_c for |10>/|01> (|01> at
+    -beta2).
     """
-
-    M: int
-    betas: tuple[float, float, float, float]
-
-    def __post_init__(self):
-        if self.M < 1:
-            raise ValueError("M must be at least 1")
-
-    @classmethod
-    def for_params(cls, params: RabiParams, M: int = 50) -> "DisplacedBasis":
-        b1 = (params.g1 + params.g2) / params.omega_c
-        b2 = (params.g1 - params.g2) / params.omega_c
-        return cls(M, (b1, b2, -b2, -b1))
-
-    @property
-    def beta1(self) -> float:
-        return self.betas[0]
-
-    @property
-    def beta2(self) -> float:
-        return self.betas[1]
+    g1 = np.array([p.g1 for p in params_list])
+    g2 = np.array([p.g2 for p in params_list])
+    wc = np.array([p.omega_c for p in params_list])
+    return (g1 + g2) / wc, (g1 - g2) / wc
 
 
 @dataclass(frozen=True)
@@ -464,7 +444,6 @@ class AdiabaticSolution:
     energy: float
     d1n: float
     d2n: float
-    xi: float
     mu: float
     omega_n_kappa: float
 
@@ -481,8 +460,7 @@ def adiabatic_eigensystem(params: RabiParams, n: int, kappa: int,
         raise ValueError("n must be non-negative")
     if kappa not in (1, -1):
         raise ValueError("kappa must be +1 or -1")
-    basis = DisplacedBasis.for_params(params, M=max(1, n))
-    b1, b2 = basis.beta1, basis.beta2
+    b1, b2 = (float(b[0]) for b in displacements([params]))
     wc = params.omega_c
     d_sum, d_diff = displacement_matrix(n + 1, [b1 + b2, b1 - b2])[:, n, n]
     omega = float(0.5 * params.omega1 * kappa * (-1.0) ** n * d_sum
@@ -494,24 +472,24 @@ def adiabatic_eigensystem(params: RabiParams, n: int, kappa: int,
         denom = (b2**2 - b1**2) * wc / 2.0 - branch * mu
         if abs(denom) < 1e-14:
             # removable 2x2 singularity: the branch is a pure |11>/|00>-type state
-            xi, d1, d2 = math.inf, 1.0, 0.0
+            d1, d2 = 1.0, 0.0
         else:
             xi = omega / denom
             norm = 1.0 / math.sqrt(1.0 + xi * xi)
             d1, d2 = xi * norm, -norm
         out.append(AdiabaticSolution(kappa, n, branch, center + branch * mu,
-                                     d1, d2, xi, mu, omega))
+                                     d1, d2, mu, omega))
     return out[0], out[1]
 
 
-def sector_hamiltonian(params_list: Sequence[RabiParams],
-                       bases: Sequence[DisplacedBasis],
+def sector_hamiltonian(params_list: Sequence[RabiParams], M: int,
                        kappa: int) -> np.ndarray:
     """Beyond-RWA Hamiltonians in the parity-kappa displaced-Fock sector basis.
 
     Entry p of the returned (P, 2(M+1), 2(M+1)) stack is the sector matrix of
-    ``params_list[p]`` on ``bases[p]``; all bases share one truncation M.  The
-    |11>/|00>-type and |10>/|01>-type blocks couple through
+    ``params_list[p]``, each ladder displaced by its ``displacements`` and
+    truncated at level M.  The |11>/|00>-type and |10>/|01>-type blocks
+    couple through
     B[m, n] = omega1/2 * kappa (-1)^n <m|D(beta1+beta2)|n>
             + omega2/2 * <m|D(beta1-beta2)|n>,
     i.e. the flip of qubit j is dressed by the displaced-Fock overlap at
@@ -519,17 +497,14 @@ def sector_hamiltonian(params_list: Sequence[RabiParams],
     """
     if kappa not in (1, -1):
         raise ValueError("kappa must be +1 or -1")
-    if len(params_list) != len(bases) or not bases:
-        raise ValueError("need one basis per parameter point, at least one")
-    if any(b.M != bases[0].M for b in bases):
-        raise ValueError("bases must share one truncation M")
-    mp1 = bases[0].M + 1
-    P = len(bases)
+    if not params_list:
+        raise ValueError("need at least one parameter point")
+    mp1 = M + 1
+    P = len(params_list)
     w1 = np.array([p.omega1 for p in params_list])[:, None, None]
     w2 = np.array([p.omega2 for p in params_list])[:, None, None]
     wc = np.array([p.omega_c for p in params_list])[:, None]
-    b1 = np.array([b.beta1 for b in bases])
-    b2 = np.array([b.beta2 for b in bases])
+    b1, b2 = displacements(params_list)
     D = displacement_matrix(mp1, np.concatenate([b1 + b2, b1 - b2]))
     ns = np.arange(mp1)
     signs = (-1.0) ** ns
@@ -543,13 +518,14 @@ def sector_hamiltonian(params_list: Sequence[RabiParams],
     return S
 
 
-def sector_number_operator(basis: DisplacedBasis) -> np.ndarray:
+def sector_number_operator(params: RabiParams, M: int) -> np.ndarray:
     """Photon number operator a^dag a on the parity-sector basis.
 
     Block diagonal: the displaced ladder contributes n + beta^2 on the
     diagonal and -beta sqrt(n+1) on the first off-diagonals.
     """
-    mp1 = basis.M + 1
+    beta1, beta2 = (float(b[0]) for b in displacements([params]))
+    mp1 = M + 1
     ns = np.arange(mp1)
     off = np.sqrt(ns[:-1] + 1.0)
 
@@ -560,8 +536,8 @@ def sector_number_operator(basis: DisplacedBasis) -> np.ndarray:
         return b
 
     N = np.zeros((2 * mp1, 2 * mp1))
-    N[:mp1, :mp1] = block(basis.beta1)
-    N[mp1:, mp1:] = block(basis.beta2)
+    N[:mp1, :mp1] = block(beta1)
+    N[mp1:, mp1:] = block(beta2)
     return N
 
 
@@ -599,20 +575,19 @@ class SectorSolution:
         return np.arange(self.energies.shape[1])
 
 
-def _photon_numbers(vectors: np.ndarray,
-                    bases: Sequence[DisplacedBasis]) -> np.ndarray:
+def _photon_numbers(vectors: np.ndarray, beta1: np.ndarray,
+                    beta2: np.ndarray) -> np.ndarray:
     """<a^dag a> of every column state, at O(M) per state.
 
     Evaluates the tridiagonal blocks of sector_number_operator without
     forming them: sum_n (n + beta^2) c_n^2 - 2 beta sqrt(n+1) c_n c_{n+1}.
     """
-    mp1 = bases[0].M + 1
+    mp1 = vectors.shape[-2] // 2
     ns = np.arange(mp1, dtype=float)
     off = np.sqrt(ns[1:])
     total = 0.0
-    for half, beta in ((vectors[:, :mp1], [b.beta1 for b in bases]),
-                       (vectors[:, mp1:], [b.beta2 for b in bases])):
-        beta = np.array(beta)[:, None]
+    for half, beta in ((vectors[:, :mp1], beta1), (vectors[:, mp1:], beta2)):
+        beta = beta[:, None]
         sq = half * half
         total = total + (ns @ sq + beta**2 * sq.sum(axis=1)
                          - 2.0 * beta * (off @ (half[:, :-1] * half[:, 1:])))
@@ -635,19 +610,18 @@ def _singlet_mask(params_list: Sequence[RabiParams], values: np.ndarray,
             & (kappa * parity == -1) & (d2 * d2 > 1.0 - 1e-6))
 
 
-def _vacuum_weights(vectors: np.ndarray, bases: Sequence[DisplacedBasis],
-                    kappa: int) -> np.ndarray:
+def _vacuum_weights(vectors: np.ndarray, beta1: np.ndarray,
+                    beta2: np.ndarray, kappa: int) -> np.ndarray:
     """Squared overlaps <state|10,0>; even-parity overlaps vanish identically.
 
     The plain vacuum expands over each displaced ladder through
     <n|D(beta)|0>, and |10,0> selects the (1 - kappa)/2 combination.
     """
     if kappa == 1:
-        return np.zeros((len(bases), vectors.shape[-1]))
-    mp1 = bases[0].M + 1
-    P = len(bases)
-    betas = [b.beta1 for b in bases] + [b.beta2 for b in bases]
-    cols = _vacuum_overlaps(mp1, betas)
+        return np.zeros((len(beta1), vectors.shape[-1]))
+    mp1 = vectors.shape[-2] // 2
+    P = len(beta1)
+    cols = _vacuum_overlaps(mp1, np.concatenate([beta1, beta2]))
     amps = (np.einsum("pnj,pn->pj", vectors[:, :mp1], cols[:P])
             - np.einsum("pnj,pn->pj", vectors[:, mp1:], cols[P:]))
     amps *= 1.0 / math.sqrt(2.0)
@@ -656,7 +630,7 @@ def _vacuum_weights(vectors: np.ndarray, bases: Sequence[DisplacedBasis],
 
 def solve_sectors(params_list: Sequence[RabiParams], M: int,
                   kappa: int) -> SectorSolution:
-    """Solve the parity-kappa sector at every point on DisplacedBasis.for_params.
+    """Solve the parity-kappa sector at every point, truncated at level M.
 
     This is the package's one displaced-Fock sector solver.  Points are
     diagonalized SECTOR_BATCH at a time with sector_hamiltonian and
@@ -671,11 +645,11 @@ def solve_sectors(params_list: Sequence[RabiParams], M: int,
     parts = []
     for start in range(0, len(params_list), SECTOR_BATCH):
         batch = params_list[start:start + SECTOR_BATCH]
-        bases = [DisplacedBasis.for_params(p, M) for p in batch]
-        values, vectors = numerics.eigh(sector_hamiltonian(batch, bases, kappa))
-        parts.append((values, _photon_numbers(vectors, bases),
+        betas = displacements(batch)
+        values, vectors = numerics.eigh(sector_hamiltonian(batch, M, kappa))
+        parts.append((values, _photon_numbers(vectors, *betas),
                       _singlet_mask(batch, values, vectors, kappa),
-                      _vacuum_weights(vectors, bases, kappa),
+                      _vacuum_weights(vectors, *betas, kappa),
                       _tail_population(vectors)))
     return SectorSolution(kappa, *(np.concatenate(a) for a in zip(*parts)))
 

@@ -40,11 +40,11 @@ def test_criterion_1_oracle_identity_suite():
                 closed = geometry.berry_phase_block_closed_form(k, coeffs)
                 for c, gamma in zip(coeffs.T, closed):
                     oracle = geometry.berry_phase_fock_state(
-                        c, [k - 2, k - 1, k - 1, k]).gamma
+                        c, [k - 2, k - 1, k - 1, k])
                     worst = max(worst, abs(gamma - oracle))
             ef = model.equal_frequency_k1(tq)
             for l in (1, 2, 3):
-                closed = geometry.berry_phase_equal_frequency(tq, l).gamma
+                closed = geometry.berry_phase_equal_frequency(tq, l)
                 nbar = float(ef.states_block[l - 1, 2] ** 2)
                 worst = max(worst, abs(closed - TWO_PI * nbar))
             jc = RabiParams.jc(float(delta), float(g))
@@ -52,7 +52,7 @@ def test_criterion_1_oracle_identity_suite():
                 eig = model.jc_eigensystem(jc, k)
                 for branch, state in (("+", eig.state_plus),
                                       ("-", eig.state_minus)):
-                    closed = geometry.berry_phase_jc(jc, k, branch).gamma
+                    closed = geometry.berry_phase_jc(jc, k, branch)
                     nbar = (k - 1) * state[0] ** 2 + k * state[1] ** 2
                     worst = max(worst, abs(closed - TWO_PI * nbar))
     elapsed = time.time() - t0
@@ -77,7 +77,7 @@ def test_criterion_2_stokes_suite():
             label = "jc_plus" if family == 0 else "jc_minus"
             winding = 0.0 if family == 0 else TWO_PI
             closed = geometry.berry_phase_jc(params, 1,
-                                             "+" if family == 0 else "-").gamma
+                                             "+" if family == 0 else "-")
         elif family in (2, 3):  # two-qubit bright doublet
             g2 = float(rng.uniform(0.02, 0.3))
             params = RabiParams.equal_frequency(delta, g, g2)
@@ -85,22 +85,22 @@ def test_criterion_2_stokes_suite():
             label = "two_qubit_2" if family == 2 else "two_qubit_3"
             winding = 0.0 if family == 2 else TWO_PI
             closed = geometry.berry_phase_equal_frequency(
-                params, 2 if family == 2 else 3).gamma
+                params, 2 if family == 2 else 3)
         elif family == 4:       # vacuum-start JC noneigenstate
             params = RabiParams.jc(delta, g)
             theta_star = model.spectral_angles(params, 1).theta_k
             label, winding = "noneigen_jc", 0.0
-            closed = geometry.vacuum_phase_jc(params).gamma
+            closed = geometry.vacuum_phase_jc(params)
         else:                   # vacuum-start two-qubit noneigenstate
             g2 = float(rng.uniform(0.02, 0.3))
             params = RabiParams.equal_frequency(delta, g, g2)
             theta_star = model.equal_frequency_k1(params).theta_1_2
             label, winding = "noneigen_two_qubit", 0.0
-            closed = geometry.vacuum_phase_two_qubit(params).gamma
+            closed = geometry.vacuum_phase_two_qubit(params)
         thetas = np.linspace(0.0, theta_star, max(3, round(theta_star / h) + 1))
         a_phi = geometry.connection_field(params, label, thetas, verify=False)
         curv = geometry.curvature_from_connection(thetas, a_phi)
-        got = geometry.phase_by_surface_integral(thetas, curv).gamma + winding
+        got = geometry.phase_by_surface_integral(thetas, curv) + winding
         worst = max(worst, abs(got - closed))
     elapsed = time.time() - t0
     report("criterion 2: Stokes suite (<= 1e-5 at 100 points, < 30 s)",
@@ -196,7 +196,7 @@ def test_criterion_7_exceptional_solutions():
         j = int(np.argmin(np.abs(vals - 1.0)))
         worst_e = max(worst_e, abs(float(vals[j]) - 1.0))
         state = model.exceptional_states(params, n_photons=120)[0]
-        gamma_closed = geometry.berry_phase_exceptional(state.q).gamma
+        gamma_closed = geometry.berry_phase_exceptional(state.q)
         nbar = float(fm.photon_numbers()[ix] @ (vecs[:, j] ** 2))
         worst_g = max(worst_g, abs(TWO_PI * nbar - gamma_closed))
     elapsed = time.time() - t0
@@ -217,7 +217,7 @@ def test_criterion_8_anticrossing_sudden_change():
     params_of_g = lambda g: RabiParams.equal_frequency(0.5, g, g)
     ac = geometry.detect_anticrossing(params_of_g, kappa=1,
                                       g_min=0.2, g_max=0.32, M=50)
-    jump = geometry.locate_phase_jump(params_of_g, 0.2, 0.32, basis_M=50)
+    jump = geometry.locate_phase_jump(params_of_g, 0.2, 0.32, M=50)
     odd = geometry.detect_anticrossing(params_of_g, kappa=-1,
                                        g_min=0.2, g_max=0.32, M=50)
     elapsed = time.time() - t0
@@ -240,7 +240,7 @@ def _reported_phases(params: RabiParams, M: int) -> list[float]:
         sol = model.solve_sectors([params], M, kappa)
         out.extend(TWO_PI * sol.photon_numbers[0, sol.kept(0)[:3]])
     # sol is now the odd sector, the only one that |10,0> has weight in
-    out.append(geometry.noneigen_phases_beyond_rwa(sol)[0].gamma)
+    out.append(geometry.noneigen_phases_beyond_rwa(sol)[0][0])
     return out
 
 
@@ -291,7 +291,7 @@ def test_fig2_shape_saturation():
     """Near resonance the homogeneous-coupling phase saturates at pi/2."""
     gs = np.linspace(0.005, 0.1, 40)
     vals = [geometry.vacuum_phase_two_qubit(
-        RabiParams.equal_frequency(0.01, float(g), float(g))).gamma
+        RabiParams.equal_frequency(0.01, float(g), float(g)))
         for g in gs]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     # gamma = pi/2 (1 - Delta^2/Theta^2): within 0.2% of pi/2 by g = 0.1
@@ -315,16 +315,16 @@ def test_fig4_shape_phases_grow_beyond_rwa():
     weak = RabiParams.equal_frequency(0.5, 0.02, 0.02)
     weak_full = counterpart_phases(weak)
     assert abs(weak_full["psi1_2"]
-               - geometry.berry_phase_equal_frequency(weak, 2).gamma) < 5e-2
+               - geometry.berry_phase_equal_frequency(weak, 2)) < 5e-2
 
 
 def test_fig5_shape_rwa_symmetry_and_breaking():
     g = 0.2
     rwa_p = geometry.vacuum_phase_two_qubit(RabiParams.equal_frequency(0.2, g, g))
     rwa_m = geometry.vacuum_phase_two_qubit(RabiParams.equal_frequency(-0.2, g, g))
-    assert rwa_p.gamma == pytest.approx(rwa_m.gamma, abs=1e-12)
+    assert rwa_p == pytest.approx(rwa_m, abs=1e-12)
     full_p = geometry.noneigen_phase_beyond_rwa(
-        RabiParams.equal_frequency(0.2, g, g)).gamma
+        RabiParams.equal_frequency(0.2, g, g))[0]
     full_m = geometry.noneigen_phase_beyond_rwa(
-        RabiParams.equal_frequency(-0.2, g, g)).gamma
+        RabiParams.equal_frequency(-0.2, g, g))[0]
     assert abs(full_p - full_m) > 1e-2

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rabigeom import cli, model, numerics
-from rabigeom.model import DisplacedBasis, RabiParams
+from rabigeom import cli, geometry, model, numerics
+from rabigeom.model import RabiParams
 
 
 BENCH_REFERENCE = (Path(__file__).resolve().parents[1] / "bench" / "reference"
@@ -271,8 +271,7 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def _tail(params, M, kappa):
-    basis = DisplacedBasis.for_params(params, M=M)
-    _, vecs = numerics.eigh(model.sector_hamiltonian([params], [basis], kappa))
+    _, vecs = numerics.eigh(model.sector_hamiltonian([params], M, kappa))
     # last displaced level of both ladders, lower half of the sector
     return max(vecs[0, M, j] ** 2 + vecs[0, -1, j] ** 2 for j in range(M + 1))
 
@@ -298,6 +297,25 @@ def test_meta_records_worst_tail_population(tmp_path, command, kappas):
                 "--out", str(rwa_out)]) == 0
     assert "diagnostics" not in json.loads(
         (tmp_path / "r.csv.meta.json").read_text())
+
+
+def test_meta_records_per_point_diagnostics(tmp_path):
+    out = tmp_path / "n.csv"
+    gs = np.linspace(0.05, 0.3, 6)
+    assert run(["noneigen", "--delta", "0.5", "--sweep", "g:0.05:0.3:6",
+                "--trunc-m", "30", "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "n.csv.meta.json").read_text())
+    diag = meta["diagnostics"]
+    tails, totals = diag["tail_population"], diag["vacuum_weight_total"]
+    assert len(tails) == len(totals) == len(gs)
+    assert max(tails) == diag["max_tail_population"]
+    for g, tail, total in zip(gs, tails, totals):
+        params = RabiParams.equal_frequency(0.5, float(g), float(g))
+        assert tail == pytest.approx(_tail(params, 30, -1), rel=1e-6,
+                                     abs=1e-20)
+        assert abs(total - 1.0) <= 1e-8
+        assert total == pytest.approx(
+            geometry.noneigen_phase_beyond_rwa(params, 30)[1], abs=1e-12)
 
 
 def test_gate_probes_worst_tail_point(tmp_path):

@@ -55,8 +55,8 @@ def test_jc_aa_phase_closed_form_random():
         res = cyclic_evolution_jc(params, q=q)
         eig = model.jc_eigensystem(params, 1)
         half = eig.theta_k / 2
-        gp = geometry.berry_phase_jc(params, 1, "+").gamma
-        gm = geometry.berry_phase_jc(params, 1, "-").gamma
+        gp = geometry.berry_phase_jc(params, 1, "+")
+        gm = geometry.berry_phase_jc(params, 1, "-")
         want = math.cos(half) ** 2 * (gp + 2 * q * math.pi) \
             + math.sin(half) ** 2 * gm
         assert res.aa_phase == pytest.approx(want, abs=1e-9)
@@ -157,8 +157,8 @@ def test_two_qubit_aa_closed_form():
         ef = model.equal_frequency_k1(params)
         half = ef.theta_1_2 / 2
         ca2 = math.cos(ef.alpha) ** 2
-        g2 = geometry.berry_phase_equal_frequency(params, 2).gamma
-        g3 = geometry.berry_phase_equal_frequency(params, 3).gamma
+        g2 = geometry.berry_phase_equal_frequency(params, 2)
+        g3 = geometry.berry_phase_equal_frequency(params, 3)
         want = ca2 * math.cos(half) ** 2 * (g2 + 2 * p * math.pi) \
             + ca2 * math.sin(half) ** 2 * (g3 + 2 * q * math.pi)
         assert res.aa_phase == pytest.approx(want, abs=1e-9)

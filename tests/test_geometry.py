@@ -12,7 +12,7 @@ from rabigeom.geometry import (berry_phase_block_closed_form,
                                noneigen_phase_beyond_rwa, phase_by_surface_integral,
                                radial_field, vacuum_phase_jc,
                                vacuum_phase_two_qubit)
-from rabigeom.model import DisplacedBasis, RabiParams
+from rabigeom.model import RabiParams
 
 TWO_PI = 2 * math.pi
 
@@ -29,17 +29,17 @@ def _slot_photons(k):
 def test_ground_state_phase_is_zero():
     _, coeffs = model.solve_block(RabiParams(omega1=1.2, omega2=0.7,
                                              g1=0.2, g2=0.1), 0)
-    assert berry_phase_fock_state(coeffs[:, 0], _slot_photons(0)).gamma == 0.0
+    assert berry_phase_fock_state(coeffs[:, 0], _slot_photons(0)) == 0.0
     assert berry_phase_block_closed_form(0, coeffs)[0] == 0.0
 
 
 def test_jc_resonant_plus_phase_is_pi():
     params = RabiParams.jc(0.0, 0.08)
-    assert berry_phase_jc(params, 1, "+").gamma == \
+    assert berry_phase_jc(params, 1, "+") == \
         pytest.approx(math.pi, abs=1e-12)
     eig = model.jc_eigensystem(params, 1)
     got = geometry.berry_phase_fock_state(eig.state_plus, [0, 1])
-    assert got.gamma == pytest.approx(math.pi, abs=1e-12)
+    assert got == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_two_qubit_k2_identity_random():
@@ -53,24 +53,24 @@ def test_two_qubit_k2_identity_random():
         for l in (1, 2, 3, 4):
             closed = geometry.berry_phase_two_qubit(params, 2, l)
             oracle = berry_phase_fock_state(coeffs[:, l - 1], _slot_photons(2))
-            assert abs(closed.gamma - oracle.gamma) <= 1e-9
+            assert abs(closed - oracle) <= 1e-9
 
 
 def test_jc_minus_zero_coupling_winding():
     params = RabiParams.jc(0.3, 0.0)
     for k in (1, 2, 5):
-        got = berry_phase_jc(params, k, "-").gamma
+        got = berry_phase_jc(params, k, "-")
         assert got == pytest.approx(TWO_PI * k, abs=1e-12)
 
 
 def test_equal_frequency_l3_resonance():
     params = RabiParams.equal_frequency(0.0, 0.05, 0.05)
-    got = geometry.berry_phase_equal_frequency(params, 3).gamma
+    got = geometry.berry_phase_equal_frequency(params, 3)
     assert got == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_exceptional_phase_value():
-    got = geometry.berry_phase_exceptional(0.2).gamma
+    got = geometry.berry_phase_exceptional(0.2)
     cos_theta = (1 - 0.08) / (1 + 0.08)
     assert got == pytest.approx(math.pi * (1 - cos_theta), abs=1e-12)
     assert got == pytest.approx(0.46542, abs=1e-5)
@@ -79,7 +79,7 @@ def test_exceptional_phase_value():
     state = model.exceptional_states(params, n_photons=16)[0]
     fock = berry_phase_fock_state(
         state.state, np.tile(np.arange(16), 4))
-    assert fock.gamma == pytest.approx(got, abs=1e-12)
+    assert fock == pytest.approx(got, abs=1e-12)
 
 
 def test_label_errors():
@@ -102,8 +102,8 @@ def test_gauge_invariance_under_sign_flips():
     params = RabiParams(omega1=1.1, omega2=0.9, g1=0.12, g2=0.21)
     _, coeffs = model.solve_block(params, 3)
     for c in coeffs.T:
-        assert berry_phase_fock_state(-c, _slot_photons(3)).gamma == \
-            berry_phase_fock_state(c, _slot_photons(3)).gamma
+        assert berry_phase_fock_state(-c, _slot_photons(3)) == \
+            berry_phase_fock_state(c, _slot_photons(3))
     assert np.array_equal(berry_phase_block_closed_form(3, -coeffs),
                           berry_phase_block_closed_form(3, coeffs))
 
@@ -159,7 +159,7 @@ def _theta_grid(theta_max, h=1e-3):
 
 def _surface_integral(fn, theta_max, h=1e-3):
     thetas = _theta_grid(theta_max, h)
-    return phase_by_surface_integral(thetas, [fn(t) for t in thetas]).gamma
+    return phase_by_surface_integral(thetas, [fn(t) for t in thetas])
 
 
 def test_surface_integral_full_sphere_monopole():
@@ -170,7 +170,7 @@ def test_surface_integral_full_sphere_monopole():
 def test_surface_integral_vacuum_phase():
     params = RabiParams.jc(0.12, 0.07)
     theta1 = model.spectral_angles(params, 1).theta_k
-    want = vacuum_phase_jc(params).gamma
+    want = vacuum_phase_jc(params)
     assert _surface_integral(lambda t: 0.5 * math.sin(2 * t), theta1) == \
         pytest.approx(want, abs=1e-6)
 
@@ -179,7 +179,7 @@ def test_surface_integral_two_qubit_vacuum_phase():
     params = RabiParams.equal_frequency(-0.08, 0.03, 0.06)
     ef = model.equal_frequency_k1(params)
     ca2 = math.cos(ef.alpha) ** 2
-    want = vacuum_phase_two_qubit(params).gamma
+    want = vacuum_phase_two_qubit(params)
     assert _surface_integral(lambda t: 0.5 * math.sin(2 * t) * ca2,
                              ef.theta_1_2) == pytest.approx(want, abs=1e-6)
 
@@ -199,8 +199,8 @@ def test_stokes_reproduces_eigenstate_phases():
                                        ("jc_minus", "-", TWO_PI)):
             a_phi = connection_field(params, label, thetas, verify=False)
             curv = curvature_from_connection(thetas, a_phi)
-            got = phase_by_surface_integral(thetas, curv).gamma + winding
-            want = berry_phase_jc(params, 1, branch).gamma
+            got = phase_by_surface_integral(thetas, curv) + winding
+            want = berry_phase_jc(params, 1, branch)
             assert abs(got - want) <= 1e-5
 
 
@@ -224,19 +224,19 @@ def test_noneigen_weighted_sum_jc_resonance():
     eig = model.jc_eigensystem(params, 1)
     half = eig.theta_k / 2
     weights = [math.cos(half) ** 2, math.sin(half) ** 2]
-    gammas = [berry_phase_jc(params, 1, "+").gamma,
-              berry_phase_jc(params, 1, "-").gamma]
+    gammas = [berry_phase_jc(params, 1, "+"),
+              berry_phase_jc(params, 1, "-")]
     got = noneigen_geometric_phase(weights, gammas)
-    assert got.gamma == pytest.approx(math.pi, abs=1e-12)
-    assert got.gamma / TWO_PI <= 0.5 + 1e-12
+    assert got == pytest.approx(math.pi, abs=1e-12)
+    assert got / TWO_PI <= 0.5 + 1e-12
 
 
 def test_noneigen_two_qubit_resonance_and_suppression():
     params = RabiParams.equal_frequency(0.0, 0.05, 0.05)
-    assert vacuum_phase_two_qubit(params).gamma == pytest.approx(
+    assert vacuum_phase_two_qubit(params) == pytest.approx(
         math.pi / 2, abs=1e-12)
     lopsided = RabiParams.equal_frequency(0.0, 0.001, 0.4)
-    assert vacuum_phase_two_qubit(lopsided).gamma <= 1e-4
+    assert vacuum_phase_two_qubit(lopsided) <= 1e-4
 
 
 def test_noneigen_weight_error():
@@ -251,11 +251,11 @@ def test_noneigen_bounds_random():
                                             rng.uniform(0.0, 0.3),
                                             rng.uniform(0.0, 0.3))
         jc = vacuum_phase_jc(RabiParams.jc(params.delta, max(params.g1, 1e-6)))
-        assert -1e-12 <= jc.gamma <= math.pi + 1e-12
+        assert -1e-12 <= jc <= math.pi + 1e-12
         tq = vacuum_phase_two_qubit(params)
         ca2 = math.cos(model.spectral_angles(params, 1).alpha) ** 2
-        assert -1e-12 <= tq.gamma <= math.pi * ca2 + 1e-12
-        assert tq.gamma / TWO_PI <= 0.25 + 1e-12 or params.g1 != params.g2
+        assert -1e-12 <= tq <= math.pi * ca2 + 1e-12
+        assert tq / TWO_PI <= 0.25 + 1e-12 or params.g1 != params.g2
 
 
 def test_noneigen_curvature_detuning_antisymmetry():
@@ -269,17 +269,17 @@ def test_noneigen_curvature_detuning_antisymmetry():
 
 def test_beyond_rwa_phase_reduces_to_rwa():
     params = RabiParams.equal_frequency(0.1, 1e-4, 1e-4)
-    got = noneigen_phase_beyond_rwa(params, DisplacedBasis.for_params(params, M=20))
-    want = vacuum_phase_two_qubit(params).gamma
-    assert abs(got.gamma - want) <= 1e-4
-    assert got.weight_total == pytest.approx(1.0, abs=1e-10)
+    got, weight_total = noneigen_phase_beyond_rwa(params, M=20)
+    want = vacuum_phase_two_qubit(params)
+    assert abs(got - want) <= 1e-4
+    assert weight_total == pytest.approx(1.0, abs=1e-10)
 
 
 def test_beyond_rwa_weight_error_when_truncation_too_small():
     # M = 10 keeps only 0.99858 of |10,0>'s weight at g = 1
     bad = RabiParams.equal_frequency(0.5, 1.0, 1.0)
     with pytest.raises(geometry.WeightError):
-        noneigen_phase_beyond_rwa(bad, DisplacedBasis.for_params(bad, M=10))
+        noneigen_phase_beyond_rwa(bad, M=10)
     good = RabiParams.equal_frequency(0.5, 0.1, 0.1)
     odd = model.solve_sectors([good, bad], 10, -1)
     with pytest.raises(geometry.WeightError):
@@ -290,11 +290,12 @@ def test_beyond_rwa_batched_matches_per_point():
     params_list = [RabiParams.equal_frequency(delta, g, g)
                    for delta in (0.5, -0.2) for g in np.linspace(0.005, 0.35, 9)]
     odd = model.solve_sectors(params_list, 50, -1)
-    batched = geometry.noneigen_phases_beyond_rwa(odd)
-    for params, got in zip(params_list, batched):
-        want = noneigen_phase_beyond_rwa(params)
-        assert abs(got.gamma - want.gamma) <= 1e-12
-        assert abs(got.weight_total - want.weight_total) <= 1e-12
+    gammas, totals = geometry.noneigen_phases_beyond_rwa(odd)
+    assert gammas.shape == totals.shape == (len(params_list),)
+    for params, got, total in zip(params_list, gammas, totals):
+        want, want_total = noneigen_phase_beyond_rwa(params)
+        assert abs(got - want) <= 1e-12
+        assert abs(total - want_total) <= 1e-12
     with pytest.raises(ValueError):
         geometry.noneigen_phases_beyond_rwa(
             model.solve_sectors(params_list[:1], 50, 1))
@@ -303,18 +304,18 @@ def test_beyond_rwa_batched_matches_per_point():
 def test_beyond_rwa_weak_coupling_agreement():
     for delta in (0.1, -0.1):
         params = RabiParams.equal_frequency(delta, 0.02, 0.02)
-        got = noneigen_phase_beyond_rwa(params).gamma
-        want = vacuum_phase_two_qubit(params).gamma
+        got = noneigen_phase_beyond_rwa(params)[0]
+        want = vacuum_phase_two_qubit(params)
         assert abs(got - want) <= 5e-2
 
 
 def test_beyond_rwa_symmetry_breaking():
     """Delta -> -Delta symmetry of the RWA phase fails beyond the RWA."""
     g = 0.2
-    plus = noneigen_phase_beyond_rwa(RabiParams.equal_frequency(0.2, g, g)).gamma
-    minus = noneigen_phase_beyond_rwa(RabiParams.equal_frequency(-0.2, g, g)).gamma
-    rwa_plus = vacuum_phase_two_qubit(RabiParams.equal_frequency(0.2, g, g)).gamma
-    rwa_minus = vacuum_phase_two_qubit(RabiParams.equal_frequency(-0.2, g, g)).gamma
+    plus = noneigen_phase_beyond_rwa(RabiParams.equal_frequency(0.2, g, g))[0]
+    minus = noneigen_phase_beyond_rwa(RabiParams.equal_frequency(-0.2, g, g))[0]
+    rwa_plus = vacuum_phase_two_qubit(RabiParams.equal_frequency(0.2, g, g))
+    rwa_minus = vacuum_phase_two_qubit(RabiParams.equal_frequency(-0.2, g, g))
     assert abs(rwa_plus - rwa_minus) <= 1e-12
     assert abs(plus - minus) > 1e-2
 
@@ -334,24 +335,51 @@ def test_beyond_rwa_matches_plain_fock_oracle():
             assert abs(disp[rank] - plain) <= 1e-6
 
 
+@pytest.mark.parametrize("g,tol", [(0.005, 5e-3), (0.02, 6e-2)])
+def test_berry_phase_adiabatic_matches_sector_states(g, tol):
+    """The adiabatic phase against 2 pi <a^dag a> of the full sector state
+    nearest in energy, for n <= 2, both parities and both branches.
+
+    The approximation drops the couplings between displaced levels, so it
+    degrades with g; the branches it gets exactly are the pure |10>/|01>-type
+    ones (d1 = 0): the spin singlets, where beta2 = 0 makes the state a
+    plain Fock state with phase 2 n pi.
+    """
+    params = RabiParams(omega1=0.5, omega2=0.5, g1=g, g2=g)
+    exact = 0
+    for kappa in (1, -1):
+        sol = model.solve_sectors([params], 50, kappa)
+        for n in range(3):
+            states = model.adiabatic_eigensystem(params, n, kappa)
+            for branch, state in zip((1, -1), states):
+                j = np.argmin(np.abs(sol.energies[0] - state.energy))
+                gamma = geometry.berry_phase_adiabatic(params, n, kappa, branch)
+                diff = abs(gamma - TWO_PI * sol.photon_numbers[0, j])
+                assert diff <= tol
+                if state.d1n == 0.0:
+                    exact += 1
+                    assert diff <= 1e-13
+    assert exact == 3
+
+
 def test_beyond_rwa_weighted_phase_matches_plain_fock():
     """The |10,0> phase, batched and per point, against a plain-Fock sum.
 
     In the plain-Fock basis each weight is one squared component and <a^dag a>
-    is diagonal; weights below the same 1e-12 floor are dropped.
+    is diagonal; weights below the same WEIGHT_FLOOR are dropped.
     """
     params_list = [RabiParams.equal_frequency(delta, g, g) for delta in (0.5, -0.5)
                    for g in np.linspace(0.005, 0.35, 70)[::9]]
-    batched = geometry.noneigen_phases_beyond_rwa(
+    batched, _ = geometry.noneigen_phases_beyond_rwa(
         model.solve_sectors(params_list, 50, -1))
     for params, got in zip(params_list, batched):
         fm = model.build_full_rabi(params, n_photons=80)
         _, vecs, ix = model.solve_parity_sector(fm, -1, check_truncation=False)
         weights = vecs[list(ix).index(fm.basis_index("10", 0))] ** 2
-        weights = np.where(weights >= 1e-12, weights, 0.0)
+        weights = np.where(weights >= geometry.WEIGHT_FLOOR, weights, 0.0)
         plain = TWO_PI * float(weights @ (fm.photon_numbers()[ix] @ vecs**2))
-        assert abs(got.gamma - plain) <= 1e-13
-        assert abs(noneigen_phase_beyond_rwa(params).gamma - plain) <= 1e-13
+        assert abs(got - plain) <= 1e-13
+        assert abs(noneigen_phase_beyond_rwa(params)[0] - plain) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

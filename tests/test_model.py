@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from rabigeom import model, numerics
-from rabigeom.model import (DisplacedBasis, RabiParams, adiabatic_eigensystem,
+from rabigeom.model import (RabiParams, adiabatic_eigensystem,
                             build_block, build_full_rabi, displacement_matrix, equal_frequency_k1,
                             exceptional_states, jc_eigensystem, solve_block,
                             solve_parity_sector)
@@ -272,10 +272,9 @@ def test_displacement_matrix_consistency():
 
 def test_displacement_matrix_stack_zero_edge():
     # beta2 = 0 when g1 = g2, and beta1 - beta2 = 0 in the JC case (g2 = 0)
-    equal = DisplacedBasis.for_params(RabiParams.equal_frequency(0.5, 0.3, 0.3))
-    jc = DisplacedBasis.for_params(RabiParams.jc(0.1, 0.25))
-    deltas = np.array([equal.beta1 + equal.beta2, equal.beta2,
-                       jc.beta1 - jc.beta2, jc.beta1, -0.8])
+    (eq1, jc1), (eq2, jc2) = model.displacements(
+        [RabiParams.equal_frequency(0.5, 0.3, 0.3), RabiParams.jc(0.1, 0.25)])
+    deltas = np.array([eq1 + eq2, eq2, jc1 - jc2, jc1, -0.8])
     assert deltas[1] == 0.0 and deltas[2] == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -476,11 +475,13 @@ def test_solve_sectors_mixed_points_and_validation():
         model.solve_sectors([], 20, 1)
 
 
-def test_displaced_basis_invariants():
-    basis = DisplacedBasis.for_params(RabiParams(omega1=1.0, g1=0.3, g2=0.1))
-    b1, b2, b3, b4 = basis.betas
-    assert b1 == -b4 and b2 == -b3
-    assert b1 == pytest.approx(0.4) and b2 == pytest.approx(0.2)
+def test_displacements_values():
+    beta1, beta2 = model.displacements([RabiParams(omega1=1.0, g1=0.3, g2=0.1),
+                                        RabiParams(omega1=1.0, g1=0.2, g2=0.5,
+                                                   omega_c=2.0)])
+    assert beta1.shape == beta2.shape == (2,)
+    assert beta1 == pytest.approx([0.4, 0.35]) and \
+        beta2 == pytest.approx([0.2, -0.15])
 
 
 # ---------------------------------------------------------------------------
