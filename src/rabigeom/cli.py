@@ -12,9 +12,11 @@ non-degenerate doublet or anti-crossing does not exist.
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
+import platform
 import sys
 from collections.abc import Iterable, Sequence
 
@@ -32,43 +34,111 @@ class ConfigError(ValueError):
     pass
 
 
+#: rows write_dataset takes from its iterable, checks and formats at a time
+BLOCK_ROWS = 1024
+
+#: thread-count variables recorded in every sidecar's environment block
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _spec(kind: type) -> str:
+    """printf conversion of a cell of type ``kind``.
+
+    Bools and integers are written as integers, floats with 17 significant
+    digits (they round-trip exactly), anything else through str().
+    """
+    if issubclass(kind, (bool, np.bool_, int, np.integer)):
+        return "%d"
+    if issubclass(kind, float):
+        return "%.17g"
+    return "%s"
+
+
 def _row_format(row: Sequence, suffix: tuple[str, ...] = ()
                 ) -> tuple[str, list[int]]:
     """printf format of one CSV line for rows typed like ``row``, and the
-    positions of its float cells.
-
-    Bools and integers are written as integers, floats with 17 significant
-    digits (they round-trip exactly), anything else through str().  The
-    cells of ``suffix``, printf formats themselves, end the line.
+    positions of its float cells.  The cells of ``suffix``, printf formats
+    themselves, end the line.
     """
-    specs, floats = [], []
-    for i, value in enumerate(row):
-        if isinstance(value, (bool, np.bool_, int, np.integer)):
-            specs.append("%d")
-        elif isinstance(value, float):
-            specs.append("%.17g")
-            floats.append(i)
-        else:
-            specs.append("%s")
-    specs.extend(suffix)
-    return ",".join(specs) + "\n", floats
+    specs = [_spec(type(value)) for value in row]
+    floats = [i for i, spec in enumerate(specs) if spec == "%.17g"]
+    return ",".join(specs + list(suffix)) + "\n", floats
+
+
+def _column_spec(column: tuple) -> str | None:
+    """The one printf conversion of every cell of ``column``, or None when
+    its cells mix conversions."""
+    specs = {_spec(kind) for kind in set(map(type, column))}
+    return specs.pop() if len(specs) == 1 else None
+
+
+def _format_rows(block: list, width: int, suffix: tuple[str, ...],
+                 formats: dict) -> str:
+    """The CSV lines of ``block``, row by row; ``formats`` caches one printf
+    format per tuple of cell types."""
+    lines = []
+    for row in block:
+        types = tuple(map(type, row))
+        if types not in formats:
+            if len(row) != width:
+                raise ConfigError("inconsistent column count")
+            formats[types] = _row_format(row, suffix)
+        fmt, floats = formats[types]
+        if not all([math.isfinite(row[i]) for i in floats]):
+            raise ConfigError("non-finite value in dataset")
+        lines.append(fmt % tuple(row))
+    return "".join(lines)
+
+
+def _format_block(block: list, width: int, suffix: tuple[str, ...],
+                  formats: dict) -> str:
+    """The CSV lines of ``block``, checked and formatted in one go when every
+    row has ``width`` cells and each column one printf conversion; any other
+    block goes row by row (_format_rows), which raises at the first bad row.
+    """
+    if set(map(len, block)) == {width}:
+        cells = tuple(itertools.chain.from_iterable(block))
+        columns = [cells[j::width] for j in range(width)]
+        specs = [_column_spec(column) for column in columns]
+        if None not in specs:
+            for column, spec in zip(columns, specs):
+                if spec == "%.17g" and not all(map(math.isfinite, column)):
+                    raise ConfigError("non-finite value in dataset")
+            return (",".join(specs + list(suffix)) + "\n") * len(block) % cells
+    return _format_rows(block, width, suffix, formats)
+
+
+def environment() -> dict:
+    """Python, numpy and BLAS versions and the thread settings of this process."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            **{var: os.environ.get(var, "unset") for var in THREAD_VARS}}
 
 
 def write_dataset(path: str, header: list[str], rows: Iterable[Sequence],
                   metadata: dict, fixed: Sequence = ()) -> None:
     """Write ``rows`` under ``header`` to the CSV ``path`` and its sidecar.
 
-    ``rows`` is any iterable of row sequences, consumed once: each row is
-    formatted and written as it arrives, so a generator never holds the table
-    in memory.  ``fixed`` holds the values of the last ``len(fixed)`` columns
-    when they are the same on every row; the rows then supply only the
-    leading columns, and the fixed cells are checked and formatted once.
-    Rows are formatted with one printf format per distinct tuple of cell
-    types (see _row_format).  A row whose length, with ``fixed``, differs
-    from the header's or a non-finite float raises ConfigError and removes
-    the partial CSV; the sidecar, written last, records the row count.
+    ``rows`` is any iterable of row sequences, consumed once in blocks of
+    BLOCK_ROWS rows: each block is checked, formatted and written before the
+    next is taken, so the writer holds at most one block of a generator's
+    rows in memory.  ``fixed`` holds the values of the last ``len(fixed)``
+    columns when they are the same on every row; the rows then supply only
+    the leading columns, and the fixed cells are checked and formatted once.
+    A block whose columns each hold one kind of cell (integer, float or
+    other; see _spec) gets one length check, one kind check per column, one
+    finiteness pass per float column, one printf call and one write.  A
+    block that mixes kinds within a column, or has a row of the wrong
+    length, is formatted row by row with one printf format per distinct
+    tuple of cell types.  Either way each cell is written by the same rule.
+    A row whose length, with ``fixed``, differs from the header's or a
+    non-finite float raises ConfigError and removes the partial CSV; the
+    sidecar, written last, records the row count and the environment (see
+    environment()).
     """
     fixed = tuple(fixed)
+    width = len(header) - len(fixed)
     formats: dict[tuple, tuple[str, list[int]]] = {}
     count = 0
     fh = open(path, "w", newline="")
@@ -82,16 +152,10 @@ def write_dataset(path: str, header: list[str], rows: Iterable[Sequence],
                 # the formatted cells, escaped to stand in a printf format
                 suffix = ((fmt % fixed)[:-1].replace("%", "%%"),)
             fh.write(",".join(header) + "\n")
-            for count, row in enumerate(rows, 1):
-                types = tuple(map(type, row))
-                if types not in formats:
-                    if len(row) + len(fixed) != len(header):
-                        raise ConfigError("inconsistent column count")
-                    formats[types] = _row_format(row, suffix)
-                fmt, floats = formats[types]
-                if not all([math.isfinite(row[i]) for i in floats]):
-                    raise ConfigError("non-finite value in dataset")
-                fh.write(fmt % tuple(row))
+            rows = iter(rows)
+            while block := list(itertools.islice(rows, BLOCK_ROWS)):
+                fh.write(_format_block(block, width, suffix, formats))
+                count += len(block)
     except BaseException:
         os.remove(path)
         raise
@@ -99,6 +163,7 @@ def write_dataset(path: str, header: list[str], rows: Iterable[Sequence],
     metadata["version"] = __version__
     metadata["columns"] = header
     metadata["rows"] = count
+    metadata["environment"] = environment()
     with open(path + ".meta.json", "w") as fh:
         json.dump(metadata, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -108,17 +173,26 @@ def write_dataset(path: str, header: list[str], rows: Iterable[Sequence],
 # Configuration
 # ---------------------------------------------------------------------------
 
-def _parse_sweep(text: str) -> dict:
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise ConfigError("--sweep expects VAR:START:STOP:POINTS")
-    var, start, stop, points = parts
+SWEEP_KEYS = ("var", "start", "stop", "points")
+
+
+def _parse_sweep(spec) -> dict:
+    """The sweep {"var", "start", "stop", "points"} given as the text
+    VAR:START:STOP:POINTS or as a mapping with exactly those keys."""
+    if isinstance(spec, str):
+        parts = spec.split(":")
+        if len(parts) != 4:
+            raise ConfigError("--sweep expects VAR:START:STOP:POINTS")
+        spec = dict(zip(SWEEP_KEYS, parts))
+    elif not isinstance(spec, dict) or set(spec) != set(SWEEP_KEYS):
+        raise ConfigError(f"sweep {spec!r}: need VAR:START:STOP:POINTS or an "
+                          f"object with the keys {SWEEP_KEYS}")
+    var = spec["var"]
     if var not in SWEEP_VARS:
         raise ConfigError(f"sweep variable must be one of {SWEEP_VARS}")
-    try:
-        start, stop, points = float(start), float(stop), int(points)
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep specification {text!r}") from exc
+    start = _number(float, "sweep start", spec["start"])
+    stop = _number(float, "sweep stop", spec["stop"])
+    points = _integer("sweep points", spec["points"])
     if points < 2:
         raise ConfigError("sweep needs at least 2 points")
     if not start < stop:
@@ -132,6 +206,16 @@ def _number(kind: type, key: str, value):
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} {value!r}: not a number") from exc
+
+
+def _integer(key: str, value) -> int:
+    """``int(value)``; a bool or a number with a fractional part is a
+    configuration error, not truncated."""
+    n = _number(int, key, value)
+    if isinstance(value, (bool, np.bool_)) or \
+            (isinstance(value, float) and value != n):
+        raise ConfigError(f"{key} {value!r}: not an integer")
+    return n
 
 
 def load_config(args: argparse.Namespace) -> dict:
@@ -152,7 +236,7 @@ def load_config(args: argparse.Namespace) -> dict:
             cfg[key] = val
     if getattr(args, "sweep", None) is not None:
         cfg["sweep"] = _parse_sweep(args.sweep)
-    elif isinstance(cfg.get("sweep"), str):
+    elif cfg.get("sweep") is not None:
         cfg["sweep"] = _parse_sweep(cfg["sweep"])
     if getattr(args, "rwa", False):
         cfg["mode"] = "rwa"
@@ -167,8 +251,10 @@ def load_config(args: argparse.Namespace) -> dict:
     if cfg["model"] not in ("jc", "two-qubit"):
         raise ConfigError(f"unknown model {cfg['model']!r}")
     for key in ("trunc_m", "trunc_photons"):
-        if cfg.get(key) is not None and _number(int, key, cfg[key]) < 10:
-            raise ConfigError(f"{key} {cfg[key]}: need at least 10")
+        if cfg.get(key) is not None:
+            cfg[key] = _integer(key, cfg[key])
+            if cfg[key] < 10:
+                raise ConfigError(f"{key} {cfg[key]}: need at least 10")
     return cfg
 
 
@@ -203,7 +289,7 @@ def _get(cfg: dict, key: str, default):
 def _levels(cfg: dict, default: int, minimum: int = 0) -> int:
     """The --levels count, or ``default`` when unset; below ``minimum`` is a
     configuration error."""
-    n = _number(int, "levels", _get(cfg, "levels", default))
+    n = _integer("levels", _get(cfg, "levels", default))
     if n < minimum:
         raise ConfigError(f"--levels {n}: need at least {minimum}")
     return n

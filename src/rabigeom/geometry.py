@@ -116,8 +116,7 @@ def berry_phase_two_qubit(params: RabiParams, k: int, l: int) -> float:
 
 def berry_phase_equal_frequency(params: RabiParams, l: int) -> float:
     """k = 1 phases for identical qubit frequencies: 0, pi(1 -/+ ... )."""
-    ef = model.equal_frequency_k1(params)
-    cos_theta = math.cos(ef.theta_1_2)
+    cos_theta = math.cos(model.equal_frequency_angles(params)[0])
     if l == 1:
         return 0.0
     if l == 2:
@@ -312,15 +311,14 @@ def vacuum_phase_jc(params: RabiParams) -> float:
 def vacuum_phase_two_qubit(params: RabiParams) -> float:
     """Vacuum-induced geometric phase of |10,0> under the RWA
     (identical qubit frequencies): pi cos^2(alpha) (1 - cos 2 theta) / 2."""
-    ef = model.equal_frequency_k1(params)
-    return 0.5 * math.pi * math.cos(ef.alpha) ** 2 \
-        * (1.0 - math.cos(2.0 * ef.theta_1_2))
+    theta, alpha, _ = model.equal_frequency_angles(params)
+    return 0.5 * math.pi * math.cos(alpha) ** 2 * (1.0 - math.cos(2.0 * theta))
 
 
 def noneigen_curvature_two_qubit(params: RabiParams) -> float:
     """Geometric curvature of |10,0>: sin(2 theta) cos^2(alpha) / 2."""
-    ef = model.equal_frequency_k1(params)
-    return 0.5 * math.sin(2.0 * ef.theta_1_2) * math.cos(ef.alpha) ** 2
+    theta, alpha, _ = model.equal_frequency_angles(params)
+    return 0.5 * math.sin(2.0 * theta) * math.cos(alpha) ** 2
 
 
 def _check_weight_total(total: float) -> None:

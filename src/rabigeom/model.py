@@ -214,17 +214,26 @@ class EqualFrequencyK1:
     states_block: np.ndarray
 
 
-def equal_frequency_k1(params: RabiParams) -> EqualFrequencyK1:
+def equal_frequency_angles(params: RabiParams) -> tuple[float, float, float]:
+    """(theta_1_2, alpha, big_theta_1) of the k = 1 block for omega1 = omega2,
+    as in EqualFrequencyK1, without its eigenvector matrices."""
     if abs(params.omega1 - params.omega2) > EQ_TOL:
-        raise NotEqualFrequency("equal_frequency_k1 requires omega1 == omega2")
+        raise NotEqualFrequency("the equal-frequency closed forms require "
+                                "omega1 == omega2")
     ang = spectral_angles(params, 1)
-    delta, big = params.delta, ang.big_theta_1
+    big = ang.big_theta_1
     if big > 0.0:
-        theta = math.acos(min(1.0, max(-1.0, delta / big)))
+        theta = math.acos(min(1.0, max(-1.0, params.delta / big)))
     else:
         theta = 0.0
+    return theta, ang.alpha, big
+
+
+def equal_frequency_k1(params: RabiParams) -> EqualFrequencyK1:
+    theta, alpha, big = equal_frequency_angles(params)
+    delta = params.delta
     half = theta / 2.0
-    ca, sa = math.cos(ang.alpha), math.sin(ang.alpha)
+    ca, sa = math.cos(alpha), math.sin(alpha)
     # rows: Psi1 = phi0_minus; Psi2, Psi3 mix phi0_plus with phi1
     uncoupled = np.array([
         [0.0, 1.0, 0.0],
@@ -238,7 +247,7 @@ def equal_frequency_k1(params: RabiParams) -> EqualFrequencyK1:
     ])
     states_block = uncoupled @ phi_basis
     energies = (0.0, (-delta + big) / 2.0, (-delta - big) / 2.0)
-    return EqualFrequencyK1(theta, ang.alpha, big, energies, uncoupled, states_block)
+    return EqualFrequencyK1(theta, alpha, big, energies, uncoupled, states_block)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -135,36 +136,54 @@ BENCH_COMMANDS = {
     "fig2": ["fig2"],
     "fig3": ["fig3"],
     "fig4": ["fig4"],
+    "fig5": ["fig5"],
 }
+
+#: the datasets of a command that writes more than one, named as in the
+#: references
+BENCH_DATASETS = {"fig5": ["fig5_p05", "fig5_m05", "fig5_p02", "fig5_m02"]}
 
 
 #: datasets that moved by rounding after the references were generated:
 #: fig4 differs from its reference by at most 2.2e-15 (159 cells) since the
-#: batched sector kernel.  Their present bytes are pinned here, and the
-#: reference is still matched cell by cell to 1e-12.
+#: batched sector kernel; the fig5 files by at most 1.3e-15 (p05), 1.8e-15
+#: (m05), 1.1e-15 (p02) and 2.2e-15 (m02).  Their present bytes are pinned
+#: here, and the reference is still matched cell by cell to 1e-12.
 MOVED_SHA256 = {
     "fig4": "0cf7e111abc2e033e707eb2d195108e3e3c565917d835f2113b6ea14c6388a3b",
+    "fig5_p05":
+        "b3b685441497d41528eebdaff7a31b718aba26a28f0c32335055b8b940466a2c",
+    "fig5_m05":
+        "d694a3357fb42d0591335a3fbd8b3f5c34cba3e1c9b1adc833b63692cbecb2c4",
+    "fig5_p02":
+        "c8202630d47ca0c6fd0edc00c7faabbbbe673ccad973a7aa027fc9dfe96db1ee",
+    "fig5_m02":
+        "4151a3144aaa5e5228c8c2f1dd8f0185d94bcd0a0a591de1fd2efa85fe00dcae",
 }
 
 
 @pytest.mark.parametrize("name", BENCH_COMMANDS)
 def test_evolve_bench_workload_matches_reference(tmp_path, name):
     # the benchmark's own references, read-only
-    want = json.loads(BENCH_REFERENCE.read_text())[name]
-    out = tmp_path / f"{name}.csv"
-    assert run(BENCH_COMMANDS[name] + ["--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        MOVED_SHA256.get(name, want["sha256"])
-    if name in MOVED_SHA256:
-        with gzip.open(BENCH_REFERENCE.parent / want["file"], "rt") as fh:
-            ref = fh.read().split("\n")
-        got = out.read_text().split("\n")
-        assert got[0] == ref[0] and len(got) == len(ref)
-        for ref_row, row in zip(ref[1:], got[1:]):
-            for e, a in zip(ref_row.split(","), row.split(",")):
-                assert e == a or abs(float(e) - float(a)) <= 1e-12
-    meta = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
-    assert meta["rows"] == want["rows"] - 1   # the reference counts the header
+    index = json.loads(BENCH_REFERENCE.read_text())
+    assert run(BENCH_COMMANDS[name] + ["--out", str(tmp_path / f"{name}.csv")]) \
+        == 0
+    for dataset in BENCH_DATASETS.get(name, [name]):
+        want = index[dataset]
+        out = tmp_path / f"{dataset}.csv"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            MOVED_SHA256.get(dataset, want["sha256"])
+        if dataset in MOVED_SHA256:
+            with gzip.open(BENCH_REFERENCE.parent / want["file"], "rt") as fh:
+                ref = fh.read().split("\n")
+            got = out.read_text().split("\n")
+            assert got[0] == ref[0] and len(got) == len(ref)
+            for ref_row, row in zip(ref[1:], got[1:]):
+                for e, a in zip(ref_row.split(","), row.split(",")):
+                    assert e == a or abs(float(e) - float(a)) <= 1e-12
+        meta = json.loads((tmp_path / f"{dataset}.csv.meta.json").read_text())
+        # the reference counts the header
+        assert meta["rows"] == want["rows"] - 1
 
 
 def test_config_error_exit_code(tmp_path):
@@ -208,7 +227,25 @@ def test_config_error_exit_code(tmp_path):
                          # the g window must satisfy 0 <= g_min < g_max
                          (["scan-anticrossing"], {"g_min": -0.1}),
                          (["scan-anticrossing"], {"g_min": 0.3,
-                                                  "g_max": 0.3})):
+                                                  "g_max": 0.3}),
+                         # a sweep object passes the checks of --sweep
+                         (["noneigen"], {"sweep": {"var": "g", "start": 0.3,
+                                                   "stop": 0.1, "points": 1}}),
+                         (["noneigen"], {"sweep": {"var": "bogus",
+                                                   "start": 0.1, "stop": 0.3,
+                                                   "points": 3}}),
+                         (["noneigen"], {"sweep": {"var": "g", "start": 0.1,
+                                                   "stop": 0.3}}),
+                         (["noneigen"], {"sweep": ["g", 0.1, 0.3, 3]}),
+                         (["noneigen"], {"sweep": {"var": "g", "start": 0.1,
+                                                   "stop": 0.3,
+                                                   "points": 3.5}}),
+                         # integer keys are not truncated or read from bools
+                         (["noneigen", *sweep], {"trunc_m": 10.9}),
+                         (["noneigen", *sweep], {"trunc_m": True}),
+                         (["spectrum", *sweep], {"trunc_photons": 20.5}),
+                         (["curvature-field"], {"levels": 1000.7}),
+                         (["curvature-field"], {"levels": True})):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(bad))
         assert run([*command, *short, "--config", str(config)]) == 2
@@ -259,6 +296,16 @@ def test_config_file_merging(tmp_path):
     assert code == 0
     _, rows = read_csv(out)
     assert all(float(r[3]) == pytest.approx(0.2) for r in rows)
+    # the same sweep as an object, with integral values of an integer key
+    cfg.write_text(json.dumps({"delta": 0.2, "mode": "rwa", "trunc_m": 20.0,
+                               "sweep": {"var": "g", "start": 0.01,
+                                         "stop": 0.05, "points": 3}}))
+    again = tmp_path / "again.csv"
+    assert run(["noneigen", "--config", str(cfg), "--rwa",
+                "--out", str(again)]) == 0
+    assert again.read_bytes() == out.read_bytes()
+    meta = json.loads((tmp_path / "again.csv.meta.json").read_text())
+    assert meta["config"]["trunc_m"] == 20
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -370,6 +417,52 @@ def test_write_dataset_matches_per_cell_rule(tmp_path):
     assert meta["rows"] == len(rows) and meta["columns"] == header
 
 
+def _uniform_row(i: int) -> tuple:
+    """A row whose every column keeps one kind of cell from row to row."""
+    return (0.1 * i, i % 2 == 0, np.bool_(i % 3), np.int64(-i),
+            np.float64(i) / 3, f"s{i}", i)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("n_rows", [0, cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS,
+                                    cli.BLOCK_ROWS + 1])
+def test_write_dataset_block_boundaries_match_per_cell_rule(tmp_path, n_rows,
+                                                            mixed):
+    rows = [_uniform_row(i) for i in range(n_rows)]
+    if mixed:
+        # mixed-kind rows on both sides of the first block boundary
+        start = cli.BLOCK_ROWS - 2
+        for i, row in enumerate(_MIXED_ROWS[:3], start):
+            if i < n_rows:
+                rows[i] = row
+    out = tmp_path / "t.csv"
+    cli.write_dataset(str(out), _MIXED_HEADER, iter(rows), {})
+    want = "".join(",".join(map(_cell, row)) + "\n"
+                   for row in [_MIXED_HEADER, *rows])
+    assert out.read_bytes() == want.encode()
+    meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
+    assert meta["rows"] == n_rows
+
+
+def test_sidecar_records_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    sidecars = []
+    for name in ("a.csv", "b.csv"):
+        cli.write_dataset(str(tmp_path / name), ["x"], [[1.0]], {})
+        sidecars.append((tmp_path / f"{name}.meta.json").read_text())
+    # deterministic within one process, so reruns stay byte-identical
+    assert sidecars[0] == sidecars[1]
+    env = json.loads(sidecars[0])["environment"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env == {"python": platform.python_version(),
+                   "numpy": np.__version__,
+                   "blas": {"name": blas["name"], "version": blas["version"]},
+                   "OPENBLAS_NUM_THREADS": os.environ.get(
+                       "OPENBLAS_NUM_THREADS", "unset"),
+                   "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "unset"}
+
+
 @pytest.mark.parametrize("split", [2, 5])
 @pytest.mark.parametrize("tail_row", [0, 3])
 def test_write_dataset_fixed_columns_match_full_rows(tmp_path, split,
@@ -404,11 +497,18 @@ def test_write_dataset_bad_fixed_leaves_no_csv(tmp_path, fixed, row):
     assert not (tmp_path / "bad.csv.meta.json").exists()
 
 
-@pytest.mark.parametrize("bad", [[math.nan, 1], [math.inf, 1],
-                                 [np.float64(-np.inf), 1], [0.5], [0.5, 1, 2]])
-def test_write_dataset_bad_row_leaves_no_csv(tmp_path, bad):
+_BAD_ROWS = [[math.nan, 1], [math.inf, 1], [np.float64(-np.inf), 1], [0.5],
+             [0.5, 1, 2]]
+
+
+# the bad row falls in the first block, or in the second after a full one
+@pytest.mark.parametrize("bad, n_good", [
+    pytest.param(bad, n_good, id=f"bad{i}{suffix}")
+    for n_good, suffix in ((1000, ""), (cli.BLOCK_ROWS + 5, "-second_block"))
+    for i, bad in enumerate(_BAD_ROWS)])
+def test_write_dataset_bad_row_leaves_no_csv(tmp_path, bad, n_good):
     out = tmp_path / "bad.csv"
-    good = ([0.1 * i, i] for i in range(1000))
+    good = ([0.1 * i, i] for i in range(n_good))
     with pytest.raises(cli.ConfigError):
         cli.write_dataset(str(out), ["x", "n"], itertools.chain(good, [bad]),
                           {})

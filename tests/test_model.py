@@ -157,8 +157,19 @@ def test_equal_frequency_k1_angles():
 
 
 def test_equal_frequency_requires_equal():
-    with pytest.raises(model.NotEqualFrequency):
-        equal_frequency_k1(RabiParams(omega1=1.0, omega2=0.9, g1=0.1, g2=0.1))
+    unequal = RabiParams(omega1=1.0, omega2=0.9, g1=0.1, g2=0.1)
+    for closed_form in (equal_frequency_k1, model.equal_frequency_angles):
+        with pytest.raises(model.NotEqualFrequency):
+            closed_form(unequal)
+
+
+@pytest.mark.parametrize("delta, g1, g2", [(0.0, 0.0, 0.0), (0.2, 0.1, 0.0),
+                                           (-0.05, 0.02, 0.07)])
+def test_equal_frequency_angles_match_k1(delta, g1, g2):
+    params = RabiParams.equal_frequency(delta, g1, g2)
+    ef = equal_frequency_k1(params)
+    assert model.equal_frequency_angles(params) == \
+        (ef.theta_1_2, ef.alpha, ef.big_theta_1)
 
 
 # ---------------------------------------------------------------------------
