@@ -19,7 +19,7 @@ fm = model.build_full_rabi(params, n_photons=4 * (M + 1))
 print(f"omega1 = omega2 = {params.omega1}, g = {params.g1}; "
       f"M = {M}, plain-Fock cutoff = {4 * (M + 1)} levels")
 for kappa, name in ((1, "even"), (-1, "odd")):
-    plain, _, _ = model.solve_parity_sector(fm, kappa, check_truncation=False)
+    plain, _, _ = model.solve_parity_sector(fm, kappa)
     sol = model.solve_sectors([params], M, kappa)
     disp, singlets = sol.energies[0, :8], sol.singlet[0]
     print(f"  {name} sector, lowest 8 levels "
@@ -35,7 +35,7 @@ for g in (0.005, 0.02):
     weak = RabiParams(omega1=0.5, omega2=0.5, g1=g, g2=g)
     fm_w = model.build_full_rabi(weak, n_photons=60)
     exact = np.sort(np.concatenate([
-        model.solve_parity_sector(fm_w, k, check_truncation=False)[0][:4]
+        model.solve_parity_sector(fm_w, k)[0][:4]
         for k in (1, -1)]))[:4]
     approx = np.sort([s.energy for n in range(2) for k in (1, -1)
                       for s in model.adiabatic_eigensystem(weak, n, k)])[:4]

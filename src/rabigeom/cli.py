@@ -6,7 +6,8 @@ truncation convergence gate, so a dataset can be reproduced bit-exactly from
 its metadata.  Floats are written with 17 significant digits and LF line
 endings; identical configuration and build give byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 convergence-gate failure or
+Exit codes: 0 success, 2 configuration error (an --out path that cannot be
+written among them), 3 convergence-gate failure or
 vacuum weights short of 1 at the truncation M, 4 a required rational period,
 non-degenerate doublet or anti-crossing does not exist.
 """
@@ -54,58 +55,31 @@ def _spec(kind: type) -> str:
     return "%s"
 
 
-def _row_format(row: Sequence, suffix: tuple[str, ...] = ()
-                ) -> tuple[str, list[int]]:
-    """printf format of one CSV line for rows typed like ``row``, and the
-    positions of its float cells.  The cells of ``suffix``, printf formats
-    themselves, end the line.
+def _format_block(block: list, width: int, suffix: tuple[str, ...] = ()
+                  ) -> str:
+    """The CSV lines of ``block``; the cells of ``suffix``, printf formats
+    themselves, end each line.
+
+    Every row must have ``width`` cells and each column one kind of cell
+    (integer, float or other; see _spec), and float cells must be finite;
+    otherwise ConfigError.  The block gets one length check, one kind check
+    per column, one finiteness pass per float column and one printf call.
     """
-    specs = [_spec(type(value)) for value in row]
-    floats = [i for i, spec in enumerate(specs) if spec == "%.17g"]
-    return ",".join(specs + list(suffix)) + "\n", floats
-
-
-def _column_spec(column: tuple) -> str | None:
-    """The one printf conversion of every cell of ``column``, or None when
-    its cells mix conversions."""
-    specs = {_spec(kind) for kind in set(map(type, column))}
-    return specs.pop() if len(specs) == 1 else None
-
-
-def _format_rows(block: list, width: int, suffix: tuple[str, ...],
-                 formats: dict) -> str:
-    """The CSV lines of ``block``, row by row; ``formats`` caches one printf
-    format per tuple of cell types."""
-    lines = []
-    for row in block:
-        types = tuple(map(type, row))
-        if types not in formats:
-            if len(row) != width:
-                raise ConfigError("inconsistent column count")
-            formats[types] = _row_format(row, suffix)
-        fmt, floats = formats[types]
-        if not all([math.isfinite(row[i]) for i in floats]):
+    if set(map(len, block)) != {width}:
+        raise ConfigError("inconsistent column count")
+    cells = tuple(itertools.chain.from_iterable(block))
+    specs = []
+    for j in range(width):
+        column = cells[j::width]
+        kinds = {_spec(kind) for kind in set(map(type, column))}
+        if len(kinds) > 1:
+            raise ConfigError(f"column {j} mixes kinds of cells (integer, "
+                              "float, other)")
+        spec = kinds.pop()
+        if spec == "%.17g" and not all(map(math.isfinite, column)):
             raise ConfigError("non-finite value in dataset")
-        lines.append(fmt % tuple(row))
-    return "".join(lines)
-
-
-def _format_block(block: list, width: int, suffix: tuple[str, ...],
-                  formats: dict) -> str:
-    """The CSV lines of ``block``, checked and formatted in one go when every
-    row has ``width`` cells and each column one printf conversion; any other
-    block goes row by row (_format_rows), which raises at the first bad row.
-    """
-    if set(map(len, block)) == {width}:
-        cells = tuple(itertools.chain.from_iterable(block))
-        columns = [cells[j::width] for j in range(width)]
-        specs = [_column_spec(column) for column in columns]
-        if None not in specs:
-            for column, spec in zip(columns, specs):
-                if spec == "%.17g" and not all(map(math.isfinite, column)):
-                    raise ConfigError("non-finite value in dataset")
-            return (",".join(specs + list(suffix)) + "\n") * len(block) % cells
-    return _format_rows(block, width, suffix, formats)
+        specs.append(spec)
+    return (",".join(specs + list(suffix)) + "\n") * len(block) % cells
 
 
 def environment() -> dict:
@@ -121,40 +95,35 @@ def write_dataset(path: str, header: list[str], rows: Iterable[Sequence],
     """Write ``rows`` under ``header`` to the CSV ``path`` and its sidecar.
 
     ``rows`` is any iterable of row sequences, consumed once in blocks of
-    BLOCK_ROWS rows: each block is checked, formatted and written before the
-    next is taken, so the writer holds at most one block of a generator's
-    rows in memory.  ``fixed`` holds the values of the last ``len(fixed)``
-    columns when they are the same on every row; the rows then supply only
-    the leading columns, and the fixed cells are checked and formatted once.
-    A block whose columns each hold one kind of cell (integer, float or
-    other; see _spec) gets one length check, one kind check per column, one
-    finiteness pass per float column, one printf call and one write.  A
-    block that mixes kinds within a column, or has a row of the wrong
-    length, is formatted row by row with one printf format per distinct
-    tuple of cell types.  Either way each cell is written by the same rule.
-    A row whose length, with ``fixed``, differs from the header's or a
-    non-finite float raises ConfigError and removes the partial CSV; the
-    sidecar, written last, records the row count and the environment (see
-    environment()).
+    BLOCK_ROWS rows: each block is checked and formatted by _format_block
+    and written before the next is taken, so the writer holds at most one
+    block of a generator's rows in memory.  ``fixed`` holds the values of
+    the last ``len(fixed)`` columns when they are the same on every row; the
+    rows then supply only the leading columns, and the fixed cells are
+    checked and formatted once, as a block of one row.  A bad row (wrong
+    length with ``fixed``, a non-finite float, or a column that mixes kinds
+    of cells) or an unwritable ``path`` raises ConfigError and leaves no
+    CSV; the sidecar, written last, records the row count and the
+    environment (see environment()).
     """
     fixed = tuple(fixed)
     width = len(header) - len(fixed)
-    formats: dict[tuple, tuple[str, list[int]]] = {}
     count = 0
-    fh = open(path, "w", newline="")
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     try:
         with fh:
             suffix = ()
             if fixed:
-                fmt, floats = _row_format(fixed)
-                if not all([math.isfinite(fixed[i]) for i in floats]):
-                    raise ConfigError("non-finite value in dataset")
                 # the formatted cells, escaped to stand in a printf format
-                suffix = ((fmt % fixed)[:-1].replace("%", "%%"),)
+                line = _format_block([fixed], len(fixed))
+                suffix = (line[:-1].replace("%", "%%"),)
             fh.write(",".join(header) + "\n")
             rows = iter(rows)
             while block := list(itertools.islice(rows, BLOCK_ROWS)):
-                fh.write(_format_block(block, width, suffix, formats))
+                fh.write(_format_block(block, width, suffix))
                 count += len(block)
     except BaseException:
         os.remove(path)
@@ -379,7 +348,7 @@ def cmd_spectrum(cfg: dict) -> int:
     modes = {"rwa": ("rwa",), "full": ("full",), "both": ("rwa", "full")}[cfg["mode"]]
     drop = bool(cfg["drop_singlets"])
     params_list = _sweep_params(cfg, var, values)
-    meta = {"config": _json_safe(cfg), "command": "spectrum",
+    meta = {"config": cfg, "command": "spectrum",
             "convergence_gate": {"applicable": False}}
     if "full" in modes:
         def kept_energies(sols):
@@ -429,8 +398,7 @@ def _dual_basis_audit(pars: RabiParams, M: int, n_photons: int,
     fm = model.build_full_rabi(pars, n_photons=n_photons)
     worst, top = 0.0, {}
     for kappa in (1, -1):
-        plain, vectors, ix = model.solve_parity_sector(fm, kappa,
-                                                       check_truncation=False)
+        plain, vectors, ix = model.solve_parity_sector(fm, kappa)
         top[_parity_name(kappa)] = model._top_population(fm, ix, vectors)
         disp = model.solve_sectors([pars], M, kappa).energies[0, :n_levels]
         worst = max(worst, float(np.max(np.abs(disp - plain[:n_levels]))))
@@ -448,7 +416,7 @@ def cmd_berry(cfg: dict) -> int:
     include_full = cfg["mode"] in ("full", "both")
     params_list = _sweep_params(cfg, var, values)
     header = ["sweep_value", "state", "gamma_rwa"]
-    meta = {"config": _json_safe(cfg), "command": "berry",
+    meta = {"config": cfg, "command": "berry",
             "convergence_gate": {"applicable": False}}
     if include_full:
         header.append("gamma_full")
@@ -479,7 +447,7 @@ def cmd_curvature_field(cfg: dict) -> int:
         # the field does not depend on phi; the dataset samples phi = 0
         rows += [[label, th, 0.0, f]
                  for th, f in zip(thetas.tolist(), field.tolist())]
-    meta = {"config": _json_safe(cfg), "command": "curvature-field",
+    meta = {"config": cfg, "command": "curvature-field",
             "convergence_gate": {"applicable": False},
             "normalization": "max |F| on the unit sphere = 1"}
     write_dataset(cfg["out"], ["label", "theta", "phi", "F_radial_normalized"],
@@ -498,7 +466,7 @@ def cmd_noneigen(cfg: dict) -> int:
              geometry.vacuum_phase_two_qubit(pars)]
             for value, pars in zip(values, params_list)]
     header = ["sweep_value", "g1", "g2", "delta", "F_theta_phi", "gamma_rwa"]
-    meta = {"config": _json_safe(cfg), "command": "noneigen",
+    meta = {"config": cfg, "command": "noneigen",
             "convergence_gate": {"applicable": False}}
     if include_full:
         table, sols = _beyond_rwa(params_list, M, (-1,), _vacuum_phases, meta)
@@ -542,7 +510,7 @@ def cmd_evolve(cfg: dict) -> int:
     header = ["t", "photon_expectation", "fidelity", "T", "p", "q",
               "total_phase", "dynamical_phase", "aa_phase", "P_avg",
               "gamma_over_2pi"]
-    meta = {"config": _json_safe(cfg), "command": "evolve",
+    meta = {"config": cfg, "command": "evolve",
             "convergence_gate": {"applicable": False},
             "summary": {"T": duration, "p": p_int, "q": q_int,
                         "total_phase": res.total_phase,
@@ -575,7 +543,7 @@ def cmd_scan_anticrossing(cfg: dict) -> int:
         rows.append([delta, ac.g_star, ac.min_gap, jump.g_jump,
                      jump.jump_size])
         on_edge.append(jump.on_edge)
-    meta = {"config": _json_safe(cfg), "command": "scan-anticrossing",
+    meta = {"config": cfg, "command": "scan-anticrossing",
             "convergence_gate": {"applicable": False},
             "note": ("jump location tracks the steepest change of the exact "
                      "weighted phase; the initial state is odd under parity, "
@@ -607,7 +575,7 @@ def _preset_fig2(cfg: dict) -> int:
                 rows.append([panel, delta, g1, float(g2),
                              geometry.noneigen_curvature_two_qubit(pars),
                              geometry.vacuum_phase_two_qubit(pars)])
-    meta = {"config": _json_safe(cfg), "command": "fig2",
+    meta = {"config": cfg, "command": "fig2",
             "convergence_gate": {"applicable": False},
             "detunings": "representative choice {0, +-0.05, +-0.2}"}
     write_dataset(cfg["out"], ["panel", "delta", "g1", "g2", "F_theta_phi",
@@ -635,13 +603,13 @@ def _preset_fig4(cfg: dict) -> int:
 def _preset_fig5(cfg: dict) -> int:
     cfg.setdefault("out", "fig5_noneigen.csv")
     code = 0
-    base_out = cfg["out"]
+    root, ext = os.path.splitext(cfg["out"])
     for tag, delta in (("p05", 0.5), ("m05", -0.5), ("p02", 0.2), ("m02", -0.2)):
         sub = dict(cfg)
         sub["delta"] = delta
         sub["sweep"] = {"var": "g", "start": 0.005, "stop": 0.35, "points": 70}
         sub["mode"] = "both"
-        sub["out"] = base_out.replace(".csv", f"_{tag}.csv")
+        sub["out"] = f"{root}_{tag}{ext}"
         code = max(code, cmd_noneigen(sub))
     return code
 
@@ -653,18 +621,6 @@ PRESETS = {"fig1": _preset_fig1, "fig2": _preset_fig2, "fig3": _preset_fig3,
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
 
 def _gate_exit(meta: dict) -> int:
     gate = meta.get("convergence_gate", {})

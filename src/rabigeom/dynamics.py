@@ -139,17 +139,17 @@ def cyclic_evolution_two_qubit(params: RabiParams,
     beta = cos^2(alpha) [cos^2(theta/2) (gamma_2 + 2 p pi)
                          + sin^2(theta/2) (gamma_3 + 2 q pi)].
     """
-    ef = model.equal_frequency_k1(params)
-    e1, e2, e3 = ef.energies
+    theta, alpha, big = model.equal_frequency_angles(params)
+    e1, e2, e3 = 0.0, (-params.delta + big) / 2.0, (-params.delta - big) / 2.0
     if e2 == 0.0 or e3 == 0.0:
         raise DegenerateDoublet("bright doublet degenerate with the dark state")
     p, qd = rationalize(e2 / e3, tolerance, max_denominator)
     T = TWO_PI * p / e2
     if T < 0.0:
         p, qd, T = -p, -qd, -T
-    half = ef.theta_1_2 / 2.0
-    ca2 = math.cos(ef.alpha) ** 2
-    w = (math.sin(ef.alpha) ** 2, ca2 * math.cos(half) ** 2,
+    half = theta / 2.0
+    ca2 = math.cos(alpha) ** 2
+    w = (math.sin(alpha) ** 2, ca2 * math.cos(half) ** 2,
          ca2 * math.sin(half) ** 2)
     gammas = (0.0,
               geometry.berry_phase_equal_frequency(params, 2),

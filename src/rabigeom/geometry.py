@@ -196,20 +196,14 @@ def _state_photon_expectation(label: str, theta: float, params: RabiParams) -> f
     gtot = r * math.sin(theta)
     pars = RabiParams.equal_frequency(delta, gtot * math.cos(ang.alpha),
                                       gtot * math.sin(ang.alpha))
-    ef = model.equal_frequency_k1(pars)
-    nbar = ef.states_block[:, 2] ** 2   # |00,1> slot carries the photon
-    if label == "two_qubit_1":
-        return float(nbar[0])
-    if label == "two_qubit_2":
-        return float(nbar[1])
-    if label == "two_qubit_3":
-        return float(nbar[2])
-    # noneigenstate |10, 0>: weights of the uncoupled expansion
-    half = ef.theta_1_2 / 2.0
-    w = np.array([math.sin(ang.alpha) ** 2,
-                  math.cos(ang.alpha) ** 2 * math.cos(half) ** 2,
-                  math.cos(ang.alpha) ** 2 * math.sin(half) ** 2])
-    return float(w @ nbar)
+    # levels ascend as Psi3, Psi1, Psi2; |00,1> (slot d) carries the photon
+    _, (_, b, _, d) = model.solve_block(pars, 1)
+    nbar = d * d
+    if label == "noneigen_two_qubit":
+        # |10, 0> has the weight b^2 on each level
+        return float((b * b) @ nbar)
+    order = ("two_qubit_3", "two_qubit_1", "two_qubit_2")
+    return float(nbar[order.index(label)])
 
 
 def connection_field(params: RabiParams, state_label: str, thetas,
@@ -549,7 +543,7 @@ def _adiabaticity_ratio(params: RabiParams, kappa: int, pair: tuple[int, int],
     """
     values, vectors = numerics.eigh(
         model.sector_hamiltonian([params], M, kappa))
-    singlet = model._singlet_mask([params], values, vectors, kappa)[0]
+    singlet = model._sector_singlets([params], values, vectors, kappa)[0]
     kept = np.flatnonzero(~(singlet & drop_singlets))
     a, b = kept[pair[0]], kept[pair[1]]
     gap = float(values[0, b] - values[0, a])

@@ -1,10 +1,11 @@
 """Hamiltonians of the one- and two-qubit quantum Rabi model, with and without RWA.
 
 Covers the Jaynes-Cummings closed forms, the excitation-number blocks of the
-two-qubit RWA Hamiltonian, the equal-frequency specialization, the plain-Fock
-beyond-RWA matrix with its parity labels, the displaced-Fock parity-sector
-construction with its adiabatic (level-diagonal) approximation, and the
-exceptional exact eigenstates.
+two-qubit RWA Hamiltonian with the closed-form angles of their
+equal-frequency k = 1 block, the plain-Fock beyond-RWA matrix with its parity
+labels, the displaced-Fock parity-sector construction with its adiabatic
+(level-diagonal) approximation, the spin-singlet test shared by the RWA
+blocks and the sectors, and the exceptional exact eigenstates.
 
 Conventions: omega_c = 1 fixes the unit of energy; the detuning is
 Delta = omega1 - omega_c throughout.  Qubit basis states |1> (upper) and |0>
@@ -12,7 +13,6 @@ Delta = omega1 - omega_c throughout.  Qubit basis states |1> (upper) and |0>
 """
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -30,10 +30,6 @@ class NotJCReduction(ValueError):
 
 class NotEqualFrequency(ValueError):
     """Operation requires omega1 == omega2."""
-
-
-class TruncationWarning(UserWarning):
-    """A returned state has non-negligible weight on the last basis level."""
 
 
 @dataclass(frozen=True)
@@ -195,28 +191,16 @@ def _abcd(vectors: np.ndarray) -> np.ndarray:
     return np.pad(vectors, ((4 - vectors.shape[0], 0), (0, 0)))
 
 
-@dataclass(frozen=True)
-class EqualFrequencyK1:
-    """The three k = 1 eigenstates for omega1 = omega2.
-
-    ``states_uncoupled`` holds the eigenvectors on the basis
-    (phi0_plus, phi0_minus, phi1) of the uncoupled system, rows in the order
-    Psi1, Psi2, Psi3 of increasing mixing content (Psi1 is the dark state,
-    Psi2/Psi3 the bright doublet split by big_theta_1).  ``states_block``
-    gives the same states on the block basis {|10,0>, |01,0>, |00,1>}.
-    """
-
-    theta_1_2: float
-    alpha: float
-    big_theta_1: float
-    energies: tuple[float, float, float]   # (E1, E2, E3) = (0, (-D+T)/2, (-D-T)/2)
-    states_uncoupled: np.ndarray
-    states_block: np.ndarray
-
-
 def equal_frequency_angles(params: RabiParams) -> tuple[float, float, float]:
-    """(theta_1_2, alpha, big_theta_1) of the k = 1 block for omega1 = omega2,
-    as in EqualFrequencyK1, without its eigenvector matrices."""
+    """(theta_1_2, alpha, big_theta_1) of the k = 1 block for omega1 = omega2.
+
+    The block holds the dark state Psi1 = sin(alpha)|10,0> - cos(alpha)|01,0>
+    at energy 0 and the bright doublet Psi2, Psi3 at energies
+    (-Delta +/- big_theta_1)/2, which mixes cos(alpha)|10,0> + sin(alpha)|01,0>
+    with |00,1> at the angle theta_1_2; cos(alpha) = g1 / sqrt(g1^2 + g2^2).
+    solve_block(params, 1) gives the states numerically, ascending in energy
+    as Psi3, Psi1, Psi2.
+    """
     if abs(params.omega1 - params.omega2) > EQ_TOL:
         raise NotEqualFrequency("the equal-frequency closed forms require "
                                 "omega1 == omega2")
@@ -227,27 +211,6 @@ def equal_frequency_angles(params: RabiParams) -> tuple[float, float, float]:
     else:
         theta = 0.0
     return theta, ang.alpha, big
-
-
-def equal_frequency_k1(params: RabiParams) -> EqualFrequencyK1:
-    theta, alpha, big = equal_frequency_angles(params)
-    delta = params.delta
-    half = theta / 2.0
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    # rows: Psi1 = phi0_minus; Psi2, Psi3 mix phi0_plus with phi1
-    uncoupled = np.array([
-        [0.0, 1.0, 0.0],
-        [math.cos(half), 0.0, math.sin(half)],
-        [math.sin(half), 0.0, -math.cos(half)],
-    ])
-    phi_basis = np.array([
-        [ca, sa, 0.0],    # phi0_plus on {|10,0>, |01,0>, |00,1>}
-        [sa, -ca, 0.0],   # phi0_minus
-        [0.0, 0.0, 1.0],  # phi1 = |00,1>
-    ])
-    states_block = uncoupled @ phi_basis
-    energies = (0.0, (-delta + big) / 2.0, (-delta - big) / 2.0)
-    return EqualFrequencyK1(theta, alpha, big, energies, uncoupled, states_block)
 
 
 # ---------------------------------------------------------------------------
@@ -340,22 +303,15 @@ def build_full_rabi(params: RabiParams, n_photons: int, rwa: bool = False) -> Fu
     return FullModel(params, n_photons, rwa, H, parity, excitation)
 
 
-def solve_parity_sector(model: FullModel, parity: int,
-                        check_truncation: bool = True):
+def solve_parity_sector(model: FullModel, parity: int):
     """Diagonalize one parity sector of a plain-Fock model.
 
     Returns (energies, vectors, basis_indices); ``vectors`` columns are the
-    sector eigenvectors on the restricted basis.  Emits TruncationWarning when
-    the sector ground state has population above 1e-8 on the top Fock level.
+    sector eigenvectors on the restricted basis.  _top_population measures
+    how far the truncation reaches into the sector ground state.
     """
     ix = model.parity_indices(parity)
     decomp = numerics.eigh(model.sector_matrix(parity))
-    if check_truncation:
-        pop = _top_population(model, ix, decomp.eigenvectors)
-        if pop > 1e-8:
-            warnings.warn(
-                f"ground-state population {pop:.2e} on the last Fock level; "
-                f"increase n_photons", TruncationWarning, stacklevel=2)
     return decomp.eigenvalues, decomp.eigenvectors, ix
 
 
@@ -573,7 +529,7 @@ class SectorSolution:
     kappa: int
     energies: np.ndarray = field(repr=False)
     photon_numbers: np.ndarray = field(repr=False)   # <a^dag a> per state
-    singlet: np.ndarray = field(repr=False)          # see _singlet_mask
+    singlet: np.ndarray = field(repr=False)          # see _sector_singlets
     vacuum_weights: np.ndarray = field(repr=False)   # |<state|10,0>|^2
     tail_population: np.ndarray = field(repr=False)  # (P,), lower half
 
@@ -603,20 +559,29 @@ def _photon_numbers(vectors: np.ndarray, beta1: np.ndarray,
     return total
 
 
-def _singlet_mask(params_list: Sequence[RabiParams], values: np.ndarray,
-                  vectors: np.ndarray, kappa: int,
-                  tol: float = 1e-9) -> np.ndarray:
-    """Mask of the spin singlets (|10> - |01>) |n> (identical qubits only):
-    pure |10>-type sector vectors at kappa (-1)^n = -1 and energy n omega_c."""
+def _is_singlet(identical, omega_c, energies, n, weight) -> np.ndarray:
+    """Mask of the spin singlets (|10,n> - |01,n>)/sqrt(2), which exist for
+    identical qubits only: levels at energy n omega_c (within 1e-9) whose
+    weight on that state is above 1 - 1e-6.  The caller supplies each
+    level's n and weight."""
+    return (identical & (np.abs(energies - n * omega_c) <= 1e-9)
+            & (weight > 1.0 - 1e-6))
+
+
+def _sector_singlets(params_list: Sequence[RabiParams], values: np.ndarray,
+                     vectors: np.ndarray, kappa: int) -> np.ndarray:
+    """_is_singlet for parity-sector levels: n = round(E / omega_c), and the
+    weight is the squared level-n component of the |10>/|01>-type ladder,
+    which is undisplaced for identical qubits and holds the singlet at n
+    where kappa (-1)^n = -1."""
     mp1 = vectors.shape[-2] // 2
     identical = np.array([p.identical_qubits() for p in params_list])[:, None]
     wc = np.array([p.omega_c for p in params_list])[:, None]
     n = np.rint(values / wc)
     level = np.clip(n, 0, mp1 - 1).astype(int)
     d2 = np.take_along_axis(vectors[:, mp1:], level[:, None, :], axis=1)[:, 0]
-    parity = 1 - 2 * (level % 2)
-    return (identical & (n >= 0) & (n < mp1) & (np.abs(values - n * wc) <= tol)
-            & (kappa * parity == -1) & (d2 * d2 > 1.0 - 1e-6))
+    holds = (n == level) & (kappa * (1 - 2 * (level % 2)) == -1)
+    return _is_singlet(identical, wc, values, n, np.where(holds, d2 * d2, 0.0))
 
 
 def _vacuum_weights(vectors: np.ndarray, beta1: np.ndarray,
@@ -657,20 +622,10 @@ def solve_sectors(params_list: Sequence[RabiParams], M: int,
         betas = displacements(batch)
         values, vectors = numerics.eigh(sector_hamiltonian(batch, M, kappa))
         parts.append((values, _photon_numbers(vectors, *betas),
-                      _singlet_mask(batch, values, vectors, kappa),
+                      _sector_singlets(batch, values, vectors, kappa),
                       _vacuum_weights(vectors, *betas, kappa),
                       _tail_population(vectors)))
     return SectorSolution(kappa, *(np.concatenate(a) for a in zip(*parts)))
-
-
-def _rwa_singlet_mask(k: np.ndarray, values: np.ndarray, coeffs: np.ndarray,
-                      omega_c: float) -> np.ndarray:
-    """Mask of the dark (|10> - |01>) |k-1> levels of identical-qubit RWA
-    blocks: level j belongs to block k[j], has energy values[j] and the
-    coefficients coeffs[:, j] on (a, b, c, d) as returned by solve_block."""
-    a, b, c, d = coeffs
-    return ((np.abs(values - (k - 1) * omega_c) < 1e-9)
-            & (np.abs(a) < 1e-9) & (np.abs(d) < 1e-9) & (np.abs(b + c) < 1e-9))
 
 
 def _rwa_last_block(params: RabiParams, k0: int, n_levels: int,
@@ -716,10 +671,11 @@ def rwa_parity_levels(params: RabiParams, parity: int, n_levels: int,
                                     (-1, 4, 4)))
     values = np.concatenate([low.eigenvalues, high.eigenvalues.ravel()])
     if drop:
-        n0 = low.eigenvalues.size
-        coeffs = np.hstack([_abcd(low.eigenvectors), *high.eigenvectors])
-        k = np.repeat(ks, [n0] + [4] * (len(ks) - 1))
-        values = values[~_rwa_singlet_mask(k, values, coeffs, params.omega_c)]
+        # the singlet of block k is (|10,k-1> - |01,k-1>)/sqrt(2)
+        _, b, c, _ = np.hstack([_abcd(low.eigenvectors), *high.eigenvectors])
+        n = np.repeat(ks, [low.eigenvalues.size] + [4] * (len(ks) - 1)) - 1
+        values = values[~_is_singlet(True, params.omega_c, values, n,
+                                     (b - c) ** 2 / 2.0)]
     return np.sort(values)[:n_levels]
 
 

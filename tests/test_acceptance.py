@@ -42,10 +42,15 @@ def test_criterion_1_oracle_identity_suite():
                     oracle = geometry.berry_phase_fock_state(
                         c, [k - 2, k - 1, k - 1, k])
                     worst = max(worst, abs(gamma - oracle))
-            ef = model.equal_frequency_k1(tq)
-            for l in (1, 2, 3):
+            # the k = 1 levels ascend as Psi3, Psi1 (dark), Psi2
+            energies, coeffs = model.solve_block(tq, 1)
+            big = model.equal_frequency_angles(tq)[2]
+            closed_energies = (-tq.delta - big) / 2, 0.0, (-tq.delta + big) / 2
+            e_err = float(np.max(np.abs(energies - closed_energies)))
+            worst = max(worst, e_err)
+            for j, l in enumerate((3, 1, 2)):
                 closed = geometry.berry_phase_equal_frequency(tq, l)
-                nbar = float(ef.states_block[l - 1, 2] ** 2)
+                nbar = float(coeffs[3, j] ** 2)
                 worst = max(worst, abs(closed - TWO_PI * nbar))
             jc = RabiParams.jc(float(delta), float(g))
             for k in range(1, 7):
@@ -81,7 +86,7 @@ def test_criterion_2_stokes_suite():
         elif family in (2, 3):  # two-qubit bright doublet
             g2 = float(rng.uniform(0.02, 0.3))
             params = RabiParams.equal_frequency(delta, g, g2)
-            theta_star = model.equal_frequency_k1(params).theta_1_2
+            theta_star = model.equal_frequency_angles(params)[0]
             label = "two_qubit_2" if family == 2 else "two_qubit_3"
             winding = 0.0 if family == 2 else TWO_PI
             closed = geometry.berry_phase_equal_frequency(
@@ -94,7 +99,7 @@ def test_criterion_2_stokes_suite():
         else:                   # vacuum-start two-qubit noneigenstate
             g2 = float(rng.uniform(0.02, 0.3))
             params = RabiParams.equal_frequency(delta, g, g2)
-            theta_star = model.equal_frequency_k1(params).theta_1_2
+            theta_star = model.equal_frequency_angles(params)[0]
             label, winding = "noneigen_two_qubit", 0.0
             closed = geometry.vacuum_phase_two_qubit(params)
         thetas = np.linspace(0.0, theta_star, max(3, round(theta_star / h) + 1))
@@ -172,7 +177,7 @@ def test_criterion_6_adiabatic_weak_coupling():
         params = RabiParams(omega1=0.5, omega2=0.5, g1=g, g2=g)
         fm = model.build_full_rabi(params, n_photons=60)
         exact = np.sort(np.concatenate([
-            model.solve_parity_sector(fm, kappa, check_truncation=False)[0][:6]
+            model.solve_parity_sector(fm, kappa)[0][:6]
             for kappa in (1, -1)]))
         approx = np.sort([s.energy for n in range(3) for kappa in (1, -1)
                           for s in model.adiabatic_eigensystem(params, n, kappa)])
@@ -191,8 +196,7 @@ def test_criterion_7_exceptional_solutions():
              (RabiParams(omega1=2.5, omega2=0.5, g1=0.12, g2=0.12), -1))
     for params, parity in cases:
         fm = model.build_full_rabi(params, n_photons=120)
-        vals, vecs, ix = model.solve_parity_sector(fm, parity,
-                                                   check_truncation=False)
+        vals, vecs, ix = model.solve_parity_sector(fm, parity)
         j = int(np.argmin(np.abs(vals - 1.0)))
         worst_e = max(worst_e, abs(float(vals[j]) - 1.0))
         state = model.exceptional_states(params, n_photons=120)[0]
@@ -273,8 +277,7 @@ def test_criterion_10_dual_basis_equivalence():
                             g2=float(rng.uniform(0.01, 0.35)))
         fm = model.build_full_rabi(params, n_photons=4 * (M + 1))
         for kappa in (1, -1):
-            plain, _, _ = model.solve_parity_sector(fm, kappa,
-                                                    check_truncation=False)
+            plain, _, _ = model.solve_parity_sector(fm, kappa)
             disp = model.solve_sectors([params], M, kappa).energies[0, :20]
             worst = max(worst, float(np.max(np.abs(disp - plain[:20]))))
     elapsed = time.time() - t0

@@ -218,6 +218,10 @@ def test_config_error_exit_code(tmp_path):
     # a plain-Fock sector keeps only 2 N = 20 states at N = 10 photons
     assert run(["spectrum", *short, *sweep, "--full", "--levels", "30",
                 "--trunc-photons", "10"]) == 2
+    # an --out path in a missing directory leaves no file behind
+    missing = tmp_path / "nodir"
+    assert run(["fig1", "--out", str(missing / "x.csv")]) == 2
+    assert not missing.exists()
     # config values that are not numbers
     for command, bad in ((["noneigen", *sweep], {"trunc_m": "abc"}),
                          (["spectrum", *sweep], {"levels": "abc"}),
@@ -301,11 +305,30 @@ def test_config_file_merging(tmp_path):
                                "sweep": {"var": "g", "start": 0.01,
                                          "stop": 0.05, "points": 3}}))
     again = tmp_path / "again.csv"
-    assert run(["noneigen", "--config", str(cfg), "--rwa",
-                "--out", str(again)]) == 0
+    argv = ["noneigen", "--config", str(cfg), "--rwa", "--out", str(again)]
+    assert run(argv) == 0
     assert again.read_bytes() == out.read_bytes()
     meta = json.loads((tmp_path / "again.csv.meta.json").read_text())
     assert meta["config"]["trunc_m"] == 20
+    # the sidecar holds the merged configuration as it is
+    merged = cli.load_config(cli.build_parser().parse_args(argv))
+    assert meta["config"] == merged
+
+
+@pytest.mark.parametrize("out, stem", [("data", "data"),
+                                       ("d.csv/x.csv", "d.csv/x")])
+def test_fig5_out_gives_four_datasets(tmp_path, out, stem):
+    # the default fig5.csv gives fig5_p05.csv and so on (bench reference test)
+    (tmp_path / "d.csv").mkdir()
+    assert run(["fig5", "--trunc-m", "30", "--out", str(tmp_path / out)]) == 0
+    ext = os.path.splitext(out)[1]
+    paths = [tmp_path / f"{stem}_{tag}{ext}"
+             for tag in ("p05", "m05", "p02", "m02")]
+    assert not (tmp_path / out).exists()
+    assert len({path.read_bytes() for path in paths}) == 4
+    deltas = [json.loads(Path(f"{path}.meta.json").read_text())["config"][
+        "delta"] for path in paths]
+    assert deltas == [0.5, -0.5, 0.2, -0.2]
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -378,11 +401,11 @@ def test_gate_probes_worst_tail_point(tmp_path):
 def test_float_formatting_precision(tmp_path):
     # 17 significant digits round-trip doubles exactly
     out = tmp_path / "f.csv"
-    cli.write_dataset(str(out), ["x"], [[math.pi], [1.0], [True]], {})
+    cli.write_dataset(str(out), ["x", "y", "b"], [[math.pi, 1.0, True]], {})
     _, rows = read_csv(out)
     assert float(rows[0][0]) == math.pi
-    assert rows[1][0] == "1"
-    assert rows[2][0] == "1"
+    assert rows[0][1] == "1"
+    assert rows[0][2] == "1"
 
 
 def _cell(value) -> str:
@@ -396,18 +419,20 @@ def _cell(value) -> str:
     return str(value)
 
 
-#: rows of mixed cell types, one row-type signature each
-_MIXED_ROWS = [
+#: rows of varied cell types, each column of one kind (integer, float or
+#: other); together they hold every formatting case of each kind
+_ROWS = [
     (-0.0, True, np.bool_(False), np.int64(-7), np.float64(1 / 3), "even", 3),
     (math.pi, False, np.bool_(True), np.int64(2 ** 40), np.float64(-1e-300),
-     "rwa", 2.5),
-    (5e-324, 1, np.float32(0.1), 0, np.float64(-0.0), "a b", -1.0e308),
-    (0.1, np.int32(4), None, 10 ** 20, 1e16, "psi1_2", np.uint8(255))]
-_MIXED_HEADER = ["a", "b", "c", "d", "e", "f", "g"]
+     None, np.uint8(255)),
+    (5e-324, 1, 0, 10 ** 20, np.float64(-0.0), "a b", np.int16(-2)),
+    (0.1, np.int32(4), np.uint64(2 ** 63), 0, 1e16, np.float32(0.1), True),
+    (2.5, -1, np.int64(5), -3, -1.0e308, "psi1_2 %d", np.bool_(False))]
+_HEADER = ["a", "b", "c", "d", "e", "f", "g"]
 
 
 def test_write_dataset_matches_per_cell_rule(tmp_path):
-    rows, header = _MIXED_ROWS, _MIXED_HEADER
+    rows, header = _ROWS, _HEADER
     out = tmp_path / "t.csv"
     cli.write_dataset(str(out), header, iter(rows), {"command": "test"})
     want = "".join(",".join(map(_cell, row)) + "\n"
@@ -418,27 +443,29 @@ def test_write_dataset_matches_per_cell_rule(tmp_path):
 
 
 def _uniform_row(i: int) -> tuple:
-    """A row whose every column keeps one kind of cell from row to row."""
+    """A row whose every column keeps one cell type from row to row, of the
+    kind of the same column of _ROWS."""
     return (0.1 * i, i % 2 == 0, np.bool_(i % 3), np.int64(-i),
             np.float64(i) / 3, f"s{i}", i)
 
 
-@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("varied", [False, True])
 @pytest.mark.parametrize("n_rows", [0, cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS,
                                     cli.BLOCK_ROWS + 1])
 def test_write_dataset_block_boundaries_match_per_cell_rule(tmp_path, n_rows,
-                                                            mixed):
+                                                            varied):
     rows = [_uniform_row(i) for i in range(n_rows)]
-    if mixed:
-        # mixed-kind rows on both sides of the first block boundary
+    if varied:
+        # rows of other cell types, of the same kinds, on both sides of the
+        # first block boundary
         start = cli.BLOCK_ROWS - 2
-        for i, row in enumerate(_MIXED_ROWS[:3], start):
+        for i, row in enumerate(_ROWS[:3], start):
             if i < n_rows:
                 rows[i] = row
     out = tmp_path / "t.csv"
-    cli.write_dataset(str(out), _MIXED_HEADER, iter(rows), {})
+    cli.write_dataset(str(out), _HEADER, iter(rows), {})
     want = "".join(",".join(map(_cell, row)) + "\n"
-                   for row in [_MIXED_HEADER, *rows])
+                   for row in [_HEADER, *rows])
     assert out.read_bytes() == want.encode()
     meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
     assert meta["rows"] == n_rows
@@ -467,12 +494,12 @@ def test_sidecar_records_environment(tmp_path, monkeypatch):
 @pytest.mark.parametrize("tail_row", [0, 3])
 def test_write_dataset_fixed_columns_match_full_rows(tmp_path, split,
                                                      tail_row):
-    fixed = _MIXED_ROWS[tail_row][split:]
+    fixed = _ROWS[tail_row][split:]
     full, lead = tmp_path / "full.csv", tmp_path / "lead.csv"
-    cli.write_dataset(str(full), _MIXED_HEADER,
-                      [row[:split] + fixed for row in _MIXED_ROWS], {})
-    cli.write_dataset(str(lead), _MIXED_HEADER,
-                      (row[:split] for row in _MIXED_ROWS), {}, fixed=fixed)
+    cli.write_dataset(str(full), _HEADER,
+                      [row[:split] + fixed for row in _ROWS], {})
+    cli.write_dataset(str(lead), _HEADER,
+                      (row[:split] for row in _ROWS), {}, fixed=fixed)
     assert lead.read_bytes() == full.read_bytes()
     assert (tmp_path / "lead.csv.meta.json").read_text() == \
         (tmp_path / "full.csv.meta.json").read_text()
@@ -480,7 +507,7 @@ def test_write_dataset_fixed_columns_match_full_rows(tmp_path, split,
 
 def test_write_dataset_fixed_percent_is_literal(tmp_path):
     out = tmp_path / "p.csv"
-    cli.write_dataset(str(out), ["x", "label", "n"], [[0.5], [np.int64(2)]],
+    cli.write_dataset(str(out), ["x", "label", "n"], [[0.5], [2.0]],
                       {}, fixed=("100%d %s%%", 7))
     assert out.read_text() == "x,label,n\n0.5,100%d %s%%,7\n2,100%d %s%%,7\n"
 
@@ -510,6 +537,18 @@ def test_write_dataset_bad_row_leaves_no_csv(tmp_path, bad, n_good):
     out = tmp_path / "bad.csv"
     good = ([0.1 * i, i] for i in range(n_good))
     with pytest.raises(cli.ConfigError):
+        cli.write_dataset(str(out), ["x", "n"], itertools.chain(good, [bad]),
+                          {})
+    assert not out.exists()
+    assert not (tmp_path / "bad.csv.meta.json").exists()
+
+
+@pytest.mark.parametrize("bad", [[1, 1], ["0.5", 1], [0.5, 1.0]])
+def test_write_dataset_mixed_column_leaves_no_csv(tmp_path, bad):
+    # the column that mixes kinds falls in the second block
+    out = tmp_path / "bad.csv"
+    good = ([0.1 * i, i] for i in range(cli.BLOCK_ROWS + 5))
+    with pytest.raises(cli.ConfigError, match="mixes"):
         cli.write_dataset(str(out), ["x", "n"], itertools.chain(good, [bad]),
                           {})
     assert not out.exists()

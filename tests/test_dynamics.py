@@ -140,9 +140,9 @@ def test_two_qubit_aa_relation_random():
         p, q, params = _rational_ratio_params(rng)
         res = cyclic_evolution_two_qubit(params)
         assert (res.windings[1], res.windings[2]) == (p, q)
-        ef = model.equal_frequency_k1(params)
-        half = ef.theta_1_2 / 2
-        ca2 = math.cos(ef.alpha) ** 2
+        theta, alpha, _ = model.equal_frequency_angles(params)
+        half = theta / 2
+        ca2 = math.cos(alpha) ** 2
         want = TWO_PI * ca2 * (p * math.cos(half) ** 2 + q * math.sin(half) ** 2)
         assert res.aa_phase - res.gamma_geometric == pytest.approx(want,
                                                                    abs=1e-9)
@@ -154,9 +154,9 @@ def test_two_qubit_aa_closed_form():
     for _ in range(10):
         p, q, params = _rational_ratio_params(rng)
         res = cyclic_evolution_two_qubit(params)
-        ef = model.equal_frequency_k1(params)
-        half = ef.theta_1_2 / 2
-        ca2 = math.cos(ef.alpha) ** 2
+        theta, alpha, _ = model.equal_frequency_angles(params)
+        half = theta / 2
+        ca2 = math.cos(alpha) ** 2
         g2 = geometry.berry_phase_equal_frequency(params, 2)
         g3 = geometry.berry_phase_equal_frequency(params, 3)
         want = ca2 * math.cos(half) ** 2 * (g2 + 2 * p * math.pi) \

@@ -177,11 +177,11 @@ def test_surface_integral_vacuum_phase():
 
 def test_surface_integral_two_qubit_vacuum_phase():
     params = RabiParams.equal_frequency(-0.08, 0.03, 0.06)
-    ef = model.equal_frequency_k1(params)
-    ca2 = math.cos(ef.alpha) ** 2
+    theta, alpha, _ = model.equal_frequency_angles(params)
+    ca2 = math.cos(alpha) ** 2
     want = vacuum_phase_two_qubit(params)
     assert _surface_integral(lambda t: 0.5 * math.sin(2 * t) * ca2,
-                             ef.theta_1_2) == pytest.approx(want, abs=1e-6)
+                             theta) == pytest.approx(want, abs=1e-6)
 
 
 def test_stokes_reproduces_eigenstate_phases():
@@ -327,8 +327,7 @@ def test_beyond_rwa_matches_plain_fock_oracle():
     ns = fm.photon_numbers()
     for kappa in (1, -1):
         disp = TWO_PI * model.solve_sectors([params], 50, kappa).photon_numbers[0]
-        vals, vecs, ix = model.solve_parity_sector(fm, kappa,
-                                                   check_truncation=False)
+        vals, vecs, ix = model.solve_parity_sector(fm, kappa)
         local_ns = ns[ix]
         for rank in range(12):
             plain = TWO_PI * float(local_ns @ (vecs[:, rank] ** 2))
@@ -374,7 +373,7 @@ def test_beyond_rwa_weighted_phase_matches_plain_fock():
         model.solve_sectors(params_list, 50, -1))
     for params, got in zip(params_list, batched):
         fm = model.build_full_rabi(params, n_photons=80)
-        _, vecs, ix = model.solve_parity_sector(fm, -1, check_truncation=False)
+        _, vecs, ix = model.solve_parity_sector(fm, -1)
         weights = vecs[list(ix).index(fm.basis_index("10", 0))] ** 2
         weights = np.where(weights >= geometry.WEIGHT_FLOOR, weights, 0.0)
         plain = TWO_PI * float(weights @ (fm.photon_numbers()[ix] @ vecs**2))

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from rabigeom import model, numerics
 from rabigeom.model import (RabiParams, adiabatic_eigensystem,
-                            build_block, build_full_rabi, displacement_matrix, equal_frequency_k1,
+                            build_block, build_full_rabi, displacement_matrix,
                             exceptional_states, jc_eigensystem, solve_block,
                             solve_parity_sector)
 
@@ -138,38 +138,54 @@ def test_solve_block_orthonormal_k2():
 
 def test_equal_frequency_k1_worked_case():
     params = RabiParams.equal_frequency(0.01, 0.01, 0.01)
-    ef = equal_frequency_k1(params)
-    assert ef.big_theta_1 == pytest.approx(0.03, abs=1e-15)
-    assert ef.energies[1] == pytest.approx(0.01, abs=1e-15)
-    assert ef.energies[2] == pytest.approx(-0.02, abs=1e-15)
+    assert model.equal_frequency_angles(params)[2] == \
+        pytest.approx(0.03, abs=1e-15)
+    # ascending: Psi3 at (-D - T)/2, the dark Psi1 at 0, Psi2 at (-D + T)/2
+    energies, _ = solve_block(params, 1)
+    assert energies == pytest.approx([-0.02, 0.0, 0.01], abs=1e-15)
 
 
 def test_equal_frequency_k1_angles():
-    assert equal_frequency_k1(RabiParams.equal_frequency(0.0, 0.1, 0.1)
-                              ).theta_1_2 == pytest.approx(math.pi / 2)
-    ef = equal_frequency_k1(RabiParams.equal_frequency(0.2, 0.1, 0.0))
+    assert model.equal_frequency_angles(RabiParams.equal_frequency(
+        0.0, 0.1, 0.1))[0] == pytest.approx(math.pi / 2)
+    params = RabiParams.equal_frequency(0.2, 0.1, 0.0)
+    theta, alpha, _ = model.equal_frequency_angles(params)
     jc = jc_eigensystem(RabiParams.jc(0.2, 0.1), 1)
-    assert ef.alpha == pytest.approx(0.0)
-    assert ef.theta_1_2 == pytest.approx(jc.theta_k, abs=1e-12)
-    # Psi2/Psi3 reduce to the JC doublet on {|10,0>, |00,1>}
-    assert np.allclose(ef.states_block[1], [jc.state_plus[0], 0.0,
-                                            jc.state_plus[1]], atol=1e-12)
+    assert alpha == pytest.approx(0.0)
+    assert theta == pytest.approx(jc.theta_k, abs=1e-12)
+    # Psi2 (the highest level) reduces to the JC doublet on |10,0>, |00,1>
+    psi2 = solve_block(params, 1)[1][:, 2]
+    assert np.allclose(psi2 * np.sign(psi2[1]),
+                       [0.0, jc.state_plus[0], 0.0, jc.state_plus[1]],
+                       atol=1e-12)
 
 
 def test_equal_frequency_requires_equal():
     unequal = RabiParams(omega1=1.0, omega2=0.9, g1=0.1, g2=0.1)
-    for closed_form in (equal_frequency_k1, model.equal_frequency_angles):
-        with pytest.raises(model.NotEqualFrequency):
-            closed_form(unequal)
+    with pytest.raises(model.NotEqualFrequency):
+        model.equal_frequency_angles(unequal)
 
 
 @pytest.mark.parametrize("delta, g1, g2", [(0.0, 0.0, 0.0), (0.2, 0.1, 0.0),
                                            (-0.05, 0.02, 0.07)])
 def test_equal_frequency_angles_match_k1(delta, g1, g2):
+    """The closed-form angles against the numerically solved k = 1 block."""
     params = RabiParams.equal_frequency(delta, g1, g2)
-    ef = equal_frequency_k1(params)
-    assert model.equal_frequency_angles(params) == \
-        (ef.theta_1_2, ef.alpha, ef.big_theta_1)
+    theta, alpha, big = model.equal_frequency_angles(params)
+    energies, (_, b, _, d) = solve_block(params, 1)
+    assert energies == pytest.approx(
+        [(-delta - big) / 2.0, 0.0, (-delta + big) / 2.0], abs=1e-15)
+    if g1 == g2 == 0.0:
+        # a degenerate block fixes no states
+        assert (theta, alpha, big) == (0.0, 0.0, 0.0)
+        return
+    # <a^dag a> = d^2 and the |10,0> weight b^2 of Psi3, Psi1, Psi2
+    half, ca2 = theta / 2.0, math.cos(alpha) ** 2
+    assert d * d == pytest.approx(
+        [math.cos(half) ** 2, 0.0, math.sin(half) ** 2], abs=1e-14)
+    assert b * b == pytest.approx(
+        [ca2 * math.sin(half) ** 2, math.sin(alpha) ** 2,
+         ca2 * math.cos(half) ** 2], abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +226,15 @@ def test_full_rabi_singlets_are_exact():
 def test_full_rabi_constant_eigenvalue_in_even_sector():
     params = RabiParams(omega1=1.4, omega2=0.6, g1=0.17, g2=0.17)
     fm = build_full_rabi(params, n_photons=80)
-    vals, _, _ = solve_parity_sector(fm, 1, check_truncation=False)
+    vals, _, _ = solve_parity_sector(fm, 1)
     assert np.min(np.abs(vals - 1.0)) <= 1e-10
 
 
-def test_full_rabi_truncation_warning():
+def test_full_rabi_truncation_top_population():
     params = RabiParams(omega1=1.0, omega2=1.0, g1=0.9, g2=0.9)
     fm = build_full_rabi(params, n_photons=10)
-    with pytest.warns(model.TruncationWarning):
-        solve_parity_sector(fm, 1)
+    _, vectors, ix = solve_parity_sector(fm, 1)
+    assert model._top_population(fm, ix, vectors) > 1e-8
 
 
 def test_rwa_flag_conserves_excitation():
@@ -392,7 +408,7 @@ def test_adiabatic_matches_exact_weak_coupling():
     params = RabiParams(omega1=0.5, omega2=0.5, g1=0.02, g2=0.02)
     fm = build_full_rabi(params, n_photons=60)
     exact = np.sort(np.concatenate([
-        solve_parity_sector(fm, k, check_truncation=False)[0][:6]
+        solve_parity_sector(fm, k)[0][:6]
         for k in (1, -1)]))
     approx = np.sort([s.energy for n in range(3) for kappa in (1, -1)
                       for s in adiabatic_eigensystem(params, n, kappa)])
@@ -413,7 +429,7 @@ def test_truncated_matches_plain_fock():
     params = RabiParams(omega1=1.5, omega2=1.5, g1=0.25, g2=0.25)
     fm = build_full_rabi(params, n_photons=4 * 51)
     for kappa in (1, -1):
-        plain, _, _ = solve_parity_sector(fm, kappa, check_truncation=False)
+        plain, _, _ = solve_parity_sector(fm, kappa)
         disp = model.solve_sectors([params], 50, kappa).energies[0, :15]
         assert np.max(np.abs(disp - plain[:15])) <= 1e-8
 
@@ -444,7 +460,7 @@ def test_solve_sectors_matches_per_point_solve(kappa):
     low = slice(0, 20)
     for i, params in enumerate(params_list):
         fm = build_full_rabi(params, n_photons=80)
-        vals, vecs, ix = solve_parity_sector(fm, kappa, check_truncation=False)
+        vals, vecs, ix = solve_parity_sector(fm, kappa)
         vecs = vecs[:, low]
         assert np.max(np.abs(sol.energies[i, low] - vals[low])) <= 1e-12
         nbar = fm.photon_numbers()[ix] @ vecs**2
@@ -466,6 +482,36 @@ def test_solve_sectors_matches_per_point_solve(kappa):
         assert list(sol.kept(i)) == [j for j in range(102)
                                      if not sol.singlet[i, j]]
     assert np.any(sol.singlet[:, low])
+
+
+#: identical qubits; omega_c != 1 tells the levels n omega_c from n
+_SINGLET_PARAMS = RabiParams(omega1=1.6, omega2=1.6, g1=0.2, g2=0.2,
+                             omega_c=1.25)
+
+
+def _at_n_omega_c(energies, omega_c):
+    n = np.rint(energies / omega_c)
+    return (n >= 0) & (np.abs(energies - n * omega_c) <= 1e-9)
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+def test_singlet_test_drops_exactly_levels_at_n_omega_c(parity):
+    params, wc = _SINGLET_PARAMS, _SINGLET_PARAMS.omega_c
+    # RWA block stack: the singlet of block k sits at (k - 1) omega_c
+    every = model.rwa_parity_levels(params, parity, 60)
+    at_n = _at_n_omega_c(every, wc)
+    assert np.array_equal(np.rint(every[at_n] / wc) % 2,
+                          np.full(np.count_nonzero(at_n), (1 + parity) // 2))
+    kept = model.rwa_parity_levels(params, parity, 30, drop_singlets=True)
+    assert np.array_equal(kept, every[~at_n][:30])
+    assert np.count_nonzero(at_n[:30]) >= 5
+    # displaced sector: one singlet per level n with parity (-1)^(n+1)
+    sol = model.solve_sectors([params], 30, parity)
+    at_n = _at_n_omega_c(sol.energies[0], wc)
+    assert np.array_equal(sol.singlet[0], at_n)
+    assert np.array_equal(np.rint(sol.energies[0, at_n] / wc),
+                          np.arange((1 + parity) // 2, 31, 2))
+    assert np.array_equal(sol.kept(0), np.flatnonzero(~at_n))
 
 
 def test_solve_sectors_mixed_points_and_validation():
