@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import geometry, model, numerics
-from .model import RabiParams
+from .model import RabiParams, k1_block
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,19 +78,6 @@ def rationalize(ratio: float, tolerance: float = 1e-9,
         raise NoRational(
             f"no p/q with |q| <= {max_denominator} within {tolerance} of {ratio}")
     return frac.numerator, frac.denominator
-
-
-def k1_block(params: RabiParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Single-excitation block, its photon numbers, and the vacuum-start state.
-
-    JC: basis {|1,0>, |0,1>}; two qubits: basis {|10,0>, |01,0>, |00,1>}.
-    """
-    if params.is_jc():
-        w1, wc, g1 = params.omega1, params.omega_c, params.g1
-        return (np.array([[w1 / 2.0, g1], [g1, wc - w1 / 2.0]]),
-                np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-    return (model.build_block(params, 1), np.array([0.0, 0.0, 1.0]),
-            np.array([1.0, 0.0, 0.0]))
 
 
 def cyclic_evolution_jc(params: RabiParams, q: int = 1) -> CyclicResult:
@@ -167,6 +154,11 @@ def cyclic_evolution_two_qubit(params: RabiParams,
                         float(fidelity), "dark (zero-energy) component")
 
 
+#: time samples that average_photon_number propagates together; bounds its
+#: working memory whatever the number of samples
+PHOTON_AVERAGE_BLOCK = 4096
+
+
 def average_photon_number(params: RabiParams, T: float,
                           initial: np.ndarray | None = None,
                           n_time_steps: int = 2001) -> PhotonAverage:
@@ -191,11 +183,15 @@ def average_photon_number(params: RabiParams, T: float,
         nbars = photon_numbers @ (decomp.eigenvectors ** 2)
         gamma = TWO_PI * float((np.abs(amps) ** 2) @ nbars)
     ts = np.linspace(0.0, T, n_time_steps)
-    psi = numerics.propagate(decomp, psi0, ts)
-    nbar_t = (np.abs(psi) ** 2) @ photon_numbers
-    # |<psi0|psi>| as hypot of the parts: np.abs of a complex array rounds
-    # differently from abs() of a complex scalar
-    overlap = np.einsum("j,kj->k", np.conj(psi0), psi)
-    fidelity = np.hypot(overlap.real, overlap.imag)
+    nbar_t = np.empty(n_time_steps)
+    fidelity = np.empty(n_time_steps)
+    for start in range(0, n_time_steps, PHOTON_AVERAGE_BLOCK):
+        block = slice(start, start + PHOTON_AVERAGE_BLOCK)
+        psi = numerics.propagate(decomp, psi0, ts[block])
+        nbar_t[block] = (np.abs(psi) ** 2) @ photon_numbers
+        # |<psi0|psi>| as hypot of the parts: np.abs of a complex array
+        # rounds differently from abs() of a complex scalar
+        overlap = np.einsum("j,kj->k", np.conj(psi0), psi)
+        fidelity[block] = np.hypot(overlap.real, overlap.imag)
     P = numerics.trapezoid_integral(ts, nbar_t) / T
     return PhotonAverage(P, gamma / TWO_PI, ts, nbar_t, fidelity)

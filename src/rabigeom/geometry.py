@@ -180,16 +180,15 @@ def _state_photon_expectation(label: str, theta: float, params: RabiParams) -> f
         r = model.spectral_angles(params, 1).omega_k / 2.0
         delta = 2.0 * r * math.cos(theta)
         g1 = r * math.sin(theta)
-        pars = RabiParams.jc(delta, g1)
-        eig = model.jc_eigensystem(pars, 1)
-        n_plus = eig.state_plus[1] ** 2
-        if label == "jc_plus":
-            return n_plus
-        if label == "jc_minus":
-            return eig.state_minus[1] ** 2
-        # vacuum-start noneigenstate |1, 0>
-        w_plus = math.cos(eig.theta_k / 2.0) ** 2
-        return w_plus * n_plus + (1.0 - w_plus) * eig.state_minus[1] ** 2
+        # levels ascend as minus, plus on {|1,0>, |0,1>}; |0,1> carries the
+        # photon
+        H, photons, _ = model.k1_block(RabiParams.jc(delta, g1))
+        _, vectors = numerics.eigh(H)
+        nbar = photons @ vectors**2
+        if label == "noneigen_jc":
+            # |1, 0> has the weight vectors[0]^2 on each level
+            return float(vectors[0] ** 2 @ nbar)
+        return float(nbar[("jc_minus", "jc_plus").index(label)])
     ang = model.spectral_angles(params, 1)
     r = ang.big_theta_1 / 2.0
     delta = 2.0 * r * math.cos(theta)

@@ -191,6 +191,19 @@ def _abcd(vectors: np.ndarray) -> np.ndarray:
     return np.pad(vectors, ((4 - vectors.shape[0], 0), (0, 0)))
 
 
+def k1_block(params: RabiParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Single-excitation block, its photon numbers, and the vacuum-start state.
+
+    JC: basis {|1,0>, |0,1>}; two qubits: basis {|10,0>, |01,0>, |00,1>}.
+    """
+    if params.is_jc():
+        w1, wc, g1 = params.omega1, params.omega_c, params.g1
+        return (np.array([[w1 / 2.0, g1], [g1, wc - w1 / 2.0]]),
+                np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+    return (build_block(params, 1), np.array([0.0, 0.0, 1.0]),
+            np.array([1.0, 0.0, 0.0]))
+
+
 def equal_frequency_angles(params: RabiParams) -> tuple[float, float, float]:
     """(theta_1_2, alpha, big_theta_1) of the k = 1 block for omega1 = omega2.
 
@@ -506,11 +519,10 @@ def sector_number_operator(params: RabiParams, M: int) -> np.ndarray:
     return N
 
 
-def _tail_population(vectors: np.ndarray) -> np.ndarray:
-    """Largest last-displaced-level population over the lower half of a sector."""
+def _level_tails(vectors: np.ndarray) -> np.ndarray:
+    """Last-displaced-level population of every column state."""
     mp1 = vectors.shape[-2] // 2
-    return np.max(vectors[..., mp1 - 1, :mp1] ** 2 + vectors[..., -1, :mp1] ** 2,
-                  axis=-1)
+    return vectors[..., mp1 - 1, :] ** 2 + vectors[..., -1, :] ** 2
 
 
 #: sweep points diagonalized together by solve_sectors; sets how many
@@ -523,7 +535,9 @@ class SectorSolution:
     """One parity sector solved at every point of a sweep.
 
     Row p of each (P, 2(M+1)) array belongs to the p-th parameter point, its
-    states in ascending energy.  Eigenvectors are not kept.
+    states in ascending energy; exactly tied energies (at g = 0 a spin
+    singlet and another decoupled basis state) may come in either order.
+    Eigenvectors are not kept.
     """
 
     kappa: int
@@ -607,25 +621,67 @@ def solve_sectors(params_list: Sequence[RabiParams], M: int,
     """Solve the parity-kappa sector at every point, truncated at level M.
 
     This is the package's one displaced-Fock sector solver.  Points are
-    diagonalized SECTOR_BATCH at a time with sector_hamiltonian and
-    numerics.eigh; eigenvectors live only inside one batch.  No truncation
-    warning is raised: ``tail_population`` records the largest
+    built SECTOR_BATCH at a time with sector_hamiltonian; eigenvectors live
+    only inside one batch.  A basis state whose row of the sector matrix has
+    no nonzero off-diagonal entry is an exact eigenvector at its diagonal
+    entry (for identical qubits, the spin singlets (|10,n> - |01,n>)/sqrt(2),
+    whose coupling column cancels exactly), so numerics.eigh solves only the
+    other rows; points of a batch are grouped by that set of free states.  A
+    point with no free state is solved whole, exactly as a one-point call.  No
+    truncation warning is raised: ``tail_population`` records the largest
     last-displaced-level population of the lower half of each sector.
     """
     if M < 10:
         raise ValueError("basis truncation M must be at least 10")
     if not params_list:
         raise ValueError("need at least one parameter point")
-    parts = []
-    for start in range(0, len(params_list), SECTOR_BATCH):
-        batch = params_list[start:start + SECTOR_BATCH]
-        betas = displacements(batch)
-        values, vectors = numerics.eigh(sector_hamiltonian(batch, M, kappa))
-        parts.append((values, _photon_numbers(vectors, *betas),
-                      _sector_singlets(batch, values, vectors, kappa),
-                      _vacuum_weights(vectors, *betas, kappa),
-                      _tail_population(vectors)))
+    parts = [_solve_batch(params_list[start:start + SECTOR_BATCH], M, kappa)
+             for start in range(0, len(params_list), SECTOR_BATCH)]
     return SectorSolution(kappa, *(np.concatenate(a) for a in zip(*parts)))
+
+
+def _solve_batch(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
+    """solve_sectors' five arrays for one batch of points."""
+    S = sector_hamiltonian(batch, M, kappa)
+    diag = np.diagonal(S, axis1=1, axis2=2).copy()
+    free = np.count_nonzero(S, axis=2) == (diag != 0.0)
+    groups: dict[bytes, list[int]] = {}
+    for p, row in enumerate(free):
+        groups.setdefault(row.tobytes(), []).append(p)
+    subs = []
+    for members in groups.values():
+        keep = ~free[members[0]]
+        subs.append((members, keep, S[np.ix_(members, keep, keep)]))
+    del S
+    # energies, <a^dag a>, singlet, vacuum weight, last-level population
+    out = [np.empty(free.shape, dtype=bool if i == 2 else float)
+           for i in range(5)]
+    while subs:
+        members, keep, sub = subs.pop()
+        g, k = len(members), np.count_nonzero(keep)
+        if k:
+            values, vectors = numerics.eigh(sub)
+        else:
+            values, vectors = np.empty((g, 0)), np.empty((g, 0, 0))
+        del sub
+        if k < keep.size:
+            values = np.concatenate([values, diag[members][:, ~keep]], axis=1)
+            full = np.zeros((g, keep.size, keep.size))
+            full[:, keep, :k] = vectors
+            full[:, ~keep, np.arange(k, keep.size)] = 1.0
+            vectors = full
+        points = [batch[p] for p in members]
+        betas = displacements(points)
+        per_state = (values, _photon_numbers(vectors, *betas),
+                     _sector_singlets(points, values, vectors, kappa),
+                     _vacuum_weights(vectors, *betas, kappa),
+                     _level_tails(vectors))
+        del vectors
+        # stable, so the ascending eigh output of a whole solve keeps its order
+        order = np.argsort(values, axis=1, kind="stable")
+        for dest, per in zip(out, per_state):
+            dest[members] = np.take_along_axis(per, order, axis=1)
+    return (*out[:4], np.max(out[4][:, :M + 1], axis=1))
 
 
 def _rwa_last_block(params: RabiParams, k0: int, n_levels: int,

@@ -6,9 +6,8 @@ import pytest
 
 from rabigeom import dynamics, geometry, model, numerics
 from rabigeom.dynamics import (average_photon_number, cyclic_evolution_jc,
-                               cyclic_evolution_two_qubit, k1_block,
-                               rationalize)
-from rabigeom.model import RabiParams
+                               cyclic_evolution_two_qubit, rationalize)
+from rabigeom.model import RabiParams, k1_block
 
 TWO_PI = 2 * math.pi
 
@@ -222,3 +221,18 @@ def test_photon_average_matches_per_sample_loop_bit_for_bit(params):
     assert np.array_equal(avg.times, np.linspace(0.0, 123.4, 5001))
     assert np.array_equal(avg.photon_expectation, nbar)
     assert np.array_equal(avg.fidelity, fidelity)
+
+
+@pytest.mark.parametrize("steps", [dynamics.PHOTON_AVERAGE_BLOCK,
+                                   dynamics.PHOTON_AVERAGE_BLOCK + 1,
+                                   2 * dynamics.PHOTON_AVERAGE_BLOCK + 7])
+def test_photon_average_blocks_match_one_batch(steps):
+    # reference: every sample propagated in one call
+    params = RabiParams.equal_frequency(0.01, 0.01, 0.01)
+    avg = average_photon_number(params, 50.0, n_time_steps=steps)
+    H, photon_numbers, initial = k1_block(params)
+    psi = numerics.propagate(numerics.eigh(H), initial, avg.times)
+    overlap = np.einsum("j,kj->k", initial, psi)
+    assert np.array_equal(avg.photon_expectation,
+                          (np.abs(psi) ** 2) @ photon_numbers)
+    assert np.array_equal(avg.fidelity, np.hypot(overlap.real, overlap.imag))

@@ -122,6 +122,16 @@ def test_connection_values():
     assert non[0] == pytest.approx(0.5 * math.sin(0.3) ** 2, abs=1e-12)
 
 
+def test_jc_connection_check_does_not_use_the_closed_form(monkeypatch):
+    def closed_form(*args):
+        raise AssertionError("the JC connection check used jc_eigensystem")
+    monkeypatch.setattr(model, "jc_eigensystem", closed_form)
+    params = RabiParams.jc(0.1, 0.05)
+    thetas = np.linspace(0.0, math.pi, 13)
+    for label in ("jc_plus", "jc_minus", "noneigen_jc"):
+        connection_field(params, label, thetas)  # verify=True checks <n>
+
+
 def test_connection_two_qubit_consistency():
     params = RabiParams.equal_frequency(0.07, 0.04, 0.09)
     thetas = np.linspace(0.05, math.pi - 0.05, 9)

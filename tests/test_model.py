@@ -532,6 +532,139 @@ def test_solve_sectors_mixed_points_and_validation():
         model.solve_sectors([], 20, 1)
 
 
+def _whole_sector_solve(params_list, M, kappa):
+    """solve_sectors' five arrays from numerics.eigh of the whole sector
+    matrices, every row included."""
+    values, vectors = numerics.eigh(model.sector_hamiltonian(params_list, M,
+                                                             kappa))
+    betas = model.displacements(params_list)
+    return (values, model._photon_numbers(vectors, *betas),
+            model._sector_singlets(params_list, values, vectors, kappa),
+            model._vacuum_weights(vectors, *betas, kappa),
+            np.max(model._level_tails(vectors)[:, :M + 1], axis=1))
+
+
+_SECTOR_FIELDS = ("energies", "photon_numbers", "singlet", "vacuum_weights",
+                  "tail_population")
+
+#: identical qubits, where the singlets leave the eigensolve: fig4's grid,
+#: resonance at weak (gaps about 1e-3) and strong coupling, and omega_c != 1
+_DEFLATED_CASES = {
+    "fig4": ([RabiParams.equal_frequency(0.5, g, g)
+              for g in np.linspace(0.005, 0.35, 70)], 50),
+    "resonant_weak": ([RabiParams.equal_frequency(0.0, 1e-3, 1e-3)], 50),
+    "resonant_strong": ([RabiParams.equal_frequency(0.0, 0.3, 0.3)], 50),
+    "singlet_params": ([_SINGLET_PARAMS], 30),
+}
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+@pytest.mark.parametrize("case", _DEFLATED_CASES)
+def test_solve_sectors_matches_whole_sector_solve(case, kappa):
+    params_list, M = _DEFLATED_CASES[case]
+    sol = model.solve_sectors(params_list, M, kappa)
+    energies, photons, singlet, weights, tails = _whole_sector_solve(
+        params_list, M, kappa)
+    assert sol.energies.shape == energies.shape == (len(params_list),
+                                                    2 * (M + 1))
+    # measured 9.2e-14, 3.3e-12 (1.4e-12 on the lowest 20 at resonance and
+    # g = 1e-3, where the gaps are about 1e-3), 1.7e-14 and 5.6e-22
+    assert np.max(np.abs(sol.energies - energies)) <= 5e-13
+    assert np.max(np.abs(sol.photon_numbers - photons)) <= 1e-11
+    assert np.max(np.abs(sol.vacuum_weights - weights)) <= 1e-13
+    assert np.max(np.abs(sol.tail_population - tails)) <= 1e-20
+    assert np.array_equal(sol.singlet, singlet)
+    for i in range(len(params_list)):
+        assert np.array_equal(sol.kept(i), np.flatnonzero(~singlet[i]))
+    # the singlets are exact: E = n omega_c and <a^dag a> = n
+    wc = np.array([p.omega_c for p in params_list])[:, None]
+    n = np.rint(sol.energies / wc)
+    # one singlet per level n with kappa (-1)^n = -1
+    per_point = np.count_nonzero(kappa * (-1) ** np.arange(M + 1) == -1)
+    assert np.array_equal(np.count_nonzero(sol.singlet, axis=1),
+                          np.full(len(params_list), per_point))
+    assert np.array_equal(sol.energies[sol.singlet], (n * wc)[sol.singlet])
+    assert np.array_equal(sol.photon_numbers[sol.singlet], n[sol.singlet])
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+def test_solve_sectors_zero_coupling_matches_up_to_tied_order(kappa):
+    """At g = 0 a singlet ties exactly with the decoupled |11>/|00>-type
+    state of the same level, and the two may come in either order."""
+    params = RabiParams.equal_frequency(0.5, 0.0, 0.0)
+    sol = model.solve_sectors([params], 50, kappa)
+    whole = _whole_sector_solve([params], 50, kappa)
+    assert np.array_equal(sol.energies[0], whole[0][0])
+    for e in np.unique(whole[0][0]):
+        tied = sol.energies[0] == e
+
+        def states(arrays):
+            return sorted(zip(*(a[0][tied] for a in arrays)))
+        assert states([sol.photon_numbers, sol.singlet, sol.vacuum_weights]) \
+            == states(whole[1:4])
+    assert sol.tail_population[0] == whole[4][0]
+
+
+def test_solve_sectors_keeps_whole_solve_without_free_states():
+    # no basis state decouples: the points keep numerics.eigh of the whole
+    # sector bit for bit, also next to points that deflate in one batch
+    coupled = [RabiParams(omega1=1.1, omega2=0.8, g1=0.2, g2=0.3),
+               RabiParams.equal_frequency(0.5, 0.2, 0.2 + 1e-13),
+               RabiParams(omega1=1.5, omega2=1.5 + 1e-13, g1=0.2, g2=0.2)]
+    # every state free: the sector matrix is diagonal
+    diagonal = RabiParams(omega1=0.0, omega2=0.0)
+    params_list = [coupled[0], RabiParams.equal_frequency(0.5, 0.2, 0.2),
+                   coupled[1], diagonal, coupled[2]]
+    for kappa in (1, -1):
+        sol = model.solve_sectors(params_list, 20, kappa)
+        for i, params in enumerate(params_list):
+            one = model.solve_sectors([params], 20, kappa)
+            for name in _SECTOR_FIELDS:
+                assert np.array_equal(getattr(sol, name)[i],
+                                      getattr(one, name)[0])
+        whole = _whole_sector_solve(coupled, 20, kappa)
+        for name, want in zip(_SECTOR_FIELDS, whole):
+            assert np.array_equal(getattr(sol, name)[[0, 2, 4]], want)
+        assert np.array_equal(sol.energies[3], np.sort(np.diagonal(
+            model.sector_hamiltonian([diagonal], 20, kappa)[0])))
+
+
+@pytest.mark.parametrize("kappa, kept", [(1, 77), (-1, 76)])
+def test_solve_sectors_eigensolve_skips_the_singlets(monkeypatch, kappa, kept):
+    shapes = []
+
+    def recording_eigh(matrix):
+        shapes.append(np.shape(matrix))
+        return eigh(matrix)
+    eigh = numerics.eigh
+    monkeypatch.setattr(numerics, "eigh", recording_eigh)
+    model.solve_sectors([RabiParams.equal_frequency(0.5, g, g)
+                         for g in (0.1, 0.2, 0.3)], 50, kappa)
+    model.solve_sectors([RabiParams.equal_frequency(0.5, 0.1, 0.2)], 50, kappa)
+    assert shapes == [(3, kept, kept), (1, 102, 102)]
+
+
+@pytest.mark.parametrize("g", [0.05, 0.2, 0.35])
+def test_photon_numbers_are_energy_derivatives(g):
+    """Hellmann-Feynman: <a^dag a> = dE/d omega_c, from energies alone
+    (Richardson-extrapolated central differences, h = 1e-3)."""
+    def lowest(omega_c, kappa):
+        sol = model.solve_sectors([RabiParams(omega1=1.5, omega2=1.5, g1=g,
+                                              g2=g, omega_c=omega_c)],
+                                  50, kappa)
+        states = sol.kept(0)[:3]
+        return sol.energies[0, states], sol.photon_numbers[0, states]
+
+    h = 1e-3
+    for kappa in (1, -1):
+        def slope(step):
+            return (lowest(1.0 + step, kappa)[0]
+                    - lowest(1.0 - step, kappa)[0]) / (2.0 * step)
+        derivative = (4.0 * slope(h / 2.0) - slope(h)) / 3.0
+        # measured worst 4.4e-11
+        assert np.max(np.abs(derivative - lowest(1.0, kappa)[1])) <= 1e-9
+
+
 def test_displacements_values():
     beta1, beta2 = model.displacements([RabiParams(omega1=1.0, g1=0.3, g2=0.1),
                                         RabiParams(omega1=1.0, g1=0.2, g2=0.5,
