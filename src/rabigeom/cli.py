@@ -400,8 +400,9 @@ def _dual_basis_audit(pars: RabiParams, M: int, n_photons: int,
     for kappa in (1, -1):
         plain, vectors, ix = model.solve_parity_sector(fm, kappa)
         top[_parity_name(kappa)] = model._top_population(fm, ix, vectors)
-        disp = model.solve_sectors([pars], M, kappa).energies[0, :n_levels]
-        worst = max(worst, float(np.max(np.abs(disp - plain[:n_levels]))))
+        disp, _ = model.sector_energies([pars], M, kappa)
+        worst = max(worst, float(np.max(np.abs(disp[0, :n_levels]
+                                                - plain[:n_levels]))))
     return {"n_photons": n_photons, "max_energy_deviation": worst,
             "top_level_population": top}
 

@@ -338,6 +338,8 @@ def noneigen_phase_beyond_rwa(params: RabiParams,
     nop = model.sector_number_operator(params, M)
     _, vectors = numerics.eigh(model.sector_hamiltonian([params], M, -1))
     # the plain vacuum expands over each displaced ladder through <n|D(beta)|0>
+    # (strided columns kept: with model._vacuum_overlaps' equal arrays
+    # d1 @ col1 sums in another order and moves the bisection's last bits)
     col1, col2 = model.displacement_matrix(
         mp1, np.concatenate(model.displacements([params])))[:, :, 0]
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
@@ -399,10 +401,28 @@ def detect_anticrossing(params_of_g, kappa: int, g_min: float, g_max: float,
     ties with a neighbour on the coarse grid, and also when the refined gap
     closes completely: under the RWA levels of different excitation number
     cross exactly and the driving cannot connect them, so there is no
-    anti-crossing to report.
+    anti-crossing to report.  Raises ValueError, before any solve, for
+    n_levels < 2 and for a level_pair that is not two adjacent levels among
+    the n_levels lowest.
+
+    Beyond the RWA the search reads only energies, so the coarse scan and
+    every golden-section step take model.sector_energies (eigenvalues only),
+    which hands a point to model.solve_sectors just when a solved state
+    could be a singlet; the one eigenvector solve is the whole-sector
+    numerics.eigh of _adiabaticity_ratio at the refined g_star.
     """
     if n_scan < 200:
         raise ValueError("n_scan must be at least 200")
+    if n_levels < 2:
+        raise ValueError(f"n_levels = {n_levels}: need at least two levels "
+                         "to have a gap")
+    if level_pair is not None:
+        lo, hi = level_pair
+        if hi != lo + 1:
+            raise ValueError("level_pair must be adjacent levels (i, i+1)")
+        if not 0 <= lo < hi < n_levels:
+            raise ValueError(f"level_pair {tuple(level_pair)}: need levels "
+                             f"0 <= i < i + 1 < n_levels = {n_levels}")
     gs = np.linspace(g_min, g_max, n_scan)
 
     def levels(g_values) -> np.ndarray:
@@ -411,9 +431,9 @@ def detect_anticrossing(params_of_g, kappa: int, g_min: float, g_max: float,
             return np.array([model.rwa_parity_levels(pars, kappa, n_levels,
                                                      drop_singlets)
                              for pars in params_list])
-        sol = model.solve_sectors(params_list, M, kappa)
-        return np.array([sol.energies[i, sol.kept(i, drop_singlets)[:n_levels]]
-                         for i in range(len(params_list))])
+        energies, singlet = model.sector_energies(params_list, M, kappa)
+        return np.array([e[~(s & drop_singlets)][:n_levels]
+                         for e, s in zip(energies, singlet)])
 
     table = levels(gs)
     gaps = np.diff(table, axis=1)
@@ -423,8 +443,6 @@ def detect_anticrossing(params_of_g, kappa: int, g_min: float, g_max: float,
         pair = (int(pair_lo), int(pair_lo) + 1)
     else:
         pair = level_pair
-        if pair[1] != pair[0] + 1:
-            raise ValueError("level_pair must be adjacent levels (i, i+1)")
         i_coarse = int(np.argmin(gaps[:, pair[0]]))
     gap_curve = gaps[:, pair[0]]
     if i_coarse == 0 or i_coarse == n_scan - 1:

@@ -631,17 +631,52 @@ def solve_sectors(params_list: Sequence[RabiParams], M: int,
     truncation warning is raised: ``tail_population`` records the largest
     last-displaced-level population of the lower half of each sector.
     """
-    if M < 10:
-        raise ValueError("basis truncation M must be at least 10")
-    if not params_list:
-        raise ValueError("need at least one parameter point")
+    _check_sector_points(params_list, M)
     parts = [_solve_batch(params_list[start:start + SECTOR_BATCH], M, kappa)
              for start in range(0, len(params_list), SECTOR_BATCH)]
     return SectorSolution(kappa, *(np.concatenate(a) for a in zip(*parts)))
 
 
-def _solve_batch(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
-    """solve_sectors' five arrays for one batch of points."""
+def sector_energies(params_list: Sequence[RabiParams], M: int,
+                    kappa: int) -> tuple[np.ndarray, np.ndarray]:
+    """solve_sectors' (P, 2(M+1)) ascending energies and singlet mask, from
+    eigenvalues alone.
+
+    The rows solved are those of solve_sectors, by numerics.eigvalsh, so the
+    energies agree with solve_sectors' to rounding.  A free row is the unit
+    vector of its basis state, so its singlet weight needs no solve.  A
+    solved state's weight is at most 1; a point where that bound would let
+    _is_singlet accept a solved state (identical qubits, E within 1e-9 of
+    n omega_c, as when g1 and g2 differ by less than EQ_TOL and no row
+    decouples) is handed to solve_sectors.  The singlet masks, and so the
+    kept states, are therefore exactly those of solve_sectors.
+    """
+    _check_sector_points(params_list, M)
+    parts = [_energies_batch(params_list[start:start + SECTOR_BATCH], M, kappa)
+             for start in range(0, len(params_list), SECTOR_BATCH)]
+    energies, singlet, unsure = (np.concatenate(a) for a in zip(*parts))
+    redo = np.flatnonzero(unsure)
+    if redo.size:
+        sol = solve_sectors([params_list[p] for p in redo], M, kappa)
+        energies[redo], singlet[redo] = sol.energies, sol.singlet
+    return energies, singlet
+
+
+def _check_sector_points(params_list: Sequence[RabiParams], M: int) -> None:
+    if M < 10:
+        raise ValueError("basis truncation M must be at least 10")
+    if not params_list:
+        raise ValueError("need at least one parameter point")
+
+
+def _sector_blocks(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
+    """The sector matrices of one batch, split for the eigensolve.
+
+    Returns the (P, n) diagonals, the (P, n) mask of free rows (no nonzero
+    off-diagonal entry), and one (members, solved, sub-stack) per set of
+    points with the same free rows: ``solved`` masks the rows that are not
+    free and the sub-stack holds the members' matrices on those rows.
+    """
     S = sector_hamiltonian(batch, M, kappa)
     diag = np.diagonal(S, axis1=1, axis2=2).copy()
     free = np.count_nonzero(S, axis=2) == (diag != 0.0)
@@ -652,7 +687,12 @@ def _solve_batch(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
     for members in groups.values():
         keep = ~free[members[0]]
         subs.append((members, keep, S[np.ix_(members, keep, keep)]))
-    del S
+    return diag, free, subs
+
+
+def _solve_batch(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
+    """solve_sectors' five arrays for one batch of points."""
+    diag, free, subs = _sector_blocks(batch, M, kappa)
     # energies, <a^dag a>, singlet, vacuum weight, last-level population
     out = [np.empty(free.shape, dtype=bool if i == 2 else float)
            for i in range(5)]
@@ -682,6 +722,32 @@ def _solve_batch(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
         for dest, per in zip(out, per_state):
             dest[members] = np.take_along_axis(per, order, axis=1)
     return (*out[:4], np.max(out[4][:, :M + 1], axis=1))
+
+
+def _energies_batch(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
+    """sector_energies' energies and singlet mask for one batch of points,
+    with the mask of points that need solve_sectors."""
+    diag, free, subs = _sector_blocks(batch, M, kappa)
+    energies = np.empty(free.shape)
+    singlet = np.empty(free.shape, dtype=bool)
+    unsure = np.zeros(len(batch), dtype=bool)
+    for members, keep, sub in subs:
+        g, k = len(members), np.count_nonzero(keep)
+        values = numerics.eigvalsh(sub) if k else np.empty((g, 0))
+        values = np.concatenate([values, diag[members][:, ~keep]], axis=1)
+        # stand-in vectors: a solved state gets weight 1 on every level of
+        # the |10>/|01>-type ladder, a free row its own unit vector
+        bound = np.zeros((g, keep.size, keep.size))
+        bound[:, M + 1:, :k] = 1.0
+        bound[:, ~keep, np.arange(k, keep.size)] = 1.0
+        maybe = _sector_singlets([batch[p] for p in members], values, bound,
+                                 kappa)
+        unsure[members] = np.any(maybe[:, :k], axis=1)
+        # stable, as in _solve_batch
+        order = np.argsort(values, axis=1, kind="stable")
+        energies[members] = np.take_along_axis(values, order, axis=1)
+        singlet[members] = np.take_along_axis(maybe, order, axis=1)
+    return energies, singlet, unsure
 
 
 def _rwa_last_block(params: RabiParams, k0: int, n_levels: int,

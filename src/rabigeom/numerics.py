@@ -1,7 +1,8 @@
 """Dense real-symmetric eigensolves, constant-Hamiltonian propagation and quadrature.
 
 Every Hamiltonian in this package is real symmetric in its chosen basis, so a
-single eigensolver with a deterministic sign convention serves all modules.
+single eigensolver with a deterministic sign convention serves all modules;
+eigvalsh takes the same input checks where only energies are read.
 Energies and times are expressed in units of the field frequency (omega_c = 1).
 """
 
@@ -54,6 +55,23 @@ def eigh(matrix) -> EigenDecomposition:
     eigenvector is normalized so that its first nonzero component is
     positive, which makes repeated runs and CSV goldens reproducible.
     """
+    values, vectors = np.linalg.eigh(_checked_symmetric(matrix))
+    return EigenDecomposition(values, _fix_signs(vectors))
+
+
+def eigvalsh(matrix) -> np.ndarray:
+    """Eigenvalues only of a real symmetric matrix or a (P, n, n) stack,
+    ascending.
+
+    Takes the same input checks as eigh but a LAPACK driver that forms no
+    eigenvectors, so its values may differ from eigh's by rounding.
+    """
+    return np.linalg.eigvalsh(_checked_symmetric(matrix))
+
+
+def _checked_symmetric(matrix) -> np.ndarray:
+    """The matrix or stack as floats, or InvalidMatrix if it is not finite,
+    not square, or not exactly symmetric."""
     H = np.asarray(matrix, dtype=float)
     if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2] or H.shape[-1] < 1:
         raise InvalidMatrix(f"expected a square matrix or a stack of them, "
@@ -62,8 +80,7 @@ def eigh(matrix) -> EigenDecomposition:
         raise InvalidMatrix("matrix has non-finite entries")
     if not np.array_equal(H, np.swapaxes(H, -1, -2)):
         raise InvalidMatrix("matrix is not exactly symmetric")
-    values, vectors = np.linalg.eigh(H)
-    return EigenDecomposition(values, _fix_signs(vectors))
+    return H
 
 
 def propagate(decomp: EigenDecomposition, state, t) -> np.ndarray:

@@ -166,9 +166,10 @@ MOVED_SHA256 = {
     # 9.8e-15, 68 cells
     "fig5_m02":
         "da5e4930ca1d01ab6f968f40504f2c005f18950b5714c87c5ebfbbc94f3d24b0",
-    # 4.4e-16 in min_gap, 1 cell; g_star, jump_g and jump_size unchanged
+    # 2.4e-15 in min_gap (golden section on eigvalsh energies), 1 cell;
+    # g_star, jump_g and jump_size unchanged
     "scan_anticrossing":
-        "81b09d56213e023551b9e96e9175f9b520273abb7446b93ca3660133327db400",
+        "5e743c3975460a3c02c368c6283d3d6841471953e63dda0a011aa04d7aa11780",
 }
 
 #: cells of moved datasets that must still equal the reference byte for

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from rabigeom import geometry, model
+from rabigeom import geometry, model, numerics
 from rabigeom.geometry import (berry_phase_block_closed_form,
                                berry_phase_fock_state, berry_phase_jc,
                                connection_field, curvature_from_connection,
@@ -417,6 +417,36 @@ def test_detect_anticrossing_rwa_blocks_cross_exactly():
     with pytest.raises(geometry.NoAnticrossing):
         detect_anticrossing(params_of_g, kappa=1, g_min=0.2, g_max=0.45,
                             rwa=True)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    # the gap table of the default 8 levels has columns 0 .. 6
+    ({"level_pair": (7, 8)}, "level_pair"),
+    ({"level_pair": (-1, 0)}, "level_pair"),
+    ({"n_levels": 1}, "n_levels"),
+])
+def test_detect_anticrossing_rejects_bad_levels_before_solving(kwargs, match):
+    def params_of_g(g):
+        raise AssertionError("no point may be solved")
+    with pytest.raises(ValueError, match=match):
+        detect_anticrossing(params_of_g, kappa=1, g_min=0.2, g_max=0.32,
+                            **kwargs)
+
+
+def test_detect_anticrossing_solves_eigenvectors_once(monkeypatch):
+    """The scan and the golden section read energies only; the one
+    eigenvector solve is _adiabaticity_ratio's whole sector at g_star."""
+    shapes = []
+
+    def recording_eigh(matrix):
+        shapes.append(np.shape(matrix))
+        return eigh(matrix)
+    eigh = numerics.eigh
+    monkeypatch.setattr(numerics, "eigh", recording_eigh)
+    res = detect_anticrossing(lambda g: RabiParams.equal_frequency(0.5, g, g),
+                              kappa=1, g_min=0.2, g_max=0.32)
+    assert res.adiabaticity_exceeded
+    assert shapes == [(1, 102, 102)]
 
 
 _GRID = np.linspace(0.2, 0.32, 201)

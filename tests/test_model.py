@@ -629,6 +629,40 @@ def test_solve_sectors_keeps_whole_solve_without_free_states():
             model.sector_hamiltonian([diagonal], 20, kappa)[0])))
 
 
+#: one batch of points that sector_energies settles differently: g2 and
+#: omega2 off by less than EQ_TOL (identical, yet no row decouples, so the
+#: singlets are solved states), g = 0 with a singlet tied to a decoupled
+#: state, g = 0 at resonance (solved states at n omega_c), a diagonal
+#: matrix, unequal qubits and an ordinary deflated point
+_ENERGIES_MIXED = [RabiParams.equal_frequency(0.5, 0.2, 0.2 + 1e-13),
+                   RabiParams(omega1=1.5, omega2=1.5 + 1e-13, g1=0.2, g2=0.2),
+                   RabiParams.equal_frequency(0.5, 0.0, 0.0),
+                   RabiParams.equal_frequency(0.0, 0.0, 0.0),
+                   RabiParams(omega1=0.0, omega2=0.0),
+                   RabiParams(omega1=1.1, omega2=0.8, g1=0.2, g2=0.3),
+                   RabiParams.equal_frequency(0.5, 0.2, 0.2)]
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+@pytest.mark.parametrize("case", [*_DEFLATED_CASES, "mixed"])
+def test_sector_energies_match_solve_sectors(case, kappa):
+    params_list, M = _DEFLATED_CASES.get(case, (_ENERGIES_MIXED, 50))
+    sol = model.solve_sectors(params_list, M, kappa)
+    energies, singlet = model.sector_energies(params_list, M, kappa)
+    assert energies.shape == sol.energies.shape
+    assert np.array_equal(singlet, sol.singlet)
+    # eigvalsh against eigh on the same rows: measured 1.1e-13
+    assert np.max(np.abs(energies - sol.energies)) <= 5e-13
+    assert np.all(np.diff(energies, axis=1) >= 0.0)
+
+
+def test_sector_energies_validation():
+    with pytest.raises(ValueError):
+        model.sector_energies([_SINGLET_PARAMS], 9, 1)
+    with pytest.raises(ValueError):
+        model.sector_energies([], 20, 1)
+
+
 @pytest.mark.parametrize("kappa, kept", [(1, 77), (-1, 76)])
 def test_solve_sectors_eigensolve_skips_the_singlets(monkeypatch, kappa, kept):
     shapes = []

@@ -29,13 +29,19 @@ def test_eigh_equal_frequency_block():
     assert np.allclose(vals, [-0.05, 0.0, 0.05], atol=1e-14)
 
 
-def test_eigh_rejects_bad_input():
+#: eigh and eigvalsh share their input checks
+solvers = pytest.mark.parametrize("solve", [numerics.eigh, numerics.eigvalsh],
+                                  ids=lambda f: f.__name__)
+
+
+@solvers
+def test_rejects_bad_input(solve):
     with pytest.raises(numerics.InvalidMatrix):
-        numerics.eigh(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+        solve(np.array([[0.0, np.nan], [np.nan, 0.0]]))
     with pytest.raises(numerics.InvalidMatrix):
-        numerics.eigh(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        solve(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(numerics.InvalidMatrix):
-        numerics.eigh(np.zeros((2, 3)))
+        solve(np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("dim", [2, 5, 64, 256])
@@ -106,7 +112,8 @@ def test_fix_signs_small_leading_entries():
     assert np.array_equal(fixed[1], _fix_signs_loop(-vectors))
 
 
-def test_eigh_stack_rejects_any_bad_matrix():
+@solvers
+def test_stack_rejects_any_bad_matrix(solve):
     good = np.eye(3)
     asymmetric = np.eye(3)
     asymmetric[0, 2] = 1e-15
@@ -114,9 +121,21 @@ def test_eigh_stack_rejects_any_bad_matrix():
     non_finite[1, 1] = np.inf
     for bad in (asymmetric, non_finite):
         with pytest.raises(numerics.InvalidMatrix):
-            numerics.eigh(np.array([good, good, bad, good]))
+            solve(np.array([good, good, bad, good]))
     with pytest.raises(numerics.InvalidMatrix):
-        numerics.eigh(np.zeros((2, 3, 4)))
+        solve(np.zeros((2, 3, 4)))
+
+
+def test_eigvalsh_matches_eigh_values():
+    rng = np.random.default_rng(7)
+    stack = np.array([random_symmetric(rng, 40) for _ in range(3)])
+    values = numerics.eigvalsh(stack)
+    assert values.shape == (3, 40)
+    assert np.all(np.diff(values, axis=1) >= 0.0)
+    # another LAPACK driver: equal to rounding, not bit for bit
+    assert np.max(np.abs(values - numerics.eigh(stack).eigenvalues)) <= 1e-12
+    for H, vals in zip(stack, values):
+        assert np.array_equal(numerics.eigvalsh(H), vals)
 
 
 def test_propagate_stationary_state():
