@@ -4,7 +4,15 @@ Every command writes one CSV dataset plus a JSON sidecar (<out>.meta.json)
 recording the full configuration, truncations, package version and the
 truncation convergence gate, so a dataset can be reproduced bit-exactly from
 its metadata.  Floats are written with 17 significant digits and LF line
-endings; identical configuration and build give byte-identical files.
+endings; identical configuration and build give byte-identical CSVs.  The
+sidecar's ``timings`` block (seconds per stage: ``sweep_s``, ``gate_s`` and
+``write_s`` for spectrum, berry and noneigen, ``write_s`` for the others)
+varies from run to run, and its ``environment`` block from machine to
+machine; the rest of the sidecar is as reproducible as the CSV.
+
+``--rwa`` and ``--full`` (or a config file's ``mode``: ``rwa``, ``full`` or
+``both``) choose the results of spectrum, berry and noneigen; any other
+command rejects them as a configuration error.
 
 Exit codes: 0 success, 2 configuration error (an --out path that cannot be
 written, and a truncation whose displaced-Fock overlaps overflow, among
@@ -20,6 +28,7 @@ import math
 import os
 import platform
 import sys
+import time
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -30,6 +39,9 @@ from .model import RabiParams
 DEFAULT_M = 50
 SWEEP_VARS = ("g", "g1", "g2", "delta", "omega1", "omega2")
 GATE_TOL = 1e-6
+
+#: the commands that take --rwa and --full
+MODE_COMMANDS = ("spectrum", "berry", "noneigen")
 
 
 class ConfigError(ValueError):
@@ -105,8 +117,10 @@ def write_dataset(path: str, header: list[str], rows: Iterable[Sequence],
     length with ``fixed``, a non-finite float, or a column that mixes kinds
     of cells) or an unwritable ``path`` raises ConfigError and leaves no
     CSV; the sidecar, written last, records the row count and the
-    environment (see environment()).
+    environment (see environment()), and adds the seconds spent on the CSV
+    as ``write_s`` to a ``timings`` block of ``metadata``, if it has one.
     """
+    start = time.perf_counter()
     fixed = tuple(fixed)
     width = len(header) - len(fixed)
     count = 0
@@ -130,6 +144,9 @@ def write_dataset(path: str, header: list[str], rows: Iterable[Sequence],
         os.remove(path)
         raise
     metadata = dict(metadata)
+    if "timings" in metadata:
+        metadata["timings"] = {**metadata["timings"],
+                               "write_s": time.perf_counter() - start}
     metadata["version"] = __version__
     metadata["columns"] = header
     metadata["rows"] = count
@@ -212,6 +229,9 @@ def load_config(args: argparse.Namespace) -> dict:
         cfg["mode"] = "rwa"
     if getattr(args, "full", False):
         cfg["mode"] = "full" if cfg.get("mode") != "rwa" else "both"
+    if "mode" in cfg and args.command not in MODE_COMMANDS:
+        raise ConfigError(f"--rwa, --full and the mode key apply only to "
+                          f"{', '.join(MODE_COMMANDS)}, not to {args.command}")
     if getattr(args, "drop_singlets", False):
         cfg["drop_singlets"] = True
     cfg.setdefault("model", "two-qubit")
@@ -220,6 +240,8 @@ def load_config(args: argparse.Namespace) -> dict:
     cfg.setdefault("drop_singlets", False)
     if cfg["model"] not in ("jc", "two-qubit"):
         raise ConfigError(f"unknown model {cfg['model']!r}")
+    if cfg["mode"] not in ("rwa", "full", "both"):
+        raise ConfigError(f"unknown mode {cfg['mode']!r}")
     for key in ("trunc_m", "trunc_photons"):
         if cfg.get(key) is not None:
             cfg[key] = _integer(key, cfg[key])
@@ -287,34 +309,52 @@ def _sweep_params(cfg: dict, var: str, values) -> list[RabiParams]:
 # Beyond-RWA sweeps and their convergence gate
 # ---------------------------------------------------------------------------
 
-def _beyond_rwa(params_list, M: int, kappas, columns, meta: dict):
+def _beyond_rwa(params_list, M: int, kappas, columns, meta: dict
+                ) -> np.ndarray:
     """Tabulate beyond-RWA results over a sweep and gate them on truncation.
 
     Solves the parity sectors ``kappas`` once at every point and returns
-    ``(columns(sols), sols)``: one row of numbers per point, and the map of
-    each kappa to its SectorSolution.  The convergence gate re-solves only
+    ``columns(sols)``, one row of numbers per point, where ``sols`` maps each
+    kappa to its SectorSolution.  The convergence gate then re-solves only
     the probe points (first, middle, last, and the one with the largest
-    truncation tail) at M + 10 and compares their rows with the sweep's own;
-    it passes when no entry moves by 1e-6 or more.  The gate and the
-    per-point tail populations (worst over ``kappas``) are written into
-    ``meta``.
+    truncation tail) at M + 10 and compares their ``columns`` with the
+    sweep's own rows; it passes when no entry moves by 1e-6 or more.  The
+    gate, its time (``timings.gate_s``) and the per-point tail populations
+    (worst over ``kappas``) are written into ``meta``.
     """
     sols = {kappa: model.solve_sectors(params_list, M, kappa)
             for kappa in kappas}
     table = np.asarray(columns(sols))
     tails = np.max([sol.tail_population for sol in sols.values()], axis=0)
+    start = time.perf_counter()
     n = len(params_list)
     points = sorted({0, n // 2, n - 1, int(np.argmax(tails))})
     probes = [params_list[i] for i in points]
     check = np.asarray(columns({kappa: model.solve_sectors(probes, M + 10, kappa)
                                 for kappa in kappas}))
+    meta["timings"]["gate_s"] = time.perf_counter() - start
     drift = float(np.max(np.abs(table[points] - check)))
     meta["convergence_gate"] = {"m": M, "m_check": M + 10, "max_drift": drift,
                                 "tolerance": GATE_TOL, "points": points,
                                 "passed": bool(drift < GATE_TOL)}
     meta["diagnostics"] = {"max_tail_population": float(np.max(tails)),
                            "tail_population": tails.tolist()}
-    return table, sols
+    return table
+
+
+def _new_meta(cfg: dict, command: str, **extra) -> dict:
+    """A sidecar's metadata before its results: the configuration, no
+    convergence gate yet, and an empty ``timings`` block."""
+    return {"config": cfg, "command": command,
+            "convergence_gate": {"applicable": False}, "timings": {}, **extra}
+
+
+def _sweep_done(meta: dict, start: float) -> None:
+    """Record the seconds since ``start`` less the gate's as
+    ``timings.sweep_s``, and a ``gate_s`` of 0 when no gate ran."""
+    timings = meta["timings"]
+    timings.setdefault("gate_s", 0.0)
+    timings["sweep_s"] = time.perf_counter() - start - timings["gate_s"]
 
 
 #: CSV state name -> column of _eigenphases holding its beyond-RWA continuation
@@ -333,24 +373,19 @@ def _eigenphases(sols) -> list[list[float]]:
             for i in range(len(sols[1].energies))]
 
 
-def _vacuum_phases(sols) -> np.ndarray:
-    """Weighted beyond-RWA geometric phase of |10,0>, from the odd sector."""
-    return geometry.noneigen_phases_beyond_rwa(sols[-1])[0][:, None]
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(cfg: dict) -> int:
+    start = time.perf_counter()
     var, values = sweep_values(cfg)
     M = int(cfg["trunc_m"])
     n_levels = _levels(cfg, 8, minimum=1)
     modes = {"rwa": ("rwa",), "full": ("full",), "both": ("rwa", "full")}[cfg["mode"]]
     drop = bool(cfg["drop_singlets"])
     params_list = _sweep_params(cfg, var, values)
-    meta = {"config": cfg, "command": "spectrum",
-            "convergence_gate": {"applicable": False}}
+    meta = _new_meta(cfg, "spectrum")
     if "full" in modes:
         def kept_energies(sols):
             # per point: the kept energies of the even, then the odd sector
@@ -363,21 +398,24 @@ def cmd_spectrum(cfg: dict) -> int:
                                   f"keeps only {fewest} states at M = {M}")
             return rows
 
-        full, _ = _beyond_rwa(params_list, M, (1, -1), kept_energies, meta)
+        full = _beyond_rwa(params_list, M, (1, -1), kept_energies, meta)
         if cfg.get("trunc_photons"):
             meta["dual_basis_audit"] = _dual_basis_audit(
                 params_list[0], M, int(cfg["trunc_photons"]), n_levels)
+    if "rwa" in modes:
+        rwa = [model.rwa_parity_levels(params_list, parity, n_levels, drop)
+               for parity in (1, -1)]
     rows = []
-    for i, (value, pars) in enumerate(zip(values, params_list)):
+    for i, value in enumerate(values):
         if "rwa" in modes:
-            for parity in (1, -1):
-                levels = model.rwa_parity_levels(pars, parity, n_levels, drop)
+            for parity, levels in zip((1, -1), rwa):
                 rows += [[value, "rwa", _parity_name(parity), j, float(e)]
-                         for j, e in enumerate(levels)]
+                         for j, e in enumerate(levels[i])]
         if "full" in modes:
             for parity, levels in zip((1, -1), full[i]):
                 rows += [[value, "full", _parity_name(parity), j, float(e)]
                          for j, e in enumerate(levels)]
+    _sweep_done(meta, start)
     write_dataset(cfg["out"], ["sweep_value", "model", "parity", "level", "energy"],
                   rows, meta)
     return _gate_exit(meta)
@@ -413,17 +451,16 @@ def _parity_name(parity: int) -> str:
 
 
 def cmd_berry(cfg: dict) -> int:
+    start = time.perf_counter()
     var, values = sweep_values(cfg)
     M = int(cfg["trunc_m"])
     include_full = cfg["mode"] in ("full", "both")
     params_list = _sweep_params(cfg, var, values)
     header = ["sweep_value", "state", "gamma_rwa"]
-    meta = {"config": cfg, "command": "berry",
-            "convergence_gate": {"applicable": False}}
+    meta = _new_meta(cfg, "berry")
     if include_full:
         header.append("gamma_full")
-        gamma_full, _ = _beyond_rwa(params_list, M, (1, -1), _eigenphases,
-                                    meta)
+        gamma_full = _beyond_rwa(params_list, M, (1, -1), _eigenphases, meta)
     rows = []
     for i, (value, pars) in enumerate(zip(values, params_list)):
         gamma_rwa = {
@@ -436,6 +473,7 @@ def cmd_berry(cfg: dict) -> int:
             if include_full:
                 row.append(float(gamma_full[i, column]))
             rows.append(row)
+    _sweep_done(meta, start)
     write_dataset(cfg["out"], header, rows, meta)
     return _gate_exit(meta)
 
@@ -449,15 +487,15 @@ def cmd_curvature_field(cfg: dict) -> int:
         # the field does not depend on phi; the dataset samples phi = 0
         rows += [[label, th, 0.0, f]
                  for th, f in zip(thetas.tolist(), field.tolist())]
-    meta = {"config": cfg, "command": "curvature-field",
-            "convergence_gate": {"applicable": False},
-            "normalization": "max |F| on the unit sphere = 1"}
+    meta = _new_meta(cfg, "curvature-field",
+                     normalization="max |F| on the unit sphere = 1")
     write_dataset(cfg["out"], ["label", "theta", "phi", "F_radial_normalized"],
                   rows, meta)
     return 0
 
 
 def cmd_noneigen(cfg: dict) -> int:
+    start = time.perf_counter()
     var, values = sweep_values(cfg)
     M = int(cfg["trunc_m"])
     include_full = cfg["mode"] in ("full", "both")
@@ -468,18 +506,26 @@ def cmd_noneigen(cfg: dict) -> int:
              geometry.vacuum_phase_two_qubit(pars)]
             for value, pars in zip(values, params_list)]
     header = ["sweep_value", "g1", "g2", "delta", "F_theta_phi", "gamma_rwa"]
-    meta = {"config": cfg, "command": "noneigen",
-            "convergence_gate": {"applicable": False}}
+    meta = _new_meta(cfg, "noneigen")
     if include_full:
-        table, sols = _beyond_rwa(params_list, M, (-1,), _vacuum_phases, meta)
+        weight_totals = []
+
+        def vacuum_phases(sols) -> np.ndarray:
+            # weighted beyond-RWA geometric phase of |10,0>, from the odd
+            # sector; the sweep's call comes first, the gate's second
+            gammas, totals = geometry.noneigen_phases_beyond_rwa(sols[-1])
+            weight_totals.append(totals)
+            return gammas[:, None]
+
+        table = _beyond_rwa(params_list, M, (-1,), vacuum_phases, meta)
         gammas = table[:, 0].tolist()
-        meta["diagnostics"]["vacuum_weight_total"] = \
-            geometry.noneigen_phases_beyond_rwa(sols[-1])[1].tolist()
+        meta["diagnostics"]["vacuum_weight_total"] = weight_totals[0].tolist()
         flags = _jump_flags(gammas, jump_threshold)
         rows = [r + [gamma, f] for r, gamma, f in zip(rows, gammas, flags)]
         header += ["gamma_full", "anticross_flag"]
         meta["anticross_flag"] = ("1 when |gamma_full| changes by more than "
                                   f"{jump_threshold} between neighbours")
+    _sweep_done(meta, start)
     write_dataset(cfg["out"], header, rows, meta)
     return _gate_exit(meta)
 
@@ -512,14 +558,14 @@ def cmd_evolve(cfg: dict) -> int:
     header = ["t", "photon_expectation", "fidelity", "T", "p", "q",
               "total_phase", "dynamical_phase", "aa_phase", "P_avg",
               "gamma_over_2pi"]
-    meta = {"config": cfg, "command": "evolve",
-            "convergence_gate": {"applicable": False},
-            "summary": {"T": duration, "p": p_int, "q": q_int,
+    meta = _new_meta(cfg, "evolve",
+                     summary={"T": duration, "p": p_int, "q": q_int,
                         "total_phase": res.total_phase,
                         "dynamical_phase": res.dynamical_phase,
                         "aa_phase": res.aa_phase,
                         "recurrence_fidelity": res.recurrence_fidelity,
-                        "P": avg.P, "gamma_over_2pi": avg.gamma_over_2pi}}
+                              "P": avg.P,
+                              "gamma_over_2pi": avg.gamma_over_2pi})
     write_dataset(cfg["out"], header, rows, meta, fixed=summary)
     return 0
 
@@ -548,12 +594,12 @@ def cmd_scan_anticrossing(cfg: dict) -> int:
         rows.append([delta, ac.g_star, ac.min_gap, jump.g_jump,
                      jump.jump_size])
         on_edge.append(jump.on_edge)
-    meta = {"config": cfg, "command": "scan-anticrossing",
-            "convergence_gate": {"applicable": False},
-            "note": ("jump location tracks the steepest change of the exact "
-                     "weighted phase; the initial state is odd under parity, "
-                     "so it follows the odd-sector anti-crossing"),
-            "diagnostics": {"jump_on_window_edge": on_edge}}
+    meta = _new_meta(
+        cfg, "scan-anticrossing",
+        note=("jump location tracks the steepest change of the exact "
+              "weighted phase; the initial state is odd under parity, so it "
+              "follows the odd-sector anti-crossing"),
+        diagnostics={"jump_on_window_edge": on_edge})
     write_dataset(cfg["out"], ["delta", "g_star", "min_gap", "jump_g",
                                "jump_size"], rows, meta)
     return 0
@@ -580,9 +626,8 @@ def _preset_fig2(cfg: dict) -> int:
                 rows.append([panel, delta, g1, float(g2),
                              geometry.noneigen_curvature_two_qubit(pars),
                              geometry.vacuum_phase_two_qubit(pars)])
-    meta = {"config": cfg, "command": "fig2",
-            "convergence_gate": {"applicable": False},
-            "detunings": "representative choice {0, +-0.05, +-0.2}"}
+    meta = _new_meta(cfg, "fig2",
+                     detunings="representative choice {0, +-0.05, +-0.2}")
     write_dataset(cfg["out"], ["panel", "delta", "g1", "g2", "F_theta_phi",
                                "gamma_rwa"], rows, meta)
     return 0

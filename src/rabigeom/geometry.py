@@ -430,9 +430,8 @@ def detect_anticrossing(params_of_g, kappa: int, g_min: float, g_max: float,
     def levels(g_values) -> np.ndarray:
         params_list = [params_of_g(float(g)) for g in g_values]
         if rwa:
-            return np.array([model.rwa_parity_levels(pars, kappa, n_levels,
-                                                     drop_singlets)
-                             for pars in params_list])
+            return model.rwa_parity_levels(params_list, kappa, n_levels,
+                                           drop_singlets)
         energies, singlet = model.sector_energies(params_list, M, kappa)
         return np.array([e[~(s & drop_singlets)][:n_levels]
                          for e, s in zip(energies, singlet)])

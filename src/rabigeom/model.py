@@ -424,14 +424,13 @@ def _genlaguerre(x: np.ndarray, size: int) -> np.ndarray:
     scipy.special.eval_genlaguerre at integer n: 1 at n = 0, -x + a + 1 at
     n = 1, and binom(n + a, n) p_n from n = 2 on, where SciPy's recurrence
     for p_n depends on (a, x) only and so runs once for every degree."""
-    u, a, negx = x.size, np.arange(size, dtype=float)[:, None], -x
+    a, negx = np.arange(size, dtype=float)[:, None], -x
     k = np.arange(1.0, size - 1.0)[:, None, None]
     K = (k + a) + 1.0
-    c = (negx / K).reshape(size - 2, -1)
-    e = np.repeat(k / K, u, axis=2).reshape(size - 2, -1)
-    d = (negx / (a + 1.0)).reshape(-1)
-    L = np.empty((size, size, u))
-    p = L.reshape(size, -1)[1:]   # p_n at row n - 1
+    c, e = negx / K, k / K
+    d = negx / (a + 1.0)
+    L = np.empty((size, size, x.size))
+    p = L[1:]   # p_n at row n - 1
     p[0] = d + 1.0
     # whole rows: the entries at a >= size - n are computed and not used
     for cj, ej, pj, pn in zip(c, e, p[:-1], p[1:]):
@@ -488,22 +487,26 @@ def displacement_matrix(size: int, delta) -> np.ndarray:
     if size < 1:
         raise ValueError("size must be positive")
     deltas = np.asarray(delta, dtype=float)
-    flat = deltas.reshape(-1)
-    D = np.repeat(np.eye(size)[None], flat.size, axis=0)
-    moved = flat != 0.0
+    d, inverse = np.unique(deltas.reshape(-1), return_inverse=True)
+    # one matrix per distinct displacement, copied out only where the
+    # displacements repeat or come unsorted
+    D = np.empty((d.size, size, size))
+    moved = d != 0.0
+    D[~moved] = np.eye(size)
     if np.any(moved):
-        d, inverse = np.unique(flat[moved], return_inverse=True)
-        lower = _overlap_entries(d, size)
+        lower = _overlap_entries(d[moved], size)
         bad = ~np.all(np.isfinite(lower), axis=1)
         if np.any(bad):
             raise OverlapOverflow(
                 f"displaced-Fock overlap not finite at size {size}, "
-                f"displacement {float(d[bad][0])!r}; lower the truncation")
+                f"displacement {float(d[moved][bad][0])!r}; lower the "
+                "truncation")
         m, n, alt, _ = _triangle(size)
-        block = np.empty((d.size, size, size))
-        block[:, m, n] = lower
-        block[:, n, m] = alt * lower
-        D[moved] = block[inverse]
+        at = np.flatnonzero(moved)[:, None]
+        D[at, m, n] = lower
+        D[at, n, m] = alt * lower
+    if not np.array_equal(inverse, np.arange(inverse.size)):
+        D = D[inverse]
     return D.reshape(deltas.shape + (size, size))
 
 
@@ -592,12 +595,29 @@ def sector_hamiltonian(params_list: Sequence[RabiParams], M: int,
 
     Entry p of the returned (P, 2(M+1), 2(M+1)) stack is the sector matrix of
     ``params_list[p]``, each ladder displaced by its ``displacements`` and
-    truncated at level M.  The |11>/|00>-type and |10>/|01>-type blocks
-    couple through
+    truncated at level M.  Both diagonal blocks are diagonal; the
+    |11>/|00>-type and |10>/|01>-type blocks couple through the block B of
+    _sector_parts.
+    """
+    diag, B = _sector_parts(params_list, M, kappa)
+    mp1 = M + 1
+    S = np.zeros((len(params_list), 2 * mp1, 2 * mp1))
+    i = np.arange(2 * mp1)
+    S[:, i, i] = diag
+    S[:, :mp1, mp1:] = B
+    S[:, mp1:, :mp1] = np.swapaxes(B, 1, 2)
+    return S
+
+
+def _sector_parts(params_list: Sequence[RabiParams], M: int,
+                  kappa: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (P, 2(M+1)) diagonals and the (P, M+1, M+1) coupling blocks of
+    sector_hamiltonian's matrices:
     B[m, n] = omega1/2 * kappa (-1)^n <m|D(beta1+beta2)|n>
             + omega2/2 * <m|D(beta1-beta2)|n>,
     i.e. the flip of qubit j is dressed by the displaced-Fock overlap at
-    displacement 2 g_j / omega_c.
+    displacement 2 g_j / omega_c.  Each distinct displacement of the points
+    is evaluated once (for g1 = g2 the two coincide).
     """
     if kappa not in (1, -1):
         raise ValueError("kappa must be +1 or -1")
@@ -609,17 +629,18 @@ def sector_hamiltonian(params_list: Sequence[RabiParams], M: int,
     w2 = np.array([p.omega2 for p in params_list])[:, None, None]
     wc = np.array([p.omega_c for p in params_list])[:, None]
     b1, b2 = displacements(params_list)
-    D = displacement_matrix(mp1, np.concatenate([b1 + b2, b1 - b2]))
+    d, index = np.unique(np.concatenate([b1 + b2, b1 - b2]),
+                         return_inverse=True)
+    D = displacement_matrix(mp1, d)
     ns = np.arange(mp1)
-    signs = (-1.0) ** ns
-    B = (0.5 * w1 * kappa) * D[:P] * signs[None, :] + 0.5 * w2 * D[P:]
-    S = np.zeros((P, 2 * mp1, 2 * mp1))
-    diag = np.arange(2 * mp1)
-    S[:, diag, diag] = np.concatenate([ns * wc - b1[:, None]**2 * wc,
-                                       ns * wc - b2[:, None]**2 * wc], axis=1)
-    S[:, :mp1, mp1:] = B
-    S[:, mp1:, :mp1] = np.swapaxes(B, 1, 2)
-    return S
+    # in place, each entry rounded as (w1/2 kappa D) (-1)^n + w2/2 D
+    B = D[index[:P]]
+    B *= 0.5 * w1 * kappa
+    B *= (-1.0) ** ns
+    B += 0.5 * w2 * D[index[P:]]
+    diag = np.concatenate([ns * wc - b1[:, None]**2 * wc,
+                           ns * wc - b2[:, None]**2 * wc], axis=1)
+    return diag, B
 
 
 def sector_number_operator(params: RabiParams, M: int) -> np.ndarray:
@@ -653,7 +674,7 @@ def _level_tails(vectors: np.ndarray) -> np.ndarray:
 
 #: sweep points diagonalized together by solve_sectors; sets how many
 #: eigenvector sets are alive at once
-SECTOR_BATCH = 4
+SECTOR_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -694,7 +715,9 @@ def _photon_numbers(vectors: np.ndarray, beta1: np.ndarray,
     for half, beta in ((vectors[:, :mp1], beta1), (vectors[:, mp1:], beta2)):
         beta = beta[:, None]
         sq = half * half
-        total = total + (ns @ sq + beta**2 * sq.sum(axis=1)
+        diagonal = ns @ sq + beta**2 * sq.sum(axis=1)
+        del sq   # before the product of neighbours, which is as large
+        total = total + (diagonal
                          - 2.0 * beta * (off @ (half[:, :-1] * half[:, 1:])))
     return total
 
@@ -747,8 +770,8 @@ def solve_sectors(params_list: Sequence[RabiParams], M: int,
     """Solve the parity-kappa sector at every point, truncated at level M.
 
     This is the package's one displaced-Fock sector solver.  Points are
-    built SECTOR_BATCH at a time with sector_hamiltonian; eigenvectors live
-    only inside one batch.  A basis state whose row of the sector matrix has
+    built SECTOR_BATCH at a time (_sector_blocks); eigenvectors live only
+    inside one batch.  A basis state whose row of the sector matrix has
     no nonzero off-diagonal entry is an exact eigenvector at its diagonal
     entry (for identical qubits, the spin singlets (|10,n> - |01,n>)/sqrt(2),
     whose coupling column cancels exactly), so numerics.eigh solves only the
@@ -801,18 +824,31 @@ def _sector_blocks(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
     Returns the (P, n) diagonals, the (P, n) mask of free rows (no nonzero
     off-diagonal entry), and one (members, solved, sub-stack) per set of
     points with the same free rows: ``solved`` masks the rows that are not
-    free and the sub-stack holds the members' matrices on those rows.
+    free and the sub-stack holds the members' matrices on those rows, equal
+    to sector_hamiltonian(...)[np.ix_(members, solved, solved)] but written
+    from _sector_parts without the whole matrices.  The diagonal blocks are
+    diagonal, so a |11>/|00>-type row is free when its row of B is zero and
+    a |10>/|01>-type row when its column of B is.
     """
-    S = sector_hamiltonian(batch, M, kappa)
-    diag = np.diagonal(S, axis1=1, axis2=2).copy()
-    free = np.count_nonzero(S, axis=2) == (diag != 0.0)
+    diag, B = _sector_parts(batch, M, kappa)
+    coupled = B != 0.0
+    free = ~np.concatenate([np.any(coupled, axis=2), np.any(coupled, axis=1)],
+                           axis=1)
     groups: dict[bytes, list[int]] = {}
     for p, row in enumerate(free):
         groups.setdefault(row.tobytes(), []).append(p)
     subs = []
     for members in groups.values():
         keep = ~free[members[0]]
-        subs.append((members, keep, S[np.ix_(members, keep, keep)]))
+        rows, cols = keep[:M + 1], keep[M + 1:]
+        k1, k = np.count_nonzero(rows), np.count_nonzero(keep)
+        sub = np.zeros((len(members), k, k))
+        i = np.arange(k)
+        sub[:, i, i] = diag[members][:, keep]
+        coupling = B[np.ix_(members, rows, cols)]
+        sub[:, :k1, k1:] = coupling
+        sub[:, k1:, :k1] = np.swapaxes(coupling, 1, 2)
+        subs.append((members, keep, sub))
     return diag, free, subs
 
 
@@ -861,12 +897,14 @@ def _energies_batch(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
         g, k = len(members), np.count_nonzero(keep)
         values = numerics.eigvalsh(sub) if k else np.empty((g, 0))
         values = np.concatenate([values, diag[members][:, ~keep]], axis=1)
-        # stand-in vectors: a solved state gets weight 1 on every level of
-        # the |10>/|01>-type ladder, a free row its own unit vector
-        bound = np.zeros((g, keep.size, keep.size))
-        bound[:, M + 1:, :k] = 1.0
-        bound[:, ~keep, np.arange(k, keep.size)] = 1.0
-        maybe = _sector_singlets([batch[p] for p in members], values, bound,
+        # stand-in vectors, the same for every member: a solved state gets
+        # weight 1 on every level of the |10>/|01>-type ladder, a free row
+        # its own unit vector
+        bound = np.zeros((keep.size, keep.size))
+        bound[M + 1:, :k] = 1.0
+        bound[~keep, np.arange(k, keep.size)] = 1.0
+        maybe = _sector_singlets([batch[p] for p in members], values,
+                                 np.broadcast_to(bound, (g,) + bound.shape),
                                  kappa)
         unsure[members] = np.any(maybe[:, :k], axis=1)
         # stable, as in _solve_batch
@@ -900,31 +938,44 @@ def _rwa_last_block(params: RabiParams, k0: int, n_levels: int,
     return math.ceil(x * x)
 
 
-def rwa_parity_levels(params: RabiParams, parity: int, n_levels: int,
-                      drop_singlets: bool = False) -> np.ndarray:
+def rwa_parity_levels(params_list: Sequence[RabiParams], parity: int,
+                      n_levels: int, drop_singlets: bool = False
+                      ) -> np.ndarray:
     """The n_levels lowest levels of the RWA excitation blocks with
-    (-1)^k = parity, ascending.
+    (-1)^k = parity at every point, ascending: a (P, n_levels) array.
 
-    The blocks solved are those an energy bound admits (_rwa_last_block), so
-    strong couplings, which pull high blocks down, are covered.  The lowest
-    block (k = 0 or 1) takes one eigh call and the 4x4 blocks k >= 2 one
-    stacked call.
+    The blocks solved at a point are those an energy bound admits
+    (_rwa_last_block), so strong couplings, which pull high blocks down, are
+    covered.  The whole sweep takes two stacked numerics.eigh calls: one for
+    every point's lowest block (k = 0 or 1) and one for all the 4x4 blocks
+    k >= 2.  Each matrix of a stack is solved as on its own, so a point's
+    levels do not depend on the others.
     """
     k0 = 0 if parity == 1 else 1
-    drop = drop_singlets and params.identical_qubits()
-    ks = range(k0, _rwa_last_block(params, k0, n_levels, drop) + 1, 2)
-    low = numerics.eigh(build_block(params, k0))
+    drops = [drop_singlets and p.identical_qubits() for p in params_list]
+    blocks = [range(k0, _rwa_last_block(p, k0, n_levels, drop) + 1, 2)
+              for p, drop in zip(params_list, drops)]
+    low = numerics.eigh(np.array([build_block(p, k0) for p in params_list]))
     # the reshape keeps an empty list of 4x4 blocks a valid (0, 4, 4) stack
-    high = numerics.eigh(np.reshape([build_block(params, k) for k in ks[1:]],
-                                    (-1, 4, 4)))
-    values = np.concatenate([low.eigenvalues, high.eigenvalues.ravel()])
-    if drop:
-        # the singlet of block k is (|10,k-1> - |01,k-1>)/sqrt(2)
-        _, b, c, _ = np.hstack([_abcd(low.eigenvectors), *high.eigenvectors])
-        n = np.repeat(ks, [low.eigenvalues.size] + [4] * (len(ks) - 1)) - 1
-        values = values[~_is_singlet(True, params.omega_c, values, n,
-                                     (b - c) ** 2 / 2.0)]
-    return np.sort(values)[:n_levels]
+    high = numerics.eigh(np.reshape(
+        [build_block(p, k) for p, ks in zip(params_list, blocks)
+         for k in ks[1:]], (-1, 4, 4)))
+    out = np.empty((len(params_list), n_levels))
+    stop = 0
+    for i, (params, ks, drop) in enumerate(zip(params_list, blocks, drops)):
+        start, stop = stop, stop + len(ks) - 1
+        values = np.concatenate([low.eigenvalues[i],
+                                 high.eigenvalues[start:stop].ravel()])
+        if drop:
+            # the singlet of block k is (|10,k-1> - |01,k-1>)/sqrt(2)
+            _, b, c, _ = np.hstack([_abcd(low.eigenvectors[i]),
+                                    *high.eigenvectors[start:stop]])
+            sizes = [low.eigenvalues.shape[1]] + [4] * (len(ks) - 1)
+            n = np.repeat(ks, sizes) - 1
+            values = values[~_is_singlet(True, params.omega_c, values, n,
+                                         (b - c) ** 2 / 2.0)]
+        out[i] = np.sort(values)[:n_levels]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -32,17 +32,20 @@ class EigenDecomposition(NamedTuple):
     eigenvectors: np.ndarray  # orthonormal columns, same order
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+def _fix_signs(vectors: np.ndarray, out: np.ndarray | None = None
+               ) -> np.ndarray:
     """Flip eigenvector signs so the first component above SIGN_EPS is positive.
 
-    Works on one matrix of column eigenvectors or on a stack of them.  A
+    Works on one matrix of column eigenvectors or on a stack of them, and
+    writes into ``out`` when given (``vectors`` itself included).  A
     column with no component above SIGN_EPS keeps its sign: its "leading"
     entry is then at most SIGN_EPS in magnitude, so it never tests below
     -SIGN_EPS.
     """
-    first = np.argmax(np.abs(vectors) > SIGN_EPS, axis=-2)
+    # two comparisons rather than np.abs: no float temporary of the stack
+    first = np.argmax((vectors > SIGN_EPS) | (vectors < -SIGN_EPS), axis=-2)
     lead = np.take_along_axis(vectors, first[..., None, :], axis=-2)
-    return vectors * np.where(lead < -SIGN_EPS, -1.0, 1.0)
+    return np.multiply(vectors, np.where(lead < -SIGN_EPS, -1.0, 1.0), out=out)
 
 
 def eigh(matrix) -> EigenDecomposition:
@@ -56,7 +59,7 @@ def eigh(matrix) -> EigenDecomposition:
     positive, which makes repeated runs and CSV goldens reproducible.
     """
     values, vectors = np.linalg.eigh(_checked_symmetric(matrix))
-    return EigenDecomposition(values, _fix_signs(vectors))
+    return EigenDecomposition(values, _fix_signs(vectors, out=vectors))
 
 
 def eigvalsh(matrix) -> np.ndarray:

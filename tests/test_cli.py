@@ -206,7 +206,7 @@ def test_evolve_bench_workload_matches_reference(tmp_path, name):
         assert meta["rows"] == want["rows"] - 1
 
 
-def test_config_error_exit_code(tmp_path):
+def test_config_error_exit_code(tmp_path, capsys):
     assert run(["spectrum", "--sweep", "nope", "--out", "x.csv"]) == 2
     assert run(["spectrum", "--sweep", "g:0.2:0.1:5", "--out", "x.csv"]) == 2
     assert run(["berry", "--sweep", "g:0.0:0.1:5"]) == 2  # no --out
@@ -238,6 +238,19 @@ def test_config_error_exit_code(tmp_path):
         assert run(["scan-anticrossing", "--delta", delta,
                     "--out", str(tmp_path / "x.csv")]) == 2
     assert run(["spectrum", *short, *sweep, "--trunc-photons", "5"]) == 2
+    # --rwa and --full choose results of spectrum, berry and noneigen only;
+    # elsewhere they are rejected, not ignored
+    capsys.readouterr()
+    for command in (["scan-anticrossing", "--delta", "0.5"],
+                    ["evolve", "--delta", "0.01", "--g1", "0.01", "--g2",
+                     "0.01"],
+                    ["curvature-field"], ["fig1"], ["fig2"], ["fig3"],
+                    ["fig4"], ["fig5"]):
+        for flag in ("--rwa", "--full"):
+            out = tmp_path / "mode.csv"
+            assert run([*command, flag, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("config error: ")
+            assert not out.exists()
     # a plain-Fock sector keeps only 2 N = 20 states at N = 10 photons
     assert run(["spectrum", *short, *sweep, "--full", "--levels", "30",
                 "--trunc-photons", "10"]) == 2
@@ -275,10 +288,64 @@ def test_config_error_exit_code(tmp_path):
                          (["noneigen", *sweep], {"trunc_m": True}),
                          (["spectrum", *sweep], {"trunc_photons": 20.5}),
                          (["curvature-field"], {"levels": 1000.7}),
-                         (["curvature-field"], {"levels": True})):
+                         (["curvature-field"], {"levels": True}),
+                         # a mode is one of rwa, full, both, and only for
+                         # the commands that choose results by it
+                         (["spectrum", *sweep], {"mode": "bogus"}),
+                         (["berry", *sweep], {"mode": "bogus"}),
+                         (["scan-anticrossing"], {"mode": "rwa"}),
+                         (["fig4"], {"mode": "full"})):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(bad))
         assert run([*command, *short, "--config", str(config)]) == 2
+
+
+@pytest.mark.parametrize("args, stages", [
+    (["spectrum", "--delta", "0.5", "--sweep", "g:0.1:0.3:3", "--levels", "4",
+      "--trunc-m", "20"], ("gate_s", "sweep_s", "write_s")),
+    (["spectrum", "--delta", "0.5", "--sweep", "g:0.1:0.3:3", "--rwa"],
+     ("gate_s", "sweep_s", "write_s")),
+    (["berry", "--delta", "0.5", "--sweep", "g:0.1:0.3:3", "--trunc-m", "20"],
+     ("gate_s", "sweep_s", "write_s")),
+    (["noneigen", "--delta", "0.5", "--sweep", "g:0.1:0.3:3", "--trunc-m",
+      "20"], ("gate_s", "sweep_s", "write_s")),
+    (["curvature-field", "--levels", "11"], ("write_s",)),
+    (["evolve", "--model", "jc", "--g1", "0.05"], ("write_s",)),
+    (["scan-anticrossing", "--delta", "0.5", "--trunc-m", "20"],
+     ("write_s",)),
+    (["fig2"], ("write_s",)),
+])
+def test_sidecar_records_stage_timings(tmp_path, args, stages):
+    out = tmp_path / "t.csv"
+    sidecars = []
+    for _ in range(2):
+        assert run(args + ["--out", str(out)]) == 0
+        sidecars.append(json.loads((tmp_path / "t.csv.meta.json").read_text()))
+    for meta in sidecars:
+        timings = meta.pop("timings")
+        assert tuple(sorted(timings)) == stages
+        assert all(isinstance(t, float) and t >= 0.0
+                   for t in timings.values())
+    # the timings are the only part of the sidecar that changes on a rerun
+    assert sidecars[0] == sidecars[1]
+    if "gate_s" in stages:
+        gate = sidecars[0]["convergence_gate"]
+        assert gate.get("applicable", True) == (timings["gate_s"] > 0.0)
+
+
+def test_noneigen_computes_the_vacuum_phases_once_per_solve(tmp_path,
+                                                            monkeypatch):
+    calls = []
+
+    def counting(odd):
+        calls.append(len(odd.energies))
+        return phases(odd)
+    phases = geometry.noneigen_phases_beyond_rwa
+    monkeypatch.setattr(geometry, "noneigen_phases_beyond_rwa", counting)
+    assert run(["noneigen", "--delta", "0.5", "--sweep", "g:0.1:0.3:7",
+                "--trunc-m", "20", "--out", str(tmp_path / "n.csv")]) == 0
+    # the sweep, then the gate's probe points
+    assert calls == [7, 3]
 
 
 def test_dual_basis_audit_records_top_population(tmp_path):

@@ -414,13 +414,14 @@ def test_rwa_parity_levels_match_per_block_solves(params):
     for parity in (1, -1):
         for n_levels in (1, 8):
             for drop in (False, True):
-                got = model.rwa_parity_levels(params, parity, n_levels, drop)
+                got = model.rwa_parity_levels([params], parity, n_levels, drop)[0]
                 want = _rwa_levels_per_block(params, parity, n_levels, drop)
                 assert np.array_equal(got, want)
     # coupled identical qubits: dropping singlets removes levels
     if params.identical_qubits() and params.g1 > 0.0:
-        assert not np.array_equal(model.rwa_parity_levels(params, -1, 8, True),
-                                  model.rwa_parity_levels(params, -1, 8))
+        assert not np.array_equal(
+            model.rwa_parity_levels([params], -1, 8, True)[0],
+            model.rwa_parity_levels([params], -1, 8)[0])
 
 
 @pytest.mark.parametrize("g", [0.5, 2.0, 3.0, 5.0])
@@ -430,7 +431,7 @@ def test_rwa_parity_levels_match_plain_fock_rwa(g):
     fm = build_full_rabi(params, 120, rwa=True)
     for parity in (1, -1):
         want, _, _ = solve_parity_sector(fm, parity)
-        got = model.rwa_parity_levels(params, parity, 8)
+        got = model.rwa_parity_levels([params], parity, 8)[0]
         assert np.max(np.abs(got - want[:8])) <= 1e-12
 
 
@@ -556,11 +557,12 @@ def _at_n_omega_c(energies, omega_c):
 def test_singlet_test_drops_exactly_levels_at_n_omega_c(parity):
     params, wc = _SINGLET_PARAMS, _SINGLET_PARAMS.omega_c
     # RWA block stack: the singlet of block k sits at (k - 1) omega_c
-    every = model.rwa_parity_levels(params, parity, 60)
+    every = model.rwa_parity_levels([params], parity, 60)[0]
     at_n = _at_n_omega_c(every, wc)
     assert np.array_equal(np.rint(every[at_n] / wc) % 2,
                           np.full(np.count_nonzero(at_n), (1 + parity) // 2))
-    kept = model.rwa_parity_levels(params, parity, 30, drop_singlets=True)
+    kept = model.rwa_parity_levels([params], parity, 30,
+                                   drop_singlets=True)[0]
     assert np.array_equal(kept, every[~at_n][:30])
     assert np.count_nonzero(at_n[:30]) >= 5
     # displaced sector: one singlet per level n with parity (-1)^(n+1)
@@ -719,6 +721,71 @@ def test_sector_energies_validation():
         model.sector_energies([_SINGLET_PARAMS], 9, 1)
     with pytest.raises(ValueError):
         model.sector_energies([], 20, 1)
+
+
+#: twenty points for the batching tests: identical qubits at several g,
+#: _ENERGIES_MIXED (the EQ_TOL slivers, g = 0, a diagonal matrix, unequal
+#: qubits), more unequal qubits, omega_c != 1 and the JC reduction
+_BATCH_MIXED = ([RabiParams.equal_frequency(0.5, g, g)
+                 for g in (0.05, 0.15, 0.2615, 0.35, 0.5)]
+                + _ENERGIES_MIXED
+                + [RabiParams(omega1=1.2, omega2=0.8, g1=g, g2=0.5 * g)
+                   for g in (0.1, 0.3)]
+                + [RabiParams.equal_frequency(-0.5, g, g)
+                   for g in (0.0, 0.1, 0.2, 0.3)]
+                + [_SINGLET_PARAMS, RabiParams.jc(0.1, 0.2)])
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+def test_sector_results_do_not_depend_on_the_batch_size(monkeypatch, kappa):
+    results = []
+    for batch in (1, 3, 16, len(_BATCH_MIXED)):
+        monkeypatch.setattr(model, "SECTOR_BATCH", batch)
+        sol = model.solve_sectors(_BATCH_MIXED, 30, kappa)
+        results.append([getattr(sol, name) for name in _SECTOR_FIELDS]
+                       + list(model.sector_energies(_BATCH_MIXED, 30, kappa)))
+    for other in results[1:]:
+        for want, got in zip(results[0], other):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+def test_sector_blocks_are_the_whole_matrices_on_the_solved_rows(kappa):
+    S = model.sector_hamiltonian(_BATCH_MIXED, 30, kappa)
+    diag, free, subs = model._sector_blocks(_BATCH_MIXED, 30, kappa)
+    assert np.array_equal(diag, np.diagonal(S, axis1=1, axis2=2))
+    # free: no nonzero off-diagonal entry in the row of the whole matrix
+    assert np.array_equal(free, np.count_nonzero(S, axis=2) == (diag != 0.0))
+    assert sorted(p for members, _, _ in subs for p in members) == \
+        list(range(len(_BATCH_MIXED)))
+    for members, keep, sub in subs:
+        assert np.array_equal(free[members], np.tile(~keep, (len(members), 1)))
+        want = S[np.ix_(members, keep, keep)]
+        assert sub.shape == want.shape and sub.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("drop", [False, True])
+@pytest.mark.parametrize("parity", [1, -1])
+def test_rwa_parity_levels_solve_a_sweep_in_two_stacked_calls(
+        monkeypatch, parity, drop):
+    # fig3's sweep
+    params_list = [RabiParams.equal_frequency(0.5, g, g)
+                   for g in np.linspace(0.001, 0.5, 101)]
+    singles = [model.rwa_parity_levels([params], parity, 8, drop)[0]
+               for params in params_list]
+    shapes = []
+
+    def recording_eigh(matrix):
+        shapes.append(np.shape(matrix))
+        return eigh(matrix)
+    eigh = numerics.eigh
+    monkeypatch.setattr(numerics, "eigh", recording_eigh)
+    levels = model.rwa_parity_levels(params_list, parity, 8, drop)
+    assert levels.shape == (101, 8)
+    assert np.array_equal(levels, np.array(singles))
+    low = 1 if parity == 1 else 3
+    assert len(shapes) == 2 and shapes[0] == (101, low, low)
+    assert shapes[1][1:] == (4, 4)
 
 
 @pytest.mark.parametrize("kappa, kept", [(1, 77), (-1, 76)])
