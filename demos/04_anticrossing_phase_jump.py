@@ -4,9 +4,14 @@ Scans both parity sectors for their minimal level gaps and sweeps the
 weighted geometric phase of |10,0> through the same coupling range.  Because
 |10,0> is exactly odd under parity, its phase responds to the odd-sector
 anti-crossing only; the even-sector anti-crossing (the spectrally prominent
-one) leaves it untouched.  The adiabaticity ratio shows why eigenstate Berry
-phases are ill-defined near either anti-crossing.
+one) leaves it untouched.  The curvature d^2E/d omega_c^2 of each
+anti-crossing pair shows why eigenstate Berry phases are ill-defined there:
+driving the loop at rate omega moves a level's phase by
+-2 pi omega d^2E/d omega_c^2, so the Berry phase holds to tol only below the
+loop rate omega* = tol / (2 pi max|d^2E/d omega_c^2|).
 """
+
+import math
 
 import numpy as np
 
@@ -20,10 +25,11 @@ for kappa, name in ((1, "even"), (-1, "odd")):
     ac = geometry.detect_anticrossing(params_of_g, kappa=kappa,
                                       g_min=0.2, g_max=0.32, M=50)
     print(f"  {name:5} sector: levels {ac.level_pair} anti-cross at "
-          f"g = {ac.g_star:.4f}, gap = {ac.min_gap:.3e}, "
-          f"adiabaticity ratio = {ac.adiabaticity_ratio:.1f} "
-          f"({'breaks' if ac.adiabaticity_exceeded else 'obeys'} the "
-          f"adiabatic condition)")
+          f"g = {ac.g_star:.4f}, gap = {ac.min_gap:.3e}")
+    omega_star = 0.01 / (2.0 * math.pi * max(map(abs, ac.curvature)))
+    print(f"        d^2E/d omega_c^2 = {ac.curvature[0]:.2f}, "
+          f"{ac.curvature[1]:.2f}: Berry phases hold to 0.01 only for loop "
+          f"rates below omega* = {omega_star:.2e}")
 
 print()
 print("Weighted geometric phase of |10,0> through the region:")

@@ -11,8 +11,9 @@ varies from run to run, and its ``environment`` block from machine to
 machine; the rest of the sidecar is as reproducible as the CSV.
 
 ``--rwa`` and ``--full`` (or a config file's ``mode``: ``rwa``, ``full`` or
-``both``) choose the results of spectrum, berry and noneigen; any other
-command rejects them as a configuration error.
+``both``) choose the results of spectrum, berry and noneigen.  A flag or
+config key that the command does not read (see COMMAND_KEYS) is a
+configuration error, not ignored.
 
 Exit codes: 0 success, 2 configuration error (an --out path that cannot be
 written, and a truncation whose displaced-Fock overlaps overflow, among
@@ -40,8 +41,31 @@ DEFAULT_M = 50
 SWEEP_VARS = ("g", "g1", "g2", "delta", "omega1", "omega2")
 GATE_TOL = 1e-6
 
-#: the commands that take --rwa and --full
-MODE_COMMANDS = ("spectrum", "berry", "noneigen")
+#: the keys of the model parameters, read by params_from_config
+PARAM_KEYS = ("model", "omega1", "omega2", "g1", "g2", "delta")
+
+#: the flags and config keys each command reads besides ``out``; the presets
+#: fix the rest (fig3-fig5 their sweep and mode, fig3 drop_singlets, fig5 its
+#: detunings)
+COMMAND_KEYS = {
+    "spectrum": ("sweep", "mode", "trunc_m", "trunc_photons", "levels",
+                 "drop_singlets", *PARAM_KEYS),
+    "berry": ("sweep", "mode", "trunc_m", *PARAM_KEYS),
+    "noneigen": ("sweep", "mode", "trunc_m", *PARAM_KEYS),
+    "curvature-field": ("levels",),
+    "evolve": ("levels", *PARAM_KEYS),
+    "scan-anticrossing": ("trunc_m", "delta", "deltas", "g_min", "g_max"),
+    "fig1": ("levels",),
+    "fig2": (),
+    "fig3": ("trunc_m", "trunc_photons", "levels", "model", "omega1",
+             "omega2", "delta"),
+    "fig4": ("trunc_m", "model", "omega1", "omega2", "delta"),
+    "fig5": ("trunc_m", "model", "omega1", "omega2"),
+}
+
+#: values of the keys a command reads when they are unset
+DEFAULTS = {"model": "two-qubit", "mode": "both", "trunc_m": DEFAULT_M,
+            "drop_singlets": False}
 
 
 class ConfigError(ValueError):
@@ -229,18 +253,19 @@ def load_config(args: argparse.Namespace) -> dict:
         cfg["mode"] = "rwa"
     if getattr(args, "full", False):
         cfg["mode"] = "full" if cfg.get("mode") != "rwa" else "both"
-    if "mode" in cfg and args.command not in MODE_COMMANDS:
-        raise ConfigError(f"--rwa, --full and the mode key apply only to "
-                          f"{', '.join(MODE_COMMANDS)}, not to {args.command}")
     if getattr(args, "drop_singlets", False):
         cfg["drop_singlets"] = True
-    cfg.setdefault("model", "two-qubit")
-    cfg.setdefault("mode", "both")
-    cfg.setdefault("trunc_m", DEFAULT_M)
-    cfg.setdefault("drop_singlets", False)
-    if cfg["model"] not in ("jc", "two-qubit"):
+    keys = COMMAND_KEYS[args.command]
+    unread = sorted(set(cfg) - set(keys) - {"out"})
+    if unread:
+        raise ConfigError(f"{args.command} does not read {', '.join(unread)} "
+                          "(flag or config key)")
+    for key in keys:
+        if key in DEFAULTS:
+            cfg.setdefault(key, DEFAULTS[key])
+    if cfg.get("model", "two-qubit") not in ("jc", "two-qubit"):
         raise ConfigError(f"unknown model {cfg['model']!r}")
-    if cfg["mode"] not in ("rwa", "full", "both"):
+    if cfg.get("mode", "both") not in ("rwa", "full", "both"):
         raise ConfigError(f"unknown mode {cfg['mode']!r}")
     for key in ("trunc_m", "trunc_photons"):
         if cfg.get(key) is not None:
@@ -384,6 +409,9 @@ def cmd_spectrum(cfg: dict) -> int:
     n_levels = _levels(cfg, 8, minimum=1)
     modes = {"rwa": ("rwa",), "full": ("full",), "both": ("rwa", "full")}[cfg["mode"]]
     drop = bool(cfg["drop_singlets"])
+    if cfg.get("trunc_photons") and "full" not in modes:
+        raise ConfigError("--trunc-photons sizes the dual-basis audit of the "
+                          "beyond-RWA spectrum, which --rwa leaves out")
     params_list = _sweep_params(cfg, var, values)
     meta = _new_meta(cfg, "spectrum")
     if "full" in modes:
@@ -579,12 +607,16 @@ def cmd_scan_anticrossing(cfg: dict) -> int:
     if not deltas or not all(map(math.isfinite, deltas)):
         raise ConfigError(f"deltas {deltas!r}: need one or more finite "
                           "detunings")
+    if cfg.get("deltas") is not None and cfg.get("delta") is not None:
+        raise ConfigError("give delta or deltas, not both")
     g_min = _number(float, "g_min", _get(cfg, "g_min", 0.2))
     g_max = _number(float, "g_max", _get(cfg, "g_max", 0.32))
     if not 0.0 <= g_min < g_max:
         raise ConfigError(f"g window [{g_min}, {g_max}]: need "
                           "0 <= g_min < g_max")
-    rows, on_edge = [], []
+    rows = []
+    diagnostics = {"jump_on_window_edge": [], "level_pair": [],
+                   "pair_curvature": []}
     for delta in deltas:
         def params_of_g(g: float, d=delta) -> RabiParams:
             return RabiParams.equal_frequency(d, g, g)
@@ -593,13 +625,16 @@ def cmd_scan_anticrossing(cfg: dict) -> int:
         jump = geometry.locate_phase_jump(params_of_g, g_min, g_max, M=M)
         rows.append([delta, ac.g_star, ac.min_gap, jump.g_jump,
                      jump.jump_size])
-        on_edge.append(jump.on_edge)
+        diagnostics["jump_on_window_edge"].append(jump.on_edge)
+        diagnostics["level_pair"].append(list(ac.level_pair))
+        diagnostics["pair_curvature"].append(list(ac.curvature))
     meta = _new_meta(
         cfg, "scan-anticrossing",
         note=("jump location tracks the steepest change of the exact "
               "weighted phase; the initial state is odd under parity, so it "
-              "follows the odd-sector anti-crossing"),
-        diagnostics={"jump_on_window_edge": on_edge})
+              "follows the odd-sector anti-crossing; pair_curvature is "
+              "d^2E/d omega_c^2 of the even-sector level_pair at g_star"),
+        diagnostics=diagnostics)
     write_dataset(cfg["out"], ["delta", "g_star", "min_gap", "jump_g",
                                "jump_size"], rows, meta)
     return 0

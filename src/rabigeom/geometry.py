@@ -10,7 +10,7 @@ reported unreduced (the excitation ladders contribute 2 pi windings); use
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -384,67 +384,44 @@ class AnticrossingResult:
     g_star: float
     min_gap: float
     level_pair: tuple[int, int]
-    adiabaticity_ratio: float
-    adiabaticity_exceeded: bool
+    curvature: tuple[float, float]    # d^2E/d omega_c^2 of the pair at g_star
 
 
 def detect_anticrossing(params_of_g, kappa: int, g_min: float, g_max: float,
-                        level_pair: tuple[int, int] | None = None,
-                        n_scan: int = 201, M: int = 50, n_levels: int = 8,
-                        drop_singlets: bool = True,
-                        rwa: bool = False) -> AnticrossingResult:
+                        M: int = 50) -> AnticrossingResult:
     """Locate the minimal gap of a parity sector along a coupling sweep.
 
-    ``params_of_g`` maps the swept coupling to RabiParams.  A coarse scan with
-    at least 200 points brackets the interior minimum of the adjacent-level gap
-    (of ``level_pair`` if given, otherwise of whichever adjacent pair attains
-    the smallest gap), which golden-section search then refines.  Raises
-    NoAnticrossing when the bracketed minimum sits on the range boundary or
-    ties with a neighbour on the coarse grid, and also when the refined gap
-    closes completely: under the RWA levels of different excitation number
-    cross exactly and the driving cannot connect them, so there is no
-    anti-crossing to report.  Raises ValueError, before any solve, for
-    n_levels < 2 and for a level_pair that is not two adjacent levels among
-    the n_levels lowest.
+    ``params_of_g`` maps the swept coupling to RabiParams.  A 201-point scan
+    of the 8 lowest non-singlet levels brackets the interior minimum of the
+    gap of whichever adjacent pair attains the smallest gap, which
+    golden-section search then refines.  Raises NoAnticrossing when the
+    bracketed minimum sits on the range boundary or ties with a neighbour on
+    the coarse grid, when the refined gap closes completely (levels the
+    driving cannot connect cross exactly, and that is no anti-crossing) and
+    when it is not well below the gap at both ends of the range.
 
-    Beyond the RWA the search reads only energies, so the coarse scan and
-    every golden-section step take model.sector_energies (eigenvalues only),
-    which hands a point to model.solve_sectors just when a solved state
-    could be a singlet; the one eigenvector solve is the whole-sector
-    numerics.eigh of _adiabaticity_ratio at the refined g_star.
+    ``curvature`` holds d^2E/d omega_c^2 of the lower and the upper level of
+    the pair at g_star, a central difference with step 1e-4 in omega_c.
+    Driving the loop R(phi) at rate omega is the Hamiltonian with omega_c
+    lowered by omega, so a level's Aharonov-Anandan phase departs from its
+    Berry phase 2 pi <a^dag a> = 2 pi dE/d omega_c by -2 pi omega
+    d^2E/d omega_c^2 to first order: the pair's Berry phases hold to tol only
+    for loop rates below omega* = tol / (2 pi max|curvature|).
+
+    The search reads energies only: the scan, every golden-section step and
+    the curvature's three points take model.sector_energies, which hands a
+    point to model.solve_sectors just when a solved state could be a singlet.
     """
-    if n_scan < 200:
-        raise ValueError("n_scan must be at least 200")
-    if n_levels < 2:
-        raise ValueError(f"n_levels = {n_levels}: need at least two levels "
-                         "to have a gap")
-    if level_pair is not None:
-        lo, hi = level_pair
-        if hi != lo + 1:
-            raise ValueError("level_pair must be adjacent levels (i, i+1)")
-        if not 0 <= lo < hi < n_levels:
-            raise ValueError(f"level_pair {tuple(level_pair)}: need levels "
-                             f"0 <= i < i + 1 < n_levels = {n_levels}")
+    n_scan = 201
     gs = np.linspace(g_min, g_max, n_scan)
 
-    def levels(g_values) -> np.ndarray:
-        params_list = [params_of_g(float(g)) for g in g_values]
-        if rwa:
-            return model.rwa_parity_levels(params_list, kappa, n_levels,
-                                           drop_singlets)
+    def levels(params_list) -> np.ndarray:
         energies, singlet = model.sector_energies(params_list, M, kappa)
-        return np.array([e[~(s & drop_singlets)][:n_levels]
-                         for e, s in zip(energies, singlet)])
+        return np.array([e[~s][:8] for e, s in zip(energies, singlet)])
 
-    table = levels(gs)
-    gaps = np.diff(table, axis=1)
-    if level_pair is None:
-        flat = np.argmin(gaps)
-        i_coarse, pair_lo = np.unravel_index(flat, gaps.shape)
-        pair = (int(pair_lo), int(pair_lo) + 1)
-    else:
-        pair = level_pair
-        i_coarse = int(np.argmin(gaps[:, pair[0]]))
+    gaps = np.diff(levels([params_of_g(float(g)) for g in gs]), axis=1)
+    i_coarse, pair_lo = np.unravel_index(np.argmin(gaps), gaps.shape)
+    pair = (int(pair_lo), int(pair_lo) + 1)
     gap_curve = gaps[:, pair[0]]
     if i_coarse == 0 or i_coarse == n_scan - 1:
         raise NoAnticrossing(
@@ -456,7 +433,7 @@ def detect_anticrossing(params_of_g, kappa: int, g_min: float, g_max: float,
             f"g = {gs[i_coarse]:.6f}; no strict bracket to refine")
 
     def gap_at(g: float) -> float:
-        e = levels([g])[0]
+        e = levels([params_of_g(float(g))])[0]
         return float(e[pair[1]] - e[pair[0]])
 
     g_star, min_gap = map(float, _golden(gap_at,
@@ -468,12 +445,12 @@ def detect_anticrossing(params_of_g, kappa: int, g_min: float, g_max: float,
     if min_gap > 0.9 * max(gap_curve[0], gap_curve[-1]):
         raise NoAnticrossing(
             f"gap of levels {pair} shows no pronounced minimum")
-    if rwa:
-        # gap geometry only; the driving matrix element is block-local
-        return AnticrossingResult(g_star, min_gap, pair, math.nan, False)
-    ratio = _adiabaticity_ratio(params_of_g(g_star), kappa, pair, M,
-                                drop_singlets)
-    return AnticrossingResult(g_star, min_gap, pair, ratio, ratio > 1.0)
+    star, h = params_of_g(g_star), 1e-4
+    below, at, above = levels([replace(star, omega_c=star.omega_c + step)
+                               for step in (-h, 0.0, h)])
+    curvature = (below + above - 2.0 * at)[list(pair)] / (h * h)
+    return AnticrossingResult(g_star, min_gap, pair,
+                              tuple(map(float, curvature)))
 
 
 def _golden(f, xa: float, xb: float, xc: float, xtol: float = 1e-7,
@@ -518,12 +495,11 @@ class PhaseJump:
 
 
 def locate_phase_jump(params_of_g, g_min: float, g_max: float,
-                      n_scan: int = 61, n_refine: int = 24,
                       M: int = 50) -> PhaseJump:
     """Locate the sharpest change of the beyond-RWA noneigenstate phase.
 
-    Scans gamma(g) on a coarse grid, then bisects the interval of largest
-    change.  A true discontinuity keeps a finite ``jump_size`` as the bracket
+    Scans gamma(g) on 61 points, then bisects the interval of largest
+    change 24 times.  A true discontinuity keeps a finite ``jump_size`` as the bracket
     shrinks; a steep but smooth crossover refines to jump_size near zero while
     ``g_jump`` converges to the point of maximal slope.  ``on_edge`` flags a
     steepest coarse step at the window's edge, where the change may go on.
@@ -531,16 +507,16 @@ def locate_phase_jump(params_of_g, g_min: float, g_max: float,
     def gamma_at(g: float) -> float:
         return noneigen_phase_beyond_rwa(params_of_g(float(g)), M)[0]
 
-    gs = np.linspace(g_min, g_max, n_scan)
+    gs = np.linspace(g_min, g_max, 61)
     odd = model.solve_sectors([params_of_g(float(g)) for g in gs], M, -1)
     vals = noneigen_phases_beyond_rwa(odd)[0]
     i = int(np.argmax(np.abs(np.diff(vals))))
-    on_edge = i in (0, n_scan - 2)
+    on_edge = i in (0, len(gs) - 2)
     lo, hi = float(gs[i]), float(gs[i + 1])
     # The bisection compares changes of gamma down to rounding level, so all
     # values it compares, bracket ends included, come from one evaluation.
     vlo, vhi = gamma_at(lo), gamma_at(hi)
-    for _ in range(n_refine):
+    for _ in range(24):
         mid = 0.5 * (lo + hi)
         vm = gamma_at(mid)
         if abs(vm - vlo) > abs(vhi - vm):
@@ -550,22 +526,3 @@ def locate_phase_jump(params_of_g, g_min: float, g_max: float,
     width = hi - lo
     slope = abs(vhi - vlo) / width if width > 0.0 else math.inf
     return PhaseJump(0.5 * (lo + hi), abs(vhi - vlo), slope, on_edge)
-
-
-def _adiabaticity_ratio(params: RabiParams, kappa: int, pair: tuple[int, int],
-                        M: int, drop_singlets: bool) -> float:
-    """Proxy |<n| dH/dphi |m>| / (E_n - E_m)^2 per unit loop rate.
-
-    For the phase-shift driving the numerator is |(E_m - E_n) <n|a^dag a|m>|,
-    so the ratio reduces to |<n|a^dag a|m> / (E_n - E_m)|.
-    """
-    values, vectors = numerics.eigh(
-        model.sector_hamiltonian([params], M, kappa))
-    singlet = model._sector_singlets([params], values, vectors, kappa)[0]
-    kept = np.flatnonzero(~(singlet & drop_singlets))
-    a, b = kept[pair[0]], kept[pair[1]]
-    gap = float(values[0, b] - values[0, a])
-    if gap == 0.0:
-        return math.inf
-    nop = model.sector_number_operator(params, M)
-    return abs(float(vectors[0, :, a] @ nop @ vectors[0, :, b]) / gap)

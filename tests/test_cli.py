@@ -297,7 +297,37 @@ def test_config_error_exit_code(tmp_path, capsys):
                          (["fig4"], {"mode": "full"})):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(bad))
-        assert run([*command, *short, "--config", str(config)]) == 2
+        assert run([*command, "--out", str(tmp_path / "x.csv"),
+                    "--config", str(config)]) == 2
+    # a flag or config key that the command does not read is rejected, not
+    # ignored, and leaves no CSV
+    sweep3 = ["--sweep", "g:0.01:0.1:3"]
+    for command, unread in (
+            (["berry", "--delta", "0.5", *sweep3, "--trunc-photons", "20"],
+             None),
+            (["spectrum", "--delta", "0.5", *sweep3, "--rwa",
+              "--trunc-photons", "20"], None),
+            (["fig4", *sweep3], None),
+            (["fig5", "--delta", "0.3"], None),
+            (["evolve", "--delta", "0.01", "--g1", "0.01", "--g2", "0.01",
+              *sweep3], None),
+            (["noneigen", "--delta", "0.5", *sweep3, "--drop-singlets"], None),
+            (["scan-anticrossing", "--levels", "3", "--g1", "0.4"], None),
+            (["curvature-field", "--delta", "0.3", "--trunc-m", "30"], None),
+            (["noneigen", "--delta", "0.5", *sweep3], {"trunc_mm": 12}),
+            (["scan-anticrossing"], {"g_mn": 0.25}),
+            (["scan-anticrossing", "--delta", "0.5"], {"deltas": [0.2]})):
+        out_dir = tmp_path / "unread"
+        out_dir.mkdir()
+        argv = [*command, "--out", str(out_dir / "x.csv")]
+        if unread is not None:
+            config = tmp_path / "unread.json"
+            config.write_text(json.dumps(unread))
+            argv += ["--config", str(config)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not any(out_dir.iterdir())
+        out_dir.rmdir()
 
 
 @pytest.mark.parametrize("args, stages", [
@@ -331,6 +361,26 @@ def test_sidecar_records_stage_timings(tmp_path, args, stages):
     if "gate_s" in stages:
         gate = sidecars[0]["convergence_gate"]
         assert gate.get("applicable", True) == (timings["gate_s"] > 0.0)
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--delta", "0.5", "--sweep", "g:0.1:0.3:3", "--levels", "4",
+     "--trunc-m", "20"],
+    ["noneigen", "--delta", "0.5", "--sweep", "g:0.1:0.3:3", "--rwa"],
+    ["fig1"],
+    ["evolve", "--model", "jc", "--g1", "0.05"],
+    ["scan-anticrossing", "--delta", "0.5", "--trunc-m", "20"],
+])
+def test_sidecar_config_reruns_the_dataset(tmp_path, args):
+    # the sidecar's command and config hold only keys the command reads
+    first, again = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(args + ["--out", str(first)]) == 0
+    meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(meta["config"]))
+    assert run([meta["command"], "--config", str(config),
+                "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_noneigen_computes_the_vacuum_phases_once_per_solve(tmp_path,
@@ -702,3 +752,12 @@ def test_scan_anticrossing(tmp_path):
     assert 0.24 <= g_star <= 0.28
     meta = json.loads((tmp_path / "scan.csv.meta.json").read_text())
     assert meta["diagnostics"]["jump_on_window_edge"] == [False]
+    # the even-sector pair and its d^2E/d omega_c^2 at g_star, one per delta
+    ac = geometry.detect_anticrossing(
+        lambda g: RabiParams.equal_frequency(0.5, g, g), kappa=1, g_min=0.2,
+        g_max=0.32, M=30)
+    assert ac.g_star == g_star
+    assert meta["diagnostics"]["level_pair"] == [[3, 4]]
+    assert meta["diagnostics"]["pair_curvature"] == [list(ac.curvature)]
+    lower, upper = ac.curvature
+    assert lower < -100.0 and upper > 100.0
