@@ -46,7 +46,7 @@ PARAM_KEYS = ("model", "omega1", "omega2", "g1", "g2", "delta")
 
 #: the flags and config keys each command reads besides ``out``; the presets
 #: fix the rest (fig3-fig5 their sweep and mode, fig3 drop_singlets, fig5 its
-#: detunings)
+#: detunings and so omega1 and omega2)
 COMMAND_KEYS = {
     "spectrum": ("sweep", "mode", "trunc_m", "trunc_photons", "levels",
                  "drop_singlets", *PARAM_KEYS),
@@ -60,7 +60,7 @@ COMMAND_KEYS = {
     "fig3": ("trunc_m", "trunc_photons", "levels", "model", "omega1",
              "omega2", "delta"),
     "fig4": ("trunc_m", "model", "omega1", "omega2", "delta"),
-    "fig5": ("trunc_m", "model", "omega1", "omega2"),
+    "fig5": ("trunc_m", "model"),
 }
 
 #: values of the keys a command reads when they are unset
@@ -275,17 +275,42 @@ def load_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def params_from_config(cfg: dict, **overrides) -> RabiParams:
-    vals = {k: cfg.get(k) for k in ("omega1", "omega2", "g1", "g2", "delta")}
-    vals.update(overrides)
-    vals = {k: None if v is None else _number(float, k, v)
-            for k, v in vals.items()}
-    w1, w2 = vals["omega1"], vals["omega2"]
-    g1 = vals["g1"] or 0.0
-    g2 = vals["g2"] or 0.0
-    delta = vals["delta"] or 0.0
+def params_from_config(cfg: dict, var: str | None = None,
+                       value: float | None = None) -> RabiParams:
+    """The model point of ``cfg``, with the sweep variable ``var`` at
+    ``value``.
+
+    This is the one place that knows which model keys a point reads:
+    ``delta`` or ``omega1`` (not both), ``omega2`` only with ``omega1``,
+    ``g1`` and ``g2``, and for the jc model neither ``g2`` nor ``omega2``.
+    The sweep variable ``g`` sets g1 and g2 (g1 alone for jc), and a key
+    that the sweep sets may not be given too.  Any other key that is set is
+    a ConfigError.
+    """
+    jc = cfg["model"] == "jc"
+    swept = {}
+    if var is not None:
+        names = ("g1",) if jc else ("g1", "g2")
+        swept = dict.fromkeys(names if var == "g" else (var,), value)
+    given = {k: cfg[k] for k in ("omega1", "omega2", "g1", "g2", "delta")
+             if cfg.get(k) is not None}
+    clash = sorted(set(given) & set(swept))
+    if clash:
+        raise ConfigError(f"the sweep over {var} sets {', '.join(clash)}; "
+                          "do not give it too")
+    vals = {k: _number(float, k, v) for k, v in {**given, **swept}.items()}
+    if jc and {"g2", "omega2"} & set(vals):
+        raise ConfigError("the jc model reads neither g2 nor omega2")
+    if "delta" in vals and "omega1" in vals:
+        raise ConfigError("give delta or omega1, not both")
+    if "omega2" in vals and "omega1" not in vals:
+        raise ConfigError("omega2 is read only with omega1")
+    w1, w2 = vals.get("omega1"), vals.get("omega2")
+    g1 = vals.get("g1") or 0.0
+    g2 = vals.get("g2") or 0.0
+    delta = vals.get("delta") or 0.0
     try:
-        if cfg["model"] == "jc":
+        if jc:
             if w1 is not None:
                 return RabiParams(omega1=w1, g1=g1)
             return RabiParams.jc(delta, g1)
@@ -320,14 +345,8 @@ def sweep_values(cfg: dict) -> tuple[str, np.ndarray]:
                                      sweep["points"])
 
 
-def _sweep_overrides(var: str, value: float) -> dict:
-    if var == "g":
-        return {"g1": value, "g2": value}
-    return {var: value}
-
-
 def _sweep_params(cfg: dict, var: str, values) -> list[RabiParams]:
-    return [params_from_config(cfg, **_sweep_overrides(var, v)) for v in values]
+    return [params_from_config(cfg, var, v) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +687,15 @@ def _preset_fig2(cfg: dict) -> int:
     return 0
 
 
+def _preset_delta(cfg: dict) -> None:
+    """fig3 and fig4 sweep at Delta = 0.5 unless omega1 or delta is given."""
+    if cfg.get("omega1") is None:
+        cfg.setdefault("delta", 0.5)
+
+
 def _preset_fig3(cfg: dict) -> int:
     cfg.setdefault("out", "fig3_spectrum.csv")
-    cfg.setdefault("delta", 0.5)
+    _preset_delta(cfg)
     cfg["sweep"] = {"var": "g", "start": 0.001, "stop": 0.5, "points": 101}
     cfg["drop_singlets"] = True
     cfg["mode"] = "both"
@@ -679,7 +704,7 @@ def _preset_fig3(cfg: dict) -> int:
 
 def _preset_fig4(cfg: dict) -> int:
     cfg.setdefault("out", "fig4_berry.csv")
-    cfg.setdefault("delta", 0.5)
+    _preset_delta(cfg)
     cfg["sweep"] = {"var": "g", "start": 0.005, "stop": 0.35, "points": 70}
     cfg["mode"] = "both"
     return cmd_berry(cfg)

@@ -409,8 +409,8 @@ def detect_anticrossing(params_of_g, kappa: int, g_min: float, g_max: float,
     for loop rates below omega* = tol / (2 pi max|curvature|).
 
     The search reads energies only: the scan, every golden-section step and
-    the curvature's three points take model.sector_energies, which hands a
-    point to model.solve_sectors just when a solved state could be a singlet.
+    the curvature's three points take model.sector_energies, which forms no
+    eigenvector: the singlets it drops are the rows the matrix decouples.
     """
     n_scan = 201
     gs = np.linspace(g_min, g_max, n_scan)

@@ -4,8 +4,10 @@ Covers the Jaynes-Cummings closed forms, the excitation-number blocks of the
 two-qubit RWA Hamiltonian with the closed-form angles of their
 equal-frequency k = 1 block, the plain-Fock beyond-RWA matrix with its parity
 labels, the displaced-Fock parity-sector construction with its adiabatic
-(level-diagonal) approximation, the spin-singlet test shared by the RWA
-blocks and the sectors, and the exceptional exact eigenstates.
+(level-diagonal) approximation, and the exceptional exact eigenstates.
+Spin singlets exist for identical qubits only, which means exactly equal
+frequencies and couplings (RabiParams.identical_qubits); in a parity sector
+they are the rows the matrix decouples.
 
 Conventions: omega_c = 1 fixes the unit of energy; the detuning is
 Delta = omega1 - omega_c throughout.  Qubit basis states |1> (upper) and |0>
@@ -69,9 +71,9 @@ class RabiParams:
         return self.omega2 == 0.0 and self.g2 == 0.0
 
     def identical_qubits(self) -> bool:
-        """Equal qubit frequencies and couplings, the condition for spin singlets."""
-        return (abs(self.omega1 - self.omega2) <= EQ_TOL
-                and abs(self.g1 - self.g2) <= EQ_TOL)
+        """Exactly equal qubit frequencies and couplings, the condition for
+        the spin singlets (|10,n> - |01,n>)/sqrt(2)."""
+        return self.omega1 == self.omega2 and self.g1 == self.g2
 
 
 @dataclass(frozen=True)
@@ -690,7 +692,7 @@ class SectorSolution:
     kappa: int
     energies: np.ndarray = field(repr=False)
     photon_numbers: np.ndarray = field(repr=False)   # <a^dag a> per state
-    singlet: np.ndarray = field(repr=False)          # see _sector_singlets
+    singlet: np.ndarray = field(repr=False)          # see _sector_blocks
     vacuum_weights: np.ndarray = field(repr=False)   # |<state|10,0>|^2
     tail_population: np.ndarray = field(repr=False)  # (P,), lower half
 
@@ -720,31 +722,6 @@ def _photon_numbers(vectors: np.ndarray, beta1: np.ndarray,
         total = total + (diagonal
                          - 2.0 * beta * (off @ (half[:, :-1] * half[:, 1:])))
     return total
-
-
-def _is_singlet(identical, omega_c, energies, n, weight) -> np.ndarray:
-    """Mask of the spin singlets (|10,n> - |01,n>)/sqrt(2), which exist for
-    identical qubits only: levels at energy n omega_c (within 1e-9) whose
-    weight on that state is above 1 - 1e-6.  The caller supplies each
-    level's n and weight."""
-    return (identical & (np.abs(energies - n * omega_c) <= 1e-9)
-            & (weight > 1.0 - 1e-6))
-
-
-def _sector_singlets(params_list: Sequence[RabiParams], values: np.ndarray,
-                     vectors: np.ndarray, kappa: int) -> np.ndarray:
-    """_is_singlet for parity-sector levels: n = round(E / omega_c), and the
-    weight is the squared level-n component of the |10>/|01>-type ladder,
-    which is undisplaced for identical qubits and holds the singlet at n
-    where kappa (-1)^n = -1."""
-    mp1 = vectors.shape[-2] // 2
-    identical = np.array([p.identical_qubits() for p in params_list])[:, None]
-    wc = np.array([p.omega_c for p in params_list])[:, None]
-    n = np.rint(values / wc)
-    level = np.clip(n, 0, mp1 - 1).astype(int)
-    d2 = np.take_along_axis(vectors[:, mp1:], level[:, None, :], axis=1)[:, 0]
-    holds = (n == level) & (kappa * (1 - 2 * (level % 2)) == -1)
-    return _is_singlet(identical, wc, values, n, np.where(holds, d2 * d2, 0.0))
 
 
 def _vacuum_weights(vectors: np.ndarray, beta1: np.ndarray,
@@ -789,25 +766,17 @@ def solve_sectors(params_list: Sequence[RabiParams], M: int,
 def sector_energies(params_list: Sequence[RabiParams], M: int,
                     kappa: int) -> tuple[np.ndarray, np.ndarray]:
     """solve_sectors' (P, 2(M+1)) ascending energies and singlet mask, from
-    eigenvalues alone.
+    eigenvalues alone: no eigenvector is formed.
 
     The rows solved are those of solve_sectors, by numerics.eigvalsh, so the
-    energies agree with solve_sectors' to rounding.  A free row is the unit
-    vector of its basis state, so its singlet weight needs no solve.  A
-    solved state's weight is at most 1; a point where that bound would let
-    _is_singlet accept a solved state (identical qubits, E within 1e-9 of
-    n omega_c, as when g1 and g2 differ by less than EQ_TOL and no row
-    decouples) is handed to solve_sectors.  The singlet masks, and so the
-    kept states, are therefore exactly those of solve_sectors.
+    energies agree with solve_sectors' to rounding.  The singlets are free
+    rows (_sector_blocks), known before any solve, so the singlet masks, and
+    so the kept states, are exactly those of solve_sectors.
     """
     _check_sector_points(params_list, M)
     parts = [_energies_batch(params_list[start:start + SECTOR_BATCH], M, kappa)
              for start in range(0, len(params_list), SECTOR_BATCH)]
-    energies, singlet, unsure = (np.concatenate(a) for a in zip(*parts))
-    redo = np.flatnonzero(unsure)
-    if redo.size:
-        sol = solve_sectors([params_list[p] for p in redo], M, kappa)
-        energies[redo], singlet[redo] = sol.energies, sol.singlet
+    energies, singlet = (np.concatenate(a) for a in zip(*parts))
     return energies, singlet
 
 
@@ -822,18 +791,26 @@ def _sector_blocks(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
     """The sector matrices of one batch, split for the eigensolve.
 
     Returns the (P, n) diagonals, the (P, n) mask of free rows (no nonzero
-    off-diagonal entry), and one (members, solved, sub-stack) per set of
-    points with the same free rows: ``solved`` masks the rows that are not
-    free and the sub-stack holds the members' matrices on those rows, equal
-    to sector_hamiltonian(...)[np.ix_(members, solved, solved)] but written
+    off-diagonal entry), the (P, n) mask of the free rows that are spin
+    singlets, and one (members, solved, sub-stack) per set of points with
+    the same free rows: ``solved`` masks the rows that are not free and the
+    sub-stack holds the members' matrices on those rows, equal to
+    sector_hamiltonian(...)[np.ix_(members, solved, solved)] but written
     from _sector_parts without the whole matrices.  The diagonal blocks are
     diagonal, so a |11>/|00>-type row is free when its row of B is zero and
-    a |10>/|01>-type row when its column of B is.
+    a |10>/|01>-type row when its column of B is.  For identical qubits the
+    |10>/|01>-type ladder is undisplaced and its column of B at level n is
+    omega1/2 (kappa (-1)^n + 1) <m|D(beta1)|n>, exactly zero where
+    kappa (-1)^n = -1: those rows, and no others, are the singlets
+    (|10,n> - |01,n>)/sqrt(2).
     """
     diag, B = _sector_parts(batch, M, kappa)
     coupled = B != 0.0
     free = ~np.concatenate([np.any(coupled, axis=2), np.any(coupled, axis=1)],
                            axis=1)
+    identical = np.array([p.identical_qubits() for p in batch])[:, None]
+    singlet = free & identical & np.concatenate(
+        [np.zeros(M + 1, dtype=bool), kappa * (-1) ** np.arange(M + 1) == -1])
     groups: dict[bytes, list[int]] = {}
     for p, row in enumerate(free):
         groups.setdefault(row.tobytes(), []).append(p)
@@ -849,12 +826,12 @@ def _sector_blocks(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
         sub[:, :k1, k1:] = coupling
         sub[:, k1:, :k1] = np.swapaxes(coupling, 1, 2)
         subs.append((members, keep, sub))
-    return diag, free, subs
+    return diag, free, singlet, subs
 
 
 def _solve_batch(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
     """solve_sectors' five arrays for one batch of points."""
-    diag, free, subs = _sector_blocks(batch, M, kappa)
+    diag, free, singlet, subs = _sector_blocks(batch, M, kappa)
     # energies, <a^dag a>, singlet, vacuum weight, last-level population
     out = [np.empty(free.shape, dtype=bool if i == 2 else float)
            for i in range(5)]
@@ -866,16 +843,16 @@ def _solve_batch(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
         else:
             values, vectors = np.empty((g, 0)), np.empty((g, 0, 0))
         del sub
+        # the solved states, then the free rows; only a free row is a singlet
+        values = np.concatenate([values, diag[members][:, ~keep]], axis=1)
+        flags = np.pad(singlet[members][:, ~keep], ((0, 0), (k, 0)))
         if k < keep.size:
-            values = np.concatenate([values, diag[members][:, ~keep]], axis=1)
             full = np.zeros((g, keep.size, keep.size))
             full[:, keep, :k] = vectors
             full[:, ~keep, np.arange(k, keep.size)] = 1.0
             vectors = full
-        points = [batch[p] for p in members]
-        betas = displacements(points)
-        per_state = (values, _photon_numbers(vectors, *betas),
-                     _sector_singlets(points, values, vectors, kappa),
+        betas = displacements([batch[p] for p in members])
+        per_state = (values, _photon_numbers(vectors, *betas), flags,
                      _vacuum_weights(vectors, *betas, kappa),
                      _level_tails(vectors))
         del vectors
@@ -887,31 +864,20 @@ def _solve_batch(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
 
 
 def _energies_batch(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
-    """sector_energies' energies and singlet mask for one batch of points,
-    with the mask of points that need solve_sectors."""
-    diag, free, subs = _sector_blocks(batch, M, kappa)
+    """sector_energies' energies and singlet mask for one batch of points."""
+    diag, free, singlet, subs = _sector_blocks(batch, M, kappa)
     energies = np.empty(free.shape)
-    singlet = np.empty(free.shape, dtype=bool)
-    unsure = np.zeros(len(batch), dtype=bool)
+    flags = np.empty(free.shape, dtype=bool)
     for members, keep, sub in subs:
         g, k = len(members), np.count_nonzero(keep)
         values = numerics.eigvalsh(sub) if k else np.empty((g, 0))
+        # as in _solve_batch
         values = np.concatenate([values, diag[members][:, ~keep]], axis=1)
-        # stand-in vectors, the same for every member: a solved state gets
-        # weight 1 on every level of the |10>/|01>-type ladder, a free row
-        # its own unit vector
-        bound = np.zeros((keep.size, keep.size))
-        bound[M + 1:, :k] = 1.0
-        bound[~keep, np.arange(k, keep.size)] = 1.0
-        maybe = _sector_singlets([batch[p] for p in members], values,
-                                 np.broadcast_to(bound, (g,) + bound.shape),
-                                 kappa)
-        unsure[members] = np.any(maybe[:, :k], axis=1)
-        # stable, as in _solve_batch
+        per = np.pad(singlet[members][:, ~keep], ((0, 0), (k, 0)))
         order = np.argsort(values, axis=1, kind="stable")
         energies[members] = np.take_along_axis(values, order, axis=1)
-        singlet[members] = np.take_along_axis(maybe, order, axis=1)
-    return energies, singlet, unsure
+        flags[members] = np.take_along_axis(per, order, axis=1)
+    return energies, flags
 
 
 def _rwa_last_block(params: RabiParams, k0: int, n_levels: int,
@@ -972,8 +938,11 @@ def rwa_parity_levels(params_list: Sequence[RabiParams], parity: int,
                                     *high.eigenvectors[start:stop]])
             sizes = [low.eigenvalues.shape[1]] + [4] * (len(ks) - 1)
             n = np.repeat(ks, sizes) - 1
-            values = values[~_is_singlet(True, params.omega_c, values, n,
-                                         (b - c) ** 2 / 2.0)]
+            # a level at (k - 1) omega_c (within 1e-9) with weight above
+            # 1 - 1e-6 on that state
+            singlet = ((np.abs(values - n * params.omega_c) <= 1e-9)
+                       & ((b - c) ** 2 / 2.0 > 1.0 - 1e-6))
+            values = values[~singlet]
         out[i] = np.sort(values)[:n_levels]
     return out
 
@@ -1014,7 +983,7 @@ def exceptional_states(params: RabiParams, n_photons: int = 24,
     wc = params.omega_c
     homogeneous = abs(params.g1 - params.g2) <= EQ_TOL
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    if homogeneous and abs(params.omega1 - params.omega2) <= EQ_TOL:
+    if params.identical_qubits():
         for n in range(n_photons):
             v = _fock_vector(n_photons, [("10", n, inv_sqrt2), ("01", n, -inv_sqrt2)])
             out.append(ExceptionalState("singlet", n * wc, v, n_photons, n=n))

@@ -330,6 +330,68 @@ def test_config_error_exit_code(tmp_path, capsys):
         out_dir.rmdir()
 
 
+#: model keys that a point does not read; each of these exited 0 and wrote
+#: the bytes of the same command without the key (fig5 wrote four identical
+#: datasets)
+UNREAD_MODEL_KEYS = {
+    "delta_sweep_with_omega1": ["spectrum", "--sweep", "delta:0.1:0.5:3",
+                                "--omega1", "1.2", "--g1", "0.1", "--g2",
+                                "0.1", "--rwa"],
+    "omega2_sweep_without_omega1": ["spectrum", "--sweep", "omega2:0.8:1.2:3",
+                                    "--g1", "0.1", "--g2", "0.1", "--rwa"],
+    "fig5_omega1": ["fig5", "--omega1", "1.3", "--trunc-m", "20"],
+    "fig4_omega1_and_delta": ["fig4", "--omega1", "1.3", "--delta", "0.1",
+                              "--trunc-m", "20"],
+    "omega2_without_omega1": ["spectrum", "--omega2", "0.8", "--sweep",
+                              "g:0.1:0.2:3", "--rwa"],
+    "jc_g2_omega2": ["evolve", "--model", "jc", "--g1", "0.05", "--g2", "0.7",
+                     "--omega2", "3"],
+    "jc_g2": ["spectrum", "--model", "jc", "--g2", "0.7", "--sweep",
+              "g1:0.1:0.2:3", "--rwa"],
+    "g_sweep_with_g1": ["spectrum", "--sweep", "g:0.1:0.2:2", "--g1", "0.4",
+                        "--rwa"],
+}
+
+
+@pytest.mark.parametrize("args", UNREAD_MODEL_KEYS.values(),
+                         ids=UNREAD_MODEL_KEYS)
+def test_model_key_a_point_does_not_read_is_a_config_error(tmp_path, capsys,
+                                                           args):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert run([*args, "--out", str(out_dir / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("command", ["fig3", "fig4"])
+def test_preset_omega1_replaces_the_default_delta(tmp_path, command):
+    # the preset's Delta = 0.5 is a default, not a given delta
+    out = tmp_path / "f.csv"
+    assert run([command, "--trunc-m", "30", "--omega1", "1.3",
+                "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "f.csv.meta.json").read_text())
+    assert "delta" not in meta["config"]
+    assert meta["config"]["omega1"] == 1.3
+
+
+def test_sweep_through_identical_qubits_keeps_the_near_singlet(tmp_path):
+    # g1 = 0.19999999999999998 lies 2.8e-17 below g2, so the qubits differ
+    # and the odd level near 0 stays, as at g1 = 0.19 and 0.21 (an EQ_TOL
+    # test of identical qubits dropped it at that one point)
+    out = tmp_path / "s.csv"
+    assert run(["spectrum", "--sweep", "g1:0.1:0.3:21", "--g2", "0.2",
+                "--drop-singlets", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    gs = np.linspace(0.1, 0.3, 21)
+    assert gs[10] == 0.19999999999999998
+    for mode in ("rwa", "full"):
+        for g in gs[9:12]:
+            odd = np.array([float(r[4]) for r in rows if float(r[0]) == g
+                            and r[1] == mode and r[2] == "odd"])
+            assert list(np.flatnonzero(np.abs(odd) < 1e-3)) == [1]
+
+
 @pytest.mark.parametrize("args, stages", [
     (["spectrum", "--delta", "0.5", "--sweep", "g:0.1:0.3:3", "--levels", "4",
       "--trunc-m", "20"], ("gate_s", "sweep_s", "write_s")),

@@ -594,12 +594,27 @@ def test_solve_sectors_mixed_points_and_validation():
 
 def _whole_sector_solve(params_list, M, kappa):
     """solve_sectors' five arrays from numerics.eigh of the whole sector
-    matrices, every row included."""
+    matrices, every row included.
+
+    The singlet mask comes from the eigenvectors, by a rule that shares no
+    code with the kernel's decoupled rows: at exactly equal qubit
+    frequencies and couplings, a state within 1e-9 of n omega_c whose
+    squared level-n component on the |10>/|01>-type ladder (undisplaced
+    there, and holding the singlet where kappa (-1)^n = -1) is above
+    1 - 1e-6.
+    """
     values, vectors = numerics.eigh(model.sector_hamiltonian(params_list, M,
                                                              kappa))
     betas = model.displacements(params_list)
-    return (values, model._photon_numbers(vectors, *betas),
-            model._sector_singlets(params_list, values, vectors, kappa),
+    identical = np.array([[p.omega1 == p.omega2 and p.g1 == p.g2]
+                          for p in params_list])
+    wc = np.array([[p.omega_c] for p in params_list])
+    n = np.rint(values / wc)
+    level = np.clip(n, 0, M).astype(int)
+    d2 = np.take_along_axis(vectors[:, M + 1:], level[:, None, :], axis=1)[:, 0]
+    singlet = (identical & (n == level) & (kappa * (-1) ** level == -1)
+               & (np.abs(values - n * wc) <= 1e-9) & (d2 * d2 > 1.0 - 1e-6))
+    return (values, model._photon_numbers(vectors, *betas), singlet,
             model._vacuum_weights(vectors, *betas, kappa),
             np.max(model._level_tails(vectors)[:, :M + 1], axis=1))
 
@@ -689,11 +704,11 @@ def test_solve_sectors_keeps_whole_solve_without_free_states():
             model.sector_hamiltonian([diagonal], 20, kappa)[0])))
 
 
-#: one batch of points that sector_energies settles differently: g2 and
-#: omega2 off by less than EQ_TOL (identical, yet no row decouples, so the
-#: singlets are solved states), g = 0 with a singlet tied to a decoupled
-#: state, g = 0 at resonance (solved states at n omega_c), a diagonal
-#: matrix, unequal qubits and an ordinary deflated point
+#: one batch of points with different free rows: g2 or omega2 off by 1e-13
+#: (not identical, so no row decouples and no state is a singlet), g = 0
+#: with a singlet tied to a decoupled state, g = 0 at resonance (solved
+#: states at n omega_c), a diagonal matrix, unequal qubits and an ordinary
+#: deflated point
 _ENERGIES_MIXED = [RabiParams.equal_frequency(0.5, 0.2, 0.2 + 1e-13),
                    RabiParams(omega1=1.5, omega2=1.5 + 1e-13, g1=0.2, g2=0.2),
                    RabiParams.equal_frequency(0.5, 0.0, 0.0),
@@ -716,6 +731,20 @@ def test_sector_energies_match_solve_sectors(case, kappa):
     assert np.all(np.diff(energies, axis=1) >= 0.0)
 
 
+@pytest.mark.parametrize("kappa", [1, -1])
+def test_sector_energies_solve_no_eigenvectors(monkeypatch, kappa):
+    shapes = []
+
+    def recording_eigh(matrix):
+        shapes.append(np.shape(matrix))
+        return eigh(matrix)
+    eigh = numerics.eigh
+    monkeypatch.setattr(numerics, "eigh", recording_eigh)
+    energies, _ = model.sector_energies(_ENERGIES_MIXED, 50, kappa)
+    assert energies.shape == (len(_ENERGIES_MIXED), 102)
+    assert shapes == []
+
+
 def test_sector_energies_validation():
     with pytest.raises(ValueError):
         model.sector_energies([_SINGLET_PARAMS], 9, 1)
@@ -724,7 +753,7 @@ def test_sector_energies_validation():
 
 
 #: twenty points for the batching tests: identical qubits at several g,
-#: _ENERGIES_MIXED (the EQ_TOL slivers, g = 0, a diagonal matrix, unequal
+#: _ENERGIES_MIXED (qubits 1e-13 apart, g = 0, a diagonal matrix, unequal
 #: qubits), more unequal qubits, omega_c != 1 and the JC reduction
 _BATCH_MIXED = ([RabiParams.equal_frequency(0.5, g, g)
                  for g in (0.05, 0.15, 0.2615, 0.35, 0.5)]
@@ -752,10 +781,14 @@ def test_sector_results_do_not_depend_on_the_batch_size(monkeypatch, kappa):
 @pytest.mark.parametrize("kappa", [1, -1])
 def test_sector_blocks_are_the_whole_matrices_on_the_solved_rows(kappa):
     S = model.sector_hamiltonian(_BATCH_MIXED, 30, kappa)
-    diag, free, subs = model._sector_blocks(_BATCH_MIXED, 30, kappa)
+    diag, free, singlet, subs = model._sector_blocks(_BATCH_MIXED, 30, kappa)
     assert np.array_equal(diag, np.diagonal(S, axis1=1, axis2=2))
     # free: no nonzero off-diagonal entry in the row of the whole matrix
     assert np.array_equal(free, np.count_nonzero(S, axis=2) == (diag != 0.0))
+    # the singlets are free rows of identical qubits only
+    identical = [p.identical_qubits() for p in _BATCH_MIXED]
+    assert not np.any(singlet & ~free)
+    assert np.array_equal(np.any(singlet, axis=1), identical)
     assert sorted(p for members, _, _ in subs for p in members) == \
         list(range(len(_BATCH_MIXED)))
     for members, keep, sub in subs:
