@@ -41,26 +41,27 @@ DEFAULT_M = 50
 SWEEP_VARS = ("g", "g1", "g2", "delta", "omega1", "omega2")
 GATE_TOL = 1e-6
 
-#: the keys of the model parameters, read by params_from_config
-PARAM_KEYS = ("model", "omega1", "omega2", "g1", "g2", "delta")
+#: the numeric model parameters, read by params_from_config with ``model``
+PARAM_KEYS = ("omega1", "omega2", "g1", "g2", "delta")
 
 #: the flags and config keys each command reads besides ``out``; the presets
 #: fix the rest (fig3-fig5 their sweep and mode, fig3 drop_singlets, fig5 its
-#: detunings and so omega1 and omega2)
+#: detunings and so omega1 and omega2).  berry, noneigen, fig4 and fig5
+#: compute two-qubit closed forms only, so they do not read ``model``
 COMMAND_KEYS = {
     "spectrum": ("sweep", "mode", "trunc_m", "trunc_photons", "levels",
-                 "drop_singlets", *PARAM_KEYS),
+                 "drop_singlets", "model", *PARAM_KEYS),
     "berry": ("sweep", "mode", "trunc_m", *PARAM_KEYS),
     "noneigen": ("sweep", "mode", "trunc_m", *PARAM_KEYS),
     "curvature-field": ("levels",),
-    "evolve": ("levels", *PARAM_KEYS),
+    "evolve": ("levels", "model", *PARAM_KEYS),
     "scan-anticrossing": ("trunc_m", "delta", "deltas", "g_min", "g_max"),
     "fig1": ("levels",),
     "fig2": (),
     "fig3": ("trunc_m", "trunc_photons", "levels", "model", "omega1",
              "omega2", "delta"),
-    "fig4": ("trunc_m", "model", "omega1", "omega2", "delta"),
-    "fig5": ("trunc_m", "model"),
+    "fig4": ("trunc_m", "omega1", "omega2", "delta"),
+    "fig5": ("trunc_m",),
 }
 
 #: values of the keys a command reads when they are unset
@@ -281,19 +282,19 @@ def params_from_config(cfg: dict, var: str | None = None,
     ``value``.
 
     This is the one place that knows which model keys a point reads:
-    ``delta`` or ``omega1`` (not both), ``omega2`` only with ``omega1``,
-    ``g1`` and ``g2``, and for the jc model neither ``g2`` nor ``omega2``.
+    ``model`` (``jc``, or else two qubits), ``delta`` or ``omega1`` (not
+    both), ``omega2`` only with ``omega1``, ``g1`` and ``g2``, and for the
+    jc model neither ``g2`` nor ``omega2``.
     The sweep variable ``g`` sets g1 and g2 (g1 alone for jc), and a key
     that the sweep sets may not be given too.  Any other key that is set is
     a ConfigError.
     """
-    jc = cfg["model"] == "jc"
+    jc = cfg.get("model") == "jc"
     swept = {}
     if var is not None:
         names = ("g1",) if jc else ("g1", "g2")
         swept = dict.fromkeys(names if var == "g" else (var,), value)
-    given = {k: cfg[k] for k in ("omega1", "omega2", "g1", "g2", "delta")
-             if cfg.get(k) is not None}
+    given = {k: cfg[k] for k in PARAM_KEYS if cfg.get(k) is not None}
     clash = sorted(set(given) & set(swept))
     if clash:
         raise ConfigError(f"the sweep over {var} sets {', '.join(clash)}; "

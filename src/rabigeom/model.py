@@ -6,8 +6,9 @@ equal-frequency k = 1 block, the plain-Fock beyond-RWA matrix with its parity
 labels, the displaced-Fock parity-sector construction with its adiabatic
 (level-diagonal) approximation, and the exceptional exact eigenstates.
 Spin singlets exist for identical qubits only, which means exactly equal
-frequencies and couplings (RabiParams.identical_qubits); in a parity sector
-they are the rows the matrix decouples.
+frequencies and couplings (RabiParams.identical_qubits), and are known
+before any solve: the rows a parity sector decouples, and the level at
+(k - 1) omega_c of each RWA excitation block k >= 1.
 
 Conventions: omega_c = 1 fixes the unit of energy; the detuning is
 Delta = omega1 - omega_c throughout.  Qubit basis states |1> (upper) and |0>
@@ -185,12 +186,7 @@ def solve_block(params: RabiParams, k: int) -> tuple[np.ndarray, np.ndarray]:
     in k.
     """
     values, vectors = numerics.eigh(build_block(params, k))
-    return values, _abcd(vectors)
-
-
-def _abcd(vectors: np.ndarray) -> np.ndarray:
-    """Block eigenvectors on the slots (a, b, c, d): absent leading slots zero."""
-    return np.pad(vectors, ((4 - vectors.shape[0], 0), (0, 0)))
+    return values, np.pad(vectors, ((4 - vectors.shape[0], 0), (0, 0)))
 
 
 def k1_block(params: RabiParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -479,19 +475,16 @@ def displacement_matrix(size: int, delta) -> np.ndarray:
     """Dense matrix of <m| D(delta) |n> for m, n < size (vectorized evaluation).
 
     ``delta`` is one displacement, giving a (size, size) matrix, or a 1-D
-    array of them, giving a (len(delta), size, size) stack.  A zero
-    displacement gives the identity exactly; a displacement repeated in the
-    stack is evaluated once.  Raises OverlapOverflow when an entry is not
+    array of them, giving a (len(delta), size, size) stack, each matrix
+    evaluated as on its own.  A zero displacement gives the identity
+    exactly.  Raises OverlapOverflow when an entry is not
     finite: e^(-d^2/2) underflows where L_n^(m-n)(d^2) overflows, from
     size 183 at displacement 60 and size 287 at displacement 40, and at
     every displacement from size 1031, where binom(m, n) overflows.
     """
     if size < 1:
         raise ValueError("size must be positive")
-    deltas = np.asarray(delta, dtype=float)
-    d, inverse = np.unique(deltas.reshape(-1), return_inverse=True)
-    # one matrix per distinct displacement, copied out only where the
-    # displacements repeat or come unsorted
+    d = np.asarray(delta, dtype=float).reshape(-1)
     D = np.empty((d.size, size, size))
     moved = d != 0.0
     D[~moved] = np.eye(size)
@@ -507,9 +500,7 @@ def displacement_matrix(size: int, delta) -> np.ndarray:
         at = np.flatnonzero(moved)[:, None]
         D[at, m, n] = lower
         D[at, n, m] = alt * lower
-    if not np.array_equal(inverse, np.arange(inverse.size)):
-        D = D[inverse]
-    return D.reshape(deltas.shape + (size, size))
+    return D.reshape(np.shape(delta) + (size, size))
 
 
 def _vacuum_overlaps(size: int, deltas) -> np.ndarray:
@@ -619,7 +610,7 @@ def _sector_parts(params_list: Sequence[RabiParams], M: int,
             + omega2/2 * <m|D(beta1-beta2)|n>,
     i.e. the flip of qubit j is dressed by the displaced-Fock overlap at
     displacement 2 g_j / omega_c.  Each distinct displacement of the points
-    is evaluated once (for g1 = g2 the two coincide).
+    goes to displacement_matrix once (for g1 = g2 the two coincide).
     """
     if kappa not in (1, -1):
         raise ValueError("kappa must be +1 or -1")
@@ -916,11 +907,17 @@ def rwa_parity_levels(params_list: Sequence[RabiParams], parity: int,
     every point's lowest block (k = 0 or 1) and one for all the 4x4 blocks
     k >= 2.  Each matrix of a stack is solved as on its own, so a point's
     levels do not depend on the others.
+
+    With drop_singlets, each block k >= 1 of identical qubits loses its level
+    nearest (k - 1) omega_c, its singlet's exact energy; no eigenvector is
+    read.  A level tied with the singlet (at g = 0, or Delta = 0) has that
+    value to rounding, so which copy goes does not matter.
     """
     k0 = 0 if parity == 1 else 1
     drops = [drop_singlets and p.identical_qubits() for p in params_list]
     blocks = [range(k0, _rwa_last_block(p, k0, n_levels, drop) + 1, 2)
               for p, drop in zip(params_list, drops)]
+    # eigh, not eigvalsh: eigvalsh rounds some levels differently (fig3 moves)
     low = numerics.eigh(np.array([build_block(p, k0) for p in params_list]))
     # the reshape keeps an empty list of 4x4 blocks a valid (0, 4, 4) stack
     high = numerics.eigh(np.reshape(
@@ -928,22 +925,13 @@ def rwa_parity_levels(params_list: Sequence[RabiParams], parity: int,
          for k in ks[1:]], (-1, 4, 4)))
     out = np.empty((len(params_list), n_levels))
     stop = 0
-    for i, (params, ks, drop) in enumerate(zip(params_list, blocks, drops)):
+    for i, (p, ks, drop) in enumerate(zip(params_list, blocks, drops)):
         start, stop = stop, stop + len(ks) - 1
-        values = np.concatenate([low.eigenvalues[i],
-                                 high.eigenvalues[start:stop].ravel()])
+        values = [low.eigenvalues[i], *high.eigenvalues[start:stop]]
         if drop:
-            # the singlet of block k is (|10,k-1> - |01,k-1>)/sqrt(2)
-            _, b, c, _ = np.hstack([_abcd(low.eigenvectors[i]),
-                                    *high.eigenvectors[start:stop]])
-            sizes = [low.eigenvalues.shape[1]] + [4] * (len(ks) - 1)
-            n = np.repeat(ks, sizes) - 1
-            # a level at (k - 1) omega_c (within 1e-9) with weight above
-            # 1 - 1e-6 on that state
-            singlet = ((np.abs(values - n * params.omega_c) <= 1e-9)
-                       & ((b - c) ** 2 / 2.0 > 1.0 - 1e-6))
-            values = values[~singlet]
-        out[i] = np.sort(values)[:n_levels]
+            values = [np.delete(v, np.argmin(np.abs(v - (k - 1) * p.omega_c)))
+                      if k else v for v, k in zip(values, ks)]
+        out[i] = np.sort(np.concatenate(values))[:n_levels]
     return out
 
 

@@ -316,7 +316,13 @@ def test_config_error_exit_code(tmp_path, capsys):
             (["curvature-field", "--delta", "0.3", "--trunc-m", "30"], None),
             (["noneigen", "--delta", "0.5", *sweep3], {"trunc_mm": 12}),
             (["scan-anticrossing"], {"g_mn": 0.25}),
-            (["scan-anticrossing", "--delta", "0.5"], {"deltas": [0.2]})):
+            (["scan-anticrossing", "--delta", "0.5"], {"deltas": [0.2]}),
+            # these compute two-qubit closed forms only
+            (["berry", "--model", "jc", "--delta", "0.5", *sweep3], None),
+            (["noneigen", "--model", "jc", "--delta", "0.5", *sweep3], None),
+            (["fig4", "--model", "jc"], None),
+            (["fig4", "--model", "two-qubit"], None),
+            (["fig5", "--model", "jc"], None)):
         out_dir = tmp_path / "unread"
         out_dir.mkdir()
         argv = [*command, "--out", str(out_dir / "x.csv")]
@@ -325,7 +331,10 @@ def test_config_error_exit_code(tmp_path, capsys):
             config.write_text(json.dumps(unread))
             argv += ["--config", str(config)]
         assert run(argv) == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        if "--model" in command:
+            assert "does not read model" in err
         assert not any(out_dir.iterdir())
         out_dir.rmdir()
 
@@ -390,6 +399,29 @@ def test_sweep_through_identical_qubits_keeps_the_near_singlet(tmp_path):
             odd = np.array([float(r[4]) for r in rows if float(r[0]) == g
                             and r[1] == mode and r[2] == "odd"])
             assert list(np.flatnonzero(np.abs(odd) < 1e-3)) == [1]
+
+
+@pytest.mark.parametrize("delta", ["0", "0.5"])
+def test_dropped_rwa_singlets_match_the_sector_at_zero_coupling(tmp_path,
+                                                               delta):
+    # the RWA singlet ties with another level at g = 0, and at Delta = 0 for
+    # every g; an eigenvector-weight test kept it wherever the solver mixed
+    # the tied pair (at g = 0, and with OpenBLAS at Delta = 0 for g = 0.01,
+    # 0.02, 0.04, 0.08 and 0.09 of this sweep), shifting every higher level
+    out = tmp_path / "s.csv"
+    assert run(["spectrum", "--sweep", "g:0:0.1:11", "--delta", delta,
+                "--drop-singlets", "--levels", "6", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    levels = {}
+    for r in rows:
+        levels.setdefault((float(r[0]), r[1], r[2]), []).append(float(r[4]))
+    for parity in ("even", "odd"):
+        assert np.max(np.abs(np.subtract(levels[0.0, "rwa", parity],
+                                         levels[0.0, "full", parity]))) \
+            <= 1e-12
+        if delta == "0":
+            for g in np.linspace(0.0, 0.1, 11)[1:]:
+                assert np.min(np.diff(levels[g, "rwa", parity])) > 1e-9
 
 
 @pytest.mark.parametrize("args, stages", [

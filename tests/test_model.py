@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 from scipy.linalg import expm
 
@@ -388,19 +390,26 @@ def test_displacement_matrix_names_overflowing_overlaps(size, delta):
     assert np.all(np.isfinite(displacement_matrix(size - 1, delta)))
 
 
-def _rwa_levels_per_block(params, parity, n_levels, drop_singlets):
-    """Reference: one eigh per excitation block and a scalar singlet test."""
-    singlet_like = drop_singlets and params.identical_qubits()
+#: columns |11>, T, S, |00> on the block slots, T, S = (|10> +- |01>)/sqrt(2)
+_R = 1.0 / math.sqrt(2.0)
+_TRIPLET_BASIS = np.array([[1.0, 0.0, 0.0, 0.0],
+                           [0.0, _R, _R, 0.0],
+                           [0.0, _R, -_R, 0.0],
+                           [0.0, 0.0, 0.0, 1.0]])
+
+
+def _rwa_levels_triplet_basis(params, parity, n_levels, drop_singlets):
+    """Reference: one eigh per excitation block.  To drop singlets, each
+    block k >= 1 of identical qubits is rotated into the triplet basis and
+    its singlet row and column S deleted; no level is matched to a value."""
     energies = []
-    for k in range(0 if parity == 1 else 1, 2 * n_levels + 3, 2):
-        values, coeffs = solve_block(params, k)
-        for energy, (a, b, c, d) in zip(values, coeffs.T):
-            if (singlet_like and k >= 1
-                    and abs(energy - (k - 1) * params.omega_c) < 1e-9
-                    and abs(a) < 1e-9 and abs(d) < 1e-9
-                    and abs(b + c) < 1e-9):
-                continue
-            energies.append(energy)
+    for k in range(0 if parity == 1 else 1, 4 * n_levels + 9, 2):
+        H = build_block(params, k)
+        if drop_singlets and params.identical_qubits() and k >= 1:
+            U = _TRIPLET_BASIS[4 - len(H):, 4 - len(H):]  # k = 1 has no |11>
+            s = len(H) - 2                                 # the S slot
+            H = np.delete(np.delete(U.T @ H @ U, s, axis=0), s, axis=1)
+        energies.extend(numerics.eigh(H).eigenvalues)
     return np.sort(energies)[:n_levels]
 
 
@@ -409,19 +418,41 @@ def _rwa_levels_per_block(params, parity, n_levels, drop_singlets):
     RabiParams.equal_frequency(0.0, 0.0, 0.0),
     RabiParams.equal_frequency(0.3, 0.1, 0.25),
     RabiParams(omega1=1.2, omega2=0.7, g1=0.1, g2=0.15),
+    RabiParams.equal_frequency(0.0, 0.05, 0.05),
+    RabiParams.equal_frequency(0.5, 0.0, 0.0),
 ])
 def test_rwa_parity_levels_match_per_block_solves(params):
     for parity in (1, -1):
         for n_levels in (1, 8):
             for drop in (False, True):
                 got = model.rwa_parity_levels([params], parity, n_levels, drop)[0]
-                want = _rwa_levels_per_block(params, parity, n_levels, drop)
-                assert np.array_equal(got, want)
+                want = _rwa_levels_triplet_basis(params, parity, n_levels,
+                                                 drop)
+                if drop and params.identical_qubits():
+                    # the rotation rounds the triplet blocks differently
+                    assert np.max(np.abs(got - want)) <= 1e-12
+                else:
+                    assert np.array_equal(got, want)
     # coupled identical qubits: dropping singlets removes levels
     if params.identical_qubits() and params.g1 > 0.0:
         assert not np.array_equal(
             model.rwa_parity_levels([params], -1, 8, True)[0],
             model.rwa_parity_levels([params], -1, 8)[0])
+
+
+@settings(max_examples=50, deadline=None)
+@given(delta=st.floats(-1.0, 1.0), g=st.floats(0.0, 1.0))
+@example(delta=0.0, g=0.01)
+@example(delta=0.0, g=0.7)
+@example(delta=0.5, g=0.0)
+@example(delta=0.0, g=0.0)
+def test_rwa_parity_levels_drop_one_singlet_per_block(delta, g):
+    # at Delta = 0 (every g) and at g = 0 the singlet ties with another level
+    params = RabiParams.equal_frequency(delta, g, g)
+    for parity in (1, -1):
+        got = model.rwa_parity_levels([params], parity, 8, True)[0]
+        want = _rwa_levels_triplet_basis(params, parity, 8, True)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("g", [0.5, 2.0, 3.0, 5.0])
