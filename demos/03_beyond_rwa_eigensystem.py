@@ -1,10 +1,12 @@
-"""Beyond-RWA eigensystem: displaced-Fock sectors vs plain-Fock ground truth.
+"""Beyond-RWA eigensystem: the sweeps' sector solver vs a whole-space build.
 
 The full Rabi Hamiltonian conserves only the parity
 sigma1^z sigma2^z (-1)^(a^dag a).  Two independent constructions of each
-parity sector are compared: exact diagonalization in the plain Fock basis and
-the truncated displaced-Fock sector build.  The adiabatic 2x2 approximation
-is then checked in its stated weak-coupling regime.
+parity sector are compared: exact diagonalization of the whole plain-Fock
+product space, filtered by parity, and the sector solver of every sweep
+(photons n <= M, the spin singlets taken out as exact eigenvectors).  The
+adiabatic 2x2 approximation is then checked in its stated weak-coupling
+regime.
 """
 
 import numpy as np
@@ -21,10 +23,10 @@ print(f"omega1 = omega2 = {params.omega1}, g = {params.g1}; "
 for kappa, name in ((1, "even"), (-1, "odd")):
     plain, _, _ = model.solve_parity_sector(fm, kappa)
     sol = model.solve_sectors([params], M, kappa)
-    disp, singlets = sol.energies[0, :8], sol.singlet[0]
+    sector, singlets = sol.energies[0, :8], sol.singlet[0]
     print(f"  {name} sector, lowest 8 levels "
-          f"(max |dE| = {np.max(np.abs(disp - plain[:8])):.2e}):")
-    for j, e in enumerate(disp):
+          f"(max |dE| = {np.max(np.abs(sector - plain[:8])):.2e}):")
+    for j, e in enumerate(sector):
         tag = "  <- spin singlet, E = n omega_c exactly" if singlets[j] else ""
         print(f"    {e:12.8f}{tag}")
 

@@ -5,9 +5,10 @@ Library layout:
 * :mod:`rabigeom.numerics` - symmetric eigensolves, propagation, quadrature
 * :mod:`rabigeom.model` - Hamiltonians: JC closed forms, RWA excitation
   blocks (``solve_block`` returns energies and a (4, n) coefficient array),
-  plain-Fock and displaced-Fock beyond-RWA constructions (a parity sector
-  is given by its parameters and truncation M; ``displacements`` returns
-  the ladder displacements), exceptional exact eigenstates
+  beyond-RWA parity sectors in plain Fock (a sector is given by its
+  parameters and photon truncation M), displaced-Fock overlaps
+  (``displacements`` returns the ladder displacements), exceptional exact
+  eigenstates
 * :mod:`rabigeom.geometry` - Berry connections and curvatures as arrays over
   a theta grid, Berry phases of eigenstates and vacuum-induced geometric
   phases of noneigenstates, each a float in radians, not reduced mod 2 pi

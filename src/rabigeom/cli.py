@@ -16,10 +16,11 @@ config key that the command does not read (see COMMAND_KEYS) is a
 configuration error, not ignored.
 
 Exit codes: 0 success, 2 configuration error (an --out path that cannot be
-written, and a truncation whose displaced-Fock overlaps overflow, among
-them), 3 convergence-gate failure or vacuum weights short of 1 at the
-truncation M, 4 a required rational period, non-degenerate doublet or
-anti-crossing does not exist.
+written among them, and for scan-anticrossing a truncation whose
+displaced-Fock overlaps overflow), 3 convergence-gate failure, or for
+scan-anticrossing vacuum weights short of 1 at the truncation M, 4 a
+required rational period, non-degenerate doublet or anti-crossing does not
+exist.
 """
 
 import argparse
@@ -49,8 +50,8 @@ PARAM_KEYS = ("omega1", "omega2", "g1", "g2", "delta")
 #: detunings and so omega1 and omega2).  berry, noneigen, fig4 and fig5
 #: compute two-qubit closed forms only, so they do not read ``model``
 COMMAND_KEYS = {
-    "spectrum": ("sweep", "mode", "trunc_m", "trunc_photons", "levels",
-                 "drop_singlets", "model", *PARAM_KEYS),
+    "spectrum": ("sweep", "mode", "trunc_m", "levels", "drop_singlets",
+                 "model", *PARAM_KEYS),
     "berry": ("sweep", "mode", "trunc_m", *PARAM_KEYS),
     "noneigen": ("sweep", "mode", "trunc_m", *PARAM_KEYS),
     "curvature-field": ("levels",),
@@ -58,8 +59,7 @@ COMMAND_KEYS = {
     "scan-anticrossing": ("trunc_m", "delta", "deltas", "g_min", "g_max"),
     "fig1": ("levels",),
     "fig2": (),
-    "fig3": ("trunc_m", "trunc_photons", "levels", "model", "omega1",
-             "omega2", "delta"),
+    "fig3": ("trunc_m", "levels", "model", "omega1", "omega2", "delta"),
     "fig4": ("trunc_m", "omega1", "omega2", "delta"),
     "fig5": ("trunc_m",),
 }
@@ -242,7 +242,7 @@ def load_config(args: argparse.Namespace) -> dict:
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
     for key in ("model", "omega1", "omega2", "g1", "g2", "delta",
-                "trunc_m", "trunc_photons", "out", "levels"):
+                "trunc_m", "out", "levels"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -268,11 +268,10 @@ def load_config(args: argparse.Namespace) -> dict:
         raise ConfigError(f"unknown model {cfg['model']!r}")
     if cfg.get("mode", "both") not in ("rwa", "full", "both"):
         raise ConfigError(f"unknown mode {cfg['mode']!r}")
-    for key in ("trunc_m", "trunc_photons"):
-        if cfg.get(key) is not None:
-            cfg[key] = _integer(key, cfg[key])
-            if cfg[key] < 10:
-                raise ConfigError(f"{key} {cfg[key]}: need at least 10")
+    if cfg.get("trunc_m") is not None:
+        cfg["trunc_m"] = _integer("trunc_m", cfg["trunc_m"])
+        if cfg["trunc_m"] < 10:
+            raise ConfigError(f"trunc_m {cfg['trunc_m']}: need at least 10")
     return cfg
 
 
@@ -429,9 +428,6 @@ def cmd_spectrum(cfg: dict) -> int:
     n_levels = _levels(cfg, 8, minimum=1)
     modes = {"rwa": ("rwa",), "full": ("full",), "both": ("rwa", "full")}[cfg["mode"]]
     drop = bool(cfg["drop_singlets"])
-    if cfg.get("trunc_photons") and "full" not in modes:
-        raise ConfigError("--trunc-photons sizes the dual-basis audit of the "
-                          "beyond-RWA spectrum, which --rwa leaves out")
     params_list = _sweep_params(cfg, var, values)
     meta = _new_meta(cfg, "spectrum")
     if "full" in modes:
@@ -447,9 +443,6 @@ def cmd_spectrum(cfg: dict) -> int:
             return rows
 
         full = _beyond_rwa(params_list, M, (1, -1), kept_energies, meta)
-        if cfg.get("trunc_photons"):
-            meta["dual_basis_audit"] = _dual_basis_audit(
-                params_list[0], M, int(cfg["trunc_photons"]), n_levels)
     if "rwa" in modes:
         rwa = [model.rwa_parity_levels(params_list, parity, n_levels, drop)
                for parity in (1, -1)]
@@ -467,31 +460,6 @@ def cmd_spectrum(cfg: dict) -> int:
     write_dataset(cfg["out"], ["sweep_value", "model", "parity", "level", "energy"],
                   rows, meta)
     return _gate_exit(meta)
-
-
-def _dual_basis_audit(pars: RabiParams, M: int, n_photons: int,
-                      n_levels: int) -> dict:
-    """Cross-check displaced-sector energies against a plain-Fock build.
-
-    Spectra are compared unfiltered: singlet levels sit at exactly n omega_c
-    in both constructions, so they cancel out of the deviation.  The
-    population of each plain-Fock sector ground state on the top Fock level
-    is recorded, so a short --trunc-photons shows in the sidecar.
-    """
-    if n_levels > 2 * n_photons:
-        raise ConfigError(f"--levels {n_levels}: a plain-Fock parity sector "
-                          f"keeps only {2 * n_photons} states at "
-                          f"--trunc-photons {n_photons}")
-    fm = model.build_full_rabi(pars, n_photons=n_photons)
-    worst, top = 0.0, {}
-    for kappa in (1, -1):
-        plain, vectors, ix = model.solve_parity_sector(fm, kappa)
-        top[_parity_name(kappa)] = model._top_population(fm, ix, vectors)
-        disp, _ = model.sector_energies([pars], M, kappa)
-        worst = max(worst, float(np.max(np.abs(disp[0, :n_levels]
-                                                - plain[:n_levels]))))
-    return {"n_photons": n_photons, "max_energy_deviation": worst,
-            "top_level_population": top}
 
 
 def _parity_name(parity: int) -> str:
@@ -764,7 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", type=float)
         p.add_argument("--sweep", metavar="VAR:START:STOP:POINTS")
         p.add_argument("--trunc-m", dest="trunc_m", type=int)
-        p.add_argument("--trunc-photons", dest="trunc_photons", type=int)
         p.add_argument("--levels", type=int,
                        help="levels per sector / grid points / time steps")
         p.add_argument("--out")
@@ -792,7 +759,7 @@ def main(argv=None) -> int:
             model.OverlapOverflow) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except geometry.WeightError as exc:   # vacuum weights short of 1 at M
+    except geometry.WeightError as exc:   # the bisection's weights at M
         print(f"error: {exc} at M = {cfg['trunc_m']}", file=sys.stderr)
         return 3
     except (dynamics.NoRational, dynamics.DegenerateDoublet,

@@ -2,9 +2,11 @@
 
 Covers the Jaynes-Cummings closed forms, the excitation-number blocks of the
 two-qubit RWA Hamiltonian with the closed-form angles of their
-equal-frequency k = 1 block, the plain-Fock beyond-RWA matrix with its parity
-labels, the displaced-Fock parity-sector construction with its adiabatic
-(level-diagonal) approximation, and the exceptional exact eigenstates.
+equal-frequency k = 1 block, the whole plain-Fock beyond-RWA matrix with its
+parity labels (an oracle), the beyond-RWA parity sectors in plain Fock that
+every sweep solves, the displaced-Fock overlaps with the adiabatic
+(level-diagonal) approximation and the displaced sector of the phase-jump
+bisection, and the exceptional exact eigenstates.
 Spin singlets exist for identical qubits only, which means exactly equal
 frequencies and couplings (RabiParams.identical_qubits), and are known
 before any solve: the rows a parity sector decouples, and the level at
@@ -318,20 +320,11 @@ def solve_parity_sector(model: FullModel, parity: int):
     """Diagonalize one parity sector of a plain-Fock model.
 
     Returns (energies, vectors, basis_indices); ``vectors`` columns are the
-    sector eigenvectors on the restricted basis.  _top_population measures
-    how far the truncation reaches into the sector ground state.
+    sector eigenvectors on the restricted basis.
     """
     ix = model.parity_indices(parity)
     decomp = numerics.eigh(model.sector_matrix(parity))
     return decomp.eigenvalues, decomp.eigenvectors, ix
-
-
-def _top_population(model: FullModel, ix: np.ndarray,
-                    vectors: np.ndarray) -> float:
-    """Population of the sector ground state on the top Fock level; ``ix`` and
-    ``vectors`` as returned by solve_parity_sector."""
-    top = np.flatnonzero(model.photon_numbers()[ix] == model.n_photons - 1)
-    return float(np.sum(vectors[top, 0] ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -582,35 +575,19 @@ def adiabatic_eigensystem(params: RabiParams, n: int, kappa: int,
     return out[0], out[1]
 
 
-def sector_hamiltonian(params_list: Sequence[RabiParams], M: int,
-                       kappa: int) -> np.ndarray:
-    """Beyond-RWA Hamiltonians in the parity-kappa displaced-Fock sector basis.
+def _displaced_sector(params_list: Sequence[RabiParams], M: int,
+                      kappa: int) -> np.ndarray:
+    """The parity-kappa sector of sector_hamiltonian in the displaced-Fock
+    basis, for the bisection of geometry.noneigen_phase_beyond_rwa and as
+    the tests' second basis.
 
-    Entry p of the returned (P, 2(M+1), 2(M+1)) stack is the sector matrix of
-    ``params_list[p]``, each ladder displaced by its ``displacements`` and
-    truncated at level M.  Both diagonal blocks are diagonal; the
-    |11>/|00>-type and |10>/|01>-type blocks couple through the block B of
-    _sector_parts.
-    """
-    diag, B = _sector_parts(params_list, M, kappa)
-    mp1 = M + 1
-    S = np.zeros((len(params_list), 2 * mp1, 2 * mp1))
-    i = np.arange(2 * mp1)
-    S[:, i, i] = diag
-    S[:, :mp1, mp1:] = B
-    S[:, mp1:, :mp1] = np.swapaxes(B, 1, 2)
-    return S
-
-
-def _sector_parts(params_list: Sequence[RabiParams], M: int,
-                  kappa: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (P, 2(M+1)) diagonals and the (P, M+1, M+1) coupling blocks of
-    sector_hamiltonian's matrices:
-    B[m, n] = omega1/2 * kappa (-1)^n <m|D(beta1+beta2)|n>
-            + omega2/2 * <m|D(beta1-beta2)|n>,
-    i.e. the flip of qubit j is dressed by the displaced-Fock overlap at
-    displacement 2 g_j / omega_c.  Each distinct displacement of the points
-    goes to displacement_matrix once (for g1 = g2 the two coincide).
+    Each ladder is displaced by its ``displacements`` and truncated at level
+    M: rows n and M+1+n hold the |11>/|00>-type and |10>/|01>-type states
+    of displaced level n.  Both diagonal blocks are diagonal; they couple
+    through B[m, n] = omega1/2 * kappa (-1)^n <m|D(beta1+beta2)|n>
+    + omega2/2 * <m|D(beta1-beta2)|n>, i.e. the flip of qubit j is dressed
+    by the displaced-Fock overlap at displacement 2 g_j / omega_c.  Each
+    distinct displacement of the points goes to displacement_matrix once.
     """
     if kappa not in (1, -1):
         raise ValueError("kappa must be +1 or -1")
@@ -631,13 +608,17 @@ def _sector_parts(params_list: Sequence[RabiParams], M: int,
     B *= 0.5 * w1 * kappa
     B *= (-1.0) ** ns
     B += 0.5 * w2 * D[index[P:]]
-    diag = np.concatenate([ns * wc - b1[:, None]**2 * wc,
-                           ns * wc - b2[:, None]**2 * wc], axis=1)
-    return diag, B
+    S = np.zeros((P, 2 * mp1, 2 * mp1))
+    i = np.arange(2 * mp1)
+    S[:, i, i] = np.concatenate([ns * wc - b1[:, None]**2 * wc,
+                                 ns * wc - b2[:, None]**2 * wc], axis=1)
+    S[:, :mp1, mp1:] = B
+    S[:, mp1:, :mp1] = np.swapaxes(B, 1, 2)
+    return S
 
 
 def sector_number_operator(params: RabiParams, M: int) -> np.ndarray:
-    """Photon number operator a^dag a on the parity-sector basis.
+    """Photon number operator a^dag a on the basis of _displaced_sector.
 
     Block diagonal: the displaced ladder contributes n + beta^2 on the
     diagonal and -beta sqrt(n+1) on the first off-diagonals.
@@ -659,8 +640,51 @@ def sector_number_operator(params: RabiParams, M: int) -> np.ndarray:
     return N
 
 
+# ---------------------------------------------------------------------------
+# Parity sectors in plain Fock
+# ---------------------------------------------------------------------------
+
+def sector_hamiltonian(params_list: Sequence[RabiParams], M: int,
+                       kappa: int) -> np.ndarray:
+    """Beyond-RWA Hamiltonians of the parity-kappa sector in plain Fock.
+
+    Entry p of the returned (P, 2(M+1), 2(M+1)) stack is the sector matrix of
+    ``params_list[p]`` on photon levels n <= M.  Rows n and M+1+n hold level
+    n: |11,n> and |00,n> where (-1)^n = kappa, otherwise T_n and S_n with
+    T, S = (|10> +- |01>)/sqrt(2).  The T-S entry of a level is
+    (omega1 - omega2)/2, and (a + a^dag) couples level n to n + 1 through
+    (g1 + g2)/sqrt(2) (T with |11> and |00>) and +-(g1 - g2)/sqrt(2) (S), so
+    for identical qubits every S row is decoupled: the spin singlets.
+    """
+    if kappa not in (1, -1):
+        raise ValueError("kappa must be +1 or -1")
+    if not params_list:
+        raise ValueError("need at least one parameter point")
+    mp1 = M + 1
+    w1, w2, g1, g2, wc = (
+        np.array([getattr(p, key) for p in params_list])[:, None]
+        for key in ("omega1", "omega2", "g1", "g2", "omega_c"))
+    ns = np.arange(mp1)
+    pair = (-1) ** ns == kappa   # the levels that hold |11> and |00>
+    qubit = np.where(pair, 0.5 * (w1 + w2), 0.0)
+    S = np.zeros((len(params_list), 2 * mp1, 2 * mp1))
+    i = np.arange(2 * mp1)
+    S[:, i, i] = np.concatenate([ns * wc + qubit, ns * wc - qubit], axis=1)
+    t = np.flatnonzero(~pair)
+    S[:, t, mp1 + t] = S[:, mp1 + t, t] = 0.5 * (w1 - w2)
+    # level n and n + 1: a holds |11>, |00> and b holds T, S
+    a = np.where(pair[:-1], ns[:-1], ns[1:])
+    b = np.where(pair[:-1], ns[1:], ns[:-1])
+    root = np.sqrt(ns[1:] / 2.0)
+    plus, minus = (g1 + g2) * root, (g1 - g2) * root
+    for row, col, hop in ((a, b, plus), (mp1 + a, b, plus),
+                          (a, mp1 + b, -minus), (mp1 + a, mp1 + b, minus)):
+        S[:, row, col] = S[:, col, row] = hop
+    return S
+
+
 def _level_tails(vectors: np.ndarray) -> np.ndarray:
-    """Last-displaced-level population of every column state."""
+    """Photon-level-M population of every column state."""
     mp1 = vectors.shape[-2] // 2
     return vectors[..., mp1 - 1, :] ** 2 + vectors[..., -1, :] ** 2
 
@@ -685,7 +709,7 @@ class SectorSolution:
     photon_numbers: np.ndarray = field(repr=False)   # <a^dag a> per state
     singlet: np.ndarray = field(repr=False)          # see _sector_blocks
     vacuum_weights: np.ndarray = field(repr=False)   # |<state|10,0>|^2
-    tail_population: np.ndarray = field(repr=False)  # (P,), lower half
+    tail_population: np.ndarray = field(repr=False)  # (P,), see solve_sectors
 
     def kept(self, point: int, drop_singlets: bool = True) -> np.ndarray:
         """State indices of one point, ascending in energy, singlets skipped."""
@@ -694,59 +718,23 @@ class SectorSolution:
         return np.arange(self.energies.shape[1])
 
 
-def _photon_numbers(vectors: np.ndarray, beta1: np.ndarray,
-                    beta2: np.ndarray) -> np.ndarray:
-    """<a^dag a> of every column state, at O(M) per state.
-
-    Evaluates the tridiagonal blocks of sector_number_operator without
-    forming them: sum_n (n + beta^2) c_n^2 - 2 beta sqrt(n+1) c_n c_{n+1}.
-    """
-    mp1 = vectors.shape[-2] // 2
-    ns = np.arange(mp1, dtype=float)
-    off = np.sqrt(ns[1:])
-    total = 0.0
-    for half, beta in ((vectors[:, :mp1], beta1), (vectors[:, mp1:], beta2)):
-        beta = beta[:, None]
-        sq = half * half
-        diagonal = ns @ sq + beta**2 * sq.sum(axis=1)
-        del sq   # before the product of neighbours, which is as large
-        total = total + (diagonal
-                         - 2.0 * beta * (off @ (half[:, :-1] * half[:, 1:])))
-    return total
-
-
-def _vacuum_weights(vectors: np.ndarray, beta1: np.ndarray,
-                    beta2: np.ndarray, kappa: int) -> np.ndarray:
-    """Squared overlaps <state|10,0>; even-parity overlaps vanish identically.
-
-    The plain vacuum expands over each displaced ladder through
-    <n|D(beta)|0>, and |10,0> selects the (1 - kappa)/2 combination.
-    """
-    if kappa == 1:
-        return np.zeros((len(beta1), vectors.shape[-1]))
-    mp1 = vectors.shape[-2] // 2
-    P = len(beta1)
-    cols = _vacuum_overlaps(mp1, np.concatenate([beta1, beta2]))
-    amps = (np.einsum("pnj,pn->pj", vectors[:, :mp1], cols[:P])
-            - np.einsum("pnj,pn->pj", vectors[:, mp1:], cols[P:]))
-    amps *= 1.0 / math.sqrt(2.0)
-    return amps * amps
-
-
 def solve_sectors(params_list: Sequence[RabiParams], M: int,
                   kappa: int) -> SectorSolution:
     """Solve the parity-kappa sector at every point, truncated at level M.
 
-    This is the package's one displaced-Fock sector solver.  Points are
-    built SECTOR_BATCH at a time (_sector_blocks); eigenvectors live only
-    inside one batch.  A basis state whose row of the sector matrix has
-    no nonzero off-diagonal entry is an exact eigenvector at its diagonal
-    entry (for identical qubits, the spin singlets (|10,n> - |01,n>)/sqrt(2),
-    whose coupling column cancels exactly), so numerics.eigh solves only the
-    other rows; points of a batch are grouped by that set of free states.  A
-    point with no free state is solved whole, exactly as a one-point call.  No
-    truncation warning is raised: ``tail_population`` records the largest
-    last-displaced-level population of the lower half of each sector.
+    This is the package's one sector solver: it solves sector_hamiltonian,
+    in plain Fock, where <a^dag a> = sum_n n c_n^2 and the |10,0> weight of
+    an odd-sector state is ((c_0 + c_(M+1))/sqrt(2))^2, from the rows of T_0
+    and S_0.  Points are built
+    SECTOR_BATCH at a time (_sector_blocks); eigenvectors live only inside
+    one batch.  A basis state whose row of the sector matrix has no nonzero
+    off-diagonal entry is an exact eigenvector at its diagonal entry (for
+    identical qubits, the spin singlets S_n), so numerics.eigh solves only
+    the other rows; points of a batch are grouped by that set of free
+    states.  A point with no free state is solved whole, exactly as a
+    one-point call.  No truncation warning is raised: ``tail_population``
+    records the largest photon-level-M population of the lower half of each
+    sector's states.
     """
     _check_sector_points(params_list, M)
     parts = [_solve_batch(params_list[start:start + SECTOR_BATCH], M, kappa)
@@ -785,20 +773,14 @@ def _sector_blocks(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
     off-diagonal entry), the (P, n) mask of the free rows that are spin
     singlets, and one (members, solved, sub-stack) per set of points with
     the same free rows: ``solved`` masks the rows that are not free and the
-    sub-stack holds the members' matrices on those rows, equal to
-    sector_hamiltonian(...)[np.ix_(members, solved, solved)] but written
-    from _sector_parts without the whole matrices.  The diagonal blocks are
-    diagonal, so a |11>/|00>-type row is free when its row of B is zero and
-    a |10>/|01>-type row when its column of B is.  For identical qubits the
-    |10>/|01>-type ladder is undisplaced and its column of B at level n is
-    omega1/2 (kappa (-1)^n + 1) <m|D(beta1)|n>, exactly zero where
-    kappa (-1)^n = -1: those rows, and no others, are the singlets
-    (|10,n> - |01,n>)/sqrt(2).
+    sub-stack is sector_hamiltonian(...)[np.ix_(members, solved, solved)].
+    For identical qubits the row of S_n, the second of level n where
+    kappa (-1)^n = -1, is exactly zero off the diagonal: those rows, and no
+    others, are the singlets (|10,n> - |01,n>)/sqrt(2).
     """
-    diag, B = _sector_parts(batch, M, kappa)
-    coupled = B != 0.0
-    free = ~np.concatenate([np.any(coupled, axis=2), np.any(coupled, axis=1)],
-                           axis=1)
+    S = sector_hamiltonian(batch, M, kappa)
+    diag = np.diagonal(S, axis1=1, axis2=2).copy()
+    free = np.count_nonzero(S, axis=2) == (diag != 0.0)
     identical = np.array([p.identical_qubits() for p in batch])[:, None]
     singlet = free & identical & np.concatenate(
         [np.zeros(M + 1, dtype=bool), kappa * (-1) ** np.arange(M + 1) == -1])
@@ -808,21 +790,15 @@ def _sector_blocks(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
     subs = []
     for members in groups.values():
         keep = ~free[members[0]]
-        rows, cols = keep[:M + 1], keep[M + 1:]
-        k1, k = np.count_nonzero(rows), np.count_nonzero(keep)
-        sub = np.zeros((len(members), k, k))
-        i = np.arange(k)
-        sub[:, i, i] = diag[members][:, keep]
-        coupling = B[np.ix_(members, rows, cols)]
-        sub[:, :k1, k1:] = coupling
-        sub[:, k1:, :k1] = np.swapaxes(coupling, 1, 2)
-        subs.append((members, keep, sub))
+        solved = np.flatnonzero(keep)   # indices slice faster than np.ix_
+        subs.append((members, keep, S[members][:, solved[:, None], solved]))
     return diag, free, singlet, subs
 
 
 def _solve_batch(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
     """solve_sectors' five arrays for one batch of points."""
     diag, free, singlet, subs = _sector_blocks(batch, M, kappa)
+    photons = np.tile(np.arange(M + 1), 2)
     # energies, <a^dag a>, singlet, vacuum weight, last-level population
     out = [np.empty(free.shape, dtype=bool if i == 2 else float)
            for i in range(5)]
@@ -842,9 +818,10 @@ def _solve_batch(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
             full[:, keep, :k] = vectors
             full[:, ~keep, np.arange(k, keep.size)] = 1.0
             vectors = full
-        betas = displacements([batch[p] for p in members])
-        per_state = (values, _photon_numbers(vectors, *betas), flags,
-                     _vacuum_weights(vectors, *betas, kappa),
+        # |10,0> = (T_0 + S_0)/sqrt(2) lies in the odd sector only
+        weights = (((vectors[:, 0] + vectors[:, M + 1]) / math.sqrt(2.0)) ** 2
+                   if kappa == -1 else np.zeros(values.shape))
+        per_state = (values, photons @ vectors**2, flags, weights,
                      _level_tails(vectors))
         del vectors
         # stable, so the ascending eigh output of a whole solve keeps its order

@@ -145,31 +145,32 @@ BENCH_DATASETS = {"fig5": ["fig5_p05", "fig5_m05", "fig5_p02", "fig5_m02"]}
 
 
 #: datasets that moved by rounding after the references were generated,
-#: since the sector kernel solves only the rows coupled to the field (the
-#: spin singlets are exact eigenvectors).  Their present bytes are pinned
-#: here, and the reference is still matched cell by cell to 1e-12.  Each
-#: comment gives the max |diff| from the reference and the cells that differ.
+#: since the sector kernel solves the plain-Fock parity sector (the
+#: references were written in the displaced-Fock basis).  Their present
+#: bytes are pinned here, and the reference is still matched cell by cell to
+#: 1e-12.  Each comment gives the max |diff| from the reference and the
+#: cells that differ.
 MOVED_SHA256 = {
-    # 2.3e-14, 1462 energy cells
-    "fig3": "665b9e324accdf7b5c426a7a151d252b39cb979ff11dade75c221af4c6246154",
-    # 2.9e-14, 204 cells
-    "fig4": "56b8a749fa5c276374cc4958228afc710895af7789b3d14b27d475f05fd7c75e",
-    # 1.5e-14, 70 cells
+    # 1.5e-14, 1468 energy cells
+    "fig3": "0a5e9ce424bf53c22738d375b0b1f6cd5c3021362577d13d9f6945b5a7a81f9a",
+    # 2.4e-14, 199 cells
+    "fig4": "e966ea24459230f66c30dae2838e60478bb8d325d6a42c4c00d20424b77b38b4",
+    # 1.4e-14, 66 cells
     "fig5_p05":
-        "9731a875c1b83c2adad0973fa2b7dba5101f3c6ea9f5b9605324e15e8e07ae6a",
-    # 9.3e-15, 69 cells
+        "360b4e28caff7ccbdde680f0e032f1c492dfff0f0da721c87be8c78851c2d70d",
+    # 1.1e-14, 66 cells
     "fig5_m05":
-        "0da5788a528cf2c324b346fab746fa6fe408bf9e5c1fa44b067934bb03c4171b",
-    # 8.2e-15, 66 cells
+        "c4641afc4fbe50bfd43989ec897d67afb4086a7bb25ffb89691c67da3a0d17dd",
+    # 7.5e-15, 69 cells
     "fig5_p02":
-        "631102e5edb15b109dc0bf2758b1d0a5e7f33c3896979d51bea9f1de8c738915",
-    # 9.8e-15, 68 cells
+        "b7578bf22b35cfb7838e2049865f5f3eeb708bf86d5091182af83992dd2534a4",
+    # 8.4e-15, 67 cells
     "fig5_m02":
-        "da5e4930ca1d01ab6f968f40504f2c005f18950b5714c87c5ebfbbc94f3d24b0",
-    # 2.4e-15 in min_gap (golden section on eigvalsh energies), 1 cell;
+        "e8b3daeb5cce6594c47e09a8353899767a0afaf4cb3dc4c8e502357035b9328a",
+    # 1.8e-15 in min_gap (golden section on eigvalsh energies), 1 cell;
     # g_star, jump_g and jump_size unchanged
     "scan_anticrossing":
-        "5e743c3975460a3c02c368c6283d3d6841471953e63dda0a011aa04d7aa11780",
+        "58829bf6cbea558d7581b7bf5e5b1d4fb10b277c305e4f57871552453b83db85",
 }
 
 #: cells of moved datasets that must still equal the reference byte for
@@ -237,7 +238,6 @@ def test_config_error_exit_code(tmp_path, capsys):
     for delta in ("nan", "inf"):
         assert run(["scan-anticrossing", "--delta", delta,
                     "--out", str(tmp_path / "x.csv")]) == 2
-    assert run(["spectrum", *short, *sweep, "--trunc-photons", "5"]) == 2
     # --rwa and --full choose results of spectrum, berry and noneigen only;
     # elsewhere they are rejected, not ignored
     capsys.readouterr()
@@ -251,9 +251,6 @@ def test_config_error_exit_code(tmp_path, capsys):
             assert run([*command, flag, "--out", str(out)]) == 2
             assert capsys.readouterr().err.startswith("config error: ")
             assert not out.exists()
-    # a plain-Fock sector keeps only 2 N = 20 states at N = 10 photons
-    assert run(["spectrum", *short, *sweep, "--full", "--levels", "30",
-                "--trunc-photons", "10"]) == 2
     # an --out path in a missing directory leaves no file behind
     missing = tmp_path / "nodir"
     assert run(["fig1", "--out", str(missing / "x.csv")]) == 2
@@ -286,7 +283,6 @@ def test_config_error_exit_code(tmp_path, capsys):
                          # integer keys are not truncated or read from bools
                          (["noneigen", *sweep], {"trunc_m": 10.9}),
                          (["noneigen", *sweep], {"trunc_m": True}),
-                         (["spectrum", *sweep], {"trunc_photons": 20.5}),
                          (["curvature-field"], {"levels": 1000.7}),
                          (["curvature-field"], {"levels": True}),
                          # a mode is one of rwa, full, both, and only for
@@ -303,10 +299,6 @@ def test_config_error_exit_code(tmp_path, capsys):
     # ignored, and leaves no CSV
     sweep3 = ["--sweep", "g:0.01:0.1:3"]
     for command, unread in (
-            (["berry", "--delta", "0.5", *sweep3, "--trunc-photons", "20"],
-             None),
-            (["spectrum", "--delta", "0.5", *sweep3, "--rwa",
-              "--trunc-photons", "20"], None),
             (["fig4", *sweep3], None),
             (["fig5", "--delta", "0.3"], None),
             (["evolve", "--delta", "0.01", "--g1", "0.01", "--g2", "0.01",
@@ -316,6 +308,8 @@ def test_config_error_exit_code(tmp_path, capsys):
             (["curvature-field", "--delta", "0.3", "--trunc-m", "30"], None),
             (["noneigen", "--delta", "0.5", *sweep3], {"trunc_mm": 12}),
             (["scan-anticrossing"], {"g_mn": 0.25}),
+            # the plain-Fock audit's key went with the displaced sweeps
+            (["spectrum", "--delta", "0.5", *sweep3], {"trunc_photons": 20}),
             (["scan-anticrossing", "--delta", "0.5"], {"deltas": [0.2]}),
             # these compute two-qubit closed forms only
             (["berry", "--model", "jc", "--delta", "0.5", *sweep3], None),
@@ -492,25 +486,6 @@ def test_noneigen_computes_the_vacuum_phases_once_per_solve(tmp_path,
     assert calls == [7, 3]
 
 
-def test_dual_basis_audit_records_top_population(tmp_path):
-    out = tmp_path / "s.csv"
-    args = ["spectrum", "--delta", "0.5", "--sweep", "g:0.5:0.6:3", "--full",
-            "--levels", "4", "--trunc-m", "40", "--out", str(out)]
-    assert run(args + ["--trunc-photons", "60"]) == 0
-    audit = json.loads((tmp_path / "s.csv.meta.json").read_text())[
-        "dual_basis_audit"]
-    assert audit["n_photons"] == 60 and audit["max_energy_deviation"] < 1e-8
-    top = audit["top_level_population"]
-    assert set(top) == {"even", "odd"}
-    assert all(0.0 <= p < 1e-8 for p in top.values())
-    # a short plain-Fock truncation shows in the audit (3.2e-7 in the odd
-    # sector at g = 0.5)
-    assert run(args + ["--trunc-photons", "10"]) == 0
-    top = json.loads((tmp_path / "s.csv.meta.json").read_text())[
-        "dual_basis_audit"]["top_level_population"]
-    assert max(top.values()) > 1e-8
-
-
 def test_scan_anticrossing_monotone_gap_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"g_min": 0.01, "g_max": 0.05, "trunc_m": 20}))
@@ -519,15 +494,30 @@ def test_scan_anticrossing_monotone_gap_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: gap of levels")
 
 
-def test_overflowing_overlaps_exit_code(tmp_path, capsys):
-    # at g = 30 the displacement 2g = 60 overflows the overlaps from M = 182
-    out = tmp_path / "x.csv"
-    assert run(["spectrum", "--delta", "0.5", "--sweep", "g:30:31:2",
-                "--trunc-m", "200", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: displaced-Fock overlap not finite "
-                          "at size 201, displacement 60.0")
-    assert not out.exists()
+def test_sweep_truncation_past_the_overlap_limit():
+    # displaced-Fock overlaps overflow from size 1031 (binom(m, n)); sweeps
+    # solve the plain-Fock sector, which has no such limit
+    energies, _ = model.sector_energies(
+        [RabiParams.equal_frequency(0.5, 30.0, 30.0)], 1031, 1)
+    assert energies.shape == (1, 2064) and np.all(np.isfinite(energies))
+
+
+def test_sweeps_build_no_displaced_overlap(tmp_path, monkeypatch):
+    # the displaced-Fock basis is read by locate_phase_jump's bisection only
+    def forbidden(*args, **kwargs):
+        raise AssertionError("displaced-Fock overlap built")
+    monkeypatch.setattr(model, "displacement_matrix", forbidden)
+    monkeypatch.setattr(model, "_overlap_entries", forbidden)
+    for command in ("spectrum", "berry", "noneigen"):
+        assert run([command, "--delta", "0.5", "--sweep", "g:0.05:0.35:5",
+                    "--trunc-m", "30", "--out", str(tmp_path / "d.csv")]) == 0
+    ac = geometry.detect_anticrossing(
+        lambda g: RabiParams.equal_frequency(0.5, g, g), kappa=1, g_min=0.2,
+        g_max=0.32, M=30)
+    assert 0.24 <= ac.g_star <= 0.28
+    with pytest.raises(AssertionError, match="overlap built"):
+        geometry.noneigen_phase_beyond_rwa(
+            RabiParams.equal_frequency(0.5, 0.2, 0.2), 30)
 
 
 def test_runtime_leaves_scipy_out(tmp_path):
@@ -602,7 +592,7 @@ def test_byte_identical_reruns(tmp_path):
 
 def _tail(params, M, kappa):
     _, vecs = numerics.eigh(model.sector_hamiltonian([params], M, kappa))
-    # last displaced level of both ladders, lower half of the sector
+    # photon level M (rows M and 2M + 1), lower half of the sector's states
     return max(vecs[0, M, j] ** 2 + vecs[0, -1, j] ** 2 for j in range(M + 1))
 
 
@@ -611,19 +601,20 @@ def _tail(params, M, kappa):
                                             ("noneigen", (-1,))])
 def test_meta_records_worst_tail_population(tmp_path, command, kappas):
     out = tmp_path / "d.csv"
-    # M = 20 is short at g = 0.6, so the gate fails (exit 3); the sidecar is
+    # M = 20 is short at g = 0.8, so the gate fails (exit 3; drift 1.4e-4,
+    # 8.8e-6 and 5.2e-2 for spectrum, berry and noneigen); the sidecar is
     # written either way
-    assert run([command, "--delta", "0.5", "--sweep", "g:0.1:0.6:3",
+    assert run([command, "--delta", "0.5", "--sweep", "g:0.1:0.8:3",
                 "--trunc-m", "20", "--out", str(out)]) == 3
     meta = json.loads((tmp_path / "d.csv.meta.json").read_text())
     assert meta["convergence_gate"]["passed"] is False
     want = max(_tail(RabiParams.equal_frequency(0.5, g, g), 20, kappa)
-               for g in (0.1, 0.35, 0.6) for kappa in kappas)
+               for g in (0.1, 0.45, 0.8) for kappa in kappas)
     assert want > 1e-8
     assert meta["diagnostics"]["max_tail_population"] == \
         pytest.approx(want, rel=1e-10)
     rwa_out = tmp_path / "r.csv"
-    assert run([command, "--delta", "0.5", "--sweep", "g:0.1:0.6:3", "--rwa",
+    assert run([command, "--delta", "0.5", "--sweep", "g:0.1:0.8:3", "--rwa",
                 "--out", str(rwa_out)]) == 0
     assert "diagnostics" not in json.loads(
         (tmp_path / "r.csv.meta.json").read_text())
@@ -650,12 +641,15 @@ def test_meta_records_per_point_diagnostics(tmp_path):
 
 def test_gate_probes_worst_tail_point(tmp_path):
     out = tmp_path / "s.csv"
-    # the truncation tail peaks at g2 = 0.75, index 3 of 5, not an end point;
-    # M = 20 is short there, so the gate fails
-    assert run(["spectrum", "--delta", "0.5", "--g1", "0.5", "--sweep",
-                "g2:0.0:1.0:5", "--trunc-m", "20", "--out", str(out)]) == 3
+    # the truncation tail peaks at omega2 = 2.25, index 3 of 5, not an end
+    # point; M = 20 is short there, so the gate fails
+    assert run(["spectrum", "--omega1", "1.5", "--g1", "0.8", "--g2", "0.8",
+                "--sweep", "omega2:0:3:5", "--trunc-m", "20",
+                "--out", str(out)]) == 3
     meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
-    assert 3 in meta["convergence_gate"]["points"]
+    tails = meta["diagnostics"]["tail_population"]
+    assert int(np.argmax(tails)) == 3
+    assert meta["convergence_gate"]["points"] == [0, 2, 3, 4]
 
 
 def test_float_formatting_precision(tmp_path):
@@ -816,12 +810,19 @@ def test_write_dataset_mixed_column_leaves_no_csv(tmp_path, bad):
 
 
 def test_noneigen_short_truncation_exit_code(tmp_path, capsys):
-    # at M = 10 the vacuum weights of |10,0> sum to 0.99999, not 1
+    # M = 10 is short at g = 1: the gate fails.  |10,0> is a basis vector of
+    # the sector, so its weights still sum to 1, less what the floor drops
     out = tmp_path / "ne.csv"
     assert run(["noneigen", "--delta", "0.5", "--sweep", "g:0.5:1.0:3",
                 "--trunc-m", "10", "--out", str(out)]) == 3
-    assert capsys.readouterr().err.rstrip().endswith("at M = 10")
-    assert not out.exists()
+    assert capsys.readouterr().err.startswith(
+        "error: convergence gate failed")
+    assert out.exists()
+    meta = json.loads((tmp_path / "ne.csv.meta.json").read_text())
+    assert meta["convergence_gate"]["passed"] is False
+    totals = meta["diagnostics"]["vacuum_weight_total"]
+    assert len(totals) == 3
+    assert all(abs(total - 1.0) <= 1e-10 for total in totals)
 
 
 def test_scan_anticrossing_honours_explicit_zero_delta(tmp_path):

@@ -237,7 +237,9 @@ def test_full_rabi_truncation_top_population():
     params = RabiParams(omega1=1.0, omega2=1.0, g1=0.9, g2=0.9)
     fm = build_full_rabi(params, n_photons=10)
     _, vectors, ix = solve_parity_sector(fm, 1)
-    assert model._top_population(fm, ix, vectors) > 1e-8
+    # the sector ground state's population on the top Fock level
+    top = np.flatnonzero(fm.photon_numbers()[ix] == fm.n_photons - 1)
+    assert np.sum(vectors[top, 0] ** 2) > 1e-8
 
 
 def test_rwa_flag_conserves_excitation():
@@ -520,8 +522,38 @@ def test_truncated_matches_plain_fock():
     fm = build_full_rabi(params, n_photons=4 * 51)
     for kappa in (1, -1):
         plain, _, _ = solve_parity_sector(fm, kappa)
-        disp = model.solve_sectors([params], 50, kappa).energies[0, :15]
-        assert np.max(np.abs(disp - plain[:15])) <= 1e-8
+        sector = model.solve_sectors([params], 50, kappa).energies[0, :15]
+        assert np.max(np.abs(sector - plain[:15])) <= 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(omega1=st.floats(0.1, 1.9), omega2=st.floats(0.1, 1.9),
+       g1=st.floats(0.0, 0.35), g2=st.floats(0.0, 0.35))
+@example(omega1=1.5, omega2=1.5, g1=0.2, g2=0.2)
+def test_plain_and_displaced_sectors_agree_over_the_domain(omega1, omega2,
+                                                          g1, g2):
+    """solve_sectors (plain Fock) against the whole displaced-Fock sector,
+    solved by eigh, with <a^dag a> from sector_number_operator.
+
+    Over 305 points of this domain, M = 40 and both parities, the 8 lowest
+    energies agreed within 2.9e-14 and |d<a^dag a>| min(gap, 1) stayed below
+    1.1e-14, where gap is the distance to the nearer neighbouring level
+    (5.4e-13 at a gap of 8.8e-3); states with a gap below 1e-6 are skipped.
+    """
+    params = RabiParams(omega1=omega1, omega2=omega2, g1=g1, g2=g2)
+    M = 40
+    nop = model.sector_number_operator(params, M)
+    for kappa in (1, -1):
+        sol = model.solve_sectors([params], M, kappa)
+        values, vectors = numerics.eigh(model._displaced_sector([params], M,
+                                                                kappa))
+        assert np.max(np.abs(sol.energies[0, :8] - values[0, :8])) <= 1e-13
+        nbar = np.einsum("nj,nm,mj->j", vectors[0], nop, vectors[0])[:8]
+        levels = sol.energies[0, :9]
+        gap = np.minimum(np.diff(levels), np.diff(levels, prepend=-np.inf)[:8])
+        isolated = gap > 1e-6
+        error = np.abs(sol.photon_numbers[0, :8] - nbar)
+        assert np.all((error * np.minimum(gap, 1.0))[isolated] <= 5e-14)
 
 
 def test_solve_sectors_tail_population_flags_short_truncation():
@@ -535,14 +567,15 @@ _FIG4_POINTS = np.linspace(0.005, 0.35, 70)[::9]
 
 @pytest.mark.parametrize("kappa", [1, -1])
 def test_solve_sectors_matches_per_point_solve(kappa):
-    """Batched displaced-Fock kernel against the plain-Fock parity sector.
+    """Batched kernel against a parity sector of the whole plain-Fock space.
 
-    In the plain-Fock basis <a^dag a> is diagonal and the |10,0> weight is one
-    squared component, so the reference shares no displaced-basis code.
+    build_full_rabi shares no code with sector_hamiltonian: it builds the
+    product basis of 80 photons, where |10,0> is one basis state and the
+    singlets are read from eigenvector weights.
     """
     params_list = [RabiParams.equal_frequency(0.5, g, g) for g in _FIG4_POINTS]
-    # unequal couplings displace both ladders, which fixes the relative sign
-    # of their |10,0> overlaps
+    # unequal couplings or frequencies couple every S row, which fixes the
+    # relative sign of T_0 and S_0 in the |10,0> weight
     params_list += [RabiParams.equal_frequency(0.5, 0.1, 0.25),
                     RabiParams(omega1=1.1, omega2=0.8, g1=0.2, g2=0.3)]
     sol = model.solve_sectors(params_list, 50, kappa)
@@ -596,7 +629,7 @@ def test_singlet_test_drops_exactly_levels_at_n_omega_c(parity):
                                    drop_singlets=True)[0]
     assert np.array_equal(kept, every[~at_n][:30])
     assert np.count_nonzero(at_n[:30]) >= 5
-    # displaced sector: one singlet per level n with parity (-1)^(n+1)
+    # beyond-RWA sector: one singlet per level n with parity (-1)^(n+1)
     sol = model.solve_sectors([params], 30, parity)
     at_n = _at_n_omega_c(sol.energies[0], wc)
     assert np.array_equal(sol.singlet[0], at_n)
@@ -627,16 +660,15 @@ def _whole_sector_solve(params_list, M, kappa):
     """solve_sectors' five arrays from numerics.eigh of the whole sector
     matrices, every row included.
 
-    The singlet mask comes from the eigenvectors, by a rule that shares no
-    code with the kernel's decoupled rows: at exactly equal qubit
-    frequencies and couplings, a state within 1e-9 of n omega_c whose
-    squared level-n component on the |10>/|01>-type ladder (undisplaced
-    there, and holding the singlet where kappa (-1)^n = -1) is above
-    1 - 1e-6.
+    <a^dag a> = sum_n n c_n^2 and the |10,0> weight ((c_0 + c_(M+1))
+    /sqrt(2))^2 are written as the kernel writes them.  The singlet mask
+    comes from the eigenvectors, by a rule that shares no code with the
+    kernel's decoupled rows: at exactly equal qubit frequencies and
+    couplings, a state within 1e-9 of n omega_c whose squared component on
+    row M+1+n (S_n where kappa (-1)^n = -1) is above 1 - 1e-6.
     """
     values, vectors = numerics.eigh(model.sector_hamiltonian(params_list, M,
                                                              kappa))
-    betas = model.displacements(params_list)
     identical = np.array([[p.omega1 == p.omega2 and p.g1 == p.g2]
                           for p in params_list])
     wc = np.array([[p.omega_c] for p in params_list])
@@ -645,9 +677,10 @@ def _whole_sector_solve(params_list, M, kappa):
     d2 = np.take_along_axis(vectors[:, M + 1:], level[:, None, :], axis=1)[:, 0]
     singlet = (identical & (n == level) & (kappa * (-1) ** level == -1)
                & (np.abs(values - n * wc) <= 1e-9) & (d2 * d2 > 1.0 - 1e-6))
-    return (values, model._photon_numbers(vectors, *betas), singlet,
-            model._vacuum_weights(vectors, *betas, kappa),
-            np.max(model._level_tails(vectors)[:, :M + 1], axis=1))
+    weights = (((vectors[:, 0] + vectors[:, M + 1]) / math.sqrt(2.0)) ** 2
+               if kappa == -1 else np.zeros(values.shape))
+    return (values, np.tile(np.arange(M + 1), 2) @ vectors**2, singlet,
+            weights, np.max(model._level_tails(vectors)[:, :M + 1], axis=1))
 
 
 _SECTOR_FIELDS = ("energies", "photon_numbers", "singlet", "vacuum_weights",
@@ -673,8 +706,7 @@ def test_solve_sectors_matches_whole_sector_solve(case, kappa):
         params_list, M, kappa)
     assert sol.energies.shape == energies.shape == (len(params_list),
                                                     2 * (M + 1))
-    # measured 9.2e-14, 3.3e-12 (1.4e-12 on the lowest 20 at resonance and
-    # g = 1e-3, where the gaps are about 1e-3), 1.7e-14 and 5.6e-22
+    # measured 1.1e-13, 7.1e-14, 5.0e-14 and 4.3e-14
     assert np.max(np.abs(sol.energies - energies)) <= 5e-13
     assert np.max(np.abs(sol.photon_numbers - photons)) <= 1e-11
     assert np.max(np.abs(sol.vacuum_weights - weights)) <= 1e-13
