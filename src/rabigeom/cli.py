@@ -16,11 +16,11 @@ config key that the command does not read (see COMMAND_KEYS) is a
 configuration error, not ignored.
 
 Exit codes: 0 success, 2 configuration error (an --out path that cannot be
-written among them, and for scan-anticrossing a truncation whose
-displaced-Fock overlaps overflow), 3 convergence-gate failure, or for
-scan-anticrossing vacuum weights short of 1 at the truncation M, 4 a
-required rational period, non-degenerate doublet or anti-crossing does not
-exist.
+written among them, parameters whose Hamiltonian entries overflow, and for
+scan-anticrossing a truncation whose displaced-Fock overlaps overflow), 3
+convergence-gate failure, or for scan-anticrossing vacuum weights short of 1
+at the truncation M, 4 a required rational period, non-degenerate doublet or
+anti-crossing does not exist.
 """
 
 import argparse
@@ -35,7 +35,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from . import __version__, dynamics, geometry, model
+from . import __version__, dynamics, geometry, model, numerics
 from .model import RabiParams
 
 DEFAULT_M = 50
@@ -599,8 +599,8 @@ def cmd_scan_anticrossing(cfg: dict) -> int:
         raise ConfigError("give delta or deltas, not both")
     g_min = _number(float, "g_min", _get(cfg, "g_min", 0.2))
     g_max = _number(float, "g_max", _get(cfg, "g_max", 0.32))
-    if not 0.0 <= g_min < g_max:
-        raise ConfigError(f"g window [{g_min}, {g_max}]: need "
+    if not (0.0 <= g_min < g_max and math.isfinite(g_max)):
+        raise ConfigError(f"g window [{g_min}, {g_max}]: need finite "
                           "0 <= g_min < g_max")
     rows = []
     diagnostics = {"jump_on_window_edge": [], "level_pair": [],
@@ -758,6 +758,10 @@ def main(argv=None) -> int:
     except (ConfigError, model.NotEqualFrequency,
             model.OverlapOverflow) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (numerics.InvalidMatrix, OverflowError) as exc:
+        print(f"config error: parameters too large for double precision: "
+              f"{exc}", file=sys.stderr)
         return 2
     except geometry.WeightError as exc:   # the bisection's weights at M
         print(f"error: {exc} at M = {cfg['trunc_m']}", file=sys.stderr)

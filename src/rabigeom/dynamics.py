@@ -19,6 +19,11 @@ from .model import RabiParams, k1_block
 TWO_PI = 2.0 * math.pi
 
 
+#: rationalize accepts p/q with q <= MAX_DENOMINATOR within RATIONAL_TOLERANCE
+MAX_DENOMINATOR = 64
+RATIONAL_TOLERANCE = 1e-9
+
+
 class NoRational(ValueError):
     """No rational approximation within tolerance and denominator bound."""
 
@@ -64,19 +69,19 @@ class PhotonAverage:
     fidelity: np.ndarray = field(repr=False)
 
 
-def rationalize(ratio: float, tolerance: float = 1e-9,
-                max_denominator: int = 64) -> tuple[int, int]:
-    """Best rational p/q with q <= max_denominator, or NoRational.
+def rationalize(ratio: float) -> tuple[int, int]:
+    """Best rational p/q with q <= MAX_DENOMINATOR, or NoRational.
 
     Returns the reduced fraction with q > 0 produced by the continued-fraction
-    expansion of ``ratio``; rejects it when the residual exceeds ``tolerance``.
+    expansion of ``ratio``; rejects it when the residual exceeds
+    RATIONAL_TOLERANCE.
     """
     if not math.isfinite(ratio):
         raise NoRational(f"ratio {ratio!r} is not finite")
-    frac = Fraction(ratio).limit_denominator(max_denominator)
-    if abs(ratio - frac.numerator / frac.denominator) > tolerance:
-        raise NoRational(
-            f"no p/q with |q| <= {max_denominator} within {tolerance} of {ratio}")
+    frac = Fraction(ratio).limit_denominator(MAX_DENOMINATOR)
+    if abs(ratio - frac.numerator / frac.denominator) > RATIONAL_TOLERANCE:
+        raise NoRational(f"no p/q with |q| <= {MAX_DENOMINATOR} within "
+                         f"{RATIONAL_TOLERANCE} of {ratio}")
     return frac.numerator, frac.denominator
 
 
@@ -114,9 +119,7 @@ def cyclic_evolution_jc(params: RabiParams, q: int = 1) -> CyclicResult:
                         float(fidelity), "lower doublet component")
 
 
-def cyclic_evolution_two_qubit(params: RabiParams,
-                               tolerance: float = 1e-9,
-                               max_denominator: int = 64) -> CyclicResult:
+def cyclic_evolution_two_qubit(params: RabiParams) -> CyclicResult:
     """Cyclic evolution of |10,0> for two identical-frequency qubits.
 
     Requires the bright-doublet energy ratio E2/E3 to be rational; the state
@@ -130,7 +133,7 @@ def cyclic_evolution_two_qubit(params: RabiParams,
     e1, e2, e3 = 0.0, (-params.delta + big) / 2.0, (-params.delta - big) / 2.0
     if e2 == 0.0 or e3 == 0.0:
         raise DegenerateDoublet("bright doublet degenerate with the dark state")
-    p, qd = rationalize(e2 / e3, tolerance, max_denominator)
+    p, qd = rationalize(e2 / e3)
     T = TWO_PI * p / e2
     if T < 0.0:
         p, qd, T = -p, -qd, -T

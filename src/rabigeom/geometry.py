@@ -456,14 +456,14 @@ def detect_anticrossing(params_of_g, kappa: int, g_min: float, g_max: float,
                               tuple(map(float, curvature)))
 
 
-def _golden(f, xa: float, xb: float, xc: float, xtol: float = 1e-7,
-            maxiter: int = 5000) -> tuple[float, float]:
+def _golden(f, xa: float, xb: float, xc: float) -> tuple[float, float]:
     """Golden-section minimum (x, f(x)) of f inside the bracket xa < xb < xc.
 
     Repeats SciPy's golden-section method (``method="golden"``) step for
     step: its rounded ratio 0.61803399, first interior point on the wider
-    side of xb, relative stop test, 5000-step cap and final pick, so the
-    result is bit-identical to it.  The caller checks f(xb) < f(xa), f(xc).
+    side of xb, relative stop test at its default xtol = 1e-7, 5000-step cap
+    and final pick, so the result is bit-identical to it.  The caller checks
+    f(xb) < f(xa), f(xc).
     """
     gR = 0.61803399
     gC = 1.0 - gR
@@ -473,8 +473,8 @@ def _golden(f, xa: float, xb: float, xc: float, xtol: float = 1e-7,
     else:
         x1, x2 = xb - gC * (xb - xa), xb
     f1, f2 = f(x1), f(x2)
-    for _ in range(maxiter):
-        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+    for _ in range(5000):
+        if abs(x3 - x0) <= 1e-7 * (abs(x1) + abs(x2)):
             break
         if f2 < f1:
             x0, x1, f1 = x1, x2, f2

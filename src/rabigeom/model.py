@@ -2,11 +2,11 @@
 
 Covers the Jaynes-Cummings closed forms, the excitation-number blocks of the
 two-qubit RWA Hamiltonian with the closed-form angles of their
-equal-frequency k = 1 block, the whole plain-Fock beyond-RWA matrix with its
-parity labels (an oracle), the beyond-RWA parity sectors in plain Fock that
-every sweep solves, the displaced-Fock overlaps with the adiabatic
-(level-diagonal) approximation and the displaced sector of the phase-jump
-bisection, and the exceptional exact eigenstates.
+equal-frequency k = 1 block, the beyond-RWA parity sectors in plain Fock that
+every sweep solves (the library's one plain-Fock Hamiltonian), the
+displaced-Fock overlaps with the adiabatic (level-diagonal) approximation and
+the displaced sector of the phase-jump bisection, and the exceptional exact
+eigenstates.
 Spin singlets exist for identical qubits only, which means exactly equal
 frequencies and couplings (RabiParams.identical_qubits), and are known
 before any solve: the rows a parity sector decouples, and the level at
@@ -224,107 +224,6 @@ def equal_frequency_angles(params: RabiParams) -> tuple[float, float, float]:
     else:
         theta = 0.0
     return theta, ang.alpha, big
-
-
-# ---------------------------------------------------------------------------
-# Plain-Fock construction, with and without RWA
-# ---------------------------------------------------------------------------
-
-# qubit configurations in block order; entries are sigma^z eigenvalues (s1, s2)
-_QUBIT_CONFIGS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-_QUBIT_LABELS = ("11", "10", "01", "00")
-
-
-@dataclass(frozen=True)
-class FullModel:
-    """Plain-Fock matrix of the (two-qubit) Rabi Hamiltonian plus basis labels.
-
-    Basis index = 4-state qubit configuration (order |11>, |10>, |01>, |00>)
-    times photon number n < n_photons.  ``parity`` holds the eigenvalue of
-    sigma1^z sigma2^z (-1)^(a^dag a) per basis vector; the matrix is exactly
-    block diagonal in it.  ``excitation`` is the RWA block label
-    k = n + (s1 + s2 + 2)/2, only conserved when rwa=True.
-    """
-
-    params: RabiParams
-    n_photons: int
-    rwa: bool
-    matrix: np.ndarray = field(repr=False)
-    parity: np.ndarray = field(repr=False)
-    excitation: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return 4 * self.n_photons
-
-    def basis_index(self, qubits: str, n: int) -> int:
-        return _QUBIT_LABELS.index(qubits) * self.n_photons + n
-
-    def photon_numbers(self) -> np.ndarray:
-        return np.tile(np.arange(self.n_photons), 4)
-
-    def parity_indices(self, parity: int) -> np.ndarray:
-        return np.flatnonzero(self.parity == parity)
-
-    def sector_matrix(self, parity: int) -> np.ndarray:
-        ix = self.parity_indices(parity)
-        return self.matrix[np.ix_(ix, ix)]
-
-
-def build_full_rabi(params: RabiParams, n_photons: int, rwa: bool = False) -> FullModel:
-    """Rabi Hamiltonian on the truncated plain-Fock product basis.
-
-    With rwa=False the couplings are g_j (a^dag + a) sigma_j^x; with rwa=True
-    only the excitation-conserving halves g_j (a^dag sigma_j^- + a sigma_j^+)
-    are kept.
-    """
-    if n_photons < 10:
-        raise ValueError("n_photons must be at least 10")
-    np_ = n_photons
-    dim = 4 * np_
-    H = np.zeros((dim, dim))
-    ns = np.arange(np_)
-    for q, (s1, s2) in enumerate(_QUBIT_CONFIGS):
-        sl = slice(q * np_, (q + 1) * np_)
-        H[sl, sl] = np.diag(ns * params.omega_c
-                            + 0.5 * (s1 * params.omega1 + s2 * params.omega2))
-    # sigma_j^x flips qubit j; photon element sqrt(n+1) between n and n+1
-    flips = (
-        (params.g1, ((0, 2), (1, 3))),   # qubit 1: 11<->01, 10<->00
-        (params.g2, ((0, 1), (2, 3))),   # qubit 2: 11<->10, 01<->00
-    )
-    root = np.sqrt(ns[:-1] + 1.0)
-    for g, pairs in flips:
-        if g == 0.0:
-            continue
-        for qa, qb in pairs:
-            # qa has the qubit up, qb down
-            up = slice(qa * np_, (qa + 1) * np_)
-            dn = slice(qb * np_, (qb + 1) * np_)
-            blk = np.zeros((np_, np_))
-            # up, n  <->  down, n+1   (kept in RWA)
-            blk[ns[:-1], ns[:-1] + 1] = g * root
-            if not rwa:
-                # up, n+1  <->  down, n  (counter-rotating)
-                blk[ns[:-1] + 1, ns[:-1]] = g * root
-            H[up, dn] += blk
-            H[dn, up] += blk.T
-    parity = np.concatenate([
-        s1 * s2 * (-1) ** ns for (s1, s2) in _QUBIT_CONFIGS]).astype(int)
-    excitation = np.concatenate([
-        ns + (s1 + s2 + 2) // 2 for (s1, s2) in _QUBIT_CONFIGS])
-    return FullModel(params, n_photons, rwa, H, parity, excitation)
-
-
-def solve_parity_sector(model: FullModel, parity: int):
-    """Diagonalize one parity sector of a plain-Fock model.
-
-    Returns (energies, vectors, basis_indices); ``vectors`` columns are the
-    sector eigenvectors on the restricted basis.
-    """
-    ix = model.parity_indices(parity)
-    decomp = numerics.eigh(model.sector_matrix(parity))
-    return decomp.eigenvalues, decomp.eigenvectors, ix
 
 
 # ---------------------------------------------------------------------------
@@ -928,11 +827,15 @@ class ExceptionalState:
     n: int | None = None    # photon number, singlets only
 
 
-def _fock_vector(model_n_photons: int, components: list[tuple[str, int, float]],
+#: qubit states in the order of exceptional_states' vector layout
+_QUBIT_LABELS = ("11", "10", "01", "00")
+
+
+def _fock_vector(n_photons: int, components: list[tuple[str, int, float]],
                  ) -> np.ndarray:
-    v = np.zeros(4 * model_n_photons)
+    v = np.zeros(4 * n_photons)
     for qubits, n, amp in components:
-        v[_QUBIT_LABELS.index(qubits) * model_n_photons + n] = amp
+        v[_QUBIT_LABELS.index(qubits) * n_photons + n] = amp
     return v
 
 
@@ -943,6 +846,9 @@ def exceptional_states(params: RabiParams, n_photons: int = 24,
     Spin singlets require identical qubits; the even/odd one-photon states
     require homogeneous coupling with omega1 +/- omega2 = 2 omega_c and have
     the constant energy omega_c.  Returns an empty list when nothing applies.
+    Each state is a vector on the whole plain-Fock product space of photons
+    n < n_photons: |q, n> sits at index q N + n, with N = n_photons and the
+    qubit states q = |11>, |10>, |01>, |00> in that order.
     """
     out: list[ExceptionalState] = []
     wc = params.omega_c

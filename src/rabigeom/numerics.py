@@ -1,8 +1,8 @@
 """Dense real-symmetric eigensolves, constant-Hamiltonian propagation and quadrature.
 
 Every Hamiltonian in this package is real symmetric in its chosen basis, so a
-single eigensolver with a deterministic sign convention serves all modules;
-eigvalsh takes the same input checks where only energies are read.
+single eigensolver serves all modules; eigvalsh takes the same input checks
+where only energies are read.
 Energies and times are expressed in units of the field frequency (omega_c = 1).
 """
 
@@ -23,43 +23,22 @@ class InvalidGrid(ValueError):
     """Quadrature abscissae are not strictly increasing."""
 
 
-#: threshold below which a vector component does not count as "first nonzero"
-SIGN_EPS = 1e-12
-
-
 class EigenDecomposition(NamedTuple):
     eigenvalues: np.ndarray   # ascending
     eigenvectors: np.ndarray  # orthonormal columns, same order
 
 
-def _fix_signs(vectors: np.ndarray, out: np.ndarray | None = None
-               ) -> np.ndarray:
-    """Flip eigenvector signs so the first component above SIGN_EPS is positive.
-
-    Works on one matrix of column eigenvectors or on a stack of them, and
-    writes into ``out`` when given (``vectors`` itself included).  A
-    column with no component above SIGN_EPS keeps its sign: its "leading"
-    entry is then at most SIGN_EPS in magnitude, so it never tests below
-    -SIGN_EPS.
-    """
-    # two comparisons rather than np.abs: no float temporary of the stack
-    first = np.argmax((vectors > SIGN_EPS) | (vectors < -SIGN_EPS), axis=-2)
-    lead = np.take_along_axis(vectors, first[..., None, :], axis=-2)
-    return np.multiply(vectors, np.where(lead < -SIGN_EPS, -1.0, 1.0), out=out)
-
-
 def eigh(matrix) -> EigenDecomposition:
-    """Full spectrum of a real symmetric matrix, ascending, deterministic signs.
+    """Full spectrum of a real symmetric matrix, ascending.
 
     Accepts one (n, n) matrix or a (P, n, n) stack, which is solved matrix by
     matrix exactly as P separate calls would be; the results then carry the
-    leading stack axis.  Ties between degenerate eigenvalues keep the
-    (deterministic) order produced by the underlying LAPACK driver; every
-    eigenvector is normalized so that its first nonzero component is
-    positive, which makes repeated runs and CSV goldens reproducible.
+    leading stack axis.  Eigenvectors are LAPACK's, with LAPACK's sign and
+    its (deterministic) order among degenerate eigenvalues: every consumer
+    reads a vector through products that do not see its sign (squared
+    components, quadratic forms, projectors v v^T).
     """
-    values, vectors = np.linalg.eigh(_checked_symmetric(matrix))
-    return EigenDecomposition(values, _fix_signs(vectors, out=vectors))
+    return EigenDecomposition(*np.linalg.eigh(_checked_symmetric(matrix)))
 
 
 def eigvalsh(matrix) -> np.ndarray:

@@ -238,6 +238,20 @@ def test_config_error_exit_code(tmp_path, capsys):
     for delta in ("nan", "inf"):
         assert run(["scan-anticrossing", "--delta", delta,
                     "--out", str(tmp_path / "x.csv")]) == 2
+    # finite inputs whose Hamiltonian entries or closed forms overflow
+    capsys.readouterr()
+    infinite_window = tmp_path / "window.json"
+    infinite_window.write_text('{"g_max": Infinity}')
+    for command in (["spectrum", "--sweep", "g:0:1e308:2"],
+                    ["spectrum", "--rwa", "--sweep", "g:0:1e308:2"],
+                    ["berry", "--delta", "1e308", "--sweep", "g:0:0.1:2"],
+                    ["noneigen", "--delta", "1e308", "--sweep", "g:0:0.1:2"],
+                    ["scan-anticrossing", "--delta", "1e308"],
+                    ["scan-anticrossing", "--config", str(infinite_window)]):
+        out = tmp_path / "overflow.csv"
+        assert run([*command, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
     # --rwa and --full choose results of spectrum, berry and noneigen only;
     # elsewhere they are rejected, not ignored
     capsys.readouterr()
@@ -518,6 +532,32 @@ def test_sweeps_build_no_displaced_overlap(tmp_path, monkeypatch):
     with pytest.raises(AssertionError, match="overlap built"):
         geometry.noneigen_phase_beyond_rwa(
             RabiParams.equal_frequency(0.5, 0.2, 0.2), 30)
+
+
+def test_no_output_reads_eigenvector_signs(tmp_path, monkeypatch):
+    # eigh keeps LAPACK's signs: every output reads a vector through squares,
+    # quadratic forms or projectors, so flipped columns write the same bytes
+    commands = (["fig4"], ["fig5"], ["scan-anticrossing", "--delta", "0.5"])
+
+    def datasets(out_dir):
+        out_dir.mkdir()
+        for i, command in enumerate(commands):
+            assert run([*command, "--out", str(out_dir / f"{i}.csv")]) == 0
+        return {path.name: path.read_bytes() for path in out_dir.glob("*.csv")}
+
+    want = datasets(tmp_path / "lapack")
+    eigh, flips = numerics.eigh, []
+
+    def flipped(matrix):
+        values, vectors = eigh(matrix)
+        vectors[..., 1::2] *= -1.0
+        flips.append(vectors.shape)
+        return numerics.EigenDecomposition(values, vectors)
+
+    monkeypatch.setattr(numerics, "eigh", flipped)
+    got = datasets(tmp_path / "flipped")
+    assert flips and len(want) == 6
+    assert got == want
 
 
 def test_runtime_leaves_scipy_out(tmp_path):

@@ -28,7 +28,7 @@ def test_rationalize_unity_and_reduction():
 
 def test_rationalize_rejects_irrational():
     with pytest.raises(dynamics.NoRational):
-        rationalize(math.pi / 2, tolerance=1e-9, max_denominator=64)
+        rationalize(math.pi / 2)
     with pytest.raises(dynamics.NoRational):
         rationalize(math.nan)
 

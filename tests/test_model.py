@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.linalg import expm
 
+import oracle
 from rabigeom import model, numerics
 from rabigeom.model import (RabiParams, adiabatic_eigensystem,
-                            build_block, build_full_rabi, displacement_matrix,
-                            exceptional_states, jc_eigensystem, solve_block,
-                            solve_parity_sector)
+                            build_block, displacement_matrix,
+                            exceptional_states, jc_eigensystem, solve_block)
+
+#: sigma^z eigenvalues (s1, s2) of the qubit states |11>, |10>, |01>, |00>
+QUBIT_SPINS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +97,11 @@ def test_block_k2_transcription():
 def test_block_matches_projected_rwa_hamiltonian(k):
     """Each printed block must equal the restriction of the RWA Hamiltonian."""
     params = RabiParams(omega1=1.13, omega2=0.71, g1=0.12, g2=0.23)
-    fm = build_full_rabi(params, n_photons=12, rwa=True)
+    H, _, excitation = oracle.full_rabi(params, 12, rwa=True)
     # flatnonzero scans qubit blocks in the order (11, 10, 01, 00), which is
     # exactly the printed block basis ordering
-    ix = np.flatnonzero(fm.excitation == k)
-    projected = fm.matrix[np.ix_(ix, ix)]
+    ix = np.flatnonzero(excitation == k)
+    projected = H[np.ix_(ix, ix)]
     assert np.max(np.abs(projected - build_block(params, k))) <= 1e-12
 
 
@@ -192,61 +195,59 @@ def test_equal_frequency_angles_match_k1(delta, g1, g2):
 
 
 # ---------------------------------------------------------------------------
-# plain-Fock full model
+# the whole plain-Fock space (the oracle)
 # ---------------------------------------------------------------------------
 
 def test_full_rabi_decoupled_energies():
     params = RabiParams(omega1=0.9, omega2=0.3)
-    fm = build_full_rabi(params, n_photons=12)
-    vals = np.sort(np.diag(fm.matrix))
+    H, _, _ = oracle.full_rabi(params, 12)
+    vals = np.sort(np.diag(H))
     expect = np.sort([n + s1 * 0.45 + s2 * 0.15
-                      for n in range(12) for (s1, s2) in model._QUBIT_CONFIGS])
-    assert np.allclose(np.sort(numerics.eigh(fm.matrix).eigenvalues), expect,
+                      for n in range(12) for (s1, s2) in QUBIT_SPINS])
+    assert np.allclose(np.sort(numerics.eigh(H).eigenvalues), expect,
                        atol=1e-12)
     assert np.allclose(vals, expect, atol=1e-12)
 
 
 def test_full_rabi_parity_block_structure():
     params = RabiParams(omega1=1.3, omega2=0.7, g1=0.21, g2=0.13)
-    fm = build_full_rabi(params, n_photons=14)
-    even = fm.parity_indices(1)
-    odd = fm.parity_indices(-1)
-    assert np.all(fm.matrix[np.ix_(even, odd)] == 0.0)
-    assert np.all(fm.matrix[np.ix_(odd, even)] == 0.0)
-    assert np.array_equal(fm.matrix, fm.matrix.T)
+    H, parity, _ = oracle.full_rabi(params, 14)
+    even = np.flatnonzero(parity == 1)
+    odd = np.flatnonzero(parity == -1)
+    assert np.all(H[np.ix_(even, odd)] == 0.0)
+    assert np.all(H[np.ix_(odd, even)] == 0.0)
+    assert np.array_equal(H, H.T)
 
 
 def test_full_rabi_singlets_are_exact():
     params = RabiParams(omega1=1.1, omega2=1.1, g1=0.25, g2=0.25)
-    fm = build_full_rabi(params, n_photons=20)
+    H, _, _ = oracle.full_rabi(params, 20)
     for n in (0, 3, 7):
-        v = np.zeros(fm.dim)
-        v[fm.basis_index("10", n)] = 1 / math.sqrt(2)
-        v[fm.basis_index("01", n)] = -1 / math.sqrt(2)
-        assert np.linalg.norm(fm.matrix @ v - n * v) <= 1e-12
+        v = np.zeros(4 * 20)
+        v[oracle.index("10", n, 20)] = 1 / math.sqrt(2)
+        v[oracle.index("01", n, 20)] = -1 / math.sqrt(2)
+        assert np.linalg.norm(H @ v - n * v) <= 1e-12
 
 
 def test_full_rabi_constant_eigenvalue_in_even_sector():
     params = RabiParams(omega1=1.4, omega2=0.6, g1=0.17, g2=0.17)
-    fm = build_full_rabi(params, n_photons=80)
-    vals, _, _ = solve_parity_sector(fm, 1)
+    vals, _, _ = oracle.parity_sector(params, 80, 1)
     assert np.min(np.abs(vals - 1.0)) <= 1e-10
 
 
 def test_full_rabi_truncation_top_population():
     params = RabiParams(omega1=1.0, omega2=1.0, g1=0.9, g2=0.9)
-    fm = build_full_rabi(params, n_photons=10)
-    _, vectors, ix = solve_parity_sector(fm, 1)
+    n_photons = 10
+    _, vectors, ix = oracle.parity_sector(params, n_photons, 1)
     # the sector ground state's population on the top Fock level
-    top = np.flatnonzero(fm.photon_numbers()[ix] == fm.n_photons - 1)
+    top = np.flatnonzero(ix % n_photons == n_photons - 1)
     assert np.sum(vectors[top, 0] ** 2) > 1e-8
 
 
 def test_rwa_flag_conserves_excitation():
     params = RabiParams(omega1=1.2, omega2=0.8, g1=0.1, g2=0.2)
-    fm = build_full_rabi(params, n_photons=12, rwa=True)
-    k = fm.excitation
-    coupling = fm.matrix - np.diag(np.diag(fm.matrix))
+    H, _, k = oracle.full_rabi(params, 12, rwa=True)
+    coupling = H - np.diag(np.diag(H))
     rows, cols = np.nonzero(coupling)
     assert np.all(k[rows] == k[cols])
 
@@ -461,9 +462,8 @@ def test_rwa_parity_levels_drop_one_singlet_per_block(delta, g):
 def test_rwa_parity_levels_match_plain_fock_rwa(g):
     # strong couplings pull high excitation blocks below the low ones
     params = RabiParams.equal_frequency(0.5, g, g)
-    fm = build_full_rabi(params, 120, rwa=True)
     for parity in (1, -1):
-        want, _, _ = solve_parity_sector(fm, parity)
+        want, _, _ = oracle.parity_sector(params, 120, parity, rwa=True)
         got = model.rwa_parity_levels([params], parity, 8)[0]
         assert np.max(np.abs(got - want[:8])) <= 1e-12
 
@@ -498,9 +498,8 @@ def test_adiabatic_homogeneous_coupling_overlaps():
 
 def test_adiabatic_matches_exact_weak_coupling():
     params = RabiParams(omega1=0.5, omega2=0.5, g1=0.02, g2=0.02)
-    fm = build_full_rabi(params, n_photons=60)
     exact = np.sort(np.concatenate([
-        solve_parity_sector(fm, k)[0][:6]
+        oracle.parity_sector(params, 60, k)[0][:6]
         for k in (1, -1)]))
     approx = np.sort([s.energy for n in range(3) for kappa in (1, -1)
                       for s in adiabatic_eigensystem(params, n, kappa)])
@@ -513,15 +512,14 @@ def test_truncated_solve_zero_coupling():
     for kappa in (1, -1):
         got += list(model.solve_sectors([params], 20, kappa).energies[0, :6])
     expect = sorted(n + s1 * 0.45 + s2 * 0.15 for n in range(21)
-                    for (s1, s2) in model._QUBIT_CONFIGS)[:6]
+                    for (s1, s2) in QUBIT_SPINS)[:6]
     assert np.allclose(sorted(got)[:6], expect, atol=1e-8)
 
 
 def test_truncated_matches_plain_fock():
     params = RabiParams(omega1=1.5, omega2=1.5, g1=0.25, g2=0.25)
-    fm = build_full_rabi(params, n_photons=4 * 51)
     for kappa in (1, -1):
-        plain, _, _ = solve_parity_sector(fm, kappa)
+        plain, _, _ = oracle.parity_sector(params, 4 * 51, kappa)
         sector = model.solve_sectors([params], 50, kappa).energies[0, :15]
         assert np.max(np.abs(sector - plain[:15])) <= 1e-8
 
@@ -569,7 +567,7 @@ _FIG4_POINTS = np.linspace(0.005, 0.35, 70)[::9]
 def test_solve_sectors_matches_per_point_solve(kappa):
     """Batched kernel against a parity sector of the whole plain-Fock space.
 
-    build_full_rabi shares no code with sector_hamiltonian: it builds the
+    The oracle shares no code with sector_hamiltonian: it builds the
     product basis of 80 photons, where |10,0> is one basis state and the
     singlets are read from eigenvector weights.
     """
@@ -582,14 +580,13 @@ def test_solve_sectors_matches_per_point_solve(kappa):
     assert sol.kappa == kappa and sol.energies.shape == (10, 102)
     low = slice(0, 20)
     for i, params in enumerate(params_list):
-        fm = build_full_rabi(params, n_photons=80)
-        vals, vecs, ix = solve_parity_sector(fm, kappa)
+        vals, vecs, ix = oracle.parity_sector(params, 80, kappa)
         vecs = vecs[:, low]
         assert np.max(np.abs(sol.energies[i, low] - vals[low])) <= 1e-12
-        nbar = fm.photon_numbers()[ix] @ vecs**2
+        nbar = (ix % 80) @ vecs**2
         assert np.max(np.abs(sol.photon_numbers[i, low] - nbar)) <= 1e-12
         pos = {b: k for k, b in enumerate(ix)}
-        vacuum = pos.get(fm.basis_index("10", 0))
+        vacuum = pos.get(oracle.index("10", 0, 80))
         if kappa == 1:
             assert vacuum is None
             assert np.array_equal(sol.vacuum_weights[i], np.zeros(102))
@@ -597,8 +594,9 @@ def test_solve_sectors_matches_per_point_solve(kappa):
             weights = vecs[vacuum] ** 2
             assert np.max(np.abs(sol.vacuum_weights[i, low] - weights)) <= 1e-13
         # singlets: weight above 1 - 1e-6 on one (|10,n> - |01,n>)/sqrt(2)
-        pairs = [(pos[fm.basis_index("10", n)], pos[fm.basis_index("01", n)])
-                 for n in range(80) if fm.basis_index("10", n) in pos]
+        pairs = [(pos[oracle.index("10", n, 80)],
+                  pos[oracle.index("01", n, 80)])
+                 for n in range(80) if oracle.index("10", n, 80) in pos]
         singlet_weight = np.max([(vecs[a] - vecs[b]) ** 2 / 2.0
                                  for a, b in pairs], axis=0)
         assert np.array_equal(sol.singlet[i, low], singlet_weight > 1.0 - 1e-6)
@@ -938,9 +936,9 @@ def test_singlet_family():
     states = exceptional_states(params, n_photons=16)
     singlets = [s for s in states if s.kind == "singlet"]
     assert len(singlets) == 16
-    fm = build_full_rabi(params, n_photons=16)
+    H, _, _ = oracle.full_rabi(params, 16)
     for s in singlets:
-        assert np.linalg.norm(fm.matrix @ s.state - s.energy * s.state) <= 1e-10
+        assert np.linalg.norm(H @ s.state - s.energy * s.state) <= 1e-10
         assert s.energy == pytest.approx(s.n * 1.0)
 
 
@@ -951,8 +949,8 @@ def test_even_exceptional_state():
     s = states[0]
     assert s.q == pytest.approx(0.2)
     assert s.energy == pytest.approx(1.0)
-    fm = build_full_rabi(params, n_photons=20)
-    assert np.linalg.norm(fm.matrix @ s.state - s.state) <= 1e-10
+    H, _, _ = oracle.full_rabi(params, 20)
+    assert np.linalg.norm(H @ s.state - s.state) <= 1e-10
 
 
 def test_odd_exceptional_state():
@@ -961,8 +959,8 @@ def test_odd_exceptional_state():
     assert [s.kind for s in states] == ["odd"]
     s = states[0]
     assert s.q == pytest.approx(2 * 0.12 / 3.0)
-    fm = build_full_rabi(params, n_photons=20)
-    assert np.linalg.norm(fm.matrix @ s.state - s.state) <= 1e-10
+    H, _, _ = oracle.full_rabi(params, 20)
+    assert np.linalg.norm(H @ s.state - s.state) <= 1e-10
 
 
 def test_exceptional_states_empty_when_inapplicable():

@@ -57,25 +57,12 @@ def test_eigh_round_trip(dim):
 
 
 def test_eigh_sign_convention_deterministic():
+    """eigh keeps LAPACK's signs, which repeat from run to run."""
     rng = np.random.default_rng(3)
     H = random_symmetric(rng, 17)
     first = numerics.eigh(H)
     second = numerics.eigh(H.copy())
     assert np.array_equal(first.eigenvectors, second.eigenvectors)
-    for j in range(17):
-        col = first.eigenvectors[:, j]
-        nz = np.flatnonzero(np.abs(col) > numerics.SIGN_EPS)
-        assert col[nz[0]] > 0
-
-
-def _fix_signs_loop(vectors):
-    """Column-by-column sign convention, the reference for the vectorized fix."""
-    out = np.array(vectors, copy=True)
-    for j in range(out.shape[1]):
-        nz = np.flatnonzero(np.abs(out[:, j]) > numerics.SIGN_EPS)
-        if nz.size and out[nz[0], j] < 0.0:
-            out[:, j] = -out[:, j]
-    return out
 
 
 def test_eigh_stack_matches_single_calls():
@@ -89,27 +76,7 @@ def test_eigh_stack_matches_single_calls():
         single = numerics.eigh(H)
         assert np.array_equal(vals, single.eigenvalues)
         assert np.array_equal(vecs, single.eigenvectors)
-        assert np.array_equal(vecs, _fix_signs_loop(np.linalg.eigh(H)[1]))
-
-
-def test_fix_signs_small_leading_entries():
-    eps = numerics.SIGN_EPS
-    vectors = np.array([
-        [-0.5 * eps, 0.2 * eps, 0.6],
-        [-0.6, -0.9 * eps, -0.8],
-        [0.8, 0.4 * eps, 0.0],
-    ])
-    want = _fix_signs_loop(vectors)
-    # the leading entry below SIGN_EPS is skipped: -0.6 decides the flip
-    assert np.array_equal(want[:, 0], -vectors[:, 0])
-    # no entry above SIGN_EPS: the column keeps its sign
-    assert np.array_equal(want[:, 1], vectors[:, 1])
-    assert np.array_equal(want[:, 2], vectors[:, 2])
-    assert np.array_equal(numerics._fix_signs(vectors), want)
-    stack = np.array([vectors, -vectors])
-    fixed = numerics._fix_signs(stack)
-    assert np.array_equal(fixed[0], want)
-    assert np.array_equal(fixed[1], _fix_signs_loop(-vectors))
+        assert np.array_equal(vecs, np.linalg.eigh(H)[1])
 
 
 @solvers
