@@ -19,7 +19,21 @@ Library layout:
 All energies and times are in units of the field frequency omega_c.
 """
 
-from .model import RabiParams
+import os
+import sys
+
+#: BLAS thread-count variables that default to "1" when rabigeom loads
+#: before numpy: each small eigensolve then runs on one BLAS thread, and
+#: model.solve_sectors spreads a sweep's batches over the cores instead
+#: (model.SECTOR_WORKERS).  BLAS reads them once, as numpy loads, so nothing
+#: is set when numpy is already imported; a value set by the user is kept.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules:
+    for _var in BLAS_THREAD_VARS:
+        os.environ.setdefault(_var, "1")
+    del _var
+
+from .model import RabiParams  # noqa: E402  (after the BLAS defaults)
 from .dynamics import CyclicResult, PhotonAverage
 
 __version__ = "0.1.0"

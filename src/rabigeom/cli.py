@@ -121,11 +121,13 @@ def _format_block(block: list, width: int, suffix: tuple[str, ...] = ()
 
 
 def environment() -> dict:
-    """Python, numpy and BLAS versions and the thread settings of this process."""
+    """Python, numpy and BLAS versions and the thread settings of this
+    process: the thread variables and the threads of a sector sweep."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
-            **{var: os.environ.get(var, "unset") for var in THREAD_VARS}}
+            **{var: os.environ.get(var, "unset") for var in THREAD_VARS},
+            "sector_workers": model.SECTOR_WORKERS}
 
 
 def write_dataset(path: str, header: list[str], rows: Iterable[Sequence],

@@ -19,12 +19,14 @@ Delta = omega1 - omega_c throughout.  Qubit basis states |1> (upper) and |0>
 
 import functools
 import math
+import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numerics
+from . import BLAS_THREAD_VARS, numerics
 
 EQ_TOL = 1e-12
 
@@ -543,6 +545,10 @@ def sector_number_operator(params: RabiParams, M: int) -> np.ndarray:
 # Parity sectors in plain Fock
 # ---------------------------------------------------------------------------
 
+# an overflowing parameter leaves non-finite entries, which numerics rejects
+# (InvalidMatrix) when the matrix is solved; errstate is per thread, so it is
+# set here, in whichever thread builds the matrices
+@np.errstate(over="ignore", invalid="ignore")
 def sector_hamiltonian(params_list: Sequence[RabiParams], M: int,
                        kappa: int) -> np.ndarray:
     """Beyond-RWA Hamiltonians of the parity-kappa sector in plain Fock.
@@ -588,9 +594,19 @@ def _level_tails(vectors: np.ndarray) -> np.ndarray:
     return vectors[..., mp1 - 1, :] ** 2 + vectors[..., -1, :] ** 2
 
 
-#: sweep points diagonalized together by solve_sectors; sets how many
-#: eigenvector sets are alive at once
-SECTOR_BATCH = 16
+#: sweep points diagonalized together by solve_sectors and sector_energies;
+#: with SECTOR_WORKERS batches in flight, it sets how many eigenvector sets
+#: are alive at once
+SECTOR_BATCH = 4
+
+#: threads that solve a sweep's batches: the usable CPUs when every
+#: eigensolve runs on one BLAS thread, that is when BLAS_THREAD_VARS read "1"
+#: as rabigeom loads (the package's default unless numpy loaded first),
+#: otherwise 1, so that the batches do not compete with BLAS's own threads
+SECTOR_WORKERS = 1
+if all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS):
+    SECTOR_WORKERS = (len(os.sched_getaffinity(0))
+                      if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -624,9 +640,10 @@ def solve_sectors(params_list: Sequence[RabiParams], M: int,
     This is the package's one sector solver: it solves sector_hamiltonian,
     in plain Fock, where <a^dag a> = sum_n n c_n^2 and the |10,0> weight of
     an odd-sector state is ((c_0 + c_(M+1))/sqrt(2))^2, from the rows of T_0
-    and S_0.  Points are built
-    SECTOR_BATCH at a time (_sector_blocks); eigenvectors live only inside
-    one batch.  A basis state whose row of the sector matrix has no nonzero
+    and S_0.  Points are built SECTOR_BATCH at a time (_sector_blocks), on
+    up to SECTOR_WORKERS threads (_map_batches); eigenvectors live only
+    inside a batch, so at most SECTOR_WORKERS batches' eigenvectors are alive
+    at once.  A basis state whose row of the sector matrix has no nonzero
     off-diagonal entry is an exact eigenvector at its diagonal entry (for
     identical qubits, the spin singlets S_n), so numerics.eigh solves only
     the other rows; points of a batch are grouped by that set of free
@@ -636,8 +653,7 @@ def solve_sectors(params_list: Sequence[RabiParams], M: int,
     sector's states.
     """
     _check_sector_points(params_list, M)
-    parts = [_solve_batch(params_list[start:start + SECTOR_BATCH], M, kappa)
-             for start in range(0, len(params_list), SECTOR_BATCH)]
+    parts = _map_batches(_solve_batch, params_list, M, kappa)
     return SectorSolution(kappa, *(np.concatenate(a) for a in zip(*parts)))
 
 
@@ -652,10 +668,53 @@ def sector_energies(params_list: Sequence[RabiParams], M: int,
     so the kept states, are exactly those of solve_sectors.
     """
     _check_sector_points(params_list, M)
-    parts = [_energies_batch(params_list[start:start + SECTOR_BATCH], M, kappa)
-             for start in range(0, len(params_list), SECTOR_BATCH)]
+    parts = _map_batches(_energies_batch, params_list, M, kappa)
     energies, singlet = (np.concatenate(a) for a in zip(*parts))
     return energies, singlet
+
+
+def _map_batches(solve, params_list: Sequence[RabiParams], M: int,
+                 kappa: int) -> list:
+    """``solve(batch, M, kappa)`` of every SECTOR_BATCH-point batch of
+    ``params_list``, in batch order.
+
+    min(SECTOR_WORKERS, batches) threads, the calling thread among them,
+    take the batches in order, each the next one as soon as it is free, so
+    a single batch runs inline.  Every matrix is solved by the same call on
+    the same rows as in a serial loop, so the results do not depend on the
+    thread count.  A failing batch stops its thread; every earlier batch has
+    been taken by then and runs to its end, so the error of the first
+    failing batch is raised, as a serial loop would raise it.
+    """
+    batches = [params_list[start:start + SECTOR_BATCH]
+               for start in range(0, len(params_list), SECTOR_BATCH)]
+    results = [None] * len(batches)
+    errors = {}
+    todo = iter(range(len(batches)))
+    lock = threading.Lock()
+
+    def run() -> None:
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = solve(batches[i], M, kappa)
+            except Exception as exc:   # raised below, in the calling thread
+                errors[i] = exc
+                return
+
+    threads = [threading.Thread(target=run)
+               for _ in range(1, min(SECTOR_WORKERS, len(batches)))]
+    for thread in threads:
+        thread.start()
+    run()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _check_sector_points(params_list: Sequence[RabiParams], M: int) -> None:

@@ -7,6 +7,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -238,18 +239,23 @@ def test_config_error_exit_code(tmp_path, capsys):
     for delta in ("nan", "inf"):
         assert run(["scan-anticrossing", "--delta", delta,
                     "--out", str(tmp_path / "x.csv")]) == 2
-    # finite inputs whose Hamiltonian entries or closed forms overflow
+    # finite inputs whose Hamiltonian entries or closed forms overflow, with
+    # no numpy warning; the 20-point sweep first overflows in its second
+    # sector batch, which a worker thread may solve when the sweep is pooled
     capsys.readouterr()
     infinite_window = tmp_path / "window.json"
     infinite_window.write_text('{"g_max": Infinity}')
     for command in (["spectrum", "--sweep", "g:0:1e308:2"],
+                    ["spectrum", "--sweep", "g:0:1e308:20"],
                     ["spectrum", "--rwa", "--sweep", "g:0:1e308:2"],
                     ["berry", "--delta", "1e308", "--sweep", "g:0:0.1:2"],
                     ["noneigen", "--delta", "1e308", "--sweep", "g:0:0.1:2"],
                     ["scan-anticrossing", "--delta", "1e308"],
                     ["scan-anticrossing", "--config", str(infinite_window)]):
         out = tmp_path / "overflow.csv"
-        assert run([*command, "--out", str(out)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*command, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
     # --rwa and --full choose results of spectrum, berry and noneigen only;
@@ -781,7 +787,8 @@ def test_sidecar_records_environment(tmp_path, monkeypatch):
                    "blas": {"name": blas["name"], "version": blas["version"]},
                    "OPENBLAS_NUM_THREADS": os.environ.get(
                        "OPENBLAS_NUM_THREADS", "unset"),
-                   "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "unset"}
+                   "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "unset",
+                   "sector_workers": model.SECTOR_WORKERS}
 
 
 @pytest.mark.parametrize("split", [2, 5])

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -9,6 +14,7 @@ from scipy import special
 from scipy.linalg import expm
 
 import oracle
+import rabigeom
 from rabigeom import model, numerics
 from rabigeom.model import (RabiParams, adiabatic_eigensystem,
                             build_block, displacement_matrix,
@@ -829,14 +835,98 @@ _BATCH_MIXED = ([RabiParams.equal_frequency(0.5, g, g)
 @pytest.mark.parametrize("kappa", [1, -1])
 def test_sector_results_do_not_depend_on_the_batch_size(monkeypatch, kappa):
     results = []
-    for batch in (1, 3, 16, len(_BATCH_MIXED)):
-        monkeypatch.setattr(model, "SECTOR_BATCH", batch)
-        sol = model.solve_sectors(_BATCH_MIXED, 30, kappa)
-        results.append([getattr(sol, name) for name in _SECTOR_FIELDS]
-                       + list(model.sector_energies(_BATCH_MIXED, 30, kappa)))
+    for batch in (1, 3, 4, 16, len(_BATCH_MIXED)):
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(model, "SECTOR_BATCH", batch)
+            monkeypatch.setattr(model, "SECTOR_WORKERS", workers)
+            sol = model.solve_sectors(_BATCH_MIXED, 30, kappa)
+            results.append(
+                [getattr(sol, name) for name in _SECTOR_FIELDS]
+                + list(model.sector_energies(_BATCH_MIXED, 30, kappa)))
     for other in results[1:]:
         for want, got in zip(results[0], other):
             assert np.array_equal(got, want)
+
+
+def test_sector_batches_are_each_solved_once_by_many_threads(monkeypatch):
+    # more threads than cores, switching every microsecond: a batch handed
+    # out twice would be counted twice, one never handed out leaves a hole
+    monkeypatch.setattr(model, "SECTOR_BATCH", 1)
+    monkeypatch.setattr(model, "SECTOR_WORKERS", 1)
+    want = model.sector_energies(_BATCH_MIXED, 20, 1)
+    calls = []
+
+    def counting(batch, M, kappa):
+        calls.append(batch)
+        return energies_batch(batch, M, kappa)
+    energies_batch = model._energies_batch
+    monkeypatch.setattr(model, "_energies_batch", counting)
+    monkeypatch.setattr(model, "SECTOR_WORKERS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            calls.clear()
+            got = model.sector_energies(_BATCH_MIXED, 20, 1)
+            assert len(calls) == len(_BATCH_MIXED)
+            assert all(np.array_equal(w, g) for w, g in zip(want, got))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_batches_raises_the_first_failing_batch(monkeypatch, workers):
+    monkeypatch.setattr(model, "SECTOR_BATCH", 1)
+    monkeypatch.setattr(model, "SECTOR_WORKERS", workers)
+    threads = set()
+
+    def solve(batch, M, kappa):
+        threads.add(threading.current_thread())
+        if batch[0] in (3, 6, 9):
+            raise ValueError(batch[0])
+        return batch
+    with pytest.raises(ValueError) as info:
+        model._map_batches(solve, list(range(12)), 0, 1)
+    assert info.value.args == (3,)
+    # a failing batch stops its thread, so the last thread always takes some
+    assert len(threads) == workers
+
+
+@pytest.mark.parametrize("first, user, blas, pooled", [
+    ("", {}, ["1", "1"], True),          # rabigeom before numpy
+    ("", {"OPENBLAS_NUM_THREADS": "3"}, ["3", "1"], False),   # user's value
+    ("import numpy", {}, [None, None], False)])   # numpy loaded first
+def test_blas_defaults_decide_the_sector_workers(first, user, blas, pooled):
+    code = (f"import json, os\n{first}\n"
+            "from rabigeom import BLAS_THREAD_VARS, model\n"
+            "print(json.dumps([[os.environ.get(v) for v in BLAS_THREAD_VARS],"
+            " model.SECTOR_WORKERS, len(os.sched_getaffinity(0))]))")
+    env = {var: value for var, value in os.environ.items()
+           if var not in rabigeom.BLAS_THREAD_VARS}
+    src = os.path.dirname(os.path.dirname(model.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**env, **user, "PYTHONPATH": src})
+    got_blas, workers, cpus = json.loads(out.stdout)
+    assert got_blas == blas
+    assert workers == (cpus if pooled else 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("solve", [model.solve_sectors, model.sector_energies])
+def test_sector_batch_errors_reach_the_caller(monkeypatch, solve, workers):
+    # the second batch of four is the first whose entries overflow; no
+    # thread that builds an overflowing batch raises a numpy warning
+    monkeypatch.setattr(model, "SECTOR_BATCH", 4)
+    monkeypatch.setattr(model, "SECTOR_WORKERS", workers)
+    points = [RabiParams.equal_frequency(0.5, g, g)
+              for g in np.linspace(0.0, 1e308, 20)]
+    assert np.all(np.isfinite(model.sector_hamiltonian(points[:4], 30, 1)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(numerics.InvalidMatrix, match="non-finite"):
+            solve(points, 30, 1)
+    assert caught == []
 
 
 @pytest.mark.parametrize("kappa", [1, -1])
