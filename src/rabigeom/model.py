@@ -20,7 +20,6 @@ Delta = omega1 - omega_c throughout.  Qubit basis states |1> (upper) and |0>
 import functools
 import math
 import os
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -545,10 +544,6 @@ def sector_number_operator(params: RabiParams, M: int) -> np.ndarray:
 # Parity sectors in plain Fock
 # ---------------------------------------------------------------------------
 
-# an overflowing parameter leaves non-finite entries, which numerics rejects
-# (InvalidMatrix) when the matrix is solved; errstate is per thread, so it is
-# set here, in whichever thread builds the matrices
-@np.errstate(over="ignore", invalid="ignore")
 def sector_hamiltonian(params_list: Sequence[RabiParams], M: int,
                        kappa: int) -> np.ndarray:
     """Beyond-RWA Hamiltonians of the parity-kappa sector in plain Fock.
@@ -571,17 +566,21 @@ def sector_hamiltonian(params_list: Sequence[RabiParams], M: int,
         for key in ("omega1", "omega2", "g1", "g2", "omega_c"))
     ns = np.arange(mp1)
     pair = (-1) ** ns == kappa   # the levels that hold |11> and |00>
-    qubit = np.where(pair, 0.5 * (w1 + w2), 0.0)
     S = np.zeros((len(params_list), 2 * mp1, 2 * mp1))
     i = np.arange(2 * mp1)
-    S[:, i, i] = np.concatenate([ns * wc + qubit, ns * wc - qubit], axis=1)
     t = np.flatnonzero(~pair)
-    S[:, t, mp1 + t] = S[:, mp1 + t, t] = 0.5 * (w1 - w2)
     # level n and n + 1: a holds |11>, |00> and b holds T, S
     a = np.where(pair[:-1], ns[:-1], ns[1:])
     b = np.where(pair[:-1], ns[1:], ns[:-1])
     root = np.sqrt(ns[1:] / 2.0)
-    plus, minus = (g1 + g2) * root, (g1 - g2) * root
+    # an overflowing parameter leaves non-finite entries, which numerics
+    # rejects (InvalidMatrix) when the matrix is solved; a fresh errstate per
+    # call, since sweep batches build their matrices on several threads
+    with np.errstate(over="ignore", invalid="ignore"):
+        qubit = np.where(pair, 0.5 * (w1 + w2), 0.0)
+        S[:, i, i] = np.concatenate([ns * wc + qubit, ns * wc - qubit], axis=1)
+        S[:, t, mp1 + t] = S[:, mp1 + t, t] = 0.5 * (w1 - w2)
+        plus, minus = (g1 + g2) * root, (g1 - g2) * root
     for row, col, hop in ((a, b, plus), (mp1 + a, b, plus),
                           (a, mp1 + b, -minus), (mp1 + a, mp1 + b, minus)):
         S[:, row, col] = S[:, col, row] = hop
@@ -594,19 +593,37 @@ def _level_tails(vectors: np.ndarray) -> np.ndarray:
     return vectors[..., mp1 - 1, :] ** 2 + vectors[..., -1, :] ** 2
 
 
+def _sector_workers(environ, blas: dict, cpus: int) -> int:
+    """Threads that solve a sweep's batches: ``cpus`` when every eigensolve
+    is known to run on one BLAS thread, otherwise 1, so that the batches do
+    not compete with BLAS's own threads.
+
+    Known means that BLAS_THREAD_VARS all read "1" (the package's default
+    unless numpy loaded first) and that numpy's BLAS reads them: OpenBLAS on
+    its own threads, or MKL.  An OpenMP OpenBLAS, Accelerate or BLIS takes
+    its thread count from elsewhere, so it keeps one worker.
+    """
+    name = (blas.get("name") or "").lower()
+    config = (blas.get("openblas configuration") or "").upper()
+    reads_vars = ("openblas" in name and "OPENMP" not in config) or "mkl" in name
+    one_thread = all(environ.get(var) == "1" for var in BLAS_THREAD_VARS)
+    return cpus if reads_vars and one_thread else 1
+
+
+#: threads that solve a sweep's batches (_sector_workers): the usable CPUs
+#: or 1, fixed as rabigeom loads, since BLAS reads its variables only then
+SECTOR_WORKERS = _sector_workers(
+    os.environ, np.show_config(mode="dicts")["Build Dependencies"]["blas"],
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1)
+
 #: sweep points diagonalized together by solve_sectors and sector_energies;
 #: with SECTOR_WORKERS batches in flight, it sets how many eigenvector sets
-#: are alive at once
-SECTOR_BATCH = 4
-
-#: threads that solve a sweep's batches: the usable CPUs when every
-#: eigensolve runs on one BLAS thread, that is when BLAS_THREAD_VARS read "1"
-#: as rabigeom loads (the package's default unless numpy loaded first),
-#: otherwise 1, so that the batches do not compete with BLAS's own threads
-SECTOR_WORKERS = 1
-if all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS):
-    SECTOR_WORKERS = (len(os.sched_getaffinity(0))
-                      if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+#: are alive at once.  One worker takes 16: fewer, larger eigh calls are
+#: faster there (scan-anticrossing ran 11 % slower at 4).  A pool takes 4,
+#: which keeps the points of its batches in flight few, and its peak memory
+#: below that of one worker
+SECTOR_BATCH = 16 if SECTOR_WORKERS == 1 else 4
 
 
 @dataclass(frozen=True)
@@ -678,43 +695,22 @@ def _map_batches(solve, params_list: Sequence[RabiParams], M: int,
     """``solve(batch, M, kappa)`` of every SECTOR_BATCH-point batch of
     ``params_list``, in batch order.
 
-    min(SECTOR_WORKERS, batches) threads, the calling thread among them,
-    take the batches in order, each the next one as soon as it is free, so
-    a single batch runs inline.  Every matrix is solved by the same call on
-    the same rows as in a serial loop, so the results do not depend on the
-    thread count.  A failing batch stops its thread; every earlier batch has
-    been taken by then and runs to its end, so the error of the first
-    failing batch is raised, as a serial loop would raise it.
+    The batches run on min(SECTOR_WORKERS, batches) threads, so a single
+    batch runs inline.  Every matrix is solved by the same call on the same
+    rows as in a serial loop, so the results do not depend on the thread
+    count.  The first failing batch's error is raised, and an error or an
+    interrupt in the caller cancels every batch not yet started.
     """
     batches = [params_list[start:start + SECTOR_BATCH]
                for start in range(0, len(params_list), SECTOR_BATCH)]
-    results = [None] * len(batches)
-    errors = {}
-    todo = iter(range(len(batches)))
-    lock = threading.Lock()
-
-    def run() -> None:
-        while True:
-            with lock:
-                i = next(todo, None)
-            if i is None:
-                return
-            try:
-                results[i] = solve(batches[i], M, kappa)
-            except Exception as exc:   # raised below, in the calling thread
-                errors[i] = exc
-                return
-
-    threads = [threading.Thread(target=run)
-               for _ in range(1, min(SECTOR_WORKERS, len(batches)))]
-    for thread in threads:
-        thread.start()
-    run()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
+    workers = min(SECTOR_WORKERS, len(batches))
+    if workers == 1:
+        return [solve(batch, M, kappa) for batch in batches]
+    # imported here: it loads logging, which a serial run never needs
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(solve, batches, [M] * len(batches),
+                             [kappa] * len(batches)))
 
 
 def _check_sector_points(params_list: Sequence[RabiParams], M: int) -> None:

@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-import threading
+import time
 import warnings
 
 import numpy as np
@@ -848,48 +848,25 @@ def test_sector_results_do_not_depend_on_the_batch_size(monkeypatch, kappa):
             assert np.array_equal(got, want)
 
 
-def test_sector_batches_are_each_solved_once_by_many_threads(monkeypatch):
-    # more threads than cores, switching every microsecond: a batch handed
-    # out twice would be counted twice, one never handed out leaves a hole
-    monkeypatch.setattr(model, "SECTOR_BATCH", 1)
-    monkeypatch.setattr(model, "SECTOR_WORKERS", 1)
-    want = model.sector_energies(_BATCH_MIXED, 20, 1)
-    calls = []
-
-    def counting(batch, M, kappa):
-        calls.append(batch)
-        return energies_batch(batch, M, kappa)
-    energies_batch = model._energies_batch
-    monkeypatch.setattr(model, "_energies_batch", counting)
-    monkeypatch.setattr(model, "SECTOR_WORKERS", 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            calls.clear()
-            got = model.sector_energies(_BATCH_MIXED, 20, 1)
-            assert len(calls) == len(_BATCH_MIXED)
-            assert all(np.array_equal(w, g) for w, g in zip(want, got))
-    finally:
-        sys.setswitchinterval(interval)
-
-
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_map_batches_raises_the_first_failing_batch(monkeypatch, workers):
+def test_a_failing_batch_cancels_the_batches_not_yet_started(monkeypatch,
+                                                             workers):
+    # an interrupt (a BaseException) in the first batch reaches the caller;
+    # the other threads finish the batch they hold and start no new one
     monkeypatch.setattr(model, "SECTOR_BATCH", 1)
     monkeypatch.setattr(model, "SECTOR_WORKERS", workers)
-    threads = set()
+    started = []
 
     def solve(batch, M, kappa):
-        threads.add(threading.current_thread())
-        if batch[0] in (3, 6, 9):
-            raise ValueError(batch[0])
+        started.append(batch[0])
+        if batch[0] == 0:
+            raise KeyboardInterrupt
+        time.sleep(0.05)
         return batch
-    with pytest.raises(ValueError) as info:
-        model._map_batches(solve, list(range(12)), 0, 1)
-    assert info.value.args == (3,)
-    # a failing batch stops its thread, so the last thread always takes some
-    assert len(threads) == workers
+    with pytest.raises(KeyboardInterrupt):
+        model._map_batches(solve, list(range(40)), 0, 1)
+    assert 0 in started
+    assert len(started) <= 2 * workers - 1
 
 
 @pytest.mark.parametrize("first, user, blas, pooled", [
@@ -909,7 +886,32 @@ def test_blas_defaults_decide_the_sector_workers(first, user, blas, pooled):
                          env={**env, **user, "PYTHONPATH": src})
     got_blas, workers, cpus = json.loads(out.stdout)
     assert got_blas == blas
-    assert workers == (cpus if pooled else 1)
+    build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    reads_vars = model._sector_workers(
+        dict.fromkeys(rabigeom.BLAS_THREAD_VARS, "1"), build, 2) == 2
+    assert workers == (cpus if pooled and reads_vars else 1)
+
+
+_SCIPY_OPENBLAS = {"name": "scipy-openblas", "openblas configuration":
+                   "OpenBLAS 0.3.31  USE64BITINT DYNAMIC_ARCH NO_AFFINITY"}
+
+
+@pytest.mark.parametrize("blas, pooled", [
+    (_SCIPY_OPENBLAS, True),
+    ({"name": "openblas", "openblas configuration": "unknown"}, True),
+    ({"name": "mkl-sdl"}, True),
+    ({"name": "openblas", "openblas configuration": "OpenBLAS USE_OPENMP"},
+     False),
+    ({"name": "accelerate"}, False),
+    ({"name": "blis"}, False),
+    ({}, False)])
+def test_sector_workers_need_a_blas_that_reads_the_variables(blas, pooled):
+    ones = dict.fromkeys(rabigeom.BLAS_THREAD_VARS, "1")
+    assert model._sector_workers(ones, blas, 3) == (3 if pooled else 1)
+    for var in rabigeom.BLAS_THREAD_VARS:
+        assert model._sector_workers({**ones, var: "2"}, blas, 3) == 1
+        assert model._sector_workers(
+            {k: v for k, v in ones.items() if k != var}, blas, 3) == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
