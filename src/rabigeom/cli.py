@@ -16,8 +16,9 @@ config key that the command does not read (see COMMAND_KEYS) is a
 configuration error, not ignored.
 
 Exit codes: 0 success, 2 configuration error (an --out path that cannot be
-written among them, parameters whose Hamiltonian entries overflow, and for
-scan-anticrossing a truncation whose displaced-Fock overlaps overflow), 3
+written among them, parameters whose Hamiltonian entries overflow, a
+truncation whose matrices do not fit in memory, and for scan-anticrossing a
+truncation whose displaced-Fock overlaps overflow), 3
 convergence-gate failure, or for scan-anticrossing vacuum weights short of 1
 at the truncation M, 4 a required rational period, non-degenerate doublet or
 anti-crossing does not exist.
@@ -63,6 +64,18 @@ COMMAND_KEYS = {
     "fig4": ("trunc_m", "omega1", "omega2", "delta"),
     "fig5": ("trunc_m",),
 }
+
+#: the flags that set the config key of their name to their value, with their
+#: add_argument options; build_parser adds the switches and --config
+VALUE_FLAGS = (
+    ("model", {"choices": ["jc", "two-qubit"]}),
+    *((key, {"type": float}) for key in PARAM_KEYS),
+    ("sweep", {"metavar": "VAR:START:STOP:POINTS"}),
+    ("trunc_m", {"type": int, "metavar": "N"}),
+    ("levels", {"type": int, "metavar": "N",
+                "help": "levels per sector / grid points / time steps"}),
+    ("out", {"metavar": "PATH"}),
+)
 
 #: values of the keys a command reads when they are unset
 DEFAULTS = {"model": "two-qubit", "mode": "both", "trunc_m": DEFAULT_M,
@@ -243,20 +256,17 @@ def load_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-    for key in ("model", "omega1", "omega2", "g1", "g2", "delta",
-                "trunc_m", "out", "levels"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if getattr(args, "sweep", None) is not None:
-        cfg["sweep"] = _parse_sweep(args.sweep)
-    elif cfg.get("sweep") is not None:
+    for key, _ in VALUE_FLAGS:
+        value = getattr(args, key)
+        if value is not None:
+            cfg[key] = value
+    if cfg.get("sweep") is not None:
         cfg["sweep"] = _parse_sweep(cfg["sweep"])
-    if getattr(args, "rwa", False):
+    if args.rwa:
         cfg["mode"] = "rwa"
-    if getattr(args, "full", False):
+    if args.full:
         cfg["mode"] = "full" if cfg.get("mode") != "rwa" else "both"
-    if getattr(args, "drop_singlets", False):
+    if args.drop_singlets:
         cfg["drop_singlets"] = True
     keys = COMMAND_KEYS[args.command]
     unread = sorted(set(cfg) - set(keys) - {"out"})
@@ -714,32 +724,20 @@ def _gate_exit(meta: dict) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="rabigeom",
+        prog="rabigeom", usage="%(prog)s COMMAND [flags]",
         description="Spectra, Berry curvatures and vacuum-induced geometric "
                     "phases of the one- and two-qubit Rabi models")
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = ["spectrum", "berry", "curvature-field", "noneigen", "evolve",
-                "scan-anticrossing"] + sorted(PRESETS)
-    for name in commands:
-        p = sub.add_parser(name)
-        p.add_argument("--model", choices=["jc", "two-qubit"])
-        p.add_argument("--rwa", action="store_true",
-                       help="restrict to RWA results")
-        p.add_argument("--full", action="store_true",
-                       help="restrict to beyond-RWA results")
-        p.add_argument("--omega1", type=float)
-        p.add_argument("--omega2", type=float)
-        p.add_argument("--g1", type=float)
-        p.add_argument("--g2", type=float)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--sweep", metavar="VAR:START:STOP:POINTS")
-        p.add_argument("--trunc-m", dest="trunc_m", type=int)
-        p.add_argument("--levels", type=int,
-                       help="levels per sector / grid points / time steps")
-        p.add_argument("--out")
-        p.add_argument("--config")
-        p.add_argument("--drop-singlets", dest="drop_singlets",
-                       action="store_true")
+    parser.add_argument("command", choices=COMMAND_KEYS, metavar="COMMAND",
+                        help="one of " + ", ".join(COMMAND_KEYS))
+    for key, options in VALUE_FLAGS:
+        parser.add_argument("--" + key.replace("_", "-"), **options)
+    parser.add_argument("--rwa", action="store_true",
+                        help="restrict to RWA results")
+    parser.add_argument("--full", action="store_true",
+                        help="restrict to beyond-RWA results")
+    parser.add_argument("--drop-singlets", action="store_true")
+    parser.add_argument("--config", metavar="PATH",
+                        help="JSON config file; flags override its values")
     return parser
 
 
@@ -757,8 +755,8 @@ def main(argv=None) -> int:
         if not cfg.get("out"):
             raise ConfigError("--out PATH is required")
         return DISPATCH[args.command](cfg)
-    except (ConfigError, model.NotEqualFrequency,
-            model.OverlapOverflow) as exc:
+    except (ConfigError, model.NotEqualFrequency, model.OverlapOverflow,
+            MemoryError) as exc:   # numpy names the allocation that failed
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (numerics.InvalidMatrix, OverflowError) as exc:

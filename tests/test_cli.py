@@ -258,6 +258,19 @@ def test_config_error_exit_code(tmp_path, capsys):
             assert run([*command, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
+    # a truncation whose sector matrices exceed any address space (a batch
+    # of 2(M + 1)-square matrices at M = 10^7 asks for petabytes), so it
+    # fails at allocation: a config error, no traceback and no CSV
+    huge = ["--trunc-m", "10000000"]
+    for command in (["spectrum", *huge, "--sweep", "g:0.1:0.2:2"],
+                    ["berry", *huge, "--sweep", "g:0.1:0.2:2"],
+                    ["noneigen", *huge, "--sweep", "g:0.1:0.2:2"],
+                    ["scan-anticrossing", *huge]):
+        out = tmp_path / "memory.csv"
+        assert run([*command, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+        assert not Path(f"{out}.meta.json").exists()
     # --rwa and --full choose results of spectrum, berry and noneigen only;
     # elsewhere they are rejected, not ignored
     capsys.readouterr()
@@ -625,6 +638,51 @@ def test_fig5_out_gives_four_datasets(tmp_path, out, stem):
     deltas = [json.loads(Path(f"{path}.meta.json").read_text())["config"][
         "delta"] for path in paths]
     assert deltas == [0.5, -0.5, 0.2, -0.2]
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert all(command in out for command in cli.COMMAND_KEYS)
+
+
+def test_every_command_has_one_handler():
+    assert set(cli.PRESETS) | set(cli.DISPATCH) == set(cli.COMMAND_KEYS)
+    assert not set(cli.PRESETS) & set(cli.DISPATCH)
+    assert set(PRESET_DEFAULT_OUT) == set(cli.PRESETS)
+
+
+#: the datasets each preset writes without --out, in the working directory
+PRESET_DEFAULT_OUT = {
+    "fig1": ["fig1_curvature_field.csv"],
+    "fig2": ["fig2_noneigen_rwa.csv"],
+    "fig3": ["fig3_spectrum.csv"],
+    "fig4": ["fig4_berry.csv"],
+    "fig5": [f"fig5_noneigen_{tag}.csv" for tag in ("p05", "m05", "p02",
+                                                     "m02")],
+}
+
+
+@pytest.mark.parametrize("preset", PRESET_DEFAULT_OUT)
+def test_preset_default_out(tmp_path, monkeypatch, preset):
+    monkeypatch.chdir(tmp_path)
+    # fig3-fig5 pass their convergence gates at M = 30
+    short = [] if preset in ("fig1", "fig2") else ["--trunc-m", "30"]
+    assert run([preset, *short]) == 0
+    names = PRESET_DEFAULT_OUT[preset]
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        names + [f"{name}.meta.json" for name in names])
+
+
+def test_flags_before_the_command(tmp_path):
+    args = ["--sweep", "g:0.01:0.3:4", "--trunc-m", "20"]
+    before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+    assert run(["--delta", "0.3", "berry", *args,
+                "--out", str(before)]) == 0
+    assert run(["berry", "--delta", "0.3", *args, "--out", str(after)]) == 0
+    assert before.read_bytes() == after.read_bytes()
 
 
 def test_byte_identical_reruns(tmp_path):
