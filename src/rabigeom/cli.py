@@ -10,6 +10,13 @@ sidecar's ``timings`` block (seconds per stage: ``sweep_s``, ``gate_s`` and
 varies from run to run, and its ``environment`` block from machine to
 machine; the rest of the sidecar is as reproducible as the CSV.
 
+The beyond-RWA sweeps of spectrum, berry and noneigen (and so fig3-fig5)
+read ``--trunc-m`` as their largest photon cutoff: each solves at the
+smallest rung of the ladder 20, 30, 40, ... (up to ``--trunc-m``) at which
+every written point's truncation bound, built from the states' residuals,
+is at most CERTIFY_TOL (_beyond_rwa), and records the climb in the
+sidecar's ``truncation`` block.  scan-anticrossing solves at ``--trunc-m``.
+
 ``--rwa`` and ``--full`` (or a config file's ``mode``: ``rwa``, ``full`` or
 ``both``) choose the results of spectrum, berry and noneigen.  A flag or
 config key that the command does not read (see COMMAND_KEYS) is a
@@ -43,6 +50,15 @@ DEFAULT_M = 50
 SWEEP_VARS = ("g", "g1", "g2", "delta", "omega1", "omega2")
 GATE_TOL = 1e-6
 
+#: the largest truncation bound with which a sweep point counts as solved to
+#: rounding, so that a cutoff whose every bound is at most this writes what
+#: any larger cutoff would, to about this size
+CERTIFY_TOL = 1e-13
+
+#: the cutoffs a beyond-RWA sweep may take start at LADDER_START and go up
+#: in steps of LADDER_STEP, to --trunc-m at most (_ladder)
+LADDER_START, LADDER_STEP = 20, 10
+
 #: the numeric model parameters, read by params_from_config with ``model``
 PARAM_KEYS = ("omega1", "omega2", "g1", "g2", "delta")
 
@@ -71,7 +87,11 @@ VALUE_FLAGS = (
     ("model", {"choices": ["jc", "two-qubit"]}),
     *((key, {"type": float}) for key in PARAM_KEYS),
     ("sweep", {"metavar": "VAR:START:STOP:POINTS"}),
-    ("trunc_m", {"type": int, "metavar": "N"}),
+    ("trunc_m", {"type": int, "metavar": "N",
+                 "help": "photon cutoff (default 50): the largest a "
+                         "beyond-RWA sweep may take, which solves at the "
+                         "first of 20, 30, 40, ... its residuals certify; "
+                         "scan-anticrossing solves at N"}),
     ("levels", {"type": int, "metavar": "N",
                 "help": "levels per sector / grid points / time steps"}),
     ("out", {"metavar": "PATH"}),
@@ -365,37 +385,119 @@ def _sweep_params(cfg: dict, var: str, values) -> list[RabiParams]:
 # Beyond-RWA sweeps and their convergence gate
 # ---------------------------------------------------------------------------
 
-def _beyond_rwa(params_list, M: int, kappas, columns, meta: dict
-                ) -> np.ndarray:
-    """Tabulate beyond-RWA results over a sweep and gate them on truncation.
+def _ladder(cap: int) -> list[int]:
+    """The cutoffs a sweep may take: LADDER_START, LADDER_START + LADDER_STEP,
+    ... below ``cap``, then ``cap`` itself."""
+    return [*range(LADDER_START, cap, LADDER_STEP), cap]
 
-    Solves the parity sectors ``kappas`` once at every point and returns
-    ``columns(sols)``, one row of numbers per point, where ``sols`` maps each
-    kappa to its SectorSolution.  The convergence gate then re-solves only
-    the probe points (first, middle, last, and the one with the largest
-    truncation tail) at M + 10 and compares their ``columns`` with the
-    sweep's own rows; it passes when no entry moves by 1e-6 or more.  The
-    gate, its time (``timings.gate_s``) and the per-point tail populations
-    (worst over ``kappas``) are written into ``meta``.
+
+def _beyond_rwa(params_list, cap: int, kappas, columns, bounds, meta: dict
+                ) -> np.ndarray:
+    """Tabulate beyond-RWA results over a sweep, at the smallest photon
+    cutoff their truncation bounds certify, and gate them on truncation.
+
+    ``columns(sols)`` gives one row of numbers per point and ``bounds(sols)``
+    the (P,) bound of the error of each point's row, where ``sols`` maps
+    each kappa of ``kappas`` to its SectorSolution.  The cutoff M comes from
+    _ladder(cap): the first, middle and last points climb it until every
+    bound is at most CERTIFY_TOL; the whole sweep is then solved at their
+    rung, and again a rung higher while some point's bound is larger.  The
+    cap is taken when no lower rung certifies.  M is chosen for the sweep,
+    not per point or batch, so the table depends on neither SECTOR_BATCH nor
+    SECTOR_WORKERS.
+
+    The convergence gate then re-solves only the probe points (first,
+    middle, last, and the one with the largest bound) at M + 10 and compares
+    their ``columns`` with the sweep's own rows; it passes when no entry
+    moves by GATE_TOL or more.  The ladder (``truncation``), the gate, its
+    time (``timings.gate_s``) and the per-point bounds are written into
+    ``meta``.
     """
-    sols = {kappa: model.solve_sectors(params_list, M, kappa)
-            for kappa in kappas}
-    table = np.asarray(columns(sols))
-    tails = np.max([sol.tail_population for sol in sols.values()], axis=0)
-    start = time.perf_counter()
+    def solve(points, M):
+        return {kappa: model.solve_sectors(points, M, kappa)
+                for kappa in kappas}
+
     n = len(params_list)
-    points = sorted({0, n // 2, n - 1, int(np.argmax(tails))})
-    probes = [params_list[i] for i in points]
-    check = np.asarray(columns({kappa: model.solve_sectors(probes, M + 10, kappa)
-                                for kappa in kappas}))
+    ladder = _ladder(cap)
+    ends = [params_list[i] for i in sorted({0, n // 2, n - 1})]
+    rung = 0
+    while rung < len(ladder) - 1 and \
+            np.max(bounds(solve(ends, ladder[rung]))) > CERTIFY_TOL:
+        rung += 1
+    while True:
+        M = ladder[rung]
+        sols = solve(params_list, M)
+        worst = bounds(sols)
+        if M == cap or np.max(worst) <= CERTIFY_TOL:
+            break
+        rung += 1
+    table = np.asarray(columns(sols))
+    start = time.perf_counter()
+    points = sorted({0, n // 2, n - 1, int(np.argmax(worst))})
+    check = np.asarray(columns(solve([params_list[i] for i in points],
+                                     M + 10)))
     meta["timings"]["gate_s"] = time.perf_counter() - start
     drift = float(np.max(np.abs(table[points] - check)))
     meta["convergence_gate"] = {"m": M, "m_check": M + 10, "max_drift": drift,
                                 "tolerance": GATE_TOL, "points": points,
                                 "passed": bool(drift < GATE_TOL)}
-    meta["diagnostics"] = {"max_tail_population": float(np.max(tails)),
-                           "tail_population": tails.tolist()}
+    max_bound = float(np.max(worst))
+    # every rung up to M was solved, at the probes or the whole sweep
+    meta["truncation"] = {"cap": cap, "rungs_tried": ladder[:rung + 1],
+                          "m": M, "tolerance": CERTIFY_TOL,
+                          "max_bound": max_bound,
+                          "certified": max_bound <= CERTIFY_TOL}
+    meta["diagnostics"] = {"max_residual_bound": max_bound,
+                           "residual_bound": worst.tolist()}
     return table
+
+
+def _energy_bounds(sol: model.SectorSolution, n_levels: int, drop: bool
+                   ) -> np.ndarray:
+    """Per point, the running maximum of the residuals up to the n_levels-th
+    kept state: it bounds the error of every kept energy written (inf where
+    fewer states are kept)."""
+    kept = ~sol.singlet if drop else np.ones(sol.singlet.shape, dtype=bool)
+    below = np.cumsum(kept, axis=1) - kept
+    bound = np.max(np.where(below < n_levels, sol.residuals, 0.0), axis=1)
+    return np.where(np.count_nonzero(kept, axis=1) >= n_levels, bound, np.inf)
+
+
+def _angle_bounds(sol: model.SectorSolution) -> np.ndarray:
+    """(P, 2(M+1)) residual over gap of every kept state, 0 for a singlet.
+
+    The gap is the distance to the nearest other kept level, and r/gap is
+    Davis and Kahan's bound on the angle between a state and its limit.
+    """
+    energies = np.where(sol.singlet, np.nan, sol.energies)
+    edge = np.full((len(energies), 1), np.inf)
+    # energies ascend, so a running max (min) skipping the singlets' nan is
+    # the nearest kept level below (above)
+    below = np.fmax.accumulate(np.hstack([-edge, energies[:, :-1]]), axis=1)
+    above = np.fmin.accumulate(np.hstack([energies[:, 1:], edge])[:, ::-1],
+                               axis=1)[:, ::-1]
+    gaps = np.minimum(energies - below, above - energies)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(sol.residuals > 0.0, sol.residuals / gaps, 0.0)
+
+
+def _eigenphase_bounds(sols) -> np.ndarray:
+    """Per point, the largest angle bound of the states _eigenphases
+    writes: the three lowest kept states of each sector."""
+    return np.max([np.max(np.where(
+        np.cumsum(~sol.singlet, axis=1) <= 3, _angle_bounds(sol), 0.0), axis=1)
+        for sol in sols.values()], axis=0)
+
+
+def _vacuum_phase_bounds(sols) -> np.ndarray:
+    """Per point, 2 pi sum_j w_j (angle bound of state j) over the kept odd
+    states, w_j being their |10,0> weights: the truncation bound of the
+    phase cmd_noneigen writes.  It is first order in the angles, so it
+    certifies a phase to rounding but may understate a larger error (by up
+    to 3.7x where it exceeded 1e-11 against 140-photon solves)."""
+    odd = sols[-1]
+    return 2.0 * math.pi * np.sum(odd.vacuum_weights * _angle_bounds(odd),
+                                  axis=1)
 
 
 def _new_meta(cfg: dict, command: str, **extra) -> dict:
@@ -436,7 +538,7 @@ def _eigenphases(sols) -> list[list[float]]:
 def cmd_spectrum(cfg: dict) -> int:
     start = time.perf_counter()
     var, values = sweep_values(cfg)
-    M = int(cfg["trunc_m"])
+    cap = int(cfg["trunc_m"])
     n_levels = _levels(cfg, 8, minimum=1)
     modes = {"rwa": ("rwa",), "full": ("full",), "both": ("rwa", "full")}[cfg["mode"]]
     drop = bool(cfg["drop_singlets"])
@@ -451,10 +553,15 @@ def cmd_spectrum(cfg: dict) -> int:
             fewest = min(len(e) for row in rows for e in row)
             if fewest < n_levels:
                 raise ConfigError(f"--levels {n_levels}: a parity sector "
-                                  f"keeps only {fewest} states at M = {M}")
+                                  f"keeps only {fewest} states at M = {cap}")
             return rows
 
-        full = _beyond_rwa(params_list, M, (1, -1), kept_energies, meta)
+        def energy_bounds(sols):
+            return np.max([_energy_bounds(sol, n_levels, drop)
+                           for sol in sols.values()], axis=0)
+
+        full = _beyond_rwa(params_list, cap, (1, -1), kept_energies,
+                           energy_bounds, meta)
     if "rwa" in modes:
         rwa = [model.rwa_parity_levels(params_list, parity, n_levels, drop)
                for parity in (1, -1)]
@@ -481,14 +588,15 @@ def _parity_name(parity: int) -> str:
 def cmd_berry(cfg: dict) -> int:
     start = time.perf_counter()
     var, values = sweep_values(cfg)
-    M = int(cfg["trunc_m"])
+    cap = int(cfg["trunc_m"])
     include_full = cfg["mode"] in ("full", "both")
     params_list = _sweep_params(cfg, var, values)
     header = ["sweep_value", "state", "gamma_rwa"]
     meta = _new_meta(cfg, "berry")
     if include_full:
         header.append("gamma_full")
-        gamma_full = _beyond_rwa(params_list, M, (1, -1), _eigenphases, meta)
+        gamma_full = _beyond_rwa(params_list, cap, (1, -1), _eigenphases,
+                                 _eigenphase_bounds, meta)
     rows = []
     for i, (value, pars) in enumerate(zip(values, params_list)):
         gamma_rwa = {
@@ -525,7 +633,7 @@ def cmd_curvature_field(cfg: dict) -> int:
 def cmd_noneigen(cfg: dict) -> int:
     start = time.perf_counter()
     var, values = sweep_values(cfg)
-    M = int(cfg["trunc_m"])
+    cap = int(cfg["trunc_m"])
     include_full = cfg["mode"] in ("full", "both")
     jump_threshold = 0.3
     params_list = _sweep_params(cfg, var, values)
@@ -545,7 +653,8 @@ def cmd_noneigen(cfg: dict) -> int:
             weight_totals.append(totals)
             return gammas[:, None]
 
-        table = _beyond_rwa(params_list, M, (-1,), vacuum_phases, meta)
+        table = _beyond_rwa(params_list, cap, (-1,), vacuum_phases,
+                            _vacuum_phase_bounds, meta)
         gammas = table[:, 0].tolist()
         meta["diagnostics"]["vacuum_weight_total"] = weight_totals[0].tolist()
         flags = _jump_flags(gammas, jump_threshold)

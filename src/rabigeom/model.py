@@ -587,12 +587,6 @@ def sector_hamiltonian(params_list: Sequence[RabiParams], M: int,
     return S
 
 
-def _level_tails(vectors: np.ndarray) -> np.ndarray:
-    """Photon-level-M population of every column state."""
-    mp1 = vectors.shape[-2] // 2
-    return vectors[..., mp1 - 1, :] ** 2 + vectors[..., -1, :] ** 2
-
-
 def _sector_workers(environ, blas: dict, cpus: int) -> int:
     """Threads that solve a sweep's batches: ``cpus`` when every eigensolve
     is known to run on one BLAS thread, otherwise 1, so that the batches do
@@ -641,7 +635,7 @@ class SectorSolution:
     photon_numbers: np.ndarray = field(repr=False)   # <a^dag a> per state
     singlet: np.ndarray = field(repr=False)          # see _sector_blocks
     vacuum_weights: np.ndarray = field(repr=False)   # |<state|10,0>|^2
-    tail_population: np.ndarray = field(repr=False)  # (P,), see solve_sectors
+    residuals: np.ndarray = field(repr=False)        # see solve_sectors
 
     def kept(self, point: int, drop_singlets: bool = True) -> np.ndarray:
         """State indices of one point, ascending in energy, singlets skipped."""
@@ -665,9 +659,15 @@ def solve_sectors(params_list: Sequence[RabiParams], M: int,
     identical qubits, the spin singlets S_n), so numerics.eigh solves only
     the other rows; points of a batch are grouped by that set of free
     states.  A point with no free state is solved whole, exactly as a
-    one-point call.  No truncation warning is raised: ``tail_population``
-    records the largest photon-level-M population of the lower half of each
-    sector's states.
+    one-point call.
+
+    No truncation warning is raised: ``residuals`` holds each state's
+    truncation residual r = ||H c - E c||, its truncated vector c taken into
+    the space of photons n <= M + 1.  All of H c - E c lies on level M + 1,
+    where it is sqrt(M + 1) (g1 sigma1^x + g2 sigma2^x) c(M), c(M) being the
+    qubit part of c on level M; a free row's r is 0.  E is a Rayleigh-Ritz
+    upper bound, and the running maximum of r over the states below bounds
+    the energy error.
     """
     _check_sector_points(params_list, M)
     parts = _map_batches(_solve_batch, params_list, M, kappa)
@@ -713,11 +713,25 @@ def _map_batches(solve, params_list: Sequence[RabiParams], M: int,
                              [kappa] * len(batches)))
 
 
+#: bytes of physical memory, or None where os.sysconf cannot tell
+PHYSICAL_MEMORY = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+                   if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", {})
+                   else None)
+
+
 def _check_sector_points(params_list: Sequence[RabiParams], M: int) -> None:
+    """ValueError for too short a truncation or no point, and MemoryError,
+    before any array is built, when one batch's sector stack is larger than
+    physical memory."""
     if M < 10:
         raise ValueError("basis truncation M must be at least 10")
     if not params_list:
         raise ValueError("need at least one parameter point")
+    stack = SECTOR_BATCH * (2 * (M + 1)) ** 2 * 8
+    if PHYSICAL_MEMORY is not None and stack > PHYSICAL_MEMORY:
+        raise MemoryError(f"a batch of {SECTOR_BATCH} sector matrices at "
+                          f"M = {M} takes {stack / 2**30:.3g} GiB, more than "
+                          f"the {PHYSICAL_MEMORY / 2**30:.3g} GiB of memory")
 
 
 def _sector_blocks(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
@@ -750,10 +764,25 @@ def _sector_blocks(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
 
 
 def _solve_batch(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
-    """solve_sectors' five arrays for one batch of points."""
+    """solve_sectors' five arrays for one batch of points.
+
+    A solved state's <a^dag a>, |10,0> weight and residual are read from its
+    solved rows alone; each free row is a state of its own, with its photon
+    level, the weight of its basis state and residual 0.
+    """
     diag, free, singlet, subs = _sector_blocks(batch, M, kappa)
     photons = np.tile(np.arange(M + 1), 2)
-    # energies, <a^dag a>, singlet, vacuum weight, last-level population
+    # level M couples to level M + 1 through (g1 +- g2) sqrt((M + 1)/2); an
+    # overflow here fails the eigensolve first (see sector_hamiltonian)
+    g1, g2 = (np.array([getattr(p, key) for p in batch])[:, None]
+              for key in ("g1", "g2"))
+    root = math.sqrt((M + 1) / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        up_plus, up_minus = (g1 + g2) * root, (g1 - g2) * root
+    # |10,0> = (T_0 + S_0)/sqrt(2) lies in the odd sector only
+    vacuum = (0, M + 1) if kappa == -1 else ()
+    half = (1.0 / math.sqrt(2.0)) ** 2   # the weight of a free vacuum row
+    # energies, <a^dag a>, singlet, vacuum weight, residual
     out = [np.empty(free.shape, dtype=bool if i == 2 else float)
            for i in range(5)]
     while subs:
@@ -764,25 +793,37 @@ def _solve_batch(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
         else:
             values, vectors = np.empty((g, 0)), np.empty((g, 0, 0))
         del sub
+        at = np.cumsum(keep) - 1   # the column of each solved row
+
+        def row(r: int) -> np.ndarray:
+            """Every solved state's coefficient on basis row r."""
+            return vectors[:, at[r]] if keep[r] else np.zeros((g, k))
+
+        hi, lo = row(M), row(2 * M + 1)
+        plus, minus = up_plus[members], up_minus[members]
+        if (-1) ** M == kappa:   # level M holds |11> and |00>
+            residuals = np.hypot(plus * (hi + lo), minus * (lo - hi))
+        else:                    # level M holds T and S
+            residuals = math.sqrt(2.0) * np.hypot(plus * hi, minus * lo)
+        weights = (((row(0) + row(M + 1)) / math.sqrt(2.0)) ** 2 if vacuum
+                   else np.zeros((g, k)))
+        loose = np.flatnonzero(~keep)
         # the solved states, then the free rows; only a free row is a singlet
-        values = np.concatenate([values, diag[members][:, ~keep]], axis=1)
-        flags = np.pad(singlet[members][:, ~keep], ((0, 0), (k, 0)))
-        if k < keep.size:
-            full = np.zeros((g, keep.size, keep.size))
-            full[:, keep, :k] = vectors
-            full[:, ~keep, np.arange(k, keep.size)] = 1.0
-            vectors = full
-        # |10,0> = (T_0 + S_0)/sqrt(2) lies in the odd sector only
-        weights = (((vectors[:, 0] + vectors[:, M + 1]) / math.sqrt(2.0)) ** 2
-                   if kappa == -1 else np.zeros(values.shape))
-        per_state = (values, photons @ vectors**2, flags, weights,
-                     _level_tails(vectors))
+        per_state = (
+            (values, diag[members][:, loose]),
+            (photons[keep] @ vectors**2, photons[loose]),
+            (np.zeros((g, k), dtype=bool), singlet[members][:, loose]),
+            (weights, np.isin(loose, vacuum) * half),
+            (residuals, np.zeros(loose.size)))
         del vectors
+        values = np.concatenate(per_state[0], axis=1)
         # stable, so the ascending eigh output of a whole solve keeps its order
         order = np.argsort(values, axis=1, kind="stable")
-        for dest, per in zip(out, per_state):
+        for dest, (solved, rows) in zip(out, per_state):
+            per = np.concatenate(
+                [solved, np.broadcast_to(rows, (g, rows.shape[-1]))], axis=1)
             dest[members] = np.take_along_axis(per, order, axis=1)
-    return (*out[:4], np.max(out[4][:, :M + 1], axis=1))
+    return tuple(out)
 
 
 def _energies_batch(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:

@@ -147,27 +147,29 @@ BENCH_DATASETS = {"fig5": ["fig5_p05", "fig5_m05", "fig5_p02", "fig5_m02"]}
 
 #: datasets that moved by rounding after the references were generated,
 #: since the sector kernel solves the plain-Fock parity sector (the
-#: references were written in the displaced-Fock basis).  Their present
+#: references were written in the displaced-Fock basis) and since each
+#: beyond-RWA sweep solves at the cutoff its truncation bounds certify (fig3
+#: at M = 40, fig4 and fig5 at M = 30, all capped at 50).  Their present
 #: bytes are pinned here, and the reference is still matched cell by cell to
 #: 1e-12.  Each comment gives the max |diff| from the reference and the
 #: cells that differ.
 MOVED_SHA256 = {
-    # 1.5e-14, 1468 energy cells
-    "fig3": "0a5e9ce424bf53c22738d375b0b1f6cd5c3021362577d13d9f6945b5a7a81f9a",
-    # 2.4e-14, 199 cells
-    "fig4": "e966ea24459230f66c30dae2838e60478bb8d325d6a42c4c00d20424b77b38b4",
-    # 1.4e-14, 66 cells
+    # 2.0e-14, 1470 energy cells
+    "fig3": "c98cb74f85889296f36c79cdfd170a6ddad7caea0d0a43b06b90be54459b6d37",
+    # 2.1e-14, 204 cells
+    "fig4": "fcc5cf76164e91f8267f0f9856e29f67c1c00e58f6b6aa7da735299985775877",
+    # 1.5e-14, 69 cells
     "fig5_p05":
-        "360b4e28caff7ccbdde680f0e032f1c492dfff0f0da721c87be8c78851c2d70d",
+        "49f877104ffdb97aebda7a47c723592ed419b6c2650332c43d2e2a0a53ad30dd",
     # 1.1e-14, 66 cells
     "fig5_m05":
-        "c4641afc4fbe50bfd43989ec897d67afb4086a7bb25ffb89691c67da3a0d17dd",
-    # 7.5e-15, 69 cells
+        "3055f18c265c2a42d1e8affb1859043503aa05b9fb29a7b31988d1ff213fed4b",
+    # 1.2e-14, 69 cells
     "fig5_p02":
-        "b7578bf22b35cfb7838e2049865f5f3eeb708bf86d5091182af83992dd2534a4",
-    # 8.4e-15, 67 cells
+        "f68c4295c6cafbf99bd9d8480483276ae3e1be684d6d17eac9d1f7be67d1bb85",
+    # 7.1e-15, 67 cells
     "fig5_m02":
-        "e8b3daeb5cce6594c47e09a8353899767a0afaf4cb3dc4c8e502357035b9328a",
+        "f741b6d76cf5a3e27867d9f0bd66bc987bbe58541ccadbf93812bf2aa5eccedd",
     # 1.8e-15 in min_gap (golden section on eigvalsh energies), 1 cell;
     # g_star, jump_g and jump_size unchanged
     "scan_anticrossing":
@@ -258,19 +260,24 @@ def test_config_error_exit_code(tmp_path, capsys):
             assert run([*command, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
-    # a truncation whose sector matrices exceed any address space (a batch
-    # of 2(M + 1)-square matrices at M = 10^7 asks for petabytes), so it
-    # fails at allocation: a config error, no traceback and no CSV
+    # a truncation whose sector matrices exceed physical memory (a batch of
+    # 2(M + 1)-square matrices at M = 10^7 asks for petabytes) fails before
+    # any is built: a config error, no traceback and no CSV
     huge = ["--trunc-m", "10000000"]
+    out = tmp_path / "memory.csv"
+    assert run(["scan-anticrossing", *huge, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+    assert not Path(f"{out}.meta.json").exists()
+    # a sweep reads --trunc-m as its largest cutoff, and these sweeps are
+    # certified at the ladder's first rungs
     for command in (["spectrum", *huge, "--sweep", "g:0.1:0.2:2"],
                     ["berry", *huge, "--sweep", "g:0.1:0.2:2"],
-                    ["noneigen", *huge, "--sweep", "g:0.1:0.2:2"],
-                    ["scan-anticrossing", *huge]):
-        out = tmp_path / "memory.csv"
-        assert run([*command, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("config error: ")
-        assert not out.exists()
-        assert not Path(f"{out}.meta.json").exists()
+                    ["noneigen", *huge, "--sweep", "g:0.1:0.2:2"]):
+        assert run([*command, "--out", str(out)]) == 0
+        truncation = json.loads(Path(f"{out}.meta.json").read_text())[
+            "truncation"]
+        assert truncation["certified"] and truncation["m"] <= 30
     # --rwa and --full choose results of spectrum, berry and noneigen only;
     # elsewhere they are rejected, not ignored
     capsys.readouterr()
@@ -694,34 +701,49 @@ def test_byte_identical_reruns(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def _tail(params, M, kappa):
-    _, vecs = numerics.eigh(model.sector_hamiltonian([params], M, kappa))
-    # photon level M (rows M and 2M + 1), lower half of the sector's states
-    return max(vecs[0, M, j] ** 2 + vecs[0, -1, j] ** 2 for j in range(M + 1))
+#: the CSV column a beyond-RWA command writes its results in
+_RESULT_COLUMN = {"spectrum": "energy", "berry": "gamma_full",
+                  "noneigen": "gamma_full"}
 
 
 @pytest.mark.parametrize("command,kappas", [("spectrum", (1, -1)),
                                             ("berry", (1, -1)),
                                             ("noneigen", (-1,))])
-def test_meta_records_worst_tail_population(tmp_path, command, kappas):
+def test_meta_records_worst_residual_bound(tmp_path, command, kappas):
+    sweep = [command, "--delta", "0.5", "--sweep", "g:0.1:0.8:3", "--full"]
     out = tmp_path / "d.csv"
     # M = 20 is short at g = 0.8, so the gate fails (exit 3; drift 1.4e-4,
     # 8.8e-6 and 5.2e-2 for spectrum, berry and noneigen); the sidecar is
-    # written either way
-    assert run([command, "--delta", "0.5", "--sweep", "g:0.1:0.8:3",
-                "--trunc-m", "20", "--out", str(out)]) == 3
+    # written either way.  A cap of 20 is the ladder's only rung
+    assert run([*sweep, "--trunc-m", "20", "--out", str(out)]) == 3
     meta = json.loads((tmp_path / "d.csv.meta.json").read_text())
     assert meta["convergence_gate"]["passed"] is False
-    want = max(_tail(RabiParams.equal_frequency(0.5, g, g), 20, kappa)
-               for g in (0.1, 0.45, 0.8) for kappa in kappas)
-    assert want > 1e-8
-    assert meta["diagnostics"]["max_tail_population"] == \
-        pytest.approx(want, rel=1e-10)
+    bounds = meta["diagnostics"]["residual_bound"]
+    worst = max(bounds)
+    assert worst == meta["diagnostics"]["max_residual_bound"]
+    assert meta["truncation"] == {"cap": 20, "rungs_tried": [20], "m": 20,
+                                  "tolerance": cli.CERTIFY_TOL,
+                                  "max_bound": worst, "certified": False}
+    assert bounds[0] < bounds[1] < bounds[2] and bounds[2] > 1e-4
+    # each point's bound covers what its rows moved by against the cutoff
+    # the ladder picks under a cap of 100 (measured: at most 0.34 of it)
+    again = tmp_path / "again.csv"
+    assert run([*sweep, "--trunc-m", "100", "--out", str(again)]) == 0
+    assert json.loads((tmp_path / "again.csv.meta.json").read_text())[
+        "truncation"]["m"] > 40
+    (header, rows), (_, converged) = read_csv(out), read_csv(again)
+    column = header.index(_RESULT_COLUMN[command])
+    per_point = len(rows) // 3
+    for i, bound in enumerate(bounds):
+        for row, want in zip(rows[i * per_point:(i + 1) * per_point],
+                             converged[i * per_point:(i + 1) * per_point]):
+            assert abs(float(row[column]) - float(want[column])) <= \
+                bound + 1e-13
     rwa_out = tmp_path / "r.csv"
     assert run([command, "--delta", "0.5", "--sweep", "g:0.1:0.8:3", "--rwa",
                 "--out", str(rwa_out)]) == 0
-    assert "diagnostics" not in json.loads(
-        (tmp_path / "r.csv.meta.json").read_text())
+    rwa_meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
+    assert "diagnostics" not in rwa_meta and "truncation" not in rwa_meta
 
 
 def test_meta_records_per_point_diagnostics(tmp_path):
@@ -731,28 +753,38 @@ def test_meta_records_per_point_diagnostics(tmp_path):
                 "--trunc-m", "30", "--out", str(out)]) == 0
     meta = json.loads((tmp_path / "n.csv.meta.json").read_text())
     diag = meta["diagnostics"]
-    tails, totals = diag["tail_population"], diag["vacuum_weight_total"]
-    assert len(tails) == len(totals) == len(gs)
-    assert max(tails) == diag["max_tail_population"]
-    for g, tail, total in zip(gs, tails, totals):
+    bounds, totals = diag["residual_bound"], diag["vacuum_weight_total"]
+    assert len(bounds) == len(totals) == len(gs)
+    assert max(bounds) == diag["max_residual_bound"] <= cli.CERTIFY_TOL
+    M = meta["truncation"]["m"]
+    assert M == meta["convergence_gate"]["m"] == 30
+    for g, bound, total in zip(gs, bounds, totals):
         params = RabiParams.equal_frequency(0.5, float(g), float(g))
-        assert tail == pytest.approx(_tail(params, 30, -1), rel=1e-6,
-                                     abs=1e-20)
+        # 2 pi sum_j w_j r_j / gap_j over the kept odd states
+        odd = model.solve_sectors([params], M, -1)
+        kept = odd.kept(0)
+        energies = odd.energies[0, kept]
+        gaps = np.minimum(np.diff(energies, prepend=-np.inf),
+                          np.diff(energies, append=np.inf))
+        want = 2.0 * math.pi * np.sum(odd.vacuum_weights[0, kept]
+                                      * odd.residuals[0, kept] / gaps)
+        assert bound == pytest.approx(want, rel=1e-12, abs=1e-30)
         assert abs(total - 1.0) <= 1e-8
         assert total == pytest.approx(
-            geometry.noneigen_phase_beyond_rwa(params, 30)[1], abs=1e-12)
+            geometry.noneigen_phase_beyond_rwa(params, M)[1], abs=1e-12)
 
 
 def test_gate_probes_worst_tail_point(tmp_path):
     out = tmp_path / "s.csv"
-    # the truncation tail peaks at omega2 = 2.25, index 3 of 5, not an end
-    # point; M = 20 is short there, so the gate fails
+    # the residual bound, read off the truncation's last photon level, peaks
+    # at omega2 = 3, index 3 of 5, not an end point; M = 20 is short there,
+    # so the gate fails
     assert run(["spectrum", "--omega1", "1.5", "--g1", "0.8", "--g2", "0.8",
-                "--sweep", "omega2:0:3:5", "--trunc-m", "20",
+                "--sweep", "omega2:0:4:5", "--trunc-m", "20",
                 "--out", str(out)]) == 3
     meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
-    tails = meta["diagnostics"]["tail_population"]
-    assert int(np.argmax(tails)) == 3
+    bounds = meta["diagnostics"]["residual_bound"]
+    assert int(np.argmax(bounds)) == 3
     assert meta["convergence_gate"]["points"] == [0, 2, 3, 4]
 
 
@@ -961,3 +993,198 @@ def test_scan_anticrossing(tmp_path):
     assert meta["diagnostics"]["pair_curvature"] == [list(ac.curvature)]
     lower, upper = ac.curvature
     assert lower < -100.0 and upper > 100.0
+
+
+# ---------------------------------------------------------------------------
+# The cutoff ladder of beyond-RWA sweeps
+# ---------------------------------------------------------------------------
+
+def test_ladder_rungs():
+    assert cli._ladder(50) == [20, 30, 40, 50]
+    assert cli._ladder(45) == [20, 30, 40, 45]
+    assert cli._ladder(25) == [20, 25]
+    assert cli._ladder(20) == [20]
+    assert cli._ladder(10) == [10]
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+def test_angle_bounds_match_a_per_point_loop(kappa):
+    # identical qubits (singlets) beside unequal ones, and g = 0, where
+    # kept levels tie and every residual is 0
+    params_list = [RabiParams(omega1=1.5, omega2=w2, g1=g, g2=g)
+                   for w2 in (0.5, 1.5, 2.5) for g in (0.0, 0.3)]
+    sol = model.solve_sectors(params_list, 20, kappa)
+    got = cli._angle_bounds(sol)
+    assert np.any(sol.singlet) and not np.any(got[sol.singlet])
+    for i in range(len(params_list)):
+        kept = sol.kept(i)
+        energies = sol.energies[i, kept]
+        gaps = np.minimum(np.diff(energies, prepend=-np.inf),
+                          np.diff(energies, append=np.inf))
+        for j, gap in zip(kept, gaps):
+            r = sol.residuals[i, j]
+            assert got[i, j] == (r / gap if r > 0.0 else 0.0)
+
+
+def _ladder_run(monkeypatch, fails_below):
+    """cli._beyond_rwa over five points whose second point, which no probe
+    covers, carries bound 1 below the cutoff ``fails_below`` and every other
+    bound 0, under a cap of 50; returns the (points, M) of every
+    solve_sectors call and the sidecar's truncation block."""
+    calls = []
+    solve = model.solve_sectors
+
+    def counting(params_list, M, kappa):
+        calls.append((len(params_list), M))
+        return solve(params_list, M, kappa)
+
+    def bounds(sols):
+        M = sols[1].energies.shape[1] // 2 - 1
+        worst = np.zeros(len(sols[1].energies))
+        if len(worst) == 5 and M < fails_below:
+            worst[1] = 1.0
+        return worst
+
+    monkeypatch.setattr(model, "solve_sectors", counting)
+    params_list = [RabiParams.equal_frequency(0.5, g, g)
+                   for g in (0.1, 0.2, 0.3, 0.4, 0.5)]
+    meta = {"timings": {}}
+    cli._beyond_rwa(params_list, 50, (1,),
+                    lambda sols: sols[1].energies[:, :1], bounds, meta)
+    return calls, meta["truncation"]
+
+
+def test_ladder_moves_the_whole_sweep_up_while_a_point_fails(monkeypatch):
+    # the probes (points 0, 2 and 4) pass at 20; the sweep is solved at 20,
+    # 30 and 40, where point 1 passes too, and gated at 50 on the probes
+    # and the worst point
+    calls, truncation = _ladder_run(monkeypatch, fails_below=40)
+    assert calls == [(3, 20), (5, 20), (5, 30), (5, 40), (3, 50)]
+    assert truncation["m"] == 40 and truncation["certified"]
+    assert truncation["rungs_tried"] == [20, 30, 40]
+
+
+def test_ladder_solves_at_the_cap_when_nothing_certifies(monkeypatch):
+    calls, truncation = _ladder_run(monkeypatch, fails_below=math.inf)
+    assert calls == [(3, 20), (5, 20), (5, 30), (5, 40), (5, 50), (4, 60)]
+    assert truncation == {"cap": 50, "rungs_tried": [20, 30, 40, 50],
+                          "m": 50, "tolerance": cli.CERTIFY_TOL,
+                          "max_bound": 1.0, "certified": False}
+
+
+def _preset_rows(tmp_path, preset):
+    """Run ``preset`` at its default cap; per dataset, its CSV rows and
+    sidecar."""
+    assert run([preset, "--out", str(tmp_path / f"{preset}.csv")]) == 0
+    out = {}
+    for name in BENCH_DATASETS.get(preset, [preset]):
+        out[name] = (read_csv(tmp_path / f"{name}.csv")[1], json.loads(
+            (tmp_path / f"{name}.csv.meta.json").read_text()))
+    return out
+
+
+def _fixed_m_columns(preset, params_list, M):
+    """The beyond-RWA numbers ``preset`` writes at params_list, per point,
+    from solve_sectors at the fixed truncation M."""
+    sols = {kappa: model.solve_sectors(params_list, M, kappa)
+            for kappa in ((-1,) if preset == "fig5" else (1, -1))}
+    if preset == "fig3":
+        return [[float(e) for sol in sols.values()
+                 for e in sol.energies[i, sol.kept(i)[:8]]]
+                for i in range(len(params_list))]
+    if preset == "fig4":
+        return [[row[j] for j in cli._COUNTERPARTS.values()]
+                for row in cli._eigenphases(sols)]
+    return [[float(gamma)] for gamma in
+            geometry.noneigen_phases_beyond_rwa(sols[-1])[0]]
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig4", "fig5"])
+def test_preset_cutoff_matches_a_fixed_truncation(tmp_path, preset):
+    """Every preset sweep takes a cutoff below its cap of 50, and its probe
+    points match fixed-M = 60 solves within 1e-13."""
+    for name, (rows, meta) in _preset_rows(tmp_path, preset).items():
+        truncation = meta["truncation"]
+        assert truncation["cap"] == 50 and truncation["certified"]
+        assert truncation["m"] < 50
+        assert meta["convergence_gate"]["m"] == truncation["m"]
+        sweep = meta["config"]["sweep"]
+        gs = np.linspace(sweep["start"], sweep["stop"], sweep["points"])
+        delta = meta["config"]["delta"]
+        probes = sorted({0, len(gs) // 2, len(gs) - 1})
+        want = _fixed_m_columns(
+            preset, [RabiParams.equal_frequency(delta, gs[i], gs[i])
+                     for i in probes], 60)
+        by_point = {}
+        for row in rows:
+            if preset != "fig3" or row[1] == "full":
+                by_point.setdefault(float(row[0]), []).append(
+                    float(row[{"fig3": 4, "fig4": 3, "fig5": 6}[preset]]))
+        for i, columns in zip(probes, want):
+            got = by_point[float(gs[i])]
+            assert len(got) == len(columns)
+            assert np.max(np.abs(np.subtract(got, columns))) <= 1e-13
+
+
+def test_strong_coupling_sweep_climbs_above_40(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run(["spectrum", "--delta", "0.5", "--sweep", "g:0.1:1.5:3",
+                "--full", "--trunc-m", "200", "--out", str(out)]) == 0
+    truncation = json.loads((tmp_path / "s.csv.meta.json").read_text())[
+        "truncation"]
+    assert truncation["certified"] and truncation["m"] > 40
+    assert truncation["rungs_tried"] == list(range(20, truncation["m"] + 1,
+                                                   10))
+
+
+def test_levels_beyond_a_low_rung_climb_the_ladder(tmp_path, capsys):
+    # with the singlets dropped, a sector keeps 31 states at M = 20 and 46
+    # at M = 30: 40 levels climb past 20, and only a cap of 20 is an error
+    args = ["spectrum", "--delta", "0.5", "--sweep", "g:0.01:0.1:3", "--full",
+            "--drop-singlets", "--levels", "40"]
+    out = tmp_path / "s.csv"
+    assert run([*args, "--trunc-m", "60", "--out", str(out)]) == 0
+    truncation = json.loads((tmp_path / "s.csv.meta.json").read_text())[
+        "truncation"]
+    assert truncation["rungs_tried"][0] == 20 and truncation["m"] >= 30
+    capsys.readouterr()
+    assert run([*args, "--trunc-m", "20", "--out", str(out)]) == 2
+    assert "keeps only 31 states at M = 20" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_preset_bytes_do_not_depend_on_the_sector_batch(tmp_path,
+                                                        monkeypatch, workers):
+    monkeypatch.setattr(model, "SECTOR_WORKERS", workers)
+    digests = []
+    for batch in (4, 16):
+        monkeypatch.setattr(model, "SECTOR_BATCH", batch)
+        out = tmp_path / f"fig4_{batch}.csv"
+        assert run(["fig4", "--out", str(out)]) == 0
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == [MOVED_SHA256["fig4"]] * 2
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak resident size from /proc")
+def test_impossible_truncation_fails_before_allocating(tmp_path):
+    # the batch stack at M = 10^7 is checked against physical memory before
+    # any array is built: exit 2, and the process stays near its import
+    # size.  The child reports its own peak (VmHWM): Linux carries the
+    # forking process's peak over exec into ru_maxrss
+    code = ("import sys\n"
+            "from rabigeom import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(line.split()[1] for line in fh\n"
+            "               if line.startswith('VmHWM:')))\n"
+            "sys.exit(code)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code, "scan-anticrossing",
+                          "--trunc-m", "10000000",
+                          "--out", str(tmp_path / "scan.csv")],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 2
+    assert out.stderr.startswith("config error: ")
+    assert int(out.stdout) < 100 * 1024   # kB

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.linalg import expm
@@ -560,9 +560,56 @@ def test_plain_and_displaced_sectors_agree_over_the_domain(omega1, omega2,
         assert np.all((error * np.minimum(gap, 1.0))[isolated] <= 5e-14)
 
 
-def test_solve_sectors_tail_population_flags_short_truncation():
+def test_solve_sectors_residual_flags_short_truncation():
+    # the ground state's residual falls with M; at M = 10 it is far from
+    # rounding at g = 1.4
     params = RabiParams(omega1=1.0, omega2=1.0, g1=1.4, g2=1.4)
-    assert model.solve_sectors([params], 10, 1).tail_population[0] > 1e-8
+    ground = [model.solve_sectors([params], M, 1).residuals[0, 0]
+              for M in (10, 40, 80)]
+    assert ground[0] > 1e-2 and ground[0] > ground[1] > ground[2]
+    assert ground[2] < 1e-13
+
+
+def _sector_in_whole_space(M, kappa, n_photons):
+    """(whole-space dimension, 2(M+1)) matrix whose columns are the sector
+    basis states of sector_hamiltonian in the oracle's whole space:
+    |11,n>, |00,n> where (-1)^n = kappa, else T_n, S_n = (|10,n> +-
+    |01,n>)/sqrt(2), with level n in columns n and M + 1 + n."""
+    embed = np.zeros((4 * n_photons, 2 * (M + 1)))
+    half = 1.0 / math.sqrt(2.0)
+    for n in range(M + 1):
+        first, second = n, M + 1 + n
+        if (-1) ** n == kappa:
+            embed[oracle.index("11", n, n_photons), first] = 1.0
+            embed[oracle.index("00", n, n_photons), second] = 1.0
+        else:
+            for qubits, sign in (("10", 1.0), ("01", -1.0)):
+                embed[oracle.index(qubits, n, n_photons), first] = half
+                embed[oracle.index(qubits, n, n_photons), second] = \
+                    sign * half
+    return embed
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.3, 1.7), st.floats(0.3, 1.7), st.floats(0.05, 0.9),
+       st.floats(0.05, 0.9), st.sampled_from([10, 13, 16]),
+       st.sampled_from([1, -1]))
+def test_solve_sectors_residual_is_the_ritz_residual(w1, w2, g1, g2, M,
+                                                     kappa):
+    """Each state's residual is ||H c - E c|| with its Ritz vector c, the
+    eigenvector of the sector truncated at level M, taken into the whole
+    space of photons n <= M + 1, where the oracle builds H with np.kron."""
+    params = RabiParams(omega1=w1, omega2=w2, g1=g1, g2=g2)
+    assume(w1 != w2 and g1 != g2)   # no free row, so the sector solves whole
+    sol = model.solve_sectors([params], M, kappa)
+    values, vectors = numerics.eigh(model.sector_hamiltonian([params], M,
+                                                             kappa)[0])
+    assert np.array_equal(sol.energies[0], values)
+    H = oracle.full_rabi(params, M + 2)[0]
+    ritz = _sector_in_whole_space(M, kappa, M + 2) @ vectors
+    residuals = np.linalg.norm(H @ ritz - ritz * values, axis=0)
+    # measured 1.1e-15 over 120 points
+    assert np.max(np.abs(sol.residuals[0] - residuals)) <= 1e-14
 
 
 #: eight points of fig4's grid (Delta = 0.5)
@@ -648,7 +695,7 @@ def test_solve_sectors_mixed_points_and_validation():
                    RabiParams.equal_frequency(-0.2, 0.15, 0.15)]
     sol = model.solve_sectors(params_list, 20, -1)
     fields = ("energies", "photon_numbers", "singlet", "vacuum_weights",
-              "tail_population")
+              "residuals")
     for i, params in enumerate(params_list):
         one = model.solve_sectors([params], 20, -1)
         for name in fields:
@@ -665,7 +712,9 @@ def _whole_sector_solve(params_list, M, kappa):
     matrices, every row included.
 
     <a^dag a> = sum_n n c_n^2 and the |10,0> weight ((c_0 + c_(M+1))
-    /sqrt(2))^2 are written as the kernel writes them.  The singlet mask
+    /sqrt(2))^2 are written as the kernel wrote them over the whole sector.
+    The residual of each state is |S' c| for the rows S' of photon level
+    M + 1 of the sector matrix at truncation M + 1.  The singlet mask
     comes from the eigenvectors, by a rule that shares no code with the
     kernel's decoupled rows: at exactly equal qubit frequencies and
     couplings, a state within 1e-9 of n omega_c whose squared component on
@@ -683,12 +732,17 @@ def _whole_sector_solve(params_list, M, kappa):
                & (np.abs(values - n * wc) <= 1e-9) & (d2 * d2 > 1.0 - 1e-6))
     weights = (((vectors[:, 0] + vectors[:, M + 1]) / math.sqrt(2.0)) ** 2
                if kappa == -1 else np.zeros(values.shape))
+    longer = model.sector_hamiltonian(params_list, M + 1, kappa)
+    # rows of level M + 1, columns of levels n <= M, as laid out at M + 1
+    cols = np.r_[0:M + 1, M + 2:2 * M + 3]
+    couple = longer[:, [M + 1, 2 * M + 3]][:, :, cols]
+    residuals = np.linalg.norm(couple @ vectors, axis=1)
     return (values, np.tile(np.arange(M + 1), 2) @ vectors**2, singlet,
-            weights, np.max(model._level_tails(vectors)[:, :M + 1], axis=1))
+            weights, residuals)
 
 
 _SECTOR_FIELDS = ("energies", "photon_numbers", "singlet", "vacuum_weights",
-                  "tail_population")
+                  "residuals")
 
 #: identical qubits, where the singlets leave the eigensolve: fig4's grid,
 #: resonance at weak (gaps about 1e-3) and strong coupling, and omega_c != 1
@@ -706,7 +760,7 @@ _DEFLATED_CASES = {
 def test_solve_sectors_matches_whole_sector_solve(case, kappa):
     params_list, M = _DEFLATED_CASES[case]
     sol = model.solve_sectors(params_list, M, kappa)
-    energies, photons, singlet, weights, tails = _whole_sector_solve(
+    energies, photons, singlet, weights, residuals = _whole_sector_solve(
         params_list, M, kappa)
     assert sol.energies.shape == energies.shape == (len(params_list),
                                                     2 * (M + 1))
@@ -714,7 +768,8 @@ def test_solve_sectors_matches_whole_sector_solve(case, kappa):
     assert np.max(np.abs(sol.energies - energies)) <= 5e-13
     assert np.max(np.abs(sol.photon_numbers - photons)) <= 1e-11
     assert np.max(np.abs(sol.vacuum_weights - weights)) <= 1e-13
-    assert np.max(np.abs(sol.tail_population - tails)) <= 1e-20
+    # measured 4.2e-13, on high states whose residuals are of order 1
+    assert np.max(np.abs(sol.residuals - residuals)) <= 1e-12
     assert np.array_equal(sol.singlet, singlet)
     for i in range(len(params_list)):
         assert np.array_equal(sol.kept(i), np.flatnonzero(~singlet[i]))
@@ -744,7 +799,8 @@ def test_solve_sectors_zero_coupling_matches_up_to_tied_order(kappa):
             return sorted(zip(*(a[0][tied] for a in arrays)))
         assert states([sol.photon_numbers, sol.singlet, sol.vacuum_weights]) \
             == states(whole[1:4])
-    assert sol.tail_population[0] == whole[4][0]
+    # every basis state is an eigenvector, and none reaches level M + 1
+    assert not np.any(sol.residuals) and not np.any(whole[4])
 
 
 def test_solve_sectors_keeps_whole_solve_without_free_states():
@@ -765,8 +821,12 @@ def test_solve_sectors_keeps_whole_solve_without_free_states():
                 assert np.array_equal(getattr(sol, name)[i],
                                       getattr(one, name)[0])
         whole = _whole_sector_solve(coupled, 20, kappa)
-        for name, want in zip(_SECTOR_FIELDS, whole):
+        # the residuals, which the reference forms by another route, to
+        # rounding
+        for name, want in zip(_SECTOR_FIELDS[:4], whole):
             assert np.array_equal(getattr(sol, name)[[0, 2, 4]], want)
+        assert np.allclose(sol.residuals[[0, 2, 4]], whole[4], rtol=1e-13,
+                           atol=1e-15)
         assert np.array_equal(sol.energies[3], np.sort(np.diagonal(
             model.sector_hamiltonian([diagonal], 20, kappa)[0])))
 
