@@ -725,7 +725,7 @@ def cmd_scan_anticrossing(cfg: dict) -> int:
                           "0 <= g_min < g_max")
     rows = []
     diagnostics = {"jump_on_window_edge": [], "level_pair": [],
-                   "pair_curvature": []}
+                   "pair_curvature": [], "residual_bound": []}
     for delta in deltas:
         def params_of_g(g: float, d=delta) -> RabiParams:
             return RabiParams.equal_frequency(d, g, g)
@@ -737,6 +737,12 @@ def cmd_scan_anticrossing(cfg: dict) -> int:
         diagnostics["jump_on_window_edge"].append(jump.on_edge)
         diagnostics["level_pair"].append(list(ac.level_pair))
         diagnostics["pair_curvature"].append(list(ac.curvature))
+        star = model.solve_sectors([params_of_g(ac.g_star)], M, 1)
+        diagnostics["residual_bound"].append({
+            "pair_energy": float(_energy_bounds(star, ac.level_pair[1] + 1,
+                                                True)[0]),
+            "vacuum_phase": float(np.max(_vacuum_phase_bounds(
+                {-1: jump.scan})))})
     meta = _new_meta(
         cfg, "scan-anticrossing",
         note=("jump location tracks the steepest change of the exact "

@@ -10,7 +10,7 @@ reported unreduced (the excitation ladders contribute 2 pi windings); use
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -495,6 +495,7 @@ class PhaseJump:
     jump_size: float      # |gamma change| across the final bracket
     max_slope: float      # |d gamma / d g| estimate at the located point
     on_edge: bool         # coarse steepest step is the first or last interval
+    scan: SectorSolution = field(repr=False)   # odd sector on the 61 points
 
 
 def locate_phase_jump(params_of_g, g_min: float, g_max: float,
@@ -528,4 +529,4 @@ def locate_phase_jump(params_of_g, g_min: float, g_max: float,
             lo, vlo = mid, vm
     width = hi - lo
     slope = abs(vhi - vlo) / width if width > 0.0 else math.inf
-    return PhaseJump(0.5 * (lo + hi), abs(vhi - vlo), slope, on_edge)
+    return PhaseJump(0.5 * (lo + hi), abs(vhi - vlo), slope, on_edge, odd)

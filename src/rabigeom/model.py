@@ -544,18 +544,11 @@ def sector_number_operator(params: RabiParams, M: int) -> np.ndarray:
 # Parity sectors in plain Fock
 # ---------------------------------------------------------------------------
 
-def sector_hamiltonian(params_list: Sequence[RabiParams], M: int,
-                       kappa: int) -> np.ndarray:
-    """Beyond-RWA Hamiltonians of the parity-kappa sector in plain Fock.
-
-    Entry p of the returned (P, 2(M+1), 2(M+1)) stack is the sector matrix of
-    ``params_list[p]`` on photon levels n <= M.  Rows n and M+1+n hold level
-    n: |11,n> and |00,n> where (-1)^n = kappa, otherwise T_n and S_n with
-    T, S = (|10> +- |01>)/sqrt(2).  The T-S entry of a level is
-    (omega1 - omega2)/2, and (a + a^dag) couples level n to n + 1 through
-    (g1 + g2)/sqrt(2) (T with |11> and |00>) and +-(g1 - g2)/sqrt(2) (S), so
-    for identical qubits every S row is decoupled: the spin singlets.
-    """
+def _sector_entries(params_list: Sequence[RabiParams], M: int, kappa: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sector_hamiltonian's entries: ``rows`` and ``cols``, shared by every
+    point, and the (P, len(rows)) ``values``; the diagonal comes first, in
+    row order, then each off-diagonal entry once in each orientation."""
     if kappa not in (1, -1):
         raise ValueError("kappa must be +1 or -1")
     if not params_list:
@@ -566,7 +559,6 @@ def sector_hamiltonian(params_list: Sequence[RabiParams], M: int,
         for key in ("omega1", "omega2", "g1", "g2", "omega_c"))
     ns = np.arange(mp1)
     pair = (-1) ** ns == kappa   # the levels that hold |11> and |00>
-    S = np.zeros((len(params_list), 2 * mp1, 2 * mp1))
     i = np.arange(2 * mp1)
     t = np.flatnonzero(~pair)
     # level n and n + 1: a holds |11>, |00> and b holds T, S
@@ -578,12 +570,33 @@ def sector_hamiltonian(params_list: Sequence[RabiParams], M: int,
     # call, since sweep batches build their matrices on several threads
     with np.errstate(over="ignore", invalid="ignore"):
         qubit = np.where(pair, 0.5 * (w1 + w2), 0.0)
-        S[:, i, i] = np.concatenate([ns * wc + qubit, ns * wc - qubit], axis=1)
-        S[:, t, mp1 + t] = S[:, mp1 + t, t] = 0.5 * (w1 - w2)
+        diagonal = np.concatenate([ns * wc + qubit, ns * wc - qubit], axis=1)
+        split = np.repeat(0.5 * (w1 - w2), t.size, axis=1)
         plus, minus = (g1 + g2) * root, (g1 - g2) * root
-    for row, col, hop in ((a, b, plus), (mp1 + a, b, plus),
-                          (a, mp1 + b, -minus), (mp1 + a, mp1 + b, minus)):
-        S[:, row, col] = S[:, col, row] = hop
+    entries = ((i, i, diagonal), (t, mp1 + t, split), (mp1 + t, t, split),
+               (a, b, plus), (b, a, plus), (mp1 + a, b, plus),
+               (b, mp1 + a, plus), (a, mp1 + b, -minus), (mp1 + b, a, -minus),
+               (mp1 + a, mp1 + b, minus), (mp1 + b, mp1 + a, minus))
+    return tuple(np.concatenate(part, axis=-1) for part in zip(*entries))
+
+
+def sector_hamiltonian(params_list: Sequence[RabiParams], M: int,
+                       kappa: int) -> np.ndarray:
+    """Beyond-RWA Hamiltonians of the parity-kappa sector in plain Fock.
+
+    Entry p of the returned (P, 2(M+1), 2(M+1)) stack is the sector matrix of
+    ``params_list[p]`` on photon levels n <= M.  Rows n and M+1+n hold level
+    n: |11,n> and |00,n> where (-1)^n = kappa, otherwise T_n and S_n with
+    T, S = (|10> +- |01>)/sqrt(2).  The T-S entry of a level is
+    (omega1 - omega2)/2, and (a + a^dag) couples level n to n + 1 through
+    (g1 + g2)/sqrt(2) (T with |11> and |00>) and +-(g1 - g2)/sqrt(2) (S), so
+    for identical qubits every S row is decoupled: the spin singlets.
+    The solvers never build this stack: _sector_blocks scatters the same
+    entries (_sector_entries) into the rows each batch solves.
+    """
+    rows, cols, values = _sector_entries(params_list, M, kappa)
+    S = np.zeros((len(params_list), 2 * (M + 1), 2 * (M + 1)))
+    S[:, rows, cols] = values
     return S
 
 
@@ -611,13 +624,12 @@ SECTOR_WORKERS = _sector_workers(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
     else os.cpu_count() or 1)
 
-#: sweep points diagonalized together by solve_sectors and sector_energies;
-#: with SECTOR_WORKERS batches in flight, it sets how many eigenvector sets
-#: are alive at once.  One worker takes 16: fewer, larger eigh calls are
-#: faster there (scan-anticrossing ran 11 % slower at 4).  A pool takes 4,
-#: which keeps the points of its batches in flight few, and its peak memory
-#: below that of one worker
-SECTOR_BATCH = 16 if SECTOR_WORKERS == 1 else 4
+#: sweep points built and diagonalized together by solve_sectors and
+#: sector_energies, with one worker or a pool; with SECTOR_WORKERS batches in
+#: flight it sets how many blocks and eigenvector sets are alive at once.
+#: Each batch builds only its solved rows, so 8 ran faster than 4 in both
+#: modes; 16 was faster on fig3-fig5 only, and took 1-2 MB more peak memory
+SECTOR_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -651,8 +663,9 @@ def solve_sectors(params_list: Sequence[RabiParams], M: int,
     This is the package's one sector solver: it solves sector_hamiltonian,
     in plain Fock, where <a^dag a> = sum_n n c_n^2 and the |10,0> weight of
     an odd-sector state is ((c_0 + c_(M+1))/sqrt(2))^2, from the rows of T_0
-    and S_0.  Points are built SECTOR_BATCH at a time (_sector_blocks), on
-    up to SECTOR_WORKERS threads (_map_batches); eigenvectors live only
+    and S_0.  Points are built SECTOR_BATCH at a time, each batch's block of
+    solved rows straight from the matrix entries (_sector_blocks), on up
+    to SECTOR_WORKERS threads (_map_batches); eigenvectors live only
     inside a batch, so at most SECTOR_WORKERS batches' eigenvectors are alive
     at once.  A basis state whose row of the sector matrix has no nonzero
     off-diagonal entry is an exact eigenvector at its diagonal entry (for
@@ -721,16 +734,16 @@ PHYSICAL_MEMORY = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 def _check_sector_points(params_list: Sequence[RabiParams], M: int) -> None:
     """ValueError for too short a truncation or no point, and MemoryError,
-    before any array is built, when one batch's sector stack is larger than
-    physical memory."""
+    before any array is built, when one batch's solved blocks, each at most
+    a whole sector, may be larger than physical memory."""
     if M < 10:
         raise ValueError("basis truncation M must be at least 10")
     if not params_list:
         raise ValueError("need at least one parameter point")
-    stack = SECTOR_BATCH * (2 * (M + 1)) ** 2 * 8
-    if PHYSICAL_MEMORY is not None and stack > PHYSICAL_MEMORY:
-        raise MemoryError(f"a batch of {SECTOR_BATCH} sector matrices at "
-                          f"M = {M} takes {stack / 2**30:.3g} GiB, more than "
+    blocks = SECTOR_BATCH * (2 * (M + 1)) ** 2 * 8
+    if PHYSICAL_MEMORY is not None and blocks > PHYSICAL_MEMORY:
+        raise MemoryError(f"a batch of {SECTOR_BATCH} solved blocks at "
+                          f"M = {M} may take {blocks / 2**30:.3g} GiB, over "
                           f"the {PHYSICAL_MEMORY / 2**30:.3g} GiB of memory")
 
 
@@ -739,16 +752,20 @@ def _sector_blocks(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
 
     Returns the (P, n) diagonals, the (P, n) mask of free rows (no nonzero
     off-diagonal entry), the (P, n) mask of the free rows that are spin
-    singlets, and one (members, solved, sub-stack) per set of points with
-    the same free rows: ``solved`` masks the rows that are not free and the
-    sub-stack is sector_hamiltonian(...)[np.ix_(members, solved, solved)].
+    singlets, and one (members, solved, block) per set of points with the
+    same free rows: ``solved`` masks the rows that are not free and the
+    block is sector_hamiltonian(...)[np.ix_(members, solved, solved)], both
+    read from _sector_entries, so no whole matrix is built.
     For identical qubits the row of S_n, the second of level n where
     kappa (-1)^n = -1, is exactly zero off the diagonal: those rows, and no
     others, are the singlets (|10,n> - |01,n>)/sqrt(2).
     """
-    S = sector_hamiltonian(batch, M, kappa)
-    diag = np.diagonal(S, axis1=1, axis2=2).copy()
-    free = np.count_nonzero(S, axis=2) == (diag != 0.0)
+    rows, cols, values = _sector_entries(batch, M, kappa)
+    n = 2 * (M + 1)
+    diag = values[:, :n]
+    free = np.ones(diag.shape, dtype=bool)
+    point, entry = np.nonzero(values[:, n:] != 0.0)
+    free[point, rows[n + entry]] = False
     identical = np.array([p.identical_qubits() for p in batch])[:, None]
     singlet = free & identical & np.concatenate(
         [np.zeros(M + 1, dtype=bool), kappa * (-1) ** np.arange(M + 1) == -1])
@@ -758,8 +775,12 @@ def _sector_blocks(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
     subs = []
     for members in groups.values():
         keep = ~free[members[0]]
-        solved = np.flatnonzero(keep)   # indices slice faster than np.ix_
-        subs.append((members, keep, S[members][:, solved[:, None], solved]))
+        k = np.count_nonzero(keep)
+        at = np.cumsum(keep) - 1   # the row of the block of each solved row
+        on = np.flatnonzero(keep[rows] & keep[cols])
+        block = np.zeros((len(members), k, k))
+        block[:, at[rows[on]], at[cols[on]]] = values[np.ix_(members, on)]
+        subs.append((members, keep, block))
     return diag, free, singlet, subs
 
 

@@ -995,6 +995,33 @@ def test_scan_anticrossing(tmp_path):
     assert lower < -100.0 and upper > 100.0
 
 
+@pytest.mark.parametrize("trunc_m", [50, 10])
+def test_scan_anticrossing_records_truncation_bounds(tmp_path, trunc_m):
+    # per delta: the energy bound of the anti-crossing pair from a solve at
+    # g_star, and the largest phase bound over the 61-point scan that
+    # locate_phase_jump solves at M; neither decides the exit code
+    out = tmp_path / "scan.csv"
+    assert run(["scan-anticrossing", "--delta", "0.5", "--trunc-m",
+                str(trunc_m), "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "scan.csv.meta.json").read_text())
+    assert meta["convergence_gate"] == {"applicable": False}
+    (bounds,) = meta["diagnostics"]["residual_bound"]
+    (pair,) = meta["diagnostics"]["level_pair"]
+    g_star = float(read_csv(out)[1][0][1])
+    star = model.solve_sectors(
+        [RabiParams.equal_frequency(0.5, g_star, g_star)], trunc_m, 1)
+    odd = model.solve_sectors([RabiParams.equal_frequency(0.5, g, g)
+                               for g in np.linspace(0.2, 0.32, 61)],
+                              trunc_m, -1)
+    assert bounds == {
+        "pair_energy": float(cli._energy_bounds(star, pair[1] + 1, True)[0]),
+        "vacuum_phase": float(np.max(cli._vacuum_phase_bounds({-1: odd})))}
+    if trunc_m == 50:
+        assert max(bounds.values()) <= cli.CERTIFY_TOL
+    else:   # jump_g is 1.2e-6 off the M = 50 value here
+        assert min(bounds.values()) > cli.GATE_TOL
+
+
 # ---------------------------------------------------------------------------
 # The cutoff ladder of beyond-RWA sweeps
 # ---------------------------------------------------------------------------

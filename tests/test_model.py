@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -895,7 +896,7 @@ _BATCH_MIXED = ([RabiParams.equal_frequency(0.5, g, g)
 @pytest.mark.parametrize("kappa", [1, -1])
 def test_sector_results_do_not_depend_on_the_batch_size(monkeypatch, kappa):
     results = []
-    for batch in (1, 3, 4, 16, len(_BATCH_MIXED)):
+    for batch in (1, 3, 4, 8, 16, len(_BATCH_MIXED)):
         for workers in (1, 2, 3):
             monkeypatch.setattr(model, "SECTOR_BATCH", batch)
             monkeypatch.setattr(model, "SECTOR_WORKERS", workers)
@@ -1008,6 +1009,22 @@ def test_sector_blocks_are_the_whole_matrices_on_the_solved_rows(kappa):
         assert np.array_equal(free[members], np.tile(~keep, (len(members), 1)))
         want = S[np.ix_(members, keep, keep)]
         assert sub.shape == want.shape and sub.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+def test_sector_blocks_peak_below_one_whole_stack(kappa):
+    # the blocks are scattered from the matrix entries: no (8, 102, 102)
+    # stack of whole matrices, nor a copy of one, is built on the way
+    batch = [RabiParams.equal_frequency(0.5, g, g)
+             for g in np.linspace(0.2, 0.32, 8)]
+    tracemalloc.start()
+    try:
+        blocks = model._sector_blocks(batch, 50, kappa)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(members) for members, _, _ in blocks[3]] == [8]
+    assert peak < 8 * 102**2 * 8
 
 
 @pytest.mark.parametrize("drop", [False, True])
