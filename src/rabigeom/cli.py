@@ -5,10 +5,10 @@ recording the full configuration, truncations, package version and the
 truncation convergence gate, so a dataset can be reproduced bit-exactly from
 its metadata.  Floats are written with 17 significant digits and LF line
 endings; identical configuration and build give byte-identical CSVs.  The
-sidecar's ``timings`` block (seconds per stage: ``sweep_s``, ``gate_s`` and
-``write_s`` for spectrum, berry and noneigen, ``write_s`` for the others)
-varies from run to run, and its ``environment`` block from machine to
-machine; the rest of the sidecar is as reproducible as the CSV.
+sidecar's ``timings`` block (seconds per stage: ``sweep_s`` and ``write_s``
+for spectrum, berry and noneigen, ``write_s`` for the others) varies from
+run to run, and its ``environment`` block from machine to machine; the rest
+of the sidecar is as reproducible as the CSV.
 
 The beyond-RWA sweeps of spectrum, berry and noneigen (and so fig3-fig5)
 read ``--trunc-m`` as their largest photon cutoff: each solves at the
@@ -16,6 +16,8 @@ smallest rung of the ladder 20, 30, 40, ... (up to ``--trunc-m``) at which
 every written point's truncation bound, built from the states' residuals,
 is at most CERTIFY_TOL (_beyond_rwa), and records the climb in the
 sidecar's ``truncation`` block.  scan-anticrossing solves at ``--trunc-m``.
+The convergence gate of all four passes when every written point's bound
+is at most GATE_TOL (_gate).
 
 ``--rwa`` and ``--full`` (or a config file's ``mode``: ``rwa``, ``full`` or
 ``both``) choose the results of spectrum, berry and noneigen.  A flag or
@@ -26,8 +28,9 @@ Exit codes: 0 success, 2 configuration error (an --out path that cannot be
 written among them, parameters whose Hamiltonian entries overflow, a
 truncation whose matrices do not fit in memory, and for scan-anticrossing a
 truncation whose displaced-Fock overlaps overflow), 3
-convergence-gate failure, or for scan-anticrossing vacuum weights short of 1
-at the truncation M, 4 a required rational period, non-degenerate doublet or
+convergence-gate failure (a written point's truncation bound above
+GATE_TOL), or for scan-anticrossing vacuum weights short of 1 at the
+truncation M, 4 a required rational period, non-degenerate doublet or
 anti-crossing does not exist.
 """
 
@@ -48,6 +51,9 @@ from .model import RabiParams
 
 DEFAULT_M = 50
 SWEEP_VARS = ("g", "g1", "g2", "delta", "omega1", "omega2")
+
+#: the largest truncation bound of a written point with which the
+#: convergence gate passes (_gate); a larger one is exit 3
 GATE_TOL = 1e-6
 
 #: the largest truncation bound with which a sweep point counts as solved to
@@ -248,19 +254,21 @@ def _parse_sweep(spec) -> dict:
 
 
 def _number(kind: type, key: str, value):
-    """``kind(value)``; a value that is not a number is a configuration error."""
+    """``kind(value)``; a bool (a JSON ``true`` is not 1) or a value that is
+    not a number is a configuration error."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError("a bool")
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} {value!r}: not a number") from exc
 
 
 def _integer(key: str, value) -> int:
-    """``int(value)``; a bool or a number with a fractional part is a
-    configuration error, not truncated."""
+    """``int(value)``; a number with a fractional part is a configuration
+    error, not truncated."""
     n = _number(int, key, value)
-    if isinstance(value, (bool, np.bool_)) or \
-            (isinstance(value, float) and value != n):
+    if isinstance(value, float) and value != n:
         raise ConfigError(f"{key} {value!r}: not an integer")
     return n
 
@@ -394,7 +402,7 @@ def _ladder(cap: int) -> list[int]:
 def _beyond_rwa(params_list, cap: int, kappas, columns, bounds, meta: dict
                 ) -> np.ndarray:
     """Tabulate beyond-RWA results over a sweep, at the smallest photon
-    cutoff their truncation bounds certify, and gate them on truncation.
+    cutoff their truncation bounds certify, and gate them on those bounds.
 
     ``columns(sols)`` gives one row of numbers per point and ``bounds(sols)``
     the (P,) bound of the error of each point's row, where ``sols`` maps
@@ -406,11 +414,9 @@ def _beyond_rwa(params_list, cap: int, kappas, columns, bounds, meta: dict
     not per point or batch, so the table depends on neither SECTOR_BATCH nor
     SECTOR_WORKERS.
 
-    The convergence gate then re-solves only the probe points (first,
-    middle, last, and the one with the largest bound) at M + 10 and compares
-    their ``columns`` with the sweep's own rows; it passes when no entry
-    moves by GATE_TOL or more.  The ladder (``truncation``), the gate, its
-    time (``timings.gate_s``) and the per-point bounds are written into
+    ``columns`` is called once, on the sweep at M.  The ladder
+    (``truncation``), the per-point bounds at M (``diagnostics``) and the
+    convergence gate on the largest of them (_gate) are written into
     ``meta``.
     """
     def solve(points, M):
@@ -431,25 +437,21 @@ def _beyond_rwa(params_list, cap: int, kappas, columns, bounds, meta: dict
         if M == cap or np.max(worst) <= CERTIFY_TOL:
             break
         rung += 1
-    table = np.asarray(columns(sols))
-    start = time.perf_counter()
-    points = sorted({0, n // 2, n - 1, int(np.argmax(worst))})
-    check = np.asarray(columns(solve([params_list[i] for i in points],
-                                     M + 10)))
-    meta["timings"]["gate_s"] = time.perf_counter() - start
-    drift = float(np.max(np.abs(table[points] - check)))
-    meta["convergence_gate"] = {"m": M, "m_check": M + 10, "max_drift": drift,
-                                "tolerance": GATE_TOL, "points": points,
-                                "passed": bool(drift < GATE_TOL)}
     max_bound = float(np.max(worst))
     # every rung up to M was solved, at the probes or the whole sweep
     meta["truncation"] = {"cap": cap, "rungs_tried": ladder[:rung + 1],
                           "m": M, "tolerance": CERTIFY_TOL,
-                          "max_bound": max_bound,
                           "certified": max_bound <= CERTIFY_TOL}
-    meta["diagnostics"] = {"max_residual_bound": max_bound,
-                           "residual_bound": worst.tolist()}
-    return table
+    meta["diagnostics"] = {"residual_bound": worst.tolist()}
+    meta["convergence_gate"] = _gate(max_bound)
+    return np.asarray(columns(sols))
+
+
+def _gate(max_bound: float) -> dict:
+    """The convergence gate of written points whose largest truncation bound
+    is ``max_bound``: it passes when that bound is at most GATE_TOL."""
+    return {"max_bound": max_bound, "tolerance": GATE_TOL,
+            "passed": bool(max_bound <= GATE_TOL)}
 
 
 def _energy_bounds(sol: model.SectorSolution, n_levels: int, drop: bool
@@ -494,25 +496,19 @@ def _vacuum_phase_bounds(sols) -> np.ndarray:
     states, w_j being their |10,0> weights: the truncation bound of the
     phase cmd_noneigen writes.  It is first order in the angles, so it
     certifies a phase to rounding but may understate a larger error (by up
-    to 3.7x where it exceeded 1e-11 against 140-photon solves)."""
+    to 3.7x where it exceeded 1e-11 against 140-photon solves); the
+    convergence gate reads it against GATE_TOL as it stands."""
     odd = sols[-1]
     return 2.0 * math.pi * np.sum(odd.vacuum_weights * _angle_bounds(odd),
                                   axis=1)
 
 
 def _new_meta(cfg: dict, command: str, **extra) -> dict:
-    """A sidecar's metadata before its results: the configuration, no
-    convergence gate yet, and an empty ``timings`` block."""
+    """A sidecar's metadata before its results: the configuration, an
+    inapplicable convergence gate unless ``extra`` gives one, and an empty
+    ``timings`` block."""
     return {"config": cfg, "command": command,
             "convergence_gate": {"applicable": False}, "timings": {}, **extra}
-
-
-def _sweep_done(meta: dict, start: float) -> None:
-    """Record the seconds since ``start`` less the gate's as
-    ``timings.sweep_s``, and a ``gate_s`` of 0 when no gate ran."""
-    timings = meta["timings"]
-    timings.setdefault("gate_s", 0.0)
-    timings["sweep_s"] = time.perf_counter() - start - timings["gate_s"]
 
 
 #: CSV state name -> column of _eigenphases holding its beyond-RWA continuation
@@ -575,7 +571,7 @@ def cmd_spectrum(cfg: dict) -> int:
             for parity, levels in zip((1, -1), full[i]):
                 rows += [[value, "full", _parity_name(parity), j, float(e)]
                          for j, e in enumerate(levels)]
-    _sweep_done(meta, start)
+    meta["timings"]["sweep_s"] = time.perf_counter() - start
     write_dataset(cfg["out"], ["sweep_value", "model", "parity", "level", "energy"],
                   rows, meta)
     return _gate_exit(meta)
@@ -609,7 +605,7 @@ def cmd_berry(cfg: dict) -> int:
             if include_full:
                 row.append(float(gamma_full[i, column]))
             rows.append(row)
-    _sweep_done(meta, start)
+    meta["timings"]["sweep_s"] = time.perf_counter() - start
     write_dataset(cfg["out"], header, rows, meta)
     return _gate_exit(meta)
 
@@ -644,25 +640,22 @@ def cmd_noneigen(cfg: dict) -> int:
     header = ["sweep_value", "g1", "g2", "delta", "F_theta_phi", "gamma_rwa"]
     meta = _new_meta(cfg, "noneigen")
     if include_full:
-        weight_totals = []
-
         def vacuum_phases(sols) -> np.ndarray:
             # weighted beyond-RWA geometric phase of |10,0>, from the odd
-            # sector; the sweep's call comes first, the gate's second
-            gammas, totals = geometry.noneigen_phases_beyond_rwa(sols[-1])
-            weight_totals.append(totals)
-            return gammas[:, None]
+            # sector, beside the total of the weights behind it
+            return np.column_stack(
+                geometry.noneigen_phases_beyond_rwa(sols[-1]))
 
         table = _beyond_rwa(params_list, cap, (-1,), vacuum_phases,
                             _vacuum_phase_bounds, meta)
         gammas = table[:, 0].tolist()
-        meta["diagnostics"]["vacuum_weight_total"] = weight_totals[0].tolist()
+        meta["diagnostics"]["vacuum_weight_total"] = table[:, 1].tolist()
         flags = _jump_flags(gammas, jump_threshold)
         rows = [r + [gamma, f] for r, gamma, f in zip(rows, gammas, flags)]
         header += ["gamma_full", "anticross_flag"]
         meta["anticross_flag"] = ("1 when |gamma_full| changes by more than "
                                   f"{jump_threshold} between neighbours")
-    _sweep_done(meta, start)
+    meta["timings"]["sweep_s"] = time.perf_counter() - start
     write_dataset(cfg["out"], header, rows, meta)
     return _gate_exit(meta)
 
@@ -749,10 +742,12 @@ def cmd_scan_anticrossing(cfg: dict) -> int:
               "weighted phase; the initial state is odd under parity, so it "
               "follows the odd-sector anti-crossing; pair_curvature is "
               "d^2E/d omega_c^2 of the even-sector level_pair at g_star"),
-        diagnostics=diagnostics)
+        diagnostics=diagnostics,
+        convergence_gate=_gate(max(max(bounds.values()) for bounds
+                                   in diagnostics["residual_bound"])))
     write_dataset(cfg["out"], ["delta", "g_star", "min_gap", "jump_g",
                                "jump_size"], rows, meta)
-    return 0
+    return _gate_exit(meta)
 
 
 # ---------------------------------------------------------------------------
@@ -829,12 +824,12 @@ PRESETS = {"fig1": _preset_fig1, "fig2": _preset_fig2, "fig3": _preset_fig3,
 # ---------------------------------------------------------------------------
 
 def _gate_exit(meta: dict) -> int:
-    gate = meta.get("convergence_gate", {})
-    if gate.get("applicable", True) and not gate.get("passed", True):
-        print(f"error: convergence gate failed, drift {gate['max_drift']:.3e}",
-              file=sys.stderr)
-        return 3
-    return 0
+    gate = meta["convergence_gate"]
+    if gate.get("passed", True):
+        return 0
+    print(f"error: convergence gate failed, truncation bound "
+          f"{gate['max_bound']:.3e} above {GATE_TOL:g}", file=sys.stderr)
+    return 3
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -55,7 +55,9 @@ def test_spectrum_full_carries_gate(tmp_path):
     assert code == 0
     meta = json.loads((out.parent / "s.csv.meta.json").read_text())
     gate = meta["convergence_gate"]
-    assert gate["passed"] and gate["max_drift"] < 1e-6
+    assert gate["passed"]
+    assert gate["max_bound"] == max(meta["diagnostics"]["residual_bound"]) \
+        <= cli.GATE_TOL
 
 
 def test_berry_dataset(tmp_path):
@@ -335,6 +337,32 @@ def test_config_error_exit_code(tmp_path, capsys):
         config.write_text(json.dumps(bad))
         assert run([*command, "--out", str(tmp_path / "x.csv"),
                     "--config", str(config)]) == 2
+    # a JSON true is a bool, not the number 1
+    capsys.readouterr()
+    g_sweep = {"var": "g", "start": 0.1, "stop": 0.2, "points": 2}
+    for command, bad in ((["berry", "--rwa", *sweep], {"delta": True}),
+                         (["berry", "--rwa", "--sweep", "delta:0.1:0.2:2"],
+                          {"g1": True}),
+                         (["berry", "--rwa", "--sweep", "delta:0.1:0.2:2"],
+                          {"g2": True}),
+                         (["berry", "--rwa", *sweep], {"omega1": True}),
+                         (["berry", "--rwa", *sweep], {"omega1": 1.0,
+                                                       "omega2": True}),
+                         (["berry", "--rwa"], {"sweep": {**g_sweep,
+                                                         "start": True}}),
+                         (["berry", "--rwa"], {"sweep": {**g_sweep,
+                                                         "stop": True}}),
+                         (["scan-anticrossing"], {"g_min": True}),
+                         (["scan-anticrossing"], {"g_max": True}),
+                         (["scan-anticrossing"], {"delta": True}),
+                         (["scan-anticrossing"], {"deltas": [0.5, True]})):
+        config = tmp_path / "bool.json"
+        config.write_text(json.dumps(bad))
+        out = tmp_path / "bool.csv"
+        assert run([*command, "--out", str(out), "--config", str(config)]) \
+            == 2
+        assert "True: not a number" in capsys.readouterr().err
+        assert not out.exists()
     # a flag or config key that the command does not read is rejected, not
     # ignored, and leaves no CSV
     sweep3 = ["--sweep", "g:0.01:0.1:3"]
@@ -460,13 +488,13 @@ def test_dropped_rwa_singlets_match_the_sector_at_zero_coupling(tmp_path,
 
 @pytest.mark.parametrize("args, stages", [
     (["spectrum", "--delta", "0.5", "--sweep", "g:0.1:0.3:3", "--levels", "4",
-      "--trunc-m", "20"], ("gate_s", "sweep_s", "write_s")),
+      "--trunc-m", "20"], ("sweep_s", "write_s")),
     (["spectrum", "--delta", "0.5", "--sweep", "g:0.1:0.3:3", "--rwa"],
-     ("gate_s", "sweep_s", "write_s")),
+     ("sweep_s", "write_s")),
     (["berry", "--delta", "0.5", "--sweep", "g:0.1:0.3:3", "--trunc-m", "20"],
-     ("gate_s", "sweep_s", "write_s")),
+     ("sweep_s", "write_s")),
     (["noneigen", "--delta", "0.5", "--sweep", "g:0.1:0.3:3", "--trunc-m",
-      "20"], ("gate_s", "sweep_s", "write_s")),
+      "20"], ("sweep_s", "write_s")),
     (["curvature-field", "--levels", "11"], ("write_s",)),
     (["evolve", "--model", "jc", "--g1", "0.05"], ("write_s",)),
     (["scan-anticrossing", "--delta", "0.5", "--trunc-m", "20"],
@@ -486,9 +514,6 @@ def test_sidecar_records_stage_timings(tmp_path, args, stages):
                    for t in timings.values())
     # the timings are the only part of the sidecar that changes on a rerun
     assert sidecars[0] == sidecars[1]
-    if "gate_s" in stages:
-        gate = sidecars[0]["convergence_gate"]
-        assert gate.get("applicable", True) == (timings["gate_s"] > 0.0)
 
 
 @pytest.mark.parametrize("args", [
@@ -522,8 +547,8 @@ def test_noneigen_computes_the_vacuum_phases_once_per_solve(tmp_path,
     monkeypatch.setattr(geometry, "noneigen_phases_beyond_rwa", counting)
     assert run(["noneigen", "--delta", "0.5", "--sweep", "g:0.1:0.3:7",
                 "--trunc-m", "20", "--out", str(tmp_path / "n.csv")]) == 0
-    # the sweep, then the gate's probe points
-    assert calls == [7, 3]
+    # the sweep at its cutoff; the ladder's probes read bounds only
+    assert calls == [7]
 
 
 def test_scan_anticrossing_monotone_gap_exit_code(tmp_path, capsys):
@@ -712,18 +737,19 @@ _RESULT_COLUMN = {"spectrum": "energy", "berry": "gamma_full",
 def test_meta_records_worst_residual_bound(tmp_path, command, kappas):
     sweep = [command, "--delta", "0.5", "--sweep", "g:0.1:0.8:3", "--full"]
     out = tmp_path / "d.csv"
-    # M = 20 is short at g = 0.8, so the gate fails (exit 3; drift 1.4e-4,
-    # 8.8e-6 and 5.2e-2 for spectrum, berry and noneigen); the sidecar is
-    # written either way.  A cap of 20 is the ladder's only rung
+    # M = 20 is short at g = 0.8, so the gate fails (exit 3; largest bound
+    # 4.0e-2, 8.4e-4 and 1.5e-1 for spectrum, berry and noneigen); the
+    # sidecar is written either way.  A cap of 20 is the ladder's only rung
     assert run([*sweep, "--trunc-m", "20", "--out", str(out)]) == 3
     meta = json.loads((tmp_path / "d.csv.meta.json").read_text())
-    assert meta["convergence_gate"]["passed"] is False
     bounds = meta["diagnostics"]["residual_bound"]
     worst = max(bounds)
-    assert worst == meta["diagnostics"]["max_residual_bound"]
+    assert meta["convergence_gate"] == {"max_bound": worst,
+                                        "tolerance": cli.GATE_TOL,
+                                        "passed": False}
     assert meta["truncation"] == {"cap": 20, "rungs_tried": [20], "m": 20,
                                   "tolerance": cli.CERTIFY_TOL,
-                                  "max_bound": worst, "certified": False}
+                                  "certified": False}
     assert bounds[0] < bounds[1] < bounds[2] and bounds[2] > 1e-4
     # each point's bound covers what its rows moved by against the cutoff
     # the ladder picks under a cap of 100 (measured: at most 0.34 of it)
@@ -755,9 +781,10 @@ def test_meta_records_per_point_diagnostics(tmp_path):
     diag = meta["diagnostics"]
     bounds, totals = diag["residual_bound"], diag["vacuum_weight_total"]
     assert len(bounds) == len(totals) == len(gs)
-    assert max(bounds) == diag["max_residual_bound"] <= cli.CERTIFY_TOL
+    assert max(bounds) == meta["convergence_gate"]["max_bound"] \
+        <= cli.CERTIFY_TOL
     M = meta["truncation"]["m"]
-    assert M == meta["convergence_gate"]["m"] == 30
+    assert M == 30
     for g, bound, total in zip(gs, bounds, totals):
         params = RabiParams.equal_frequency(0.5, float(g), float(g))
         # 2 pi sum_j w_j r_j / gap_j over the kept odd states
@@ -774,18 +801,19 @@ def test_meta_records_per_point_diagnostics(tmp_path):
             geometry.noneigen_phase_beyond_rwa(params, M)[1], abs=1e-12)
 
 
-def test_gate_probes_worst_tail_point(tmp_path):
+def test_gate_reads_the_worst_interior_point(tmp_path):
     out = tmp_path / "s.csv"
     # the residual bound, read off the truncation's last photon level, peaks
     # at omega2 = 3, index 3 of 5, not an end point; M = 20 is short there,
-    # so the gate fails
+    # so the gate fails on that point's bound
     assert run(["spectrum", "--omega1", "1.5", "--g1", "0.8", "--g2", "0.8",
                 "--sweep", "omega2:0:4:5", "--trunc-m", "20",
                 "--out", str(out)]) == 3
     meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
     bounds = meta["diagnostics"]["residual_bound"]
     assert int(np.argmax(bounds)) == 3
-    assert meta["convergence_gate"]["points"] == [0, 2, 3, 4]
+    gate = meta["convergence_gate"]
+    assert gate["max_bound"] == bounds[3] and gate["passed"] is False
 
 
 def test_float_formatting_precision(tmp_path):
@@ -995,17 +1023,22 @@ def test_scan_anticrossing(tmp_path):
     assert lower < -100.0 and upper > 100.0
 
 
-@pytest.mark.parametrize("trunc_m", [50, 10])
+@pytest.mark.parametrize("trunc_m", [50, 20, 10])
 def test_scan_anticrossing_records_truncation_bounds(tmp_path, trunc_m):
     # per delta: the energy bound of the anti-crossing pair from a solve at
     # g_star, and the largest phase bound over the 61-point scan that
-    # locate_phase_jump solves at M; neither decides the exit code
+    # locate_phase_jump solves at M.  The gate reads the largest of them:
+    # M = 10 is short (jump_g is 1.2e-6 off the M = 50 value there), so it
+    # exits 3 with the CSV and sidecar written
     out = tmp_path / "scan.csv"
+    passed = trunc_m > 10
     assert run(["scan-anticrossing", "--delta", "0.5", "--trunc-m",
-                str(trunc_m), "--out", str(out)]) == 0
+                str(trunc_m), "--out", str(out)]) == (0 if passed else 3)
     meta = json.loads((tmp_path / "scan.csv.meta.json").read_text())
-    assert meta["convergence_gate"] == {"applicable": False}
     (bounds,) = meta["diagnostics"]["residual_bound"]
+    assert meta["convergence_gate"] == {"max_bound": max(bounds.values()),
+                                        "tolerance": cli.GATE_TOL,
+                                        "passed": passed}
     (pair,) = meta["diagnostics"]["level_pair"]
     g_star = float(read_csv(out)[1][0][1])
     star = model.solve_sectors(
@@ -1018,7 +1051,7 @@ def test_scan_anticrossing_records_truncation_bounds(tmp_path, trunc_m):
         "vacuum_phase": float(np.max(cli._vacuum_phase_bounds({-1: odd})))}
     if trunc_m == 50:
         assert max(bounds.values()) <= cli.CERTIFY_TOL
-    else:   # jump_g is 1.2e-6 off the M = 50 value here
+    elif trunc_m == 10:
         assert min(bounds.values()) > cli.GATE_TOL
 
 
@@ -1053,11 +1086,11 @@ def test_angle_bounds_match_a_per_point_loop(kappa):
             assert got[i, j] == (r / gap if r > 0.0 else 0.0)
 
 
-def _ladder_run(monkeypatch, fails_below):
+def _ladder_run(monkeypatch, fails_below, bound=1.0):
     """cli._beyond_rwa over five points whose second point, which no probe
-    covers, carries bound 1 below the cutoff ``fails_below`` and every other
-    bound 0, under a cap of 50; returns the (points, M) of every
-    solve_sectors call and the sidecar's truncation block."""
+    covers, carries ``bound`` below the cutoff ``fails_below`` and every
+    other bound 0, under a cap of 50; returns the (points, M) of every
+    solve_sectors call and the sidecar metadata."""
     calls = []
     solve = model.solve_sectors
 
@@ -1069,7 +1102,7 @@ def _ladder_run(monkeypatch, fails_below):
         M = sols[1].energies.shape[1] // 2 - 1
         worst = np.zeros(len(sols[1].energies))
         if len(worst) == 5 and M < fails_below:
-            worst[1] = 1.0
+            worst[1] = bound
         return worst
 
     monkeypatch.setattr(model, "solve_sectors", counting)
@@ -1078,25 +1111,40 @@ def _ladder_run(monkeypatch, fails_below):
     meta = {"timings": {}}
     cli._beyond_rwa(params_list, 50, (1,),
                     lambda sols: sols[1].energies[:, :1], bounds, meta)
-    return calls, meta["truncation"]
+    return calls, meta
 
 
 def test_ladder_moves_the_whole_sweep_up_while_a_point_fails(monkeypatch):
     # the probes (points 0, 2 and 4) pass at 20; the sweep is solved at 20,
-    # 30 and 40, where point 1 passes too, and gated at 50 on the probes
-    # and the worst point
-    calls, truncation = _ladder_run(monkeypatch, fails_below=40)
-    assert calls == [(3, 20), (5, 20), (5, 30), (5, 40), (3, 50)]
+    # 30 and 40, where point 1 passes too, and nothing is solved beyond it
+    calls, meta = _ladder_run(monkeypatch, fails_below=40)
+    truncation = meta["truncation"]
+    assert calls == [(3, 20), (5, 20), (5, 30), (5, 40)]
     assert truncation["m"] == 40 and truncation["certified"]
     assert truncation["rungs_tried"] == [20, 30, 40]
+    assert meta["convergence_gate"]["passed"]
 
 
 def test_ladder_solves_at_the_cap_when_nothing_certifies(monkeypatch):
-    calls, truncation = _ladder_run(monkeypatch, fails_below=math.inf)
-    assert calls == [(3, 20), (5, 20), (5, 30), (5, 40), (5, 50), (4, 60)]
-    assert truncation == {"cap": 50, "rungs_tried": [20, 30, 40, 50],
-                          "m": 50, "tolerance": cli.CERTIFY_TOL,
-                          "max_bound": 1.0, "certified": False}
+    calls, meta = _ladder_run(monkeypatch, fails_below=math.inf)
+    assert calls == [(3, 20), (5, 20), (5, 30), (5, 40), (5, 50)]
+    assert meta["truncation"] == {"cap": 50, "rungs_tried": [20, 30, 40, 50],
+                                  "m": 50, "tolerance": cli.CERTIFY_TOL,
+                                  "certified": False}
+    assert meta["convergence_gate"] == {"max_bound": 1.0,
+                                        "tolerance": cli.GATE_TOL,
+                                        "passed": False}
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
+def test_gate_passes_at_gate_tol_and_fails_above(monkeypatch, above):
+    # the uncertified point's bound decides the gate of the cap's sweep
+    bound = math.nextafter(cli.GATE_TOL, 1.0) if above else cli.GATE_TOL
+    _, meta = _ladder_run(monkeypatch, fails_below=math.inf, bound=bound)
+    assert meta["convergence_gate"] == {"max_bound": bound,
+                                        "tolerance": cli.GATE_TOL,
+                                        "passed": not above}
+    assert cli._gate_exit(meta) == (3 if above else 0)
 
 
 def _preset_rows(tmp_path, preset):
@@ -1128,27 +1176,25 @@ def _fixed_m_columns(preset, params_list, M):
 
 @pytest.mark.parametrize("preset", ["fig3", "fig4", "fig5"])
 def test_preset_cutoff_matches_a_fixed_truncation(tmp_path, preset):
-    """Every preset sweep takes a cutoff below its cap of 50, and its probe
-    points match fixed-M = 60 solves within 1e-13."""
+    """Every preset sweep takes a cutoff below its cap of 50, and every
+    point it writes matches fixed-M = 60 solves within 1e-13."""
     for name, (rows, meta) in _preset_rows(tmp_path, preset).items():
         truncation = meta["truncation"]
         assert truncation["cap"] == 50 and truncation["certified"]
         assert truncation["m"] < 50
-        assert meta["convergence_gate"]["m"] == truncation["m"]
+        assert meta["convergence_gate"]["passed"] is True
         sweep = meta["config"]["sweep"]
         gs = np.linspace(sweep["start"], sweep["stop"], sweep["points"])
         delta = meta["config"]["delta"]
-        probes = sorted({0, len(gs) // 2, len(gs) - 1})
         want = _fixed_m_columns(
-            preset, [RabiParams.equal_frequency(delta, gs[i], gs[i])
-                     for i in probes], 60)
+            preset, [RabiParams.equal_frequency(delta, g, g) for g in gs], 60)
         by_point = {}
         for row in rows:
             if preset != "fig3" or row[1] == "full":
                 by_point.setdefault(float(row[0]), []).append(
                     float(row[{"fig3": 4, "fig4": 3, "fig5": 6}[preset]]))
-        for i, columns in zip(probes, want):
-            got = by_point[float(gs[i])]
+        assert list(by_point) == gs.tolist()
+        for got, columns in zip(by_point.values(), want):
             assert len(got) == len(columns)
             assert np.max(np.abs(np.subtract(got, columns))) <= 1e-13
 
