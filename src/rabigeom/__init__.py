@@ -23,10 +23,11 @@ import os
 import sys
 
 #: BLAS thread-count variables that default to "1" when rabigeom loads
-#: before numpy: each small eigensolve then runs on one BLAS thread, and
-#: model.solve_sectors spreads a sweep's batches over the cores instead
-#: (model.SECTOR_WORKERS).  BLAS reads them once, as numpy loads, so nothing
-#: is set when numpy is already imported; a value set by the user is kept.
+#: before numpy, so each small sector eigensolve runs on one BLAS thread: on
+#: a 2-CPU Xeon, OpenBLAS on two threads ran scan-anticrossing 4 % slower
+#: (in 8 of 8 paired runs) and the fig3-fig5 presets 3 % slower (median)
+#: than on one.  BLAS reads them once, as numpy loads, so nothing is set
+#: when numpy is already imported; a value set by the user is kept.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 if "numpy" not in sys.modules:
     for _var in BLAS_THREAD_VARS:

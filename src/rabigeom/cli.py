@@ -160,13 +160,12 @@ def _format_block(block: list, width: int, suffix: tuple[str, ...] = ()
 
 
 def environment() -> dict:
-    """Python, numpy and BLAS versions and the thread settings of this
-    process: the thread variables and the threads of a sector sweep."""
+    """Python, numpy and BLAS versions and the BLAS thread variables of this
+    process."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
-            **{var: os.environ.get(var, "unset") for var in THREAD_VARS},
-            "sector_workers": model.SECTOR_WORKERS}
+            **{var: os.environ.get(var, "unset") for var in THREAD_VARS}}
 
 
 def write_dataset(path: str, header: list[str], rows: Iterable[Sequence],
@@ -411,8 +410,7 @@ def _beyond_rwa(params_list, cap: int, kappas, columns, bounds, meta: dict
     bound is at most CERTIFY_TOL; the whole sweep is then solved at their
     rung, and again a rung higher while some point's bound is larger.  The
     cap is taken when no lower rung certifies.  M is chosen for the sweep,
-    not per point or batch, so the table depends on neither SECTOR_BATCH nor
-    SECTOR_WORKERS.
+    not per point or batch, so the table does not depend on SECTOR_BATCH.
 
     ``columns`` is called once, on the sweep at M.  The ladder
     (``truncation``), the per-point bounds at M (``diagnostics``) and the

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS, numerics
+from . import numerics
 
 EQ_TOL = 1e-12
 
@@ -566,8 +566,7 @@ def _sector_entries(params_list: Sequence[RabiParams], M: int, kappa: int
     b = np.where(pair[:-1], ns[1:], ns[:-1])
     root = np.sqrt(ns[1:] / 2.0)
     # an overflowing parameter leaves non-finite entries, which numerics
-    # rejects (InvalidMatrix) when the matrix is solved; a fresh errstate per
-    # call, since sweep batches build their matrices on several threads
+    # rejects (InvalidMatrix) when the matrix is solved
     with np.errstate(over="ignore", invalid="ignore"):
         qubit = np.where(pair, 0.5 * (w1 + w2), 0.0)
         diagonal = np.concatenate([ns * wc + qubit, ns * wc - qubit], axis=1)
@@ -600,35 +599,11 @@ def sector_hamiltonian(params_list: Sequence[RabiParams], M: int,
     return S
 
 
-def _sector_workers(environ, blas: dict, cpus: int) -> int:
-    """Threads that solve a sweep's batches: ``cpus`` when every eigensolve
-    is known to run on one BLAS thread, otherwise 1, so that the batches do
-    not compete with BLAS's own threads.
-
-    Known means that BLAS_THREAD_VARS all read "1" (the package's default
-    unless numpy loaded first) and that numpy's BLAS reads them: OpenBLAS on
-    its own threads, or MKL.  An OpenMP OpenBLAS, Accelerate or BLIS takes
-    its thread count from elsewhere, so it keeps one worker.
-    """
-    name = (blas.get("name") or "").lower()
-    config = (blas.get("openblas configuration") or "").upper()
-    reads_vars = ("openblas" in name and "OPENMP" not in config) or "mkl" in name
-    one_thread = all(environ.get(var) == "1" for var in BLAS_THREAD_VARS)
-    return cpus if reads_vars and one_thread else 1
-
-
-#: threads that solve a sweep's batches (_sector_workers): the usable CPUs
-#: or 1, fixed as rabigeom loads, since BLAS reads its variables only then
-SECTOR_WORKERS = _sector_workers(
-    os.environ, np.show_config(mode="dicts")["Build Dependencies"]["blas"],
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-    else os.cpu_count() or 1)
-
 #: sweep points built and diagonalized together by solve_sectors and
-#: sector_energies, with one worker or a pool; with SECTOR_WORKERS batches in
-#: flight it sets how many blocks and eigenvector sets are alive at once.
-#: Each batch builds only its solved rows, so 8 ran faster than 4 in both
-#: modes; 16 was faster on fig3-fig5 only, and took 1-2 MB more peak memory
+#: sector_energies, one batch after another, so it sets how many blocks and
+#: eigenvector sets are alive at once.  Each batch builds only its solved
+#: rows, so 8 ran faster than 4; 16 was faster on fig3-fig5 only, and took
+#: 1-2 MB more peak memory
 SECTOR_BATCH = 8
 
 
@@ -664,15 +639,14 @@ def solve_sectors(params_list: Sequence[RabiParams], M: int,
     in plain Fock, where <a^dag a> = sum_n n c_n^2 and the |10,0> weight of
     an odd-sector state is ((c_0 + c_(M+1))/sqrt(2))^2, from the rows of T_0
     and S_0.  Points are built SECTOR_BATCH at a time, each batch's block of
-    solved rows straight from the matrix entries (_sector_blocks), on up
-    to SECTOR_WORKERS threads (_map_batches); eigenvectors live only
-    inside a batch, so at most SECTOR_WORKERS batches' eigenvectors are alive
-    at once.  A basis state whose row of the sector matrix has no nonzero
-    off-diagonal entry is an exact eigenvector at its diagonal entry (for
-    identical qubits, the spin singlets S_n), so numerics.eigh solves only
-    the other rows; points of a batch are grouped by that set of free
-    states.  A point with no free state is solved whole, exactly as a
-    one-point call.
+    solved rows straight from the matrix entries (_sector_blocks), in order
+    in the calling thread (_map_batches); eigenvectors live only inside a
+    batch, so one batch's eigenvectors are alive at a time.  A basis state
+    whose row of the sector matrix has no nonzero off-diagonal entry is an
+    exact eigenvector at its diagonal entry (for identical qubits, the spin
+    singlets S_n), so numerics.eigh solves only the other rows; points of a
+    batch are grouped by that set of free states.  A point with no free
+    state is solved whole, exactly as a one-point call.
 
     No truncation warning is raised: ``residuals`` holds each state's
     truncation residual r = ||H c - E c||, its truncated vector c taken into
@@ -706,24 +680,14 @@ def sector_energies(params_list: Sequence[RabiParams], M: int,
 def _map_batches(solve, params_list: Sequence[RabiParams], M: int,
                  kappa: int) -> list:
     """``solve(batch, M, kappa)`` of every SECTOR_BATCH-point batch of
-    ``params_list``, in batch order.
+    ``params_list``, in batch order, in the calling thread.
 
-    The batches run on min(SECTOR_WORKERS, batches) threads, so a single
-    batch runs inline.  Every matrix is solved by the same call on the same
-    rows as in a serial loop, so the results do not depend on the thread
-    count.  The first failing batch's error is raised, and an error or an
-    interrupt in the caller cancels every batch not yet started.
+    Each point's matrix is solved on the same rows whichever batch holds
+    it, so the results do not depend on SECTOR_BATCH.  The first failing
+    batch's error is raised, and no later batch is started.
     """
-    batches = [params_list[start:start + SECTOR_BATCH]
-               for start in range(0, len(params_list), SECTOR_BATCH)]
-    workers = min(SECTOR_WORKERS, len(batches))
-    if workers == 1:
-        return [solve(batch, M, kappa) for batch in batches]
-    # imported here: it loads logging, which a serial run never needs
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(solve, batches, [M] * len(batches),
-                             [kappa] * len(batches)))
+    return [solve(params_list[start:start + SECTOR_BATCH], M, kappa)
+            for start in range(0, len(params_list), SECTOR_BATCH)]
 
 
 #: bytes of physical memory, or None where os.sysconf cannot tell
@@ -735,7 +699,8 @@ PHYSICAL_MEMORY = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 def _check_sector_points(params_list: Sequence[RabiParams], M: int) -> None:
     """ValueError for too short a truncation or no point, and MemoryError,
     before any array is built, when one batch's solved blocks, each at most
-    a whole sector, may be larger than physical memory."""
+    a whole sector, may be larger than physical memory.  Batches are solved
+    one at a time, so one batch is what is alive at once."""
     if M < 10:
         raise ValueError("basis truncation M must be at least 10")
     if not params_list:

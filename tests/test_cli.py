@@ -245,7 +245,7 @@ def test_config_error_exit_code(tmp_path, capsys):
                     "--out", str(tmp_path / "x.csv")]) == 2
     # finite inputs whose Hamiltonian entries or closed forms overflow, with
     # no numpy warning; the 20-point sweep first overflows in its second
-    # sector batch, which a worker thread may solve when the sweep is pooled
+    # sector batch
     capsys.readouterr()
     infinite_window = tmp_path / "window.json"
     infinite_window.write_text('{"g_max": Infinity}')
@@ -905,8 +905,7 @@ def test_sidecar_records_environment(tmp_path, monkeypatch):
                    "blas": {"name": blas["name"], "version": blas["version"]},
                    "OPENBLAS_NUM_THREADS": os.environ.get(
                        "OPENBLAS_NUM_THREADS", "unset"),
-                   "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "unset",
-                   "sector_workers": model.SECTOR_WORKERS}
+                   "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "unset"}
 
 
 @pytest.mark.parametrize("split", [2, 5])
@@ -1225,10 +1224,8 @@ def test_levels_beyond_a_low_rung_climb_the_ladder(tmp_path, capsys):
     assert "keeps only 31 states at M = 20" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 def test_preset_bytes_do_not_depend_on_the_sector_batch(tmp_path,
-                                                        monkeypatch, workers):
-    monkeypatch.setattr(model, "SECTOR_WORKERS", workers)
+                                                        monkeypatch):
     digests = []
     for batch in (4, 16):
         monkeypatch.setattr(model, "SECTOR_BATCH", batch)

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 import warnings
 
@@ -897,91 +896,49 @@ _BATCH_MIXED = ([RabiParams.equal_frequency(0.5, g, g)
 def test_sector_results_do_not_depend_on_the_batch_size(monkeypatch, kappa):
     results = []
     for batch in (1, 3, 4, 8, 16, len(_BATCH_MIXED)):
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(model, "SECTOR_BATCH", batch)
-            monkeypatch.setattr(model, "SECTOR_WORKERS", workers)
-            sol = model.solve_sectors(_BATCH_MIXED, 30, kappa)
-            results.append(
-                [getattr(sol, name) for name in _SECTOR_FIELDS]
-                + list(model.sector_energies(_BATCH_MIXED, 30, kappa)))
+        monkeypatch.setattr(model, "SECTOR_BATCH", batch)
+        sol = model.solve_sectors(_BATCH_MIXED, 30, kappa)
+        results.append(
+            [getattr(sol, name) for name in _SECTOR_FIELDS]
+            + list(model.sector_energies(_BATCH_MIXED, 30, kappa)))
     for other in results[1:]:
         for want, got in zip(results[0], other):
             assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_a_failing_batch_cancels_the_batches_not_yet_started(monkeypatch,
-                                                             workers):
-    # an interrupt (a BaseException) in the first batch reaches the caller;
-    # the other threads finish the batch they hold and start no new one
-    monkeypatch.setattr(model, "SECTOR_BATCH", 1)
-    monkeypatch.setattr(model, "SECTOR_WORKERS", workers)
-    started = []
-
-    def solve(batch, M, kappa):
-        started.append(batch[0])
-        if batch[0] == 0:
-            raise KeyboardInterrupt
-        time.sleep(0.05)
-        return batch
-    with pytest.raises(KeyboardInterrupt):
-        model._map_batches(solve, list(range(40)), 0, 1)
-    assert 0 in started
-    assert len(started) <= 2 * workers - 1
-
-
-@pytest.mark.parametrize("first, user, blas, pooled", [
-    ("", {}, ["1", "1"], True),          # rabigeom before numpy
-    ("", {"OPENBLAS_NUM_THREADS": "3"}, ["3", "1"], False),   # user's value
-    ("import numpy", {}, [None, None], False)])   # numpy loaded first
-def test_blas_defaults_decide_the_sector_workers(first, user, blas, pooled):
-    code = (f"import json, os\n{first}\n"
+@pytest.mark.parametrize("first, user, blas", [
+    ("", {}, ["1", "1"]),                                  # before numpy
+    ("", {"OPENBLAS_NUM_THREADS": "3"}, ["3", "1"]),       # user's value
+    ("import numpy", {}, [None, None])])                   # numpy first
+def test_blas_defaults(first, user, blas):
+    # a sweep of three batches is solved in the calling thread: no pool is
+    # imported and no thread is started
+    code = (f"import json, os, sys, threading\n{first}\n"
             "from rabigeom import BLAS_THREAD_VARS, model\n"
+            "points = [model.RabiParams.equal_frequency(0.5, g, g)\n"
+            "          for g in [0.01 * k for k in range(20)]]\n"
+            "model.solve_sectors(points, 20, -1)\n"
+            "model.sector_energies(points, 20, 1)\n"
             "print(json.dumps([[os.environ.get(v) for v in BLAS_THREAD_VARS],"
-            " model.SECTOR_WORKERS, len(os.sched_getaffinity(0))]))")
+            " 'concurrent.futures' in sys.modules,"
+            " threading.active_count()]))")
     env = {var: value for var, value in os.environ.items()
            if var not in rabigeom.BLAS_THREAD_VARS}
     src = os.path.dirname(os.path.dirname(model.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**env, **user, "PYTHONPATH": src})
-    got_blas, workers, cpus = json.loads(out.stdout)
+    got_blas, futures_imported, threads = json.loads(out.stdout)
     assert got_blas == blas
-    build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    reads_vars = model._sector_workers(
-        dict.fromkeys(rabigeom.BLAS_THREAD_VARS, "1"), build, 2) == 2
-    assert workers == (cpus if pooled and reads_vars else 1)
+    assert not futures_imported
+    assert threads == 1
 
 
-_SCIPY_OPENBLAS = {"name": "scipy-openblas", "openblas configuration":
-                   "OpenBLAS 0.3.31  USE64BITINT DYNAMIC_ARCH NO_AFFINITY"}
-
-
-@pytest.mark.parametrize("blas, pooled", [
-    (_SCIPY_OPENBLAS, True),
-    ({"name": "openblas", "openblas configuration": "unknown"}, True),
-    ({"name": "mkl-sdl"}, True),
-    ({"name": "openblas", "openblas configuration": "OpenBLAS USE_OPENMP"},
-     False),
-    ({"name": "accelerate"}, False),
-    ({"name": "blis"}, False),
-    ({}, False)])
-def test_sector_workers_need_a_blas_that_reads_the_variables(blas, pooled):
-    ones = dict.fromkeys(rabigeom.BLAS_THREAD_VARS, "1")
-    assert model._sector_workers(ones, blas, 3) == (3 if pooled else 1)
-    for var in rabigeom.BLAS_THREAD_VARS:
-        assert model._sector_workers({**ones, var: "2"}, blas, 3) == 1
-        assert model._sector_workers(
-            {k: v for k, v in ones.items() if k != var}, blas, 3) == 1
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("solve", [model.solve_sectors, model.sector_energies])
-def test_sector_batch_errors_reach_the_caller(monkeypatch, solve, workers):
-    # the second batch of four is the first whose entries overflow; no
-    # thread that builds an overflowing batch raises a numpy warning
+def test_sector_batch_errors_reach_the_caller(monkeypatch, solve):
+    # the second batch of four is the first whose entries overflow; building
+    # it raises no numpy warning
     monkeypatch.setattr(model, "SECTOR_BATCH", 4)
-    monkeypatch.setattr(model, "SECTOR_WORKERS", workers)
     points = [RabiParams.equal_frequency(0.5, g, g)
               for g in np.linspace(0.0, 1e308, 20)]
     assert np.all(np.isfinite(model.sector_hamiltonian(points[:4], 30, 1)))
