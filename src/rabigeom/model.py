@@ -652,7 +652,9 @@ def solve_sectors(params_list: Sequence[RabiParams], M: int,
     truncation residual r = ||H c - E c||, its truncated vector c taken into
     the space of photons n <= M + 1.  All of H c - E c lies on level M + 1,
     where it is sqrt(M + 1) (g1 sigma1^x + g2 sigma2^x) c(M), c(M) being the
-    qubit part of c on level M; a free row's r is 0.  E is a Rayleigh-Ritz
+    qubit part of c on level M; a free row's r is 0.  The eigensolver's own
+    rounding inside the sector, of order eps ||H||, is not counted (about
+    1e-14 at ||H|| = 19 for nearly identical qubits).  E is a Rayleigh-Ritz
     upper bound, and the running maximum of r over the states below bounds
     the energy error.
     """

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rabigeom
 from rabigeom import cli, geometry, model, numerics
 from rabigeom.model import RabiParams
 
@@ -1224,14 +1225,24 @@ def test_levels_beyond_a_low_rung_climb_the_ladder(tmp_path, capsys):
     assert "keeps only 31 states at M = 20" in capsys.readouterr().err
 
 
-def test_preset_bytes_do_not_depend_on_the_sector_batch(tmp_path,
-                                                        monkeypatch):
-    digests = []
-    for batch in (4, 16):
-        monkeypatch.setattr(model, "SECTOR_BATCH", batch)
-        out = tmp_path / f"fig4_{batch}.csv"
-        assert run(["fig4", "--out", str(out)]) == 0
-        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+@pytest.mark.parametrize("threads", [1, 2])
+def test_preset_bytes_do_not_depend_on_the_sector_batch(tmp_path, threads):
+    # both batch sizes, in a process whose BLAS runs each eigensolve on
+    # `threads` threads, write the pinned bytes
+    code = ("import sys\n"
+            "from rabigeom import cli, model\n"
+            "for batch in (4, 16):\n"
+            "    model.SECTOR_BATCH = batch\n"
+            "    out = f'{sys.argv[1]}/fig4_{batch}.csv'\n"
+            "    assert cli.main(['fig4', '--out', out]) == 0")
+    env = {var: value for var, value in os.environ.items()
+           if var not in rabigeom.BLAS_THREAD_VARS}
+    blas = dict.fromkeys(rabigeom.BLAS_THREAD_VARS, str(threads))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)], check=True,
+                   capture_output=True, env={**env, **blas, "PYTHONPATH": src})
+    digests = [hashlib.sha256((tmp_path / f"fig4_{batch}.csv").read_bytes())
+               .hexdigest() for batch in (4, 16)]
     assert digests == [MOVED_SHA256["fig4"]] * 2
 
 

@@ -594,11 +594,16 @@ def _sector_in_whole_space(M, kappa, n_photons):
 @given(st.floats(0.3, 1.7), st.floats(0.3, 1.7), st.floats(0.05, 0.9),
        st.floats(0.05, 0.9), st.sampled_from([10, 13, 16]),
        st.sampled_from([1, -1]))
+@example(w1=0.30000000000000004, w2=0.3, g1=0.30000000000000004, g2=0.3,
+         M=16, kappa=1)
 def test_solve_sectors_residual_is_the_ritz_residual(w1, w2, g1, g2, M,
                                                      kappa):
-    """Each state's residual is ||H c - E c|| with its Ritz vector c, the
-    eigenvector of the sector truncated at level M, taken into the whole
-    space of photons n <= M + 1, where the oracle builds H with np.kron."""
+    """Each state's residual is the part of H c - E c on level M + 1, with
+    its Ritz vector c, the eigenvector of the sector truncated at level M,
+    taken into the whole space of photons n <= M + 1, where the oracle
+    builds H with np.kron.  The rest of H c - E c is eigh's own rounding
+    inside the truncated sector, which no residual counts: for qubits one
+    ulp apart (the example) it reaches 1.6e-14 at ||H|| = 19."""
     params = RabiParams(omega1=w1, omega2=w2, g1=g1, g2=g2)
     assume(w1 != w2 and g1 != g2)   # no free row, so the sector solves whole
     sol = model.solve_sectors([params], M, kappa)
@@ -607,7 +612,9 @@ def test_solve_sectors_residual_is_the_ritz_residual(w1, w2, g1, g2, M,
     assert np.array_equal(sol.energies[0], values)
     H = oracle.full_rabi(params, M + 2)[0]
     ritz = _sector_in_whole_space(M, kappa, M + 2) @ vectors
-    residuals = np.linalg.norm(H @ ritz - ritz * values, axis=0)
+    beyond = [oracle.index(qubits, M + 1, M + 2)
+              for qubits in ("00", "01", "10", "11")]
+    residuals = np.linalg.norm((H @ ritz - ritz * values)[beyond], axis=0)
     # measured 1.1e-15 over 120 points
     assert np.max(np.abs(sol.residuals[0] - residuals)) <= 1e-14
 
@@ -934,14 +941,21 @@ def test_blas_defaults(first, user, blas):
     assert threads == 1
 
 
+@pytest.mark.parametrize("failing", [1, 2, 3])
 @pytest.mark.parametrize("solve", [model.solve_sectors, model.sector_energies])
-def test_sector_batch_errors_reach_the_caller(monkeypatch, solve):
-    # the second batch of four is the first whose entries overflow; building
-    # it raises no numpy warning
+def test_sector_batch_errors_reach_the_caller(monkeypatch, solve, failing):
+    # batch `failing` of four (counted from 0) is the first whose entries
+    # overflow, after the batches before it solve; building it raises no
+    # numpy warning
     monkeypatch.setattr(model, "SECTOR_BATCH", 4)
+    start = 4 * failing
     points = [RabiParams.equal_frequency(0.5, g, g)
-              for g in np.linspace(0.0, 1e308, 20)]
-    assert np.all(np.isfinite(model.sector_hamiltonian(points[:4], 30, 1)))
+              for g in np.r_[np.linspace(0.0, 1.0, start),
+                             np.linspace(1e308, 1.5e308, 20 - start)]]
+    assert np.all(np.isfinite(model.sector_hamiltonian(points[:start], 30,
+                                                       1)))
+    assert not np.all(np.isfinite(model.sector_hamiltonian(
+        points[start:start + 4], 30, 1)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(numerics.InvalidMatrix, match="non-finite"):
