@@ -15,7 +15,10 @@ read ``--trunc-m`` as their largest photon cutoff: each solves at the
 smallest rung of the ladder 20, 30, 40, ... (up to ``--trunc-m``) at which
 every written point's truncation bound, built from the states' residuals,
 is at most CERTIFY_TOL (_beyond_rwa), and records the climb in the
-sidecar's ``truncation`` block.  scan-anticrossing solves at ``--trunc-m``.
+sidecar's ``truncation`` block.  scan-anticrossing brackets each detuning's
+anti-crossing and phase jump with coarse scans at the first rung that
+certifies the window's ends and midpoint (the sidecar's
+``diagnostics.scan_m``), and refines them at ``--trunc-m``.
 The convergence gate of all four passes when every written point's bound
 is at most GATE_TOL (_gate).
 
@@ -97,7 +100,8 @@ VALUE_FLAGS = (
                  "help": "photon cutoff (default 50): the largest a "
                          "beyond-RWA sweep may take, which solves at the "
                          "first of 20, 30, 40, ... its residuals certify; "
-                         "scan-anticrossing solves at N"}),
+                         "scan-anticrossing brackets at that rung and "
+                         "refines at N"}),
     ("levels", {"type": int, "metavar": "N",
                 "help": "levels per sector / grid points / time steps"}),
     ("out", {"metavar": "PATH"}),
@@ -249,6 +253,9 @@ def _parse_sweep(spec) -> dict:
         raise ConfigError("sweep needs at least 2 points")
     if not start < stop:
         raise ConfigError("sweep start must be below stop")
+    if not math.isfinite(stop - start):
+        raise ConfigError(f"sweep [{start}, {stop}]: need a finite start, "
+                          "stop and width")
     return {"var": var, "start": start, "stop": stop, "points": points}
 
 
@@ -398,6 +405,24 @@ def _ladder(cap: int) -> list[int]:
     return [*range(LADDER_START, cap, LADDER_STEP), cap]
 
 
+def _solve(params_list, M: int, kappas) -> dict:
+    """Each kappa of ``kappas`` mapped to its SectorSolution of
+    ``params_list`` at the cutoff M."""
+    return {kappa: model.solve_sectors(params_list, M, kappa)
+            for kappa in kappas}
+
+
+def _certified_rung(points, ladder: list[int], kappas, bounds) -> int:
+    """The index of the first rung of ``ladder`` at which every bound of
+    ``points`` (``bounds`` of their solutions, as in _beyond_rwa) is at most
+    CERTIFY_TOL, or of its last rung, at which nothing is solved."""
+    rung = 0
+    while rung < len(ladder) - 1 and \
+            np.max(bounds(_solve(points, ladder[rung], kappas))) > CERTIFY_TOL:
+        rung += 1
+    return rung
+
+
 def _beyond_rwa(params_list, cap: int, kappas, columns, bounds, meta: dict
                 ) -> np.ndarray:
     """Tabulate beyond-RWA results over a sweep, at the smallest photon
@@ -407,30 +432,24 @@ def _beyond_rwa(params_list, cap: int, kappas, columns, bounds, meta: dict
     the (P,) bound of the error of each point's row, where ``sols`` maps
     each kappa of ``kappas`` to its SectorSolution.  The cutoff M comes from
     _ladder(cap): the first, middle and last points climb it until every
-    bound is at most CERTIFY_TOL; the whole sweep is then solved at their
-    rung, and again a rung higher while some point's bound is larger.  The
-    cap is taken when no lower rung certifies.  M is chosen for the sweep,
-    not per point or batch, so the table does not depend on SECTOR_BATCH.
+    bound is at most CERTIFY_TOL (_certified_rung); the whole sweep is then
+    solved at their rung, and again a rung higher while some point's bound
+    is larger.  The cap is taken when no lower rung certifies.  M is chosen
+    for the sweep, not per point or batch, so the table does not depend on
+    SECTOR_BATCH.
 
     ``columns`` is called once, on the sweep at M.  The ladder
     (``truncation``), the per-point bounds at M (``diagnostics``) and the
     convergence gate on the largest of them (_gate) are written into
     ``meta``.
     """
-    def solve(points, M):
-        return {kappa: model.solve_sectors(points, M, kappa)
-                for kappa in kappas}
-
     n = len(params_list)
     ladder = _ladder(cap)
     ends = [params_list[i] for i in sorted({0, n // 2, n - 1})]
-    rung = 0
-    while rung < len(ladder) - 1 and \
-            np.max(bounds(solve(ends, ladder[rung]))) > CERTIFY_TOL:
-        rung += 1
+    rung = _certified_rung(ends, ladder, kappas, bounds)
     while True:
         M = ladder[rung]
-        sols = solve(params_list, M)
+        sols = _solve(params_list, M, kappas)
         worst = bounds(sols)
         if M == cap or np.max(worst) <= CERTIFY_TOL:
             break
@@ -499,6 +518,14 @@ def _vacuum_phase_bounds(sols) -> np.ndarray:
     odd = sols[-1]
     return 2.0 * math.pi * np.sum(odd.vacuum_weights * _angle_bounds(odd),
                                   axis=1)
+
+
+def _scan_bounds(sols) -> np.ndarray:
+    """Per point, the larger of the energy bound of the 8 lowest kept even
+    states, which detect_anticrossing scans, and the odd sector's phase
+    bound, which locate_phase_jump scans."""
+    return np.maximum(_energy_bounds(sols[1], 8, True),
+                      _vacuum_phase_bounds(sols))
 
 
 def _new_meta(cfg: dict, command: str, **extra) -> dict:
@@ -716,15 +743,22 @@ def cmd_scan_anticrossing(cfg: dict) -> int:
                           "0 <= g_min < g_max")
     rows = []
     diagnostics = {"jump_on_window_edge": [], "level_pair": [],
-                   "pair_curvature": [], "residual_bound": []}
+                   "pair_curvature": [], "residual_bound": [], "scan_m": []}
+    ladder = _ladder(M)
     for delta in deltas:
         def params_of_g(g: float, d=delta) -> RabiParams:
             return RabiParams.equal_frequency(d, g, g)
-        ac = geometry.detect_anticrossing(params_of_g, kappa=1,
-                                          g_min=g_min, g_max=g_max, M=M)
-        jump = geometry.locate_phase_jump(params_of_g, g_min, g_max, M=M)
+        # the coarse scans only bracket, so they solve at the rung that
+        # certifies the window's ends and midpoint; the refinements at M
+        ends = [params_of_g(g) for g in (g_min, 0.5 * (g_min + g_max), g_max)]
+        scan_m = ladder[_certified_rung(ends, ladder, (1, -1), _scan_bounds)]
+        ac = geometry.detect_anticrossing(params_of_g, kappa=1, g_min=g_min,
+                                          g_max=g_max, M=M, scan_M=scan_m)
+        jump = geometry.locate_phase_jump(params_of_g, g_min, g_max, M=M,
+                                          scan_M=scan_m)
         rows.append([delta, ac.g_star, ac.min_gap, jump.g_jump,
                      jump.jump_size])
+        diagnostics["scan_m"].append(scan_m)
         diagnostics["jump_on_window_edge"].append(jump.on_edge)
         diagnostics["level_pair"].append(list(ac.level_pair))
         diagnostics["pair_curvature"].append(list(ac.curvature))

@@ -391,17 +391,21 @@ class AnticrossingResult:
 
 
 def detect_anticrossing(params_of_g, kappa: int, g_min: float, g_max: float,
-                        M: int = 50) -> AnticrossingResult:
+                        M: int = 50, scan_M: int | None = None
+                        ) -> AnticrossingResult:
     """Locate the minimal gap of a parity sector along a coupling sweep.
 
     ``params_of_g`` maps the swept coupling to RabiParams.  A 201-point scan
     of the 8 lowest non-singlet levels brackets the interior minimum of the
     gap of whichever adjacent pair attains the smallest gap, which
-    golden-section search then refines.  Raises NoAnticrossing when the
-    bracketed minimum sits on the range boundary or ties with a neighbour on
-    the coarse grid, when the refined gap closes completely (levels the
-    driving cannot connect cross exactly, and that is no anti-crossing) and
-    when it is not well below the gap at both ends of the range.
+    golden-section search then refines.  The scan only picks the bracket
+    and the pair, so it solves at the cutoff ``scan_M`` (default ``M``);
+    the golden section and the curvature solve at ``M``.  Raises
+    NoAnticrossing when the bracketed minimum sits on the range boundary or
+    ties with a neighbour on the coarse grid, when the refined gap closes
+    completely (levels the driving cannot connect cross exactly, and that
+    is no anti-crossing) and when it is not well below the gap at both ends
+    of the range.
 
     ``curvature`` holds d^2E/d omega_c^2 of the lower and the upper level of
     the pair at g_star, a central difference with step 1e-4 in omega_c.
@@ -418,11 +422,13 @@ def detect_anticrossing(params_of_g, kappa: int, g_min: float, g_max: float,
     n_scan = 201
     gs = np.linspace(g_min, g_max, n_scan)
 
-    def levels(params_list) -> np.ndarray:
-        energies, singlet = model.sector_energies(params_list, M, kappa)
+    def levels(params_list, cutoff=M) -> np.ndarray:
+        energies, singlet = model.sector_energies(params_list, cutoff, kappa)
         return np.array([e[~s][:8] for e, s in zip(energies, singlet)])
 
-    gaps = np.diff(levels([params_of_g(float(g)) for g in gs]), axis=1)
+    scan_M = M if scan_M is None else scan_M
+    gaps = np.diff(levels([params_of_g(float(g)) for g in gs], scan_M),
+                   axis=1)
     i_coarse, pair_lo = np.unravel_index(np.argmin(gaps), gaps.shape)
     pair = (int(pair_lo), int(pair_lo) + 1)
     gap_curve = gaps[:, pair[0]]
@@ -495,24 +501,29 @@ class PhaseJump:
     jump_size: float      # |gamma change| across the final bracket
     max_slope: float      # |d gamma / d g| estimate at the located point
     on_edge: bool         # coarse steepest step is the first or last interval
-    scan: SectorSolution = field(repr=False)   # odd sector on the 61 points
+    # odd sector on the 61 scan points, at the scan's cutoff
+    scan: SectorSolution = field(repr=False)
 
 
 def locate_phase_jump(params_of_g, g_min: float, g_max: float,
-                      M: int = 50) -> PhaseJump:
+                      M: int = 50, scan_M: int | None = None) -> PhaseJump:
     """Locate the sharpest change of the beyond-RWA noneigenstate phase.
 
-    Scans gamma(g) on 61 points, then bisects the interval of largest
-    change 24 times.  A true discontinuity keeps a finite ``jump_size`` as the bracket
-    shrinks; a steep but smooth crossover refines to jump_size near zero while
-    ``g_jump`` converges to the point of maximal slope.  ``on_edge`` flags a
-    steepest coarse step at the window's edge, where the change may go on.
+    Scans gamma(g) on 61 points at the cutoff ``scan_M`` (default ``M``),
+    then bisects the interval of largest change 24 times at ``M``.  The
+    scan only picks that interval, so ``g_jump``, ``jump_size`` and
+    ``max_slope`` come from solves at ``M``.  A true discontinuity keeps a
+    finite ``jump_size`` as the bracket shrinks; a steep but smooth
+    crossover refines to jump_size near zero while ``g_jump`` converges to
+    the point of maximal slope.  ``on_edge`` flags a steepest coarse step at
+    the window's edge, where the change may go on.
     """
     def gamma_at(g: float) -> float:
         return noneigen_phase_beyond_rwa(params_of_g(float(g)), M)[0]
 
+    scan_M = M if scan_M is None else scan_M
     gs = np.linspace(g_min, g_max, 61)
-    odd = model.solve_sectors([params_of_g(float(g)) for g in gs], M, -1)
+    odd = model.solve_sectors([params_of_g(float(g)) for g in gs], scan_M, -1)
     vals = noneigen_phases_beyond_rwa(odd)[0]
     i = int(np.argmax(np.abs(np.diff(vals))))
     on_edge = i in (0, len(gs) - 2)

@@ -256,7 +256,10 @@ def test_config_error_exit_code(tmp_path, capsys):
                     ["berry", "--delta", "1e308", "--sweep", "g:0:0.1:2"],
                     ["noneigen", "--delta", "1e308", "--sweep", "g:0:0.1:2"],
                     ["scan-anticrossing", "--delta", "1e308"],
-                    ["scan-anticrossing", "--config", str(infinite_window)]):
+                    ["scan-anticrossing", "--config", str(infinite_window)],
+                    # a sweep end or width that is not finite
+                    ["spectrum", "--sweep", "g:0:inf:3"],
+                    ["spectrum", "--sweep", "g:-1e308:1e308:3"]):
         out = tmp_path / "overflow.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1027,7 +1030,9 @@ def test_scan_anticrossing(tmp_path):
 def test_scan_anticrossing_records_truncation_bounds(tmp_path, trunc_m):
     # per delta: the energy bound of the anti-crossing pair from a solve at
     # g_star, and the largest phase bound over the 61-point scan that
-    # locate_phase_jump solves at M.  The gate reads the largest of them:
+    # locate_phase_jump solves at scan_m, the first rung that certifies the
+    # window's ends and midpoint (30 under a cap of 50; the cap of 20 or 10
+    # is the ladder's only rung).  The gate reads the largest of them:
     # M = 10 is short (jump_g is 1.2e-6 off the M = 50 value there), so it
     # exits 3 with the CSV and sidecar written
     out = tmp_path / "scan.csv"
@@ -1036,6 +1041,8 @@ def test_scan_anticrossing_records_truncation_bounds(tmp_path, trunc_m):
                 str(trunc_m), "--out", str(out)]) == (0 if passed else 3)
     meta = json.loads((tmp_path / "scan.csv.meta.json").read_text())
     (bounds,) = meta["diagnostics"]["residual_bound"]
+    (scan_m,) = meta["diagnostics"]["scan_m"]
+    assert scan_m == {50: 30, 20: 20, 10: 10}[trunc_m]
     assert meta["convergence_gate"] == {"max_bound": max(bounds.values()),
                                         "tolerance": cli.GATE_TOL,
                                         "passed": passed}
@@ -1045,7 +1052,7 @@ def test_scan_anticrossing_records_truncation_bounds(tmp_path, trunc_m):
         [RabiParams.equal_frequency(0.5, g_star, g_star)], trunc_m, 1)
     odd = model.solve_sectors([RabiParams.equal_frequency(0.5, g, g)
                                for g in np.linspace(0.2, 0.32, 61)],
-                              trunc_m, -1)
+                              scan_m, -1)
     assert bounds == {
         "pair_energy": float(cli._energy_bounds(star, pair[1] + 1, True)[0]),
         "vacuum_phase": float(np.max(cli._vacuum_phase_bounds({-1: odd})))}

@@ -11,7 +11,8 @@ from rabigeom import geometry, model, numerics
 from rabigeom.geometry import (berry_phase_block_closed_form,
                                berry_phase_fock_state, berry_phase_jc,
                                connection_field, curvature_from_connection,
-                               detect_anticrossing, noneigen_geometric_phase,
+                               detect_anticrossing, locate_phase_jump,
+                               noneigen_geometric_phase,
                                noneigen_phase_beyond_rwa, phase_by_surface_integral,
                                radial_field, vacuum_phase_jc,
                                vacuum_phase_two_qubit)
@@ -503,3 +504,24 @@ def test_detect_anticrossing_tied_bracket_raises():
         return RabiParams.equal_frequency(0.5, q, q)
     with pytest.raises(geometry.NoAnticrossing, match="flat at its minimum"):
         detect_anticrossing(params_of_g, kappa=1, g_min=0.2, g_max=0.32, M=30)
+
+
+@functools.lru_cache(maxsize=None)
+def _scans_at(delta, M, scan_M):
+    """detect_anticrossing (even sector) and locate_phase_jump over the
+    window [0.2, 0.32] at delta, refined at M after scans at scan_M."""
+    def params_of_g(g):
+        return RabiParams.equal_frequency(delta, g, g)
+    ac = detect_anticrossing(params_of_g, kappa=1, g_min=0.2, g_max=0.32, M=M,
+                             scan_M=scan_M)
+    jump = locate_phase_jump(params_of_g, 0.2, 0.32, M=M, scan_M=scan_M)
+    return ac, (jump.g_jump, jump.jump_size, jump.max_slope, jump.on_edge)
+
+
+@pytest.mark.parametrize("scan_M", [20, 30, 40])
+@pytest.mark.parametrize("delta", [-0.6, -0.2, 0.2, 0.5, 0.6])
+def test_scan_cutoff_only_brackets(delta, scan_M):
+    """The coarse scans only pick the bracket (and the level pair), which is
+    the same at every scan cutoff the ladder offers: everything returned is
+    refined at M, bit for bit as with scans at M."""
+    assert _scans_at(delta, 50, scan_M) == _scans_at(delta, 50, 50)
