@@ -29,8 +29,9 @@ configuration error, not ignored.
 
 Exit codes: 0 success, 2 configuration error (an --out path that cannot be
 written among them, parameters whose Hamiltonian entries overflow, a
-truncation whose matrices do not fit in memory, and for scan-anticrossing a
-truncation whose displaced-Fock overlaps overflow), 3
+truncation whose matrices do not fit in memory, an RWA spectrum whose
+energy bound admits more excitation blocks than fit in memory, and for
+scan-anticrossing a truncation whose displaced-Fock overlaps overflow), 3
 convergence-gate failure (a written point's truncation bound above
 GATE_TOL), or for scan-anticrossing vacuum weights short of 1 at the
 truncation M, 4 a required rational period, non-degenerate doublet or

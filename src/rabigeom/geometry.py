@@ -417,7 +417,8 @@ def detect_anticrossing(params_of_g, kappa: int, g_min: float, g_max: float,
 
     The search reads energies only: the scan, every golden-section step and
     the curvature's three points take model.sector_energies, which forms no
-    eigenvector: the singlets it drops are the rows the matrix decouples.
+    eigenvector: the singlets it drops are read from the parameters, the
+    S_n rows of identical qubits.
     """
     n_scan = 201
     gs = np.linspace(g_min, g_max, n_scan)

@@ -9,8 +9,8 @@ the displaced sector of the phase-jump bisection, and the exceptional exact
 eigenstates.
 Spin singlets exist for identical qubits only, which means exactly equal
 frequencies and couplings (RabiParams.identical_qubits), and are known
-before any solve: the rows a parity sector decouples, and the level at
-(k - 1) omega_c of each RWA excitation block k >= 1.
+before any solve: the S_n rows of a parity sector where kappa (-1)^n = -1,
+and the level at (k - 1) omega_c of each RWA excitation block k >= 1.
 
 Conventions: omega_c = 1 fixes the unit of energy; the detuning is
 Delta = omega1 - omega_c throughout.  Qubit basis states |1> (upper) and |0>
@@ -589,9 +589,10 @@ def sector_hamiltonian(params_list: Sequence[RabiParams], M: int,
     T, S = (|10> +- |01>)/sqrt(2).  The T-S entry of a level is
     (omega1 - omega2)/2, and (a + a^dag) couples level n to n + 1 through
     (g1 + g2)/sqrt(2) (T with |11> and |00>) and +-(g1 - g2)/sqrt(2) (S), so
-    for identical qubits every S row is decoupled: the spin singlets.
-    The solvers never build this stack: _sector_blocks scatters the same
-    entries (_sector_entries) into the rows each batch solves.
+    for identical qubits (RabiParams.identical_qubits) every S row is zero
+    off the diagonal: the spin singlets.  The solvers never build this
+    stack: _sector_blocks scatters the same entries (_sector_entries) into
+    the rows each batch solves.
     """
     rows, cols, values = _sector_entries(params_list, M, kappa)
     S = np.zeros((len(params_list), 2 * (M + 1), 2 * (M + 1)))
@@ -613,8 +614,9 @@ class SectorSolution:
 
     Row p of each (P, 2(M+1)) array belongs to the p-th parameter point, its
     states in ascending energy; exactly tied energies (at g = 0 a spin
-    singlet and another decoupled basis state) may come in either order.
-    Eigenvectors are not kept.
+    singlet and the |11>/|00>-type state of its level) may come in either
+    order.  ``singlet`` marks the spin singlets, which exist only at
+    identical points.  Eigenvectors are not kept.
     """
 
     kappa: int
@@ -641,18 +643,16 @@ def solve_sectors(params_list: Sequence[RabiParams], M: int,
     and S_0.  Points are built SECTOR_BATCH at a time, each batch's block of
     solved rows straight from the matrix entries (_sector_blocks), in order
     in the calling thread (_map_batches); eigenvectors live only inside a
-    batch, so one batch's eigenvectors are alive at a time.  A basis state
-    whose row of the sector matrix has no nonzero off-diagonal entry is an
-    exact eigenvector at its diagonal entry (for identical qubits, the spin
-    singlets S_n), so numerics.eigh solves only the other rows; points of a
-    batch are grouped by that set of free states.  A point with no free
-    state is solved whole, exactly as a one-point call.
+    batch, so one batch's eigenvectors are alive at a time.  At identical
+    points each spin singlet S_n is an exact eigenvector at its diagonal
+    entry n omega_c, so numerics.eigh solves only the other rows there; a
+    point whose qubits differ is solved whole, exactly as a one-point call.
 
     No truncation warning is raised: ``residuals`` holds each state's
     truncation residual r = ||H c - E c||, its truncated vector c taken into
     the space of photons n <= M + 1.  All of H c - E c lies on level M + 1,
     where it is sqrt(M + 1) (g1 sigma1^x + g2 sigma2^x) c(M), c(M) being the
-    qubit part of c on level M; a free row's r is 0.  The eigensolver's own
+    qubit part of c on level M; a singlet's r is 0.  The eigensolver's own
     rounding inside the sector, of order eps ||H||, is not counted (about
     1e-14 at ||H|| = 19 for nearly identical qubits).  E is a Rayleigh-Ritz
     upper bound, and the running maximum of r over the states below bounds
@@ -669,9 +669,9 @@ def sector_energies(params_list: Sequence[RabiParams], M: int,
     eigenvalues alone: no eigenvector is formed.
 
     The rows solved are those of solve_sectors, by numerics.eigvalsh, so the
-    energies agree with solve_sectors' to rounding.  The singlets are free
-    rows (_sector_blocks), known before any solve, so the singlet masks, and
-    so the kept states, are exactly those of solve_sectors.
+    energies agree with solve_sectors' to rounding.  The singlets are read
+    from the parameters (_sector_blocks), before any solve, so the singlet
+    masks, and so the kept states, are exactly those of solve_sectors.
     """
     _check_sector_points(params_list, M)
     parts = _map_batches(_energies_batch, params_list, M, kappa)
@@ -717,48 +717,42 @@ def _check_sector_points(params_list: Sequence[RabiParams], M: int) -> None:
 def _sector_blocks(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
     """The sector matrices of one batch, split for the eigensolve.
 
-    Returns the (P, n) diagonals, the (P, n) mask of free rows (no nonzero
-    off-diagonal entry), the (P, n) mask of the free rows that are spin
-    singlets, and one (members, solved, block) per set of points with the
-    same free rows: ``solved`` masks the rows that are not free and the
-    block is sector_hamiltonian(...)[np.ix_(members, solved, solved)], both
-    read from _sector_entries, so no whole matrix is built.
-    For identical qubits the row of S_n, the second of level n where
-    kappa (-1)^n = -1, is exactly zero off the diagonal: those rows, and no
-    others, are the singlets (|10,n> - |01,n>)/sqrt(2).
+    Returns the (P, n) diagonals, the (P, n) singlet mask and at most two
+    (members, keep, block): the points whose qubits differ, solved whole,
+    and the identical points (RabiParams.identical_qubits) without their
+    singlet rows.  The singlet rows are those of S_n, the second row of
+    level n where kappa (-1)^n = -1: for identical qubits each is exactly
+    zero off the diagonal, the singlet (|10,n> - |01,n>)/sqrt(2) at its
+    diagonal entry n omega_c.  ``keep`` masks the solved rows, at least the
+    M + 1 of the first half, and the block is
+    sector_hamiltonian(...)[np.ix_(members, keep, keep)], read from
+    _sector_entries, so no whole matrix is built.
     """
     rows, cols, values = _sector_entries(batch, M, kappa)
-    n = 2 * (M + 1)
-    diag = values[:, :n]
-    free = np.ones(diag.shape, dtype=bool)
-    point, entry = np.nonzero(values[:, n:] != 0.0)
-    free[point, rows[n + entry]] = False
-    identical = np.array([p.identical_qubits() for p in batch])[:, None]
-    singlet = free & identical & np.concatenate(
-        [np.zeros(M + 1, dtype=bool), kappa * (-1) ** np.arange(M + 1) == -1])
-    groups: dict[bytes, list[int]] = {}
-    for p, row in enumerate(free):
-        groups.setdefault(row.tobytes(), []).append(p)
+    identical = np.array([p.identical_qubits() for p in batch])
+    s_rows = np.concatenate([np.zeros(M + 1, dtype=bool),
+                             kappa * (-1) ** np.arange(M + 1) == -1])
     subs = []
-    for members in groups.values():
-        keep = ~free[members[0]]
-        k = np.count_nonzero(keep)
-        at = np.cumsum(keep) - 1   # the row of the block of each solved row
-        on = np.flatnonzero(keep[rows] & keep[cols])
-        block = np.zeros((len(members), k, k))
-        block[:, at[rows[on]], at[cols[on]]] = values[np.ix_(members, on)]
-        subs.append((members, keep, block))
-    return diag, free, singlet, subs
+    for members, keep in ((np.flatnonzero(~identical), np.ones_like(s_rows)),
+                          (np.flatnonzero(identical), ~s_rows)):
+        if members.size:
+            k = np.count_nonzero(keep)
+            at = np.cumsum(keep) - 1   # the row of the block of a solved row
+            on = np.flatnonzero(keep[rows] & keep[cols])
+            block = np.zeros((members.size, k, k))
+            block[:, at[rows[on]], at[cols[on]]] = values[np.ix_(members, on)]
+            subs.append((members, keep, block))
+    return values[:, :s_rows.size], identical[:, None] & s_rows, subs
 
 
 def _solve_batch(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
     """solve_sectors' five arrays for one batch of points.
 
     A solved state's <a^dag a>, |10,0> weight and residual are read from its
-    solved rows alone; each free row is a state of its own, with its photon
+    solved rows alone; each singlet is a state of its own, with its photon
     level, the weight of its basis state and residual 0.
     """
-    diag, free, singlet, subs = _sector_blocks(batch, M, kappa)
+    diag, singlet, subs = _sector_blocks(batch, M, kappa)
     photons = np.tile(np.arange(M + 1), 2)
     # level M couples to level M + 1 through (g1 +- g2) sqrt((M + 1)/2); an
     # overflow here fails the eigensolve first (see sector_hamiltonian)
@@ -769,18 +763,15 @@ def _solve_batch(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
         up_plus, up_minus = (g1 + g2) * root, (g1 - g2) * root
     # |10,0> = (T_0 + S_0)/sqrt(2) lies in the odd sector only
     vacuum = (0, M + 1) if kappa == -1 else ()
-    half = (1.0 / math.sqrt(2.0)) ** 2   # the weight of a free vacuum row
+    half = (1.0 / math.sqrt(2.0)) ** 2   # the weight of the singlet S_0
     # energies, <a^dag a>, singlet, vacuum weight, residual
-    out = [np.empty(free.shape, dtype=bool if i == 2 else float)
+    out = [np.empty(singlet.shape, dtype=bool if i == 2 else float)
            for i in range(5)]
     while subs:
         members, keep, sub = subs.pop()
-        g, k = len(members), np.count_nonzero(keep)
-        if k:
-            values, vectors = numerics.eigh(sub)
-        else:
-            values, vectors = np.empty((g, 0)), np.empty((g, 0, 0))
+        values, vectors = numerics.eigh(sub)
         del sub
+        g, k = values.shape
         at = np.cumsum(keep) - 1   # the column of each solved row
 
         def row(r: int) -> np.ndarray:
@@ -796,7 +787,7 @@ def _solve_batch(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
         weights = (((row(0) + row(M + 1)) / math.sqrt(2.0)) ** 2 if vacuum
                    else np.zeros((g, k)))
         loose = np.flatnonzero(~keep)
-        # the solved states, then the free rows; only a free row is a singlet
+        # the solved states, then the singlets
         per_state = (
             (values, diag[members][:, loose]),
             (photons[keep] @ vectors**2, photons[loose]),
@@ -816,15 +807,14 @@ def _solve_batch(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
 
 def _energies_batch(batch: Sequence[RabiParams], M: int, kappa: int) -> tuple:
     """sector_energies' energies and singlet mask for one batch of points."""
-    diag, free, singlet, subs = _sector_blocks(batch, M, kappa)
-    energies = np.empty(free.shape)
-    flags = np.empty(free.shape, dtype=bool)
+    diag, singlet, subs = _sector_blocks(batch, M, kappa)
+    energies = np.empty(singlet.shape)
+    flags = np.empty(singlet.shape, dtype=bool)
     for members, keep, sub in subs:
-        g, k = len(members), np.count_nonzero(keep)
-        values = numerics.eigvalsh(sub) if k else np.empty((g, 0))
+        values = numerics.eigvalsh(sub)
         # as in _solve_batch
+        per = np.pad(singlet[members][:, ~keep], ((0, 0), (sub.shape[1], 0)))
         values = np.concatenate([values, diag[members][:, ~keep]], axis=1)
-        per = np.pad(singlet[members][:, ~keep], ((0, 0), (k, 0)))
         order = np.argsort(values, axis=1, kind="stable")
         energies[members] = np.take_along_axis(values, order, axis=1)
         flags[members] = np.take_along_axis(per, order, axis=1)
@@ -866,7 +856,8 @@ def rwa_parity_levels(params_list: Sequence[RabiParams], parity: int,
     covered.  The whole sweep takes two stacked numerics.eigh calls: one for
     every point's lowest block (k = 0 or 1) and one for all the 4x4 blocks
     k >= 2.  Each matrix of a stack is solved as on its own, so a point's
-    levels do not depend on the others.
+    levels do not depend on the others.  MemoryError, before any block is
+    built, when the admitted blocks may not fit in physical memory.
 
     With drop_singlets, each block k >= 1 of identical qubits loses its level
     nearest (k - 1) omega_c, its singlet's exact energy; no eigenvector is
@@ -877,6 +868,13 @@ def rwa_parity_levels(params_list: Sequence[RabiParams], parity: int,
     drops = [drop_singlets and p.identical_qubits() for p in params_list]
     blocks = [range(k0, _rwa_last_block(p, k0, n_levels, drop) + 1, 2)
               for p, drop in zip(params_list, drops)]
+    # a block and its eigenpairs take 425 bytes at the stacked eigh
+    # (tracemalloc, g = 20 to 100), so refuse before building any block
+    count = sum(len(ks) for ks in blocks)
+    if PHYSICAL_MEMORY is not None and 425 * count > PHYSICAL_MEMORY:
+        raise MemoryError(f"the {count} RWA blocks the energy bound admits "
+                          f"may take {425 * count / 2**30:.3g} GiB, over the "
+                          f"{PHYSICAL_MEMORY / 2**30:.3g} GiB of memory")
     # eigh, not eigvalsh: eigvalsh rounds some levels differently (fig3 moves)
     low = numerics.eigh(np.array([build_block(p, k0) for p in params_list]))
     # the reshape keeps an empty list of 4x4 blocks a valid (0, 4, 4) stack

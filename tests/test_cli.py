@@ -450,6 +450,22 @@ def test_preset_omega1_replaces_the_default_delta(tmp_path, command):
     assert meta["config"]["omega1"] == 1.3
 
 
+def test_rwa_spectrum_beyond_memory_exit_code(tmp_path, capsys,
+                                              monkeypatch):
+    # the energy bound at g = 1e5 admits 2.0e10 RWA blocks per parity: a
+    # config error before any block is built, with no warning and no file
+    monkeypatch.setattr(model, "PHYSICAL_MEMORY", 2**36)
+    monkeypatch.setattr(model, "build_block", None)   # a call would raise
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["spectrum", "--rwa", "--delta", "0.5", "--sweep",
+                    "g:0:1e5:2", "--levels", "3", "--out", str(out)]) == 2
+    assert "RWA blocks" in capsys.readouterr().err
+    assert not out.exists()
+    assert not Path(f"{out}.meta.json").exists()
+
+
 def test_sweep_through_identical_qubits_keeps_the_near_singlet(tmp_path):
     # g1 = 0.19999999999999998 lies 2.8e-17 below g2, so the qubits differ
     # and the odd level near 0 stays, as at g1 = 0.19 and 0.21 (an EQ_TOL

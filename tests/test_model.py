@@ -474,6 +474,37 @@ def test_rwa_parity_levels_match_plain_fock_rwa(g):
         assert np.max(np.abs(got - want[:8])) <= 1e-12
 
 
+def test_rwa_parity_levels_refuse_blocks_beyond_memory(monkeypatch):
+    # each admitted block counts 425 bytes against physical memory, and a
+    # sweep over it fails before any block is built or any warning raised
+    built = []
+
+    def recording_build(params, k):
+        built.append(k)
+        return build(params, k)
+    build = model.build_block
+    monkeypatch.setattr(model, "build_block", recording_build)
+    small = RabiParams.equal_frequency(0.5, 0.3, 0.3)
+    count = len(range(1, model._rwa_last_block(small, 1, 8, False) + 1, 2))
+    monkeypatch.setattr(model, "PHYSICAL_MEMORY", 425 * count)
+    model.rwa_parity_levels([small], -1, 8)
+    assert len(built) == count
+    built.clear()
+    monkeypatch.setattr(model, "PHYSICAL_MEMORY", 425 * count - 1)
+    with pytest.raises(MemoryError, match="RWA blocks"):
+        model.rwa_parity_levels([small], -1, 8)
+    # g = 1e5 admits 2.0e10 odd blocks, some 8 TiB
+    monkeypatch.setattr(model, "PHYSICAL_MEMORY", 2**36)
+    huge = RabiParams.equal_frequency(0.5, 1e5, 1e5)
+    assert model._rwa_last_block(huge, 1, 3, False) == 40000400003
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for parity in (1, -1):
+            with pytest.raises(MemoryError, match="RWA blocks"):
+                model.rwa_parity_levels([small, huge], parity, 3)
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # adiabatic approximation and truncated sectors
 # ---------------------------------------------------------------------------
@@ -605,7 +636,7 @@ def test_solve_sectors_residual_is_the_ritz_residual(w1, w2, g1, g2, M,
     inside the truncated sector, which no residual counts: for qubits one
     ulp apart (the example) it reaches 1.6e-14 at ||H|| = 19."""
     params = RabiParams(omega1=w1, omega2=w2, g1=g1, g2=g2)
-    assume(w1 != w2 and g1 != g2)   # no free row, so the sector solves whole
+    assume(w1 != w2 and g1 != g2)   # no singlet, so the sector solves whole
     sol = model.solve_sectors([params], M, kappa)
     values, vectors = numerics.eigh(model.sector_hamiltonian([params], M,
                                                              kappa)[0])
@@ -723,7 +754,7 @@ def _whole_sector_solve(params_list, M, kappa):
     The residual of each state is |S' c| for the rows S' of photon level
     M + 1 of the sector matrix at truncation M + 1.  The singlet mask
     comes from the eigenvectors, by a rule that shares no code with the
-    kernel's decoupled rows: at exactly equal qubit frequencies and
+    kernel's singlet rows: at exactly equal qubit frequencies and
     couplings, a state within 1e-9 of n omega_c whose squared component on
     row M+1+n (S_n where kappa (-1)^n = -1) is above 1 - 1e-6.
     """
@@ -810,16 +841,20 @@ def test_solve_sectors_zero_coupling_matches_up_to_tied_order(kappa):
     assert not np.any(sol.residuals) and not np.any(whole[4])
 
 
-def test_solve_sectors_keeps_whole_solve_without_free_states():
-    # no basis state decouples: the points keep numerics.eigh of the whole
-    # sector bit for bit, also next to points that deflate in one batch
+def test_solve_sectors_keeps_whole_solve_for_unequal_qubits():
+    # qubits that differ, even by 1e-13 or only at g = 0, keep numerics.eigh
+    # of the whole sector bit for bit, also next to identical points, whose
+    # singlets leave the eigensolve, in one batch
     coupled = [RabiParams(omega1=1.1, omega2=0.8, g1=0.2, g2=0.3),
                RabiParams.equal_frequency(0.5, 0.2, 0.2 + 1e-13),
-               RabiParams(omega1=1.5, omega2=1.5 + 1e-13, g1=0.2, g2=0.2)]
-    # every state free: the sector matrix is diagonal
+               RabiParams(omega1=1.5, omega2=1.5 + 1e-13, g1=0.2, g2=0.2),
+               RabiParams.jc(0.3, 0.0),
+               RabiParams(omega1=1.3, omega2=0.7, omega_c=0.9)]
+    # identical qubits at g = 0: the sector matrix is diagonal
     diagonal = RabiParams(omega1=0.0, omega2=0.0)
     params_list = [coupled[0], RabiParams.equal_frequency(0.5, 0.2, 0.2),
-                   coupled[1], diagonal, coupled[2]]
+                   coupled[1], diagonal, *coupled[2:]]
+    unequal = [0, 2, 4, 5, 6]
     for kappa in (1, -1):
         sol = model.solve_sectors(params_list, 20, kappa)
         for i, params in enumerate(params_list):
@@ -831,23 +866,24 @@ def test_solve_sectors_keeps_whole_solve_without_free_states():
         # the residuals, which the reference forms by another route, to
         # rounding
         for name, want in zip(_SECTOR_FIELDS[:4], whole):
-            assert np.array_equal(getattr(sol, name)[[0, 2, 4]], want)
-        assert np.allclose(sol.residuals[[0, 2, 4]], whole[4], rtol=1e-13,
+            assert np.array_equal(getattr(sol, name)[unequal], want)
+        assert np.allclose(sol.residuals[unequal], whole[4], rtol=1e-13,
                            atol=1e-15)
         assert np.array_equal(sol.energies[3], np.sort(np.diagonal(
             model.sector_hamiltonian([diagonal], 20, kappa)[0])))
 
 
-#: one batch of points with different free rows: g2 or omega2 off by 1e-13
-#: (not identical, so no row decouples and no state is a singlet), g = 0
-#: with a singlet tied to a decoupled state, g = 0 at resonance (solved
-#: states at n omega_c), a diagonal matrix, unequal qubits and an ordinary
-#: deflated point
+#: one batch of identical and unequal points: g2 or omega2 off by 1e-13
+#: (not identical, so no state is a singlet), g = 0 with a singlet tied to
+#: an |11>/|00>-type state, g = 0 at resonance (solved states at
+#: n omega_c), a diagonal matrix, unequal qubits at g = 0 and g > 0, and
+#: an ordinary deflated point
 _ENERGIES_MIXED = [RabiParams.equal_frequency(0.5, 0.2, 0.2 + 1e-13),
                    RabiParams(omega1=1.5, omega2=1.5 + 1e-13, g1=0.2, g2=0.2),
                    RabiParams.equal_frequency(0.5, 0.0, 0.0),
                    RabiParams.equal_frequency(0.0, 0.0, 0.0),
                    RabiParams(omega1=0.0, omega2=0.0),
+                   RabiParams(omega1=1.3, omega2=0.7, omega_c=0.9),
                    RabiParams(omega1=1.1, omega2=0.8, g1=0.2, g2=0.3),
                    RabiParams.equal_frequency(0.5, 0.2, 0.2)]
 
@@ -966,18 +1002,25 @@ def test_sector_batch_errors_reach_the_caller(monkeypatch, solve, failing):
 @pytest.mark.parametrize("kappa", [1, -1])
 def test_sector_blocks_are_the_whole_matrices_on_the_solved_rows(kappa):
     S = model.sector_hamiltonian(_BATCH_MIXED, 30, kappa)
-    diag, free, singlet, subs = model._sector_blocks(_BATCH_MIXED, 30, kappa)
+    diag, singlet, subs = model._sector_blocks(_BATCH_MIXED, 30, kappa)
     assert np.array_equal(diag, np.diagonal(S, axis1=1, axis2=2))
-    # free: no nonzero off-diagonal entry in the row of the whole matrix
-    assert np.array_equal(free, np.count_nonzero(S, axis=2) == (diag != 0.0))
-    # the singlets are free rows of identical qubits only
-    identical = [p.identical_qubits() for p in _BATCH_MIXED]
-    assert not np.any(singlet & ~free)
-    assert np.array_equal(np.any(singlet, axis=1), identical)
+    # the singlets: the S_n rows where kappa (-1)^n = -1, of identical
+    # qubits only, each with no nonzero off-diagonal entry
+    identical = np.array([p.identical_qubits() for p in _BATCH_MIXED])
+    s_rows = np.r_[np.zeros(31, dtype=bool),
+                   kappa * (-1) ** np.arange(31) == -1]
+    assert np.array_equal(singlet, np.outer(identical, s_rows))
+    off = np.count_nonzero(S, axis=2) - (diag != 0.0)
+    assert not np.any(off[singlet])
+    # the unequal points solved whole, the identical ones without singlets
+    assert len(subs) == 2
     assert sorted(p for members, _, _ in subs for p in members) == \
         list(range(len(_BATCH_MIXED)))
     for members, keep, sub in subs:
-        assert np.array_equal(free[members], np.tile(~keep, (len(members), 1)))
+        assert np.array_equal(singlet[members],
+                              np.tile(~keep, (len(members), 1)))
+        # one kind of point per block
+        assert np.all(identical[members] == identical[members[0]])
         want = S[np.ix_(members, keep, keep)]
         assert sub.shape == want.shape and sub.tobytes() == want.tobytes()
 
@@ -994,7 +1037,7 @@ def test_sector_blocks_peak_below_one_whole_stack(kappa):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [len(members) for members, _, _ in blocks[3]] == [8]
+    assert [len(members) for members, _, _ in blocks[2]] == [8]
     assert peak < 8 * 102**2 * 8
 
 
