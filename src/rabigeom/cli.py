@@ -12,13 +12,15 @@ of the sidecar is as reproducible as the CSV.
 
 The beyond-RWA sweeps of spectrum, berry and noneigen (and so fig3-fig5)
 read ``--trunc-m`` as their largest photon cutoff: each solves at the
-smallest rung of the ladder 20, 30, 40, ... (up to ``--trunc-m``) at which
-every written point's truncation bound, built from the states' residuals,
-is at most CERTIFY_TOL (_beyond_rwa), and records the climb in the
-sidecar's ``truncation`` block.  scan-anticrossing brackets each detuning's
-anti-crossing and phase jump with coarse scans at the first rung that
-certifies the window's ends and midpoint (the sidecar's
-``diagnostics.scan_m``), and refines them at ``--trunc-m``.
+smallest rung of the ladder (_ladder: 20, 30, ..., 100 in steps of 10, then
+each rung 1.25 times the last, rounded up to a multiple of 10, up to
+``--trunc-m``) at which every written point's truncation bound, built from
+the states' residuals, is at most CERTIFY_TOL (_beyond_rwa), and records
+the climb in the sidecar's ``truncation`` block.  scan-anticrossing
+brackets each detuning's anti-crossing and phase jump with coarse scans at
+the first rung that certifies the window's ends and midpoint (the
+sidecar's ``diagnostics.scan_m``), and refines them at ``--trunc-m``.
+Both climb the ladder through _climb.
 The convergence gate of all four passes when every written point's bound
 is at most GATE_TOL (_gate).
 
@@ -66,8 +68,9 @@ GATE_TOL = 1e-6
 CERTIFY_TOL = 1e-13
 
 #: the cutoffs a beyond-RWA sweep may take start at LADDER_START and go up
-#: in steps of LADDER_STEP, to --trunc-m at most (_ladder)
-LADDER_START, LADDER_STEP = 20, 10
+#: in steps of LADDER_STEP to LADDER_LINEAR, then by a factor LADDER_GROWTH
+#: each, to --trunc-m at most (_ladder)
+LADDER_START, LADDER_STEP, LADDER_LINEAR, LADDER_GROWTH = 20, 10, 100, 1.25
 
 #: the numeric model parameters, read by params_from_config with ``model``
 PARAM_KEYS = ("omega1", "omega2", "g1", "g2", "delta")
@@ -100,9 +103,10 @@ VALUE_FLAGS = (
     ("trunc_m", {"type": int, "metavar": "N",
                  "help": "photon cutoff (default 50): the largest a "
                          "beyond-RWA sweep may take, which solves at the "
-                         "first of 20, 30, 40, ... its residuals certify; "
-                         "scan-anticrossing brackets at that rung and "
-                         "refines at N"}),
+                         "first of 20, 30, ..., 100, 130, 170, 220, ... "
+                         "(steps of 10 to 100, then x1.25) its residuals "
+                         "certify; scan-anticrossing brackets at that rung "
+                         "and refines at N"}),
     ("levels", {"type": int, "metavar": "N",
                 "help": "levels per sector / grid points / time steps"}),
     ("out", {"metavar": "PATH"}),
@@ -401,68 +405,63 @@ def _sweep_params(cfg: dict, var: str, values) -> list[RabiParams]:
 # ---------------------------------------------------------------------------
 
 def _ladder(cap: int) -> list[int]:
-    """The cutoffs a sweep may take: LADDER_START, LADDER_START + LADDER_STEP,
-    ... below ``cap``, then ``cap`` itself."""
-    return [*range(LADDER_START, cap, LADDER_STEP), cap]
+    """The cutoffs a sweep may take below ``cap``, then ``cap`` itself: from
+    LADDER_START in steps of LADDER_STEP up to LADDER_LINEAR, then each rung
+    LADDER_GROWTH times the last, rounded up to a multiple of LADDER_STEP."""
+    rungs, M = [], LADDER_START
+    while M < cap:
+        rungs.append(M)
+        M = M + LADDER_STEP if M < LADDER_LINEAR else \
+            math.ceil(M * LADDER_GROWTH / LADDER_STEP) * LADDER_STEP
+    return [*rungs, cap]
 
 
-def _solve(params_list, M: int, kappas) -> dict:
-    """Each kappa of ``kappas`` mapped to its SectorSolution of
-    ``params_list`` at the cutoff M."""
-    return {kappa: model.solve_sectors(params_list, M, kappa)
-            for kappa in kappas}
+def _climb(points, rungs: list[int], kappas, bounds):
+    """Solve ``points`` at each cutoff of ``rungs`` in turn, up to the first
+    at which every bound is at most CERTIFY_TOL, or the last.
+
+    ``bounds(sols)`` gives the (P,) bound of each point's results, ``sols``
+    mapping each kappa of ``kappas`` to its SectorSolution.  Returns the
+    cutoff M solved at last, its ``sols`` and their bounds.
+    """
+    for M in rungs:
+        sols = {kappa: model.solve_sectors(points, M, kappa)
+                for kappa in kappas}
+        worst = bounds(sols)
+        if np.max(worst) <= CERTIFY_TOL:
+            break
+    return M, sols, worst
 
 
-def _certified_rung(points, ladder: list[int], kappas, bounds) -> int:
-    """The index of the first rung of ``ladder`` at which every bound of
-    ``points`` (``bounds`` of their solutions, as in _beyond_rwa) is at most
-    CERTIFY_TOL, or of its last rung, at which nothing is solved."""
-    rung = 0
-    while rung < len(ladder) - 1 and \
-            np.max(bounds(_solve(points, ladder[rung], kappas))) > CERTIFY_TOL:
-        rung += 1
-    return rung
+def _beyond_rwa(params_list, cap: int, kappas, bounds, meta: dict) -> dict:
+    """Solve a sweep at the smallest photon cutoff its truncation bounds
+    certify, and gate it on those bounds.
 
+    ``bounds`` is as in _climb.  The cutoff M comes from _ladder(cap): the
+    first, middle and last points climb it (_climb), and the whole sweep
+    climbs on from their rung; the cap is taken when no lower rung
+    certifies.  M is chosen for the sweep, not per point or batch, so the
+    results do not depend on SECTOR_BATCH.
 
-def _beyond_rwa(params_list, cap: int, kappas, columns, bounds, meta: dict
-                ) -> np.ndarray:
-    """Tabulate beyond-RWA results over a sweep, at the smallest photon
-    cutoff their truncation bounds certify, and gate them on those bounds.
-
-    ``columns(sols)`` gives one row of numbers per point and ``bounds(sols)``
-    the (P,) bound of the error of each point's row, where ``sols`` maps
-    each kappa of ``kappas`` to its SectorSolution.  The cutoff M comes from
-    _ladder(cap): the first, middle and last points climb it until every
-    bound is at most CERTIFY_TOL (_certified_rung); the whole sweep is then
-    solved at their rung, and again a rung higher while some point's bound
-    is larger.  The cap is taken when no lower rung certifies.  M is chosen
-    for the sweep, not per point or batch, so the table does not depend on
-    SECTOR_BATCH.
-
-    ``columns`` is called once, on the sweep at M.  The ladder
-    (``truncation``), the per-point bounds at M (``diagnostics``) and the
-    convergence gate on the largest of them (_gate) are written into
-    ``meta``.
+    Returns the sweep's ``sols`` at M.  The ladder (``truncation``), the
+    per-point bounds at M (``diagnostics``) and the convergence gate on the
+    largest of them (_gate) are written into ``meta``.
     """
     n = len(params_list)
     ladder = _ladder(cap)
     ends = [params_list[i] for i in sorted({0, n // 2, n - 1})]
-    rung = _certified_rung(ends, ladder, kappas, bounds)
-    while True:
-        M = ladder[rung]
-        sols = _solve(params_list, M, kappas)
-        worst = bounds(sols)
-        if M == cap or np.max(worst) <= CERTIFY_TOL:
-            break
-        rung += 1
+    M, _, _ = _climb(ends, ladder, kappas, bounds)
+    M, sols, worst = _climb(params_list, ladder[ladder.index(M):], kappas,
+                            bounds)
     max_bound = float(np.max(worst))
     # every rung up to M was solved, at the probes or the whole sweep
-    meta["truncation"] = {"cap": cap, "rungs_tried": ladder[:rung + 1],
+    meta["truncation"] = {"cap": cap,
+                          "rungs_tried": ladder[:ladder.index(M) + 1],
                           "m": M, "tolerance": CERTIFY_TOL,
                           "certified": max_bound <= CERTIFY_TOL}
     meta["diagnostics"] = {"residual_bound": worst.tolist()}
     meta["convergence_gate"] = _gate(max_bound)
-    return np.asarray(columns(sols))
+    return sols
 
 
 def _gate(max_bound: float) -> dict:
@@ -567,23 +566,19 @@ def cmd_spectrum(cfg: dict) -> int:
     params_list = _sweep_params(cfg, var, values)
     meta = _new_meta(cfg, "spectrum")
     if "full" in modes:
-        def kept_energies(sols):
-            # per point: the kept energies of the even, then the odd sector
-            rows = [[sol.energies[i, sol.kept(i, drop)[:n_levels]]
-                     for sol in sols.values()]
-                    for i in range(len(sols[1].energies))]
-            fewest = min(len(e) for row in rows for e in row)
-            if fewest < n_levels:
-                raise ConfigError(f"--levels {n_levels}: a parity sector "
-                                  f"keeps only {fewest} states at M = {cap}")
-            return rows
-
         def energy_bounds(sols):
             return np.max([_energy_bounds(sol, n_levels, drop)
                            for sol in sols.values()], axis=0)
 
-        full = _beyond_rwa(params_list, cap, (1, -1), kept_energies,
-                           energy_bounds, meta)
+        sols = _beyond_rwa(params_list, cap, (1, -1), energy_bounds, meta)
+        # per point: the kept energies of the even, then the odd sector
+        full = [[sol.energies[i, sol.kept(i, drop)[:n_levels]]
+                 for sol in sols.values()] for i in range(len(params_list))]
+        del sols   # not held through the RWA levels and the CSV write
+        fewest = min(len(e) for row in full for e in row)
+        if fewest < n_levels:
+            raise ConfigError(f"--levels {n_levels}: a parity sector keeps "
+                              f"only {fewest} states at M = {cap}")
     if "rwa" in modes:
         rwa = [model.rwa_parity_levels(params_list, parity, n_levels, drop)
                for parity in (1, -1)]
@@ -617,8 +612,8 @@ def cmd_berry(cfg: dict) -> int:
     meta = _new_meta(cfg, "berry")
     if include_full:
         header.append("gamma_full")
-        gamma_full = _beyond_rwa(params_list, cap, (1, -1), _eigenphases,
-                                 _eigenphase_bounds, meta)
+        gamma_full = _eigenphases(_beyond_rwa(params_list, cap, (1, -1),
+                                              _eigenphase_bounds, meta))
     rows = []
     for i, (value, pars) in enumerate(zip(values, params_list)):
         gamma_rwa = {
@@ -629,7 +624,7 @@ def cmd_berry(cfg: dict) -> int:
         for name, column in _COUNTERPARTS.items():
             row = [value, name, gamma_rwa[name]]
             if include_full:
-                row.append(float(gamma_full[i, column]))
+                row.append(gamma_full[i][column])
             rows.append(row)
     meta["timings"]["sweep_s"] = time.perf_counter() - start
     write_dataset(cfg["out"], header, rows, meta)
@@ -666,16 +661,12 @@ def cmd_noneigen(cfg: dict) -> int:
     header = ["sweep_value", "g1", "g2", "delta", "F_theta_phi", "gamma_rwa"]
     meta = _new_meta(cfg, "noneigen")
     if include_full:
-        def vacuum_phases(sols) -> np.ndarray:
-            # weighted beyond-RWA geometric phase of |10,0>, from the odd
-            # sector, beside the total of the weights behind it
-            return np.column_stack(
-                geometry.noneigen_phases_beyond_rwa(sols[-1]))
-
-        table = _beyond_rwa(params_list, cap, (-1,), vacuum_phases,
-                            _vacuum_phase_bounds, meta)
-        gammas = table[:, 0].tolist()
-        meta["diagnostics"]["vacuum_weight_total"] = table[:, 1].tolist()
+        # weighted beyond-RWA geometric phase of |10,0>, from the odd
+        # sector, and the total of the weights behind it
+        gammas, totals = geometry.noneigen_phases_beyond_rwa(_beyond_rwa(
+            params_list, cap, (-1,), _vacuum_phase_bounds, meta)[-1])
+        gammas = gammas.tolist()
+        meta["diagnostics"]["vacuum_weight_total"] = totals.tolist()
         flags = _jump_flags(gammas, jump_threshold)
         rows = [r + [gamma, f] for r, gamma, f in zip(rows, gammas, flags)]
         header += ["gamma_full", "anticross_flag"]
@@ -745,14 +736,13 @@ def cmd_scan_anticrossing(cfg: dict) -> int:
     rows = []
     diagnostics = {"jump_on_window_edge": [], "level_pair": [],
                    "pair_curvature": [], "residual_bound": [], "scan_m": []}
-    ladder = _ladder(M)
     for delta in deltas:
         def params_of_g(g: float, d=delta) -> RabiParams:
             return RabiParams.equal_frequency(d, g, g)
         # the coarse scans only bracket, so they solve at the rung that
         # certifies the window's ends and midpoint; the refinements at M
         ends = [params_of_g(g) for g in (g_min, 0.5 * (g_min + g_max), g_max)]
-        scan_m = ladder[_certified_rung(ends, ladder, (1, -1), _scan_bounds)]
+        scan_m, _, _ = _climb(ends, _ladder(M), (1, -1), _scan_bounds)
         ac = geometry.detect_anticrossing(params_of_g, kappa=1, g_min=g_min,
                                           g_max=g_max, M=M, scan_M=scan_m)
         jump = geometry.locate_phase_jump(params_of_g, g_min, g_max, M=M,

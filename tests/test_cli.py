@@ -1078,6 +1078,31 @@ def test_scan_anticrossing_records_truncation_bounds(tmp_path, trunc_m):
         assert min(bounds.values()) > cli.GATE_TOL
 
 
+def test_scan_anticrossing_climbs_to_the_cap_when_no_rung_certifies(
+        tmp_path, monkeypatch):
+    # the window's end at g = 2.0 needs more than 30 photons: its ends and
+    # midpoint climb every rung, the cap included, the coarse scans run at
+    # the cap, and the gate fails with the CSV and sidecar written
+    calls = []
+    solve = model.solve_sectors
+
+    def counting(params_list, M, kappa):
+        calls.append((len(params_list), M, kappa))
+        return solve(params_list, M, kappa)
+
+    monkeypatch.setattr(model, "solve_sectors", counting)
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps({"g_min": 0.2, "g_max": 2.0, "delta": 0.5}))
+    out = tmp_path / "scan.csv"
+    assert run(["scan-anticrossing", "--config", str(config), "--trunc-m",
+                "30", "--out", str(out)]) == 3
+    assert calls[:4] == [(3, 20, 1), (3, 20, -1), (3, 30, 1), (3, 30, -1)]
+    assert len(read_csv(out)[1]) == 1
+    meta = json.loads((tmp_path / "scan.csv.meta.json").read_text())
+    assert meta["diagnostics"]["scan_m"] == [30]
+    assert meta["convergence_gate"]["passed"] is False
+
+
 # ---------------------------------------------------------------------------
 # The cutoff ladder of beyond-RWA sweeps
 # ---------------------------------------------------------------------------
@@ -1088,6 +1113,11 @@ def test_ladder_rungs():
     assert cli._ladder(25) == [20, 25]
     assert cli._ladder(20) == [20]
     assert cli._ladder(10) == [10]
+    # steps of 10 up to 100, then x1.25 rounded up to a multiple of 10
+    assert cli._ladder(400) == [*range(20, 101, 10), 130, 170, 220, 280, 350,
+                                400]
+    # a climb to M costs about M^4 in steps of 10, about M^3 in these
+    assert len(cli._ladder(10**5)) <= 45
 
 
 @pytest.mark.parametrize("kappa", [1, -1])
@@ -1109,11 +1139,12 @@ def test_angle_bounds_match_a_per_point_loop(kappa):
             assert got[i, j] == (r / gap if r > 0.0 else 0.0)
 
 
-def _ladder_run(monkeypatch, fails_below, bound=1.0):
+def _ladder_run(monkeypatch, fails_below, bound=1.0, probes_fail=False):
     """cli._beyond_rwa over five points whose second point, which no probe
     covers, carries ``bound`` below the cutoff ``fails_below`` and every
-    other bound 0, under a cap of 50; returns the (points, M) of every
-    solve_sectors call and the sidecar metadata."""
+    other bound 0, under a cap of 50; with ``probes_fail``, the first of the
+    three probes carries 1.0 at every cutoff.  Returns the (points, M) of
+    every solve_sectors call and the sidecar metadata."""
     calls = []
     solve = model.solve_sectors
 
@@ -1126,14 +1157,17 @@ def _ladder_run(monkeypatch, fails_below, bound=1.0):
         worst = np.zeros(len(sols[1].energies))
         if len(worst) == 5 and M < fails_below:
             worst[1] = bound
+        if len(worst) == 3 and probes_fail:
+            worst[0] = 1.0
         return worst
 
     monkeypatch.setattr(model, "solve_sectors", counting)
     params_list = [RabiParams.equal_frequency(0.5, g, g)
                    for g in (0.1, 0.2, 0.3, 0.4, 0.5)]
     meta = {"timings": {}}
-    cli._beyond_rwa(params_list, 50, (1,),
-                    lambda sols: sols[1].energies[:, :1], bounds, meta)
+    sols = cli._beyond_rwa(params_list, 50, (1,), bounds, meta)
+    assert list(sols) == [1]
+    assert sols[1].energies.shape[1] == 2 * (meta["truncation"]["m"] + 1)
     return calls, meta
 
 
@@ -1157,6 +1191,18 @@ def test_ladder_solves_at_the_cap_when_nothing_certifies(monkeypatch):
     assert meta["convergence_gate"] == {"max_bound": 1.0,
                                         "tolerance": cli.GATE_TOL,
                                         "passed": False}
+
+
+def test_ladder_solves_the_probes_at_the_cap_when_they_never_certify(
+        monkeypatch):
+    # the probes climb every rung, the cap included; the sweep is then
+    # solved once, at the cap, where point 1 certifies
+    calls, meta = _ladder_run(monkeypatch, fails_below=50, probes_fail=True)
+    assert calls == [(3, 20), (3, 30), (3, 40), (3, 50), (5, 50)]
+    assert meta["truncation"] == {"cap": 50, "rungs_tried": [20, 30, 40, 50],
+                                  "m": 50, "tolerance": cli.CERTIFY_TOL,
+                                  "certified": True}
+    assert meta["convergence_gate"]["passed"]
 
 
 @pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
