@@ -29,26 +29,25 @@ is at most GATE_TOL (_gate).
 config key that the command does not read (see COMMAND_KEYS) is a
 configuration error, not ignored.
 
-Exit codes: 0 success, 2 configuration error (an --out path that cannot be
-written among them, parameters whose Hamiltonian entries overflow, a
-truncation whose matrices do not fit in memory, an RWA spectrum whose
-energy bound admits more excitation blocks than fit in memory, and for
-scan-anticrossing a truncation whose displaced-Fock overlaps overflow), 3
-convergence-gate failure (a written point's truncation bound above
-GATE_TOL), or for scan-anticrossing vacuum weights short of 1 at the
-truncation M, 4 a required rational period, non-degenerate doublet or
-anti-crossing does not exist.
+Exit codes: 0 success, 2 configuration error (among them an --out that is
+not a path or whose CSV or sidecar cannot be written, parameters whose
+Hamiltonian entries overflow, a truncation whose matrices do not fit in
+memory, an RWA spectrum whose energy bound admits more excitation blocks
+than fit in memory, and for scan-anticrossing a truncation whose
+displaced-Fock overlaps overflow), 3 convergence-gate failure (a written
+point's truncation bound above GATE_TOL), or for scan-anticrossing vacuum
+weights short of 1 at the truncation M, 4 a required rational period,
+non-degenerate doublet or anti-crossing does not exist.
 """
 
 import argparse
-import itertools
 import json
 import math
 import os
 import platform
 import sys
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -121,7 +120,7 @@ class ConfigError(ValueError):
     pass
 
 
-#: rows write_dataset takes from its iterable, checks and formats at a time
+#: rows write_dataset formats with one printf call
 BLOCK_ROWS = 1024
 
 #: thread-count variables recorded in every sidecar's environment block
@@ -141,31 +140,21 @@ def _spec(kind: type) -> str:
     return "%s"
 
 
-def _format_block(block: list, width: int, suffix: tuple[str, ...] = ()
-                  ) -> str:
-    """The CSV lines of ``block``; the cells of ``suffix``, printf formats
-    themselves, end each line.
-
-    Every row must have ``width`` cells and each column one kind of cell
-    (integer, float or other; see _spec), and float cells must be finite;
-    otherwise ConfigError.  The block gets one length check, one kind check
-    per column, one finiteness pass per float column and one printf call.
-    """
-    if set(map(len, block)) != {width}:
-        raise ConfigError("inconsistent column count")
-    cells = tuple(itertools.chain.from_iterable(block))
-    specs = []
-    for j in range(width):
-        column = cells[j::width]
+def _column_spec(column) -> str:
+    """printf conversion of the cells of ``column`` (_spec), by dtype unless
+    it holds objects; ConfigError for mixed kinds or a non-finite float."""
+    if isinstance(column, np.ndarray) and column.dtype != object:
+        kinds = {_spec(column.dtype.type)}
+    else:
         kinds = {_spec(kind) for kind in set(map(type, column))}
-        if len(kinds) > 1:
-            raise ConfigError(f"column {j} mixes kinds of cells (integer, "
-                              "float, other)")
-        spec = kinds.pop()
-        if spec == "%.17g" and not all(map(math.isfinite, column)):
-            raise ConfigError("non-finite value in dataset")
-        specs.append(spec)
-    return (",".join(specs + list(suffix)) + "\n") * len(block) % cells
+    if len(kinds) > 1:
+        raise ConfigError("a column mixes kinds of cells (integer, float, "
+                          "other)")
+    spec = kinds.pop() if kinds else "%s"
+    # a float64 array is not copied; an object array or a list is converted
+    if spec == "%.17g" and not np.isfinite(np.asarray(column, float)).all():
+        raise ConfigError("non-finite value in dataset")
+    return spec
 
 
 def environment() -> dict:
@@ -177,43 +166,59 @@ def environment() -> dict:
             **{var: os.environ.get(var, "unset") for var in THREAD_VARS}}
 
 
-def write_dataset(path: str, header: list[str], rows: Iterable[Sequence],
-                  metadata: dict, fixed: Sequence = ()) -> None:
-    """Write ``rows`` under ``header`` to the CSV ``path`` and its sidecar.
+def write_dataset(path: str, header: list[str], columns: Sequence,
+                  metadata: dict) -> None:
+    """Write ``columns``, one per name of ``header``, to the CSV ``path`` and
+    its sidecar.
 
-    ``rows`` is any iterable of row sequences, consumed once in blocks of
-    BLOCK_ROWS rows: each block is checked and formatted by _format_block
-    and written before the next is taken, so the writer holds at most one
-    block of a generator's rows in memory.  ``fixed`` holds the values of
-    the last ``len(fixed)`` columns when they are the same on every row; the
-    rows then supply only the leading columns, and the fixed cells are
-    checked and formatted once, as a block of one row.  A bad row (wrong
-    length with ``fixed``, a non-finite float, or a column that mixes kinds
-    of cells) or an unwritable ``path`` raises ConfigError and leaves no
-    CSV; the sidecar, written last, records the row count and the
-    environment (see environment()), and adds the seconds spent on the CSV
-    as ``write_s`` to a ``timings`` block of ``metadata``, if it has one.
+    A column is a 1-D numpy array or a sequence of cells, all of one length:
+    the row count.  A 0-d value (a number, a string, a 0-d array) is a
+    constant column, formatted once; with no other column, there is 1 row.
+    Each column's length, kind and finiteness (_column_spec) are checked
+    once, before the CSV is opened: a bad column is a ConfigError that
+    writes nothing.  Each block of BLOCK_ROWS rows is formatted by one printf
+    call from slices of the columns.  An unwritable ``path`` or sidecar is a
+    ConfigError and leaves no CSV.  The sidecar records the row count and
+    the environment (see environment()), and adds the seconds spent on the
+    CSV as ``write_s`` to a ``timings`` block of ``metadata``, if it has one.
     """
     start = time.perf_counter()
-    fixed = tuple(fixed)
-    width = len(header) - len(fixed)
-    count = 0
+    if len(columns) != len(header):
+        raise ConfigError("inconsistent column count")
+    specs, full = [], []
+    for column in columns:
+        if isinstance(column, np.ndarray) and column.ndim == 0:
+            column = column[()]
+        if isinstance(column, str) or not isinstance(column, (Sequence,
+                                                               np.ndarray)):
+            # the formatted cell, escaped to stand in the printf format
+            cell = _column_spec([column]) % (column,)
+            specs.append(cell.replace("%", "%%"))
+            continue
+        specs.append(_column_spec(column))
+        # %d and %.17g format Python numbers faster than numpy scalars,
+        # while str() of a numpy scalar (float32 say) is the per-cell rule
+        full.append((column, isinstance(column, np.ndarray)
+                     and specs[-1] != "%s"))
+    if len({len(column) for column, _ in full}) > 1 or any(
+            getattr(column, "ndim", 1) != 1 for column, _ in full):
+        raise ConfigError("columns of unequal length, or not 1-D")
+    count = len(full[0][0]) if full else 1
+    line = ",".join(specs) + "\n"
     try:
         fh = open(path, "w", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     try:
         with fh:
-            suffix = ()
-            if fixed:
-                # the formatted cells, escaped to stand in a printf format
-                line = _format_block([fixed], len(fixed))
-                suffix = (line[:-1].replace("%", "%%"),)
             fh.write(",".join(header) + "\n")
-            rows = iter(rows)
-            while block := list(itertools.islice(rows, BLOCK_ROWS)):
-                fh.write(_format_block(block, width, suffix))
-                count += len(block)
+            for s in range(0, count, BLOCK_ROWS):
+                e = min(s + BLOCK_ROWS, count)
+                cells = [None] * (len(full) * (e - s))
+                for j, (column, tolist) in enumerate(full):
+                    part = column[s:e]
+                    cells[j::len(full)] = part.tolist() if tolist else part
+                fh.write(line * (e - s) % tuple(cells))
     except BaseException:
         os.remove(path)
         raise
@@ -221,13 +226,15 @@ def write_dataset(path: str, header: list[str], rows: Iterable[Sequence],
     if "timings" in metadata:
         metadata["timings"] = {**metadata["timings"],
                                "write_s": time.perf_counter() - start}
-    metadata["version"] = __version__
-    metadata["columns"] = header
-    metadata["rows"] = count
-    metadata["environment"] = environment()
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    metadata.update(version=__version__, columns=header, rows=count,
+                    environment=environment())
+    try:
+        fh = open(path + ".meta.json", "w")
+    except OSError as exc:
+        os.remove(path)
+        raise ConfigError(f"cannot write {path}.meta.json: {exc}") from exc
+    with fh:
+        fh.write(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +306,10 @@ def load_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key)
         if value is not None:
             cfg[key] = value
+    if cfg.get("out") is None:   # unset, as _get reads every other key
+        cfg.pop("out", None)
+    elif not isinstance(cfg["out"], str):
+        raise ConfigError(f"out {cfg['out']!r}: need a path")
     if cfg.get("sweep") is not None:
         cfg["sweep"] = _parse_sweep(cfg["sweep"])
     if args.rwa:
@@ -565,41 +576,35 @@ def cmd_spectrum(cfg: dict) -> int:
     drop = bool(cfg["drop_singlets"])
     params_list = _sweep_params(cfg, var, values)
     meta = _new_meta(cfg, "spectrum")
+    runs = {}   # (model, parity) -> (P, n_levels) energies, in CSV order
     if "full" in modes:
         def energy_bounds(sols):
             return np.max([_energy_bounds(sol, n_levels, drop)
                            for sol in sols.values()], axis=0)
 
         sols = _beyond_rwa(params_list, cap, (1, -1), energy_bounds, meta)
-        # per point: the kept energies of the even, then the odd sector
+        # per sector and point: the kept energies
         full = [[sol.energies[i, sol.kept(i, drop)[:n_levels]]
-                 for sol in sols.values()] for i in range(len(params_list))]
+                 for i in range(len(params_list))] for sol in sols.values()]
         del sols   # not held through the RWA levels and the CSV write
-        fewest = min(len(e) for row in full for e in row)
+        fewest = min(len(e) for levels in full for e in levels)
         if fewest < n_levels:
             raise ConfigError(f"--levels {n_levels}: a parity sector keeps "
                               f"only {fewest} states at M = {cap}")
+        runs["full", "even"], runs["full", "odd"] = map(np.array, full)
     if "rwa" in modes:
-        rwa = [model.rwa_parity_levels(params_list, parity, n_levels, drop)
-               for parity in (1, -1)]
-    rows = []
-    for i, value in enumerate(values):
-        if "rwa" in modes:
-            for parity, levels in zip((1, -1), rwa):
-                rows += [[value, "rwa", _parity_name(parity), j, float(e)]
-                         for j, e in enumerate(levels[i])]
-        if "full" in modes:
-            for parity, levels in zip((1, -1), full[i]):
-                rows += [[value, "full", _parity_name(parity), j, float(e)]
-                         for j, e in enumerate(levels)]
+        runs = {("rwa", name): model.rwa_parity_levels(params_list, parity,
+                                                       n_levels, drop)
+                for parity, name in ((1, "even"), (-1, "odd"))} | runs
+    # row order: point, then run, then level
+    models, parities = zip(*[key for key in runs for _ in range(n_levels)])
+    n = len(values)
     meta["timings"]["sweep_s"] = time.perf_counter() - start
     write_dataset(cfg["out"], ["sweep_value", "model", "parity", "level", "energy"],
-                  rows, meta)
+                  [values.repeat(len(models)), models * n, parities * n,
+                   np.tile(np.arange(n_levels), len(runs) * n),
+                   np.stack(list(runs.values()), axis=1).ravel()], meta)
     return _gate_exit(meta)
-
-
-def _parity_name(parity: int) -> str:
-    return "even" if parity == 1 else "odd"
 
 
 def cmd_berry(cfg: dict) -> int:
@@ -610,40 +615,33 @@ def cmd_berry(cfg: dict) -> int:
     params_list = _sweep_params(cfg, var, values)
     header = ["sweep_value", "state", "gamma_rwa"]
     meta = _new_meta(cfg, "berry")
+    # row order: point, then state (_COUNTERPARTS)
+    columns = [values.repeat(3), list(_COUNTERPARTS) * len(values),
+               [gamma for pars in params_list for gamma in (
+                   0.0, geometry.berry_phase_equal_frequency(pars, 2),
+                   geometry.berry_phase_equal_frequency(pars, 3))]]
     if include_full:
         header.append("gamma_full")
-        gamma_full = _eigenphases(_beyond_rwa(params_list, cap, (1, -1),
-                                              _eigenphase_bounds, meta))
-    rows = []
-    for i, (value, pars) in enumerate(zip(values, params_list)):
-        gamma_rwa = {
-            "psi0": 0.0,
-            "psi1_2": geometry.berry_phase_equal_frequency(pars, 2),
-            "psi1_3": geometry.berry_phase_equal_frequency(pars, 3),
-        }
-        for name, column in _COUNTERPARTS.items():
-            row = [value, name, gamma_rwa[name]]
-            if include_full:
-                row.append(gamma_full[i][column])
-            rows.append(row)
+        columns.append(np.array(_eigenphases(_beyond_rwa(
+            params_list, cap, (1, -1), _eigenphase_bounds, meta)))[
+                :, list(_COUNTERPARTS.values())].ravel())
     meta["timings"]["sweep_s"] = time.perf_counter() - start
-    write_dataset(cfg["out"], header, rows, meta)
+    write_dataset(cfg["out"], header, columns, meta)
     return _gate_exit(meta)
 
 
 def cmd_curvature_field(cfg: dict) -> int:
     thetas = np.linspace(0.0, math.pi, _levels(cfg, 181, minimum=1))
-    rows = []
-    for label in ("eigen_jc", "eigen_two_qubit", "noneigen_jc",
-                  "noneigen_two_qubit"):
-        field = geometry.radial_field(label, thetas)
-        # the field does not depend on phi; the dataset samples phi = 0
-        rows += [[label, th, 0.0, f]
-                 for th, f in zip(thetas.tolist(), field.tolist())]
+    labels = ["eigen_jc", "eigen_two_qubit", "noneigen_jc",
+              "noneigen_two_qubit"]
     meta = _new_meta(cfg, "curvature-field",
                      normalization="max |F| on the unit sphere = 1")
+    # the field does not depend on phi; the dataset samples phi = 0
     write_dataset(cfg["out"], ["label", "theta", "phi", "F_radial_normalized"],
-                  rows, meta)
+                  [np.repeat(labels, len(thetas)).tolist(),
+                   np.tile(thetas, 4), 0.0,
+                   np.concatenate([geometry.radial_field(label, thetas)
+                                   for label in labels])], meta)
     return 0
 
 
@@ -654,10 +652,11 @@ def cmd_noneigen(cfg: dict) -> int:
     include_full = cfg["mode"] in ("full", "both")
     jump_threshold = 0.3
     params_list = _sweep_params(cfg, var, values)
-    rows = [[value, pars.g1, pars.g2, pars.delta,
-             geometry.noneigen_curvature_two_qubit(pars),
-             geometry.vacuum_phase_two_qubit(pars)]
-            for value, pars in zip(values, params_list)]
+    columns = [values, *([getattr(pars, key) for pars in params_list]
+                         for key in ("g1", "g2", "delta")),
+               [geometry.noneigen_curvature_two_qubit(pars)
+                for pars in params_list],
+               [geometry.vacuum_phase_two_qubit(pars) for pars in params_list]]
     header = ["sweep_value", "g1", "g2", "delta", "F_theta_phi", "gamma_rwa"]
     meta = _new_meta(cfg, "noneigen")
     if include_full:
@@ -665,24 +664,20 @@ def cmd_noneigen(cfg: dict) -> int:
         # sector, and the total of the weights behind it
         gammas, totals = geometry.noneigen_phases_beyond_rwa(_beyond_rwa(
             params_list, cap, (-1,), _vacuum_phase_bounds, meta)[-1])
-        gammas = gammas.tolist()
         meta["diagnostics"]["vacuum_weight_total"] = totals.tolist()
-        flags = _jump_flags(gammas, jump_threshold)
-        rows = [r + [gamma, f] for r, gamma, f in zip(rows, gammas, flags)]
+        columns += [gammas, _jump_flags(gammas, jump_threshold)]
         header += ["gamma_full", "anticross_flag"]
         meta["anticross_flag"] = ("1 when |gamma_full| changes by more than "
                                   f"{jump_threshold} between neighbours")
     meta["timings"]["sweep_s"] = time.perf_counter() - start
-    write_dataset(cfg["out"], header, rows, meta)
+    write_dataset(cfg["out"], header, columns, meta)
     return _gate_exit(meta)
 
 
-def _jump_flags(gammas: list[float], threshold: float) -> list[int]:
-    flags = [0] * len(gammas)
-    for i in range(len(gammas) - 1):
-        if abs(gammas[i + 1] - gammas[i]) > threshold:
-            flags[i] = flags[i + 1] = 1
-    return flags
+def _jump_flags(gammas: np.ndarray, threshold: float) -> np.ndarray:
+    """True at both ends of every step of more than ``threshold``."""
+    step = np.abs(np.diff(gammas)) > threshold
+    return np.append(step, False) | np.insert(step, 0, False)
 
 
 def cmd_evolve(cfg: dict) -> int:
@@ -699,9 +694,9 @@ def cmd_evolve(cfg: dict) -> int:
         avg = dynamics.average_photon_number(pars, duration, n_time_steps=steps)
     except ValueError as exc:   # fewer time steps than the average needs
         raise ConfigError(f"--levels {steps}: {exc}") from exc
-    summary = (duration, p_int, q_int, res.total_phase, res.dynamical_phase,
-               res.aa_phase, avg.P, avg.gamma_over_2pi)
-    rows = zip(avg.times, avg.photon_expectation, avg.fidelity)
+    columns = [avg.times, avg.photon_expectation, avg.fidelity, duration,
+               p_int, q_int, res.total_phase, res.dynamical_phase,
+               res.aa_phase, avg.P, avg.gamma_over_2pi]   # summary: constant
     header = ["t", "photon_expectation", "fidelity", "T", "p", "q",
               "total_phase", "dynamical_phase", "aa_phase", "P_avg",
               "gamma_over_2pi"]
@@ -713,7 +708,7 @@ def cmd_evolve(cfg: dict) -> int:
                         "recurrence_fidelity": res.recurrence_fidelity,
                               "P": avg.P,
                               "gamma_over_2pi": avg.gamma_over_2pi})
-    write_dataset(cfg["out"], header, rows, meta, fixed=summary)
+    write_dataset(cfg["out"], header, columns, meta)
     return 0
 
 
@@ -733,7 +728,7 @@ def cmd_scan_anticrossing(cfg: dict) -> int:
     if not (0.0 <= g_min < g_max and math.isfinite(g_max)):
         raise ConfigError(f"g window [{g_min}, {g_max}]: need finite "
                           "0 <= g_min < g_max")
-    rows = []
+    columns = [deltas, [], [], [], []]
     diagnostics = {"jump_on_window_edge": [], "level_pair": [],
                    "pair_curvature": [], "residual_bound": [], "scan_m": []}
     for delta in deltas:
@@ -747,8 +742,9 @@ def cmd_scan_anticrossing(cfg: dict) -> int:
                                           g_max=g_max, M=M, scan_M=scan_m)
         jump = geometry.locate_phase_jump(params_of_g, g_min, g_max, M=M,
                                           scan_M=scan_m)
-        rows.append([delta, ac.g_star, ac.min_gap, jump.g_jump,
-                     jump.jump_size])
+        for column, cell in zip(columns[1:], (ac.g_star, ac.min_gap,
+                                              jump.g_jump, jump.jump_size)):
+            column.append(cell)
         diagnostics["scan_m"].append(scan_m)
         diagnostics["jump_on_window_edge"].append(jump.on_edge)
         diagnostics["level_pair"].append(list(ac.level_pair))
@@ -769,7 +765,7 @@ def cmd_scan_anticrossing(cfg: dict) -> int:
         convergence_gate=_gate(max(max(bounds.values()) for bounds
                                    in diagnostics["residual_bound"])))
     write_dataset(cfg["out"], ["delta", "g_star", "min_gap", "jump_g",
-                               "jump_size"], rows, meta)
+                               "jump_size"], columns, meta)
     return _gate_exit(meta)
 
 
@@ -785,19 +781,21 @@ def _preset_fig1(cfg: dict) -> int:
 
 def _preset_fig2(cfg: dict) -> int:
     cfg.setdefault("out", "fig2_noneigen_rwa.csv")
-    rows = []
-    g2s = np.linspace(0.001, 0.1, 200)
-    for delta in (0.0, 0.05, -0.05, 0.2, -0.2):
-        for g2 in g2s:
-            for panel, g1 in (("a", g2), ("b", 0.02)):
-                pars = RabiParams.equal_frequency(delta, g1, float(g2))
-                rows.append([panel, delta, g1, float(g2),
-                             geometry.noneigen_curvature_two_qubit(pars),
-                             geometry.vacuum_phase_two_qubit(pars)])
+    # row order: delta, then g2, then panel (a: g1 = g2, b: g1 = 0.02)
+    panel = ["a", "b"] * 1000
+    delta = np.repeat([0.0, 0.05, -0.05, 0.2, -0.2], 400)
+    g2 = np.tile(np.linspace(0.001, 0.1, 200).repeat(2), 5)
+    g1 = np.where(np.arange(2000) % 2, 0.02, g2)
+    curvature, phase = [], []   # each point's RabiParams is not kept
+    for point in zip(delta.tolist(), g1.tolist(), g2.tolist()):
+        pars = RabiParams.equal_frequency(*point)
+        curvature.append(geometry.noneigen_curvature_two_qubit(pars))
+        phase.append(geometry.vacuum_phase_two_qubit(pars))
     meta = _new_meta(cfg, "fig2",
                      detunings="representative choice {0, +-0.05, +-0.2}")
     write_dataset(cfg["out"], ["panel", "delta", "g1", "g2", "F_theta_phi",
-                               "gamma_rwa"], rows, meta)
+                               "gamma_rwa"],
+                  [panel, delta, g1, g2, curvature, phase], meta)
     return 0
 
 

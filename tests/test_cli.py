@@ -1,6 +1,5 @@
 import gzip
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -839,7 +838,8 @@ def test_gate_reads_the_worst_interior_point(tmp_path):
 def test_float_formatting_precision(tmp_path):
     # 17 significant digits round-trip doubles exactly
     out = tmp_path / "f.csv"
-    cli.write_dataset(str(out), ["x", "y", "b"], [[math.pi, 1.0, True]], {})
+    cli.write_dataset(str(out), ["x", "y", "b"], [[math.pi], [1.0], [True]],
+                      {})
     _, rows = read_csv(out)
     assert float(rows[0][0]) == math.pi
     assert rows[0][1] == "1"
@@ -857,6 +857,21 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _csv(header, rows) -> bytes:
+    """Reference: the CSV of ``rows`` under ``header`` by the per-cell
+    rule."""
+    return "".join(",".join(map(_cell, row)) + "\n"
+                   for row in [header, *rows]).encode()
+
+
+def _columns(rows) -> list[list]:
+    """The columns of ``rows``: column j holds the j-th cell of every row
+    that has one, so a short row gives a short column and a long row an
+    extra column."""
+    width = max(map(len, rows), default=0)
+    return [[row[j] for row in rows if len(row) > j] for j in range(width)]
+
+
 #: rows of varied cell types, each column of one kind (integer, float or
 #: other); together they hold every formatting case of each kind
 _ROWS = [
@@ -872,12 +887,44 @@ _HEADER = ["a", "b", "c", "d", "e", "f", "g"]
 def test_write_dataset_matches_per_cell_rule(tmp_path):
     rows, header = _ROWS, _HEADER
     out = tmp_path / "t.csv"
-    cli.write_dataset(str(out), header, iter(rows), {"command": "test"})
-    want = "".join(",".join(map(_cell, row)) + "\n"
-                   for row in [header, *rows])
-    assert out.read_bytes() == want.encode()
+    cli.write_dataset(str(out), header, _columns(rows), {"command": "test"})
+    assert out.read_bytes() == _csv(header, rows)
     meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
     assert meta["rows"] == len(rows) and meta["columns"] == header
+
+
+#: numpy array columns of each dtype the writer formats by its dtype, and an
+#: object array, which it formats cell by cell
+_ARRAYS = {
+    "float64": np.array([-0.0, 1 / 3, 5e-324, -1e308, 0.1]),
+    "float32": np.array([0.1, -2.5, 1e-30, 3.0, 0.0], dtype=np.float32),
+    "int64": np.array([-7, 2 ** 40, 0, -(2 ** 63), 2 ** 63 - 1]),
+    "uint64": np.array([0, 1, 2 ** 63, 2 ** 64 - 1, 255], dtype=np.uint64),
+    "bool": np.array([True, False, True, True, False]),
+    "str": np.array(["even", "odd", "a b", "100%", ""]),
+    "object": np.array([0.5, np.float64(2.0), 1e-7, -0.0, 7.0],
+                       dtype=object),
+}
+
+
+@pytest.mark.parametrize("kind", _ARRAYS)
+def test_write_dataset_array_columns_match_per_cell_rule(tmp_path, kind):
+    # an array column is written as the sequence of its numpy scalars: a
+    # float32 cell is an other cell, str() of the scalar
+    column = _ARRAYS[kind]
+    out = tmp_path / "t.csv"
+    cli.write_dataset(str(out), ["i", kind], [range(5), column], {})
+    assert out.read_bytes() == _csv(["i", kind], zip(range(5), column))
+
+
+@pytest.mark.parametrize("cells", [[0.5, 1], [1, "a"], [np.float32(1.0), 2.0],
+                                   [True, None]])
+def test_write_dataset_mixed_object_array_leaves_no_csv(tmp_path, cells):
+    out = tmp_path / "bad.csv"
+    with pytest.raises(cli.ConfigError, match="mixes"):
+        cli.write_dataset(str(out), ["x"], [np.array(cells, dtype=object)],
+                          {})
+    assert not out.exists()
 
 
 def _uniform_row(i: int) -> tuple:
@@ -900,13 +947,17 @@ def test_write_dataset_block_boundaries_match_per_cell_rule(tmp_path, n_rows,
         for i, row in enumerate(_ROWS[:3], start):
             if i < n_rows:
                 rows[i] = row
+    columns = _columns(rows) or [[]] * len(_HEADER)
+    want = _csv(_HEADER, rows)
     out = tmp_path / "t.csv"
-    cli.write_dataset(str(out), _HEADER, iter(rows), {})
-    want = "".join(",".join(map(_cell, row)) + "\n"
-                   for row in [_HEADER, *rows])
-    assert out.read_bytes() == want.encode()
+    cli.write_dataset(str(out), _HEADER, columns, {})
+    assert out.read_bytes() == want
     meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
     assert meta["rows"] == n_rows
+    if n_rows and not varied:
+        # the same columns as arrays of float64, bool, int64 and str
+        cli.write_dataset(str(out), _HEADER, list(map(np.array, columns)), {})
+        assert out.read_bytes() == want
 
 
 def test_sidecar_records_environment(tmp_path, monkeypatch):
@@ -932,21 +983,46 @@ def test_sidecar_records_environment(tmp_path, monkeypatch):
 @pytest.mark.parametrize("tail_row", [0, 3])
 def test_write_dataset_fixed_columns_match_full_rows(tmp_path, split,
                                                      tail_row):
+    # 0-d values are constant columns, written as if repeated on every row
     fixed = _ROWS[tail_row][split:]
     full, lead = tmp_path / "full.csv", tmp_path / "lead.csv"
     cli.write_dataset(str(full), _HEADER,
-                      [row[:split] + fixed for row in _ROWS], {})
+                      _columns([row[:split] + fixed for row in _ROWS]), {})
     cli.write_dataset(str(lead), _HEADER,
-                      (row[:split] for row in _ROWS), {}, fixed=fixed)
+                      [*_columns([row[:split] for row in _ROWS]), *fixed], {})
     assert lead.read_bytes() == full.read_bytes()
     assert (tmp_path / "lead.csv.meta.json").read_text() == \
         (tmp_path / "full.csv.meta.json").read_text()
 
 
+@pytest.mark.parametrize("at", [0, 2, 4])
+@pytest.mark.parametrize("n_rows", [1, cli.BLOCK_ROWS + 1])
+def test_write_dataset_constant_column_anywhere(tmp_path, at, n_rows):
+    # a 0-d array or a scalar as the first, a middle or the last column
+    rows = [_uniform_row(i)[:4] for i in range(n_rows)]
+    constants = (np.array(np.float32(0.1)), np.array(-0.0), "100%s",
+                 np.int64(-3), np.array(True))
+    for constant in constants:
+        cell = constant[()] if isinstance(constant, np.ndarray) else constant
+        header = ["a", "b", "c", "d", "e"]
+        columns = _columns(rows)
+        columns.insert(at, constant)
+        out = tmp_path / "c.csv"
+        cli.write_dataset(str(out), header, columns, {})
+        assert out.read_bytes() == _csv(
+            header, [row[:at] + (cell,) + row[at:] for row in rows])
+
+
+def test_write_dataset_only_constants_is_one_row(tmp_path):
+    out = tmp_path / "c.csv"
+    cli.write_dataset(str(out), ["x", "n"], [0.5, np.array(3)], {})
+    assert out.read_text() == "x,n\n0.5,3\n"
+
+
 def test_write_dataset_fixed_percent_is_literal(tmp_path):
     out = tmp_path / "p.csv"
-    cli.write_dataset(str(out), ["x", "label", "n"], [[0.5], [2.0]],
-                      {}, fixed=("100%d %s%%", 7))
+    cli.write_dataset(str(out), ["x", "label", "n"],
+                      [[0.5, 2.0], "100%d %s%%", 7], {})
     assert out.read_text() == "x,label,n\n0.5,100%d %s%%,7\n2,100%d %s%%,7\n"
 
 
@@ -955,9 +1031,11 @@ def test_write_dataset_fixed_percent_is_literal(tmp_path):
                                         ((1.0, 2), [0.5, 1.0]),
                                         ((1.0, 2), [])])
 def test_write_dataset_bad_fixed_leaves_no_csv(tmp_path, fixed, row):
+    # a non-finite constant, or one column too many or too few
     out = tmp_path / "bad.csv"
     with pytest.raises(cli.ConfigError):
-        cli.write_dataset(str(out), ["x", "y", "z"], [row], {}, fixed=fixed)
+        cli.write_dataset(str(out), ["x", "y", "z"],
+                          [*([cell] for cell in row), *fixed], {})
     assert not out.exists()
     assert not (tmp_path / "bad.csv.meta.json").exists()
 
@@ -972,25 +1050,85 @@ _BAD_ROWS = [[math.nan, 1], [math.inf, 1], [np.float64(-np.inf), 1], [0.5],
     for n_good, suffix in ((1000, ""), (cli.BLOCK_ROWS + 5, "-second_block"))
     for i, bad in enumerate(_BAD_ROWS)])
 def test_write_dataset_bad_row_leaves_no_csv(tmp_path, bad, n_good):
+    # as lists and as arrays: a non-finite float, a short column (from a
+    # short row) or a column too many (from a long one)
     out = tmp_path / "bad.csv"
-    good = ([0.1 * i, i] for i in range(n_good))
-    with pytest.raises(cli.ConfigError):
-        cli.write_dataset(str(out), ["x", "n"], itertools.chain(good, [bad]),
-                          {})
-    assert not out.exists()
-    assert not (tmp_path / "bad.csv.meta.json").exists()
+    columns = _columns([[0.1 * i, i] for i in range(n_good)] + [bad])
+    for cols in (columns, list(map(np.array, columns))):
+        with pytest.raises(cli.ConfigError):
+            cli.write_dataset(str(out), ["x", "n"], cols, {})
+        assert not out.exists()
+        assert not (tmp_path / "bad.csv.meta.json").exists()
 
 
 @pytest.mark.parametrize("bad", [[1, 1], ["0.5", 1], [0.5, 1.0]])
 def test_write_dataset_mixed_column_leaves_no_csv(tmp_path, bad):
-    # the column that mixes kinds falls in the second block
+    # the cell that mixes kinds falls in the first or the second block, in a
+    # list or an object array
     out = tmp_path / "bad.csv"
-    good = ([0.1 * i, i] for i in range(cli.BLOCK_ROWS + 5))
-    with pytest.raises(cli.ConfigError, match="mixes"):
-        cli.write_dataset(str(out), ["x", "n"], itertools.chain(good, [bad]),
-                          {})
+    for n_good in (1000, cli.BLOCK_ROWS + 5):
+        columns = _columns([[0.1 * i, i] for i in range(n_good)] + [bad])
+        for cols in (columns, [np.array(c, dtype=object) for c in columns]):
+            with pytest.raises(cli.ConfigError, match="mixes"):
+                cli.write_dataset(str(out), ["x", "n"], cols, {})
+            assert not out.exists()
+            assert not (tmp_path / "bad.csv.meta.json").exists()
+
+
+@pytest.mark.parametrize("columns", [
+    [[0.5, 1.5], [1, 2, 3]], [np.zeros(3), np.arange(2)],
+    [np.zeros(2), [1]], [np.zeros((2, 2)), [1, 2]]],
+    ids=["lists", "arrays", "mixed", "2d"])
+def test_write_dataset_unequal_columns_leave_no_csv(tmp_path, columns):
+    out = tmp_path / "bad.csv"
+    with pytest.raises(cli.ConfigError):
+        cli.write_dataset(str(out), ["x", "n"], columns, {})
     assert not out.exists()
-    assert not (tmp_path / "bad.csv.meta.json").exists()
+
+
+def test_write_dataset_unwritable_path_leaves_nothing(tmp_path):
+    out = tmp_path / "nodir" / "x.csv"
+    with pytest.raises(cli.ConfigError, match="cannot write"):
+        cli.write_dataset(str(out), ["x"], [[1.0]], {})
+    assert not (tmp_path / "nodir").exists()
+
+
+def test_unwritable_sidecar_leaves_no_csv(tmp_path, capsys):
+    # the sidecar's path is a directory: exit 2, and the CSV written before
+    # it is removed
+    out = tmp_path / "f.csv"
+    (tmp_path / "f.csv.meta.json").mkdir()
+    assert run(["fig1", "--levels", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out", [2, True, 1.5, ["x.csv"]])
+def test_config_out_that_is_not_a_path_is_a_config_error(tmp_path, capsys,
+                                                         monkeypatch, out):
+    # an integer would be opened as a file descriptor (2 is stderr)
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"out": out}))
+    for command in (["curvature-field", "--levels", "3"], ["fig1"]):
+        assert run([*command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: out {out!r}: need a path\n"
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+def test_config_out_null_is_unset(tmp_path, capsys, monkeypatch):
+    # the preset's default name applies; a command without one needs --out
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "c.json"
+    config.write_text('{"out": null}')
+    assert run(["fig1", "--levels", "3", "--config", str(config)]) == 0
+    assert (tmp_path / "fig1_curvature_field.csv").exists()
+    assert run(["curvature-field", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "config error: --out PATH is required\n"
+    # a flag's path wins over the null
+    assert run(["curvature-field", "--levels", "3", "--config", str(config),
+                "--out", str(tmp_path / "c.csv")]) == 0
 
 
 def test_noneigen_short_truncation_exit_code(tmp_path, capsys):
